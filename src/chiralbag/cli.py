@@ -164,21 +164,23 @@ def cmd_verify_ball(args) -> int:
 
 
 def cmd_verify_cylinder(args) -> int:
-    rep = build_gamma(args.m[0])
     ok = True
     rows = []
-    for omega in args.omega:
-        for theta in args.theta:
-            for t in args.t:
-                p = cylinder.ModeParams(omega=omega, theta=theta, t=t,
-                                        rep=rep)
-                r1 = cylinder.check_U1_integral(p)
-                r2 = cylinder.check_U2_integral(p)
-                passed = r1 < args.tol and r2 < args.tol
-                ok = ok and passed
-                rows.append({"omega": omega, "theta": theta, "t": t,
-                             "U1_residual": r1, "U2_residual": r2,
-                             "pass": passed})
+    for m in args.m:
+        rep = build_gamma(m)
+        for omega in args.omega:
+            for theta in args.theta:
+                for t in args.t:
+                    p = cylinder.ModeParams(omega=omega, theta=theta, t=t,
+                                            rep=rep)
+                    r1 = cylinder.check_U1_integral(p)
+                    r2 = cylinder.check_U2_integral(p)
+                    passed = r1 < args.tol and r2 < args.tol
+                    ok = ok and passed
+                    rows.append({"m": m, "omega": omega, "theta": theta,
+                                 "t": t, "U1_residual": r1,
+                                 "U2_residual": r2, "pass": passed})
+    # the t-integral does not depend on m
     for s in args.s:
         for omega in args.omega:
             for theta in args.theta:

@@ -141,13 +141,11 @@ def ball_heat_coefficients(theta: float, m: int) -> dict:
     d_s = spinor_dimension(m)
     ch = math.cosh(theta)
     pref = d_s / (2 ** m * gamma_fn(m / 2))
+    uc = universal_constants(theta, m)
     a1 = math.sqrt(math.pi) * pref * (ch ** (m - 1) - 1.0)
-    a2 = pref * ((2 * m - 5) / 3.0
-                 + (2 - m) * hyp2f1(1.0, (m - 1) / 2, 1.5,
-                                    math.tanh(theta) ** 2))
+    a2 = pref * 2 * (m - 1) * uc.c2
     # cross-check against the general boundary-invariant form with
     # L_aa = m - 1 on the unit sphere
-    uc = universal_constants(theta, m)
     area = sphere_volume(m)
     a1_general = (4 * math.pi) ** (-(m - 1) / 2) * area * d_s * uc.c1
     a2_general = (4 * math.pi) ** (-m / 2) * area * d_s * uc.c2 * (m - 1)

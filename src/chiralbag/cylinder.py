@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import integrate
@@ -99,28 +99,35 @@ class ModeKernel:
         return -math.exp(-eta * eta / (4.0 * t)) * \
             (eta / (2.0 * t) + b + math.sqrt(math.pi * t) * b * b * erfcx(u))
 
+    def free_scalar_dx(self, x: float, xp: float,
+                       t: Optional[float] = None):
+        t = self.params.t if t is None else t
+        return -(x - xp) / (2.0 * t) * self.free_scalar(x, xp, t)
+
+    def image_scalar_dx(self, x: float, xp: float,
+                        t: Optional[float] = None):
+        t = self.params.t if t is None else t
+        return -(x + xp) / (2.0 * t) * self.image_scalar(x, xp, t)
+
     # -- matrix-valued parts ----------------------------------------------
 
-    def free(self, x, xp, t=None):
-        return self.free_scalar(x, xp, t) * self._eye
-
-    def image(self, x, xp, t=None):
-        return self.image_scalar(x, xp, t) * self._eye
-
-    def boundary(self, x, xp, t=None):
-        return self.boundary_scalar(x, xp, t) * self._bmat
+    def split(self, part: str) -> tuple:
+        """(scalar value, scalar x-derivative, fixed matrix) for each piece
+        of a kernel part: identity for free and image, the boundary matrix
+        for boundary; "full" is the sum of all three."""
+        pieces = {
+            "free": (self.free_scalar, self.free_scalar_dx, self._eye),
+            "image": (self.image_scalar, self.image_scalar_dx, self._eye),
+            "boundary": (self.boundary_scalar, self.boundary_scalar_dx,
+                         self._bmat)}
+        if part == "full":
+            return tuple(pieces.values())
+        if part not in pieces:
+            raise ValueError(f"unknown kernel part {part!r}")
+        return (pieces[part],)
 
     def full(self, x, xp, t=None):
-        return self.free(x, xp, t) + self.image(x, xp, t) \
-            + self.boundary(x, xp, t)
-
-    def full_dx(self, x, xp, t=None):
-        tt = self.params.t if t is None else t
-        xi, eta = x - xp, x + xp
-        d_free = -xi / (2.0 * tt) * self.free_scalar(x, xp, t)
-        d_image = -eta / (2.0 * tt) * self.image_scalar(x, xp, t)
-        return (d_free + d_image) * self._eye \
-            + self.boundary_scalar_dx(x, xp, t) * self._bmat
+        return sum(s(x, xp, t) * mat for s, _, mat in self.split("full"))
 
     def weighted_full(self, x, xp, t=None):
         """Kernel with the exp(-omega^2 t)/sqrt(4 pi t) mode weight restored;
@@ -156,74 +163,54 @@ def heat_equation_residual(kernel: ModeKernel, x: float, xp: float,
 
 class DiracApplied:
     """f [P_x (kernel part)] at coincidence x = x', with P realized per mode
-    as gt gm omega + gm d/dx; the analytic x-derivative is audited against
-    central differences on construction."""
+    as gt gm omega + gm d/dx.  Each piece of the part is a scalar s times a
+    fixed matrix M, so P maps it to f (omega s gt gm + s' gm) M; pointwise
+    values and integrals both go through that form.  The analytic
+    x-derivatives are audited against central differences on construction."""
 
     def __init__(self, params: ModeParams, kernel: ModeKernel,
                  part: str = "full", f_matrix: Optional[np.ndarray] = None,
                  audit_x: float = 0.4, fd_step: float = 1e-5):
         self.params = params
-        self.kernel = kernel
-        if part not in ("full", "image", "boundary", "free"):
-            raise ValueError(f"unknown kernel part {part!r}")
         self.part = part
+        self.pieces = kernel.split(part)
         self.f = np.eye(params.rep.d_s) if f_matrix is None else \
             np.asarray(f_matrix, dtype=complex)
         self._audit(audit_x, fd_step)
 
-    def _value(self, x, xp):
-        return getattr(self.kernel, self.part)(x, xp)
-
-    def _dx(self, x, xp):
-        k = self.kernel
-        p = self.params
-        if self.part == "free":
-            return -(x - xp) / (2.0 * p.t) * k.free(x, xp)
-        if self.part == "image":
-            return -(x + xp) / (2.0 * p.t) * k.image(x, xp)
-        if self.part == "boundary":
-            return k.boundary_scalar_dx(x, xp) * k._bmat
-        return k.full_dx(x, xp)
-
     def _audit(self, x: float, h: float) -> None:
-        fd = (self._value(x + h, x) - self._value(x - h, x)) / (2.0 * h)
-        resid = float(np.abs(fd - self._dx(x, x)).max())
+        resid = max(abs((s(x + h, x) - s(x - h, x)) / (2.0 * h) - ds(x, x))
+                    for s, ds, _ in self.pieces)
         if resid > FD_TOL:
             raise DerivativeMismatchError(
                 f"analytic d/dx vs central differences: residual "
                 f"{resid:.3e} at x={x} for part {self.part!r}")
 
-    def __call__(self, x: float) -> np.ndarray:
+    def _apply(self, s0, s1, mat: np.ndarray) -> np.ndarray:
+        """f (omega s0 gt gm + s1 gm) mat."""
         rep = self.params.rep
-        gtgm = rep.gamma_tilde @ rep.gamma_m
-        val = self.params.omega * gtgm @ self._value(x, x) \
-            + rep.gamma_m @ self._dx(x, x)
-        return self.f @ val
+        return self.f @ (self.params.omega * s0 * rep.gamma_tilde
+                         @ rep.gamma_m + s1 * rep.gamma_m) @ mat
+
+    def __call__(self, x: float) -> np.ndarray:
+        return sum(self._apply(s(x, x), ds(x, x), mat)
+                   for s, ds, mat in self.pieces)
+
+    def integral(self, a: float, b: float) -> np.ndarray:
+        """int_a^b of the applied part: two real scalar quadratures per
+        piece, then the fixed Clifford matrices."""
+        def quad(g):
+            val, _ = integrate.quad(lambda x: g(x, x), a, b, epsabs=QUAD_EPS,
+                                    epsrel=1e-12, limit=200)
+            return val
+        return sum(self._apply(quad(s), quad(ds), mat)
+                   for s, ds, mat in self.pieces)
 
 
 def apply_dirac(params: ModeParams, kernel: ModeKernel,
                 part: str = "full",
                 f_matrix: Optional[np.ndarray] = None) -> DiracApplied:
     return DiracApplied(params, kernel, part=part, f_matrix=f_matrix)
-
-
-def _quad_matrix(fn: Callable[[float], np.ndarray], a: float, b: float,
-                 d: int) -> np.ndarray:
-    out = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            re, _ = integrate.quad(lambda x: fn(x)[i, j].real, a, b,
-                                   epsabs=QUAD_EPS, epsrel=1e-12, limit=200)
-            im, _ = integrate.quad(lambda x: fn(x)[i, j].imag, a, b,
-                                   epsabs=QUAD_EPS, epsrel=1e-12, limit=200)
-            out[i, j] = re + 1j * im
-    return out
-
-
-def _simpson_matrix(fn, a, b, n_panels):
-    xs = np.linspace(a, b, 2 * n_panels + 1)
-    vals = np.stack([fn(float(x)) for x in xs])
-    return integrate.simpson(vals, x=xs, axis=0)
 
 
 def _window(params: ModeParams) -> float:
@@ -236,9 +223,18 @@ def _window(params: ModeParams) -> float:
     return X
 
 
+def _integrated(params: ModeParams, part: str, f: np.ndarray) -> np.ndarray:
+    """int_0^X f [P_x U_part] dx / sqrt(4 pi t) over the tail-bounded window
+    [0, X]: (omega S0 f gt gm + S1 f gm) M / sqrt(4 pi t), where S0 and S1
+    integrate the part's scalar and its x-derivative and M is its matrix."""
+    integrand = apply_dirac(params, mode_kernel(params), part=part,
+                            f_matrix=f)
+    return integrand.integral(0.0, _window(params)) / \
+        math.sqrt(4.0 * math.pi * params.t)
+
+
 def check_U1_integral(params: ModeParams,
-                      f_matrix: Optional[np.ndarray] = None,
-                      n_panels: Optional[int] = None) -> float:
+                      f_matrix: Optional[np.ndarray] = None) -> float:
     """Residual of the integrated image-part identity: with the mode weight
     1/sqrt(4 pi t) restored,
 
@@ -248,14 +244,7 @@ def check_U1_integral(params: ModeParams,
     rep = params.rep
     f = np.eye(rep.d_s) if f_matrix is None else np.asarray(f_matrix,
                                                             dtype=complex)
-    kernel = mode_kernel(params)
-    integrand = apply_dirac(params, kernel, part="image", f_matrix=f)
-    X = _window(params)
-    if n_panels is None:
-        lhs = _quad_matrix(integrand, 0.0, X, rep.d_s)
-    else:
-        lhs = _simpson_matrix(integrand, 0.0, X, n_panels)
-    lhs = lhs / math.sqrt(4.0 * math.pi * params.t)
+    lhs = _integrated(params, "image", f)
     gm, gt = rep.gamma_m, rep.gamma_tilde
     rhs = 0.5 / math.sqrt(4.0 * math.pi * params.t) * f @ gm \
         + 0.25 * params.omega * f @ gm @ gt
@@ -264,7 +253,6 @@ def check_U1_integral(params: ModeParams,
 
 def check_U2_integral(params: ModeParams,
                       f_matrix: Optional[np.ndarray] = None,
-                      n_panels: Optional[int] = None,
                       erf_path: bool = False) -> float:
     """Residual of the integrated boundary-part identity: with the mode
     weight 1/sqrt(4 pi t) restored and E = e^{t b^2} erfc(-sqrt(t) b) for
@@ -280,14 +268,7 @@ def check_U2_integral(params: ModeParams,
     rep = params.rep
     f = np.eye(rep.d_s) if f_matrix is None else np.asarray(f_matrix,
                                                             dtype=complex)
-    kernel = mode_kernel(params)
-    integrand = apply_dirac(params, kernel, part="boundary", f_matrix=f)
-    X = _window(params)
-    if n_panels is None:
-        lhs = _quad_matrix(integrand, 0.0, X, rep.d_s)
-    else:
-        lhs = _simpson_matrix(integrand, 0.0, X, n_panels)
-    lhs = lhs / math.sqrt(4.0 * math.pi * params.t)
+    lhs = _integrated(params, "boundary", f)
     t, omega = params.t, params.omega
     b = omega * math.tanh(params.theta)
     if erf_path:

@@ -35,7 +35,6 @@ class NonConvergenceError(RuntimeError):
 class EvalConfig:
     series_tol: float = 1e-14
     max_terms: int = 100_000
-    quadrature_tol: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 < self.series_tol <= 1e-10):

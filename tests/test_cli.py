@@ -107,6 +107,15 @@ class TestVerifyCommands:
                         "--t", "0.25", "--s", "2.5")
         assert code == 0
 
+    def test_cylinder_every_m(self, capsys):
+        code, out = run(capsys, "verify-cylinder", "--m", "2,4",
+                        "--theta", "0.7", "--omega", "1.3", "--t", "0.25",
+                        "--s", "2.5", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["m"] for r in rows if "U1_residual" in r] == [2, 4]
+        assert sum("t_integral_residual" in r for r in rows) == 1
+
     def test_ball_pass(self, capsys):
         code, out = run(capsys, "verify-ball", "--m", "2",
                         "--theta", "0.5")

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from chiralbag import cylinder as cy
 from chiralbag.clifford import build_gamma, pi_plus_product
+
+
+ALL_M = [2, 4, 6, 8, 10, 12]
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +103,11 @@ class TestU1Integral:
     def test_omega_zero(self, rep2):
         assert cy.check_U1_integral(params(rep2, omega=0.0)) < 1e-10
 
-    def test_f_gamma_tilde(self, rep2):
-        p = params(rep2, omega=2.0, theta=0.4, t=0.1)
-        assert cy.check_U1_integral(p, f_matrix=rep2.gamma_tilde) < 1e-8
-
-    def test_simpson_refinement_converges(self, rep2):
-        p = params(rep2)
-        r = [cy.check_U1_integral(p, n_panels=n) for n in (4, 8, 16)]
-        assert r[0] > r[1] > r[2]
-        assert r[0] / r[1] > 8.0  # at least 4th order
+    @pytest.mark.parametrize("m", ALL_M)
+    def test_f_gamma_tilde(self, m):
+        rep = build_gamma(m)
+        p = params(rep, omega=2.0, theta=0.4, t=0.1)
+        assert cy.check_U1_integral(p, f_matrix=rep.gamma_tilde) < 1e-13
 
 
 class TestU2Integral:
@@ -128,23 +128,44 @@ class TestU2Integral:
         b = cy.check_U2_integral(params(rep2, omega=-1.3, theta=-0.7))
         assert a < 1e-8 and b < 1e-8
 
-    def test_m4(self, rep4):
-        assert cy.check_U2_integral(params(rep4, omega=0.9, theta=1.2,
-                                           t=0.1)) < 1e-8
+    @pytest.mark.parametrize("m", ALL_M)
+    def test_every_m(self, m):
+        assert cy.check_U2_integral(params(build_gamma(m), omega=0.9,
+                                           theta=1.2, t=0.1)) < 1e-13
 
     def test_theta_zero_explicit_rhs(self, rep2):
         # at theta=0 the closed form collapses to
         # -1/2 f gm Pi+Pi+* / sqrt(pi t) - omega/2 f gm gt Pi+Pi+*
         p = params(rep2, theta=0.0)
-        k = cy.mode_kernel(p)
-        integrand = cy.apply_dirac(p, k, part="boundary")
-        lhs = cy._quad_matrix(integrand, 0.0, 8.0, rep2.d_s) \
-            / math.sqrt(4 * math.pi * p.t)
+        lhs = cy._integrated(p, "boundary", np.eye(rep2.d_s))
         pp = pi_plus_product(rep2, 0.0)
         gm, gt = rep2.gamma_m, rep2.gamma_tilde
         rhs = -0.5 / math.sqrt(math.pi * p.t) * gm @ pp \
             - 0.5 * p.omega * gm @ gt @ pp
         assert np.abs(lhs - rhs).max() < 1e-9
+
+
+class TestQuadratureCount:
+    @pytest.mark.parametrize("m", [2, 12])
+    def test_two_scalar_quads_per_check(self, m, monkeypatch):
+        # the Clifford matrices factor out of the integrands, so each check
+        # costs two real quadratures whatever the spinor dimension
+        calls = []
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(integrate, name)
+
+            def quad(self, *args, **kwargs):
+                calls.append(args[1:3])
+                return integrate.quad(*args, **kwargs)
+
+        monkeypatch.setattr(cy, "integrate", Counting())
+        p = params(build_gamma(m))
+        for check in (cy.check_U1_integral, cy.check_U2_integral):
+            calls.clear()
+            assert check(p) < 1e-13
+            assert len(calls) == 2
 
 
 class TestTIntegral:
@@ -156,7 +177,6 @@ class TestTIntegral:
         assert cy.check_t_integral(2.5, -1.7, 0.6) < 1e-8
 
     def test_theta_zero_closed_form_directly(self):
-        from scipy import integrate
         s, omega = 2.0, 1.5
         num, _ = integrate.quad(
             lambda t: t ** ((s - 1) / 2) * math.exp(-t * omega * omega),
