@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,9 +26,6 @@ from . import ball_spectrum, cylinder, identities
 from .clifford import build_gamma
 from .coefficients import (a1_eta_ball, ball_heat_coefficients,
                            eta_constants, universal_constants)
-
-CSV_FIELDS = ["theta", "m", "c1", "c2", "c3", "c4", "c5", "c6", "c7",
-              "d1", "d2", "d3", "d4", "a1_ball", "a2_ball", "a1_eta"]
 
 
 def _fmt(x: float) -> str:
@@ -67,10 +63,6 @@ def _parse_m(text: str) -> list[int]:
     return ms
 
 
-def _env_float(name: str, default: float) -> float:
-    return float(os.environ.get(name, default))
-
-
 def _row(theta: float, m: int) -> dict:
     uc = universal_constants(theta, m)
     ec = eta_constants(theta, m, "cylinder_form")
@@ -89,22 +81,6 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_FIELDS)
-    for r in rows:
-        w.writerow([_fmt(r[k]) if isinstance(r[k], float) else r[k]
-                    for k in CSV_FIELDS])
-    return buf.getvalue()
-
-
-def _rows_to_json(rows: list[dict]) -> str:
-    clean = [{k: (float(_fmt(v)) if isinstance(v, float) else v)
-              for k, v in r.items()} for r in rows]
-    return json.dumps(clean, indent=2) + "\n"
 
 
 def cmd_coeffs(args) -> int:
@@ -129,21 +105,17 @@ def cmd_coeffs(args) -> int:
 
 def cmd_table(args) -> int:
     rows = [_row(theta, m) for m in args.m for theta in args.theta]
-    text = _rows_to_csv(rows) if args.format == "csv" else _rows_to_json(rows)
-    _emit(text, args.out)
+    _emit(_report_text(rows, args.format), args.out)
     return 0
 
 
 def cmd_verify_ball(args) -> int:
-    mu_max = _env_float("CHIRALBAG_MU_MAX", args.mu_max)
-    t_min = _env_float("CHIRALBAG_T_MIN", args.t_min)
-    t_max = _env_float("CHIRALBAG_T_MAX", args.t_max)
     ok = True
     rows = []
     for m in args.m:
         for theta in args.theta:
             samples = ball_spectrum.geometric_samples(
-                theta, m, mu_max, t_min=t_min, t_max=t_max,
+                theta, m, args.mu_max, t_min=args.t_min, t_max=args.t_max,
                 n_samples=args.n_samples)
             fit = ball_spectrum.fit_heat_coefficients(samples, m, K=args.K)
             ball = ball_heat_coefficients(theta, m)
@@ -203,16 +175,19 @@ def cmd_verify_identities(args) -> int:
 
 
 def _report_text(rows: list[dict], fmt: str) -> str:
+    """JSON list of the rows, or CSV whose header is every row key in
+    first-seen order; a row without some key leaves that cell empty."""
     if fmt == "json":
         clean = [{k: (float(_fmt(v)) if isinstance(v, (float, np.floating))
                       else v) for k, v in r.items()} for r in rows]
         return json.dumps(clean, indent=2) + "\n"
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(list(rows[0].keys()))
+    w = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(
+        k for r in rows for k in r)), restval="", lineterminator="\n")
+    w.writeheader()
     for r in rows:
-        w.writerow([_fmt(v) if isinstance(v, (float, np.floating)) else v
-                    for v in r.values()])
+        w.writerow({k: (_fmt(v) if isinstance(v, (float, np.floating))
+                        else v) for k, v in r.items()})
     return buf.getvalue()
 
 
@@ -223,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "conditions: tables and numerical verification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, text):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
         p.add_argument("--m", type=_parse_m, default=[2],
                        help="comma list of even dimensions in [2, 12]")
         p.add_argument("--theta", type=_parse_theta, default=[0.0],
@@ -231,12 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (stdout "
                        "if omitted)")
+        return p
 
-    common(sub.add_parser("coeffs", help="print all constants"))
-    common(sub.add_parser("table", help="write the coefficient grid"))
+    command("coeffs", cmd_coeffs, "print all constants")
+    command("table", cmd_table, "write the coefficient grid")
 
-    vb = sub.add_parser("verify-ball", help="spectral fit vs closed forms")
-    common(vb)
+    vb = command("verify-ball", cmd_verify_ball,
+                 "spectral fit vs closed forms")
     vb.add_argument("--mu-max", type=float, default=100.0)
     vb.add_argument("--t-min", type=float, default=0.02)
     vb.add_argument("--t-max", type=float, default=0.3)
@@ -245,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     vb.add_argument("--a1-rtol", type=float, default=0.01)
     vb.add_argument("--a2-atol", type=float, default=0.01)
 
-    vc = sub.add_parser("verify-cylinder", help="kernel identity checks")
-    common(vc)
+    vc = command("verify-cylinder", cmd_verify_cylinder,
+                 "kernel identity checks")
     vc.add_argument("--omega", type=lambda s: [float(v) for v in
                                                s.split(",")],
                     default=[0.5, 1.3, 2.0])
@@ -256,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default=[1.5, 2.5])
     vc.add_argument("--tol", type=float, default=1e-8)
 
-    vi = sub.add_parser("verify-identities", help="consistency web")
-    common(vi)
+    vi = command("verify-identities", cmd_verify_identities,
+                 "consistency web")
     vi.add_argument("--tol", type=float, default=1e-11)
     return ap
 
@@ -289,20 +267,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if args.command == "coeffs":
-            return cmd_coeffs(args)
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "verify-ball":
-            return cmd_verify_ball(args)
-        if args.command == "verify-cylinder":
-            return cmd_verify_cylinder(args)
-        if args.command == "verify-identities":
-            return cmd_verify_identities(args)
+        return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

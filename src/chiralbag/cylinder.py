@@ -138,10 +138,6 @@ class ModeKernel:
         return w * self.full(x, xp, t=tt)
 
 
-def mode_kernel(params: ModeParams) -> ModeKernel:
-    return ModeKernel(params)
-
-
 def boundary_condition_residual(kernel: ModeKernel, xp: float) -> float:
     """Max entry of Pi_- applied to the full kernel at x = 0."""
     from .clifford import chiral_projectors
@@ -207,12 +203,6 @@ class DiracApplied:
                    for s, ds, mat in self.pieces)
 
 
-def apply_dirac(params: ModeParams, kernel: ModeKernel,
-                part: str = "full",
-                f_matrix: Optional[np.ndarray] = None) -> DiracApplied:
-    return DiracApplied(params, kernel, part=part, f_matrix=f_matrix)
-
-
 def _window(params: ModeParams) -> float:
     X = 12.0 * math.sqrt(params.t) + 2.0 * abs(params.omega) * params.t
     # all integrand pieces decay at least like exp(-x^2/t) up to bounded
@@ -227,8 +217,8 @@ def _integrated(params: ModeParams, part: str, f: np.ndarray) -> np.ndarray:
     """int_0^X f [P_x U_part] dx / sqrt(4 pi t) over the tail-bounded window
     [0, X]: (omega S0 f gt gm + S1 f gm) M / sqrt(4 pi t), where S0 and S1
     integrate the part's scalar and its x-derivative and M is its matrix."""
-    integrand = apply_dirac(params, mode_kernel(params), part=part,
-                            f_matrix=f)
+    integrand = DiracApplied(params, ModeKernel(params), part=part,
+                             f_matrix=f)
     return integrand.integral(0.0, _window(params)) / \
         math.sqrt(4.0 * math.pi * params.t)
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -116,11 +118,38 @@ class TestVerifyCommands:
         assert [r["m"] for r in rows if "U1_residual" in r] == [2, 4]
         assert sum("t_integral_residual" in r for r in rows) == 1
 
-    def test_ball_pass(self, capsys):
+    def test_ball_pass(self, capsys, monkeypatch):
+        # the flags are the only cutoff settings: the environment is ignored
+        monkeypatch.setenv("CHIRALBAG_MU_MAX", "1")
         code, out = run(capsys, "verify-ball", "--m", "2",
                         "--theta", "0.5")
         assert code == 0
         assert "0.113105566753" in out  # closed-form a1 at 12 digits
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--m", "2,4", "--theta", "0,1"),
+    ("verify-identities", "--m", "2,4", "--theta", "0,0.5"),
+    ("verify-cylinder", "--m", "2", "--theta", "0.4", "--omega", "1.3",
+     "--t", "0.25", "--s", "2.5"),
+], ids=lambda argv: argv[0])
+def test_csv_matches_json(capsys, argv):
+    _, text = run(capsys, *argv)
+    _, js = run(capsys, *argv, "--format", "json")
+    reader = csv.DictReader(io.StringIO(text))
+    rows = json.loads(js)
+    assert reader.fieldnames == list(dict.fromkeys(k for r in rows
+                                                   for k in r))
+    cells = list(reader)
+    assert len(cells) == len(rows)
+    for cell, row in zip(cells, rows):
+        for key, got in cell.items():
+            if key not in row:
+                assert got == ""
+            elif isinstance(row[key], float):
+                assert float(got) == row[key]
+            else:
+                assert got == str(row[key])
 
 
 class TestErrors:

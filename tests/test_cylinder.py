@@ -27,36 +27,36 @@ def params(rep, omega=1.3, theta=0.7, t=0.25):
 
 class TestModeKernel:
     def test_theta_zero_boundary_scalar(self, rep2):
-        k = cy.mode_kernel(params(rep2, theta=0.0))
+        k = cy.ModeKernel(params(rep2, theta=0.0))
         eta = 0.9
         assert k.boundary_scalar(0.4, 0.5) == \
             pytest.approx(math.exp(-eta * eta / (4 * 0.25)), rel=1e-13)
 
     def test_omega_zero_bracket_is_one(self, rep2):
-        k = cy.mode_kernel(params(rep2, omega=0.0))
+        k = cy.ModeKernel(params(rep2, omega=0.0))
         for x, xp in ((0.1, 0.3), (1.0, 2.0)):
             eta = x + xp
             assert k.boundary_scalar(x, xp) == \
                 pytest.approx(math.exp(-eta * eta / (4 * 0.25)), rel=1e-13)
 
     def test_boundary_condition(self, rep2):
-        k = cy.mode_kernel(params(rep2))
+        k = cy.ModeKernel(params(rep2))
         for xp in (0.05, 0.3, 1.1):
             assert cy.boundary_condition_residual(k, xp) < 1e-10
 
     def test_boundary_condition_m4(self, rep4):
-        k = cy.mode_kernel(params(rep4, omega=0.8, theta=1.1, t=0.1))
+        k = cy.ModeKernel(params(rep4, omega=0.8, theta=1.1, t=0.1))
         assert cy.boundary_condition_residual(k, 0.4) < 1e-10
 
     @pytest.mark.parametrize("x,xp", [(0.4, 0.7), (0.2, 0.2), (1.3, 0.5)])
     def test_heat_equation(self, rep2, x, xp):
-        k = cy.mode_kernel(params(rep2))
+        k = cy.ModeKernel(params(rep2))
         assert cy.heat_equation_residual(k, x, xp) < 1e-6
 
     def test_scaled_erfc_stability(self, rep2):
         # far from the boundary the naive exp(u^2) erfc(u) would overflow;
         # the scalar must still evaluate to a finite (tiny) value
-        k = cy.mode_kernel(params(rep2, t=0.01))
+        k = cy.ModeKernel(params(rep2, t=0.01))
         v = k.boundary_scalar(30.0, 30.0)
         assert math.isfinite(v)
         assert v == pytest.approx(0.0, abs=1e-300)
@@ -69,26 +69,26 @@ class TestModeKernel:
 class TestApplyDirac:
     def test_fd_audit_passes(self, rep2):
         p = cy.ModeParams(omega=1.1, theta=0.5, t=0.2, rep=rep2)
-        k = cy.mode_kernel(p)
+        k = cy.ModeKernel(p)
         for part in ("free", "image", "boundary", "full"):
-            cy.apply_dirac(p, k, part=part)
+            cy.DiracApplied(p, k, part=part)
 
     def test_fd_audit_catches_wrong_derivative(self, rep2, monkeypatch):
         p = params(rep2)
-        k = cy.mode_kernel(p)
+        k = cy.ModeKernel(p)
         good = cy.ModeKernel.boundary_scalar_dx
         monkeypatch.setattr(cy.ModeKernel, "boundary_scalar_dx",
                             lambda self, x, xp, t=None:
                             1.01 * good(self, x, xp, t))
         with pytest.raises(cy.DerivativeMismatchError):
-            cy.apply_dirac(p, k, part="boundary")
+            cy.DiracApplied(p, k, part="boundary")
 
     def test_theta_zero_image_part(self, rep2):
         # P applied to the image Gaussian at coincidence:
         # -gt gm w e^{-x^2/t} + gm (x/t) e^{-x^2/t}
         p = cy.ModeParams(omega=1.3, theta=0.0, t=0.25, rep=rep2)
-        k = cy.mode_kernel(p)
-        ap = cy.apply_dirac(p, k, part="image")
+        k = cy.ModeKernel(p)
+        ap = cy.DiracApplied(p, k, part="image")
         x = 0.6
         g = math.exp(-x * x / p.t)
         gm, gt = rep2.gamma_m, rep2.gamma_tilde
