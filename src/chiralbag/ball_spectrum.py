@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -204,13 +204,12 @@ class AsymptoticFit:
 
 
 @functools.lru_cache(maxsize=32)
-def _spectrum(theta: float, m: int, mu_max: float,
-              n_max: Optional[int]) -> tuple:
+def _spectrum(theta: float, m: int, mu_max: float) -> tuple:
     """Sorted eigenvalue array and matching degeneracy weights for all four
     families, every angular level with at least one root below mu_max."""
     mus, weights = [], []
     n = 0
-    while n_max is None or n <= n_max:
+    while True:
         found_any = False
         dn = degeneracy(n, m)
         for fam in all_families(m, n):
@@ -255,14 +254,14 @@ def _truncation_bound(theta: float, m: int, t: float, mu_max: float,
     return bound
 
 
-def heat_trace(theta: float, m: int, t: float, mu_max: float,
-               n_max: Optional[int] = None) -> HeatTraceSample:
+def heat_trace(theta: float, m: int, t: float,
+               mu_max: float) -> HeatTraceSample:
     """Truncated trace of exp(-t P^2) on the unit m-ball: sum over the four
     families and all angular levels of deg * exp(-t mu^2), in ascending
     eigenvalue order with exact compensated summation."""
     if t <= 0:
         raise ValueError("t must be positive")
-    mu, w, n_excl = _spectrum(theta, m, mu_max, n_max)
+    mu, w, n_excl = _spectrum(theta, m, mu_max)
     value = math.fsum(w * np.exp(-t * mu * mu))
     bound = _truncation_bound(theta, m, t, mu_max, n_excl)
     if bound >= 1e-10 * value:
@@ -322,11 +321,10 @@ def fit_heat_coefficients(samples: Sequence[HeatTraceSample], m: int,
 
 def geometric_samples(theta: float, m: int, mu_max: float,
                       t_min: float = 0.02, t_max: float = 0.3,
-                      n_samples: int = 20,
-                      n_max: Optional[int] = None) -> list[HeatTraceSample]:
+                      n_samples: int = 20) -> list[HeatTraceSample]:
     """Heat-trace samples on a geometric t-grid, smallest t first."""
     ts = np.geomspace(t_min, t_max, n_samples)
-    return [heat_trace(theta, m, float(t), mu_max, n_max) for t in ts]
+    return [heat_trace(theta, m, float(t), mu_max) for t in ts]
 
 
 def _norm_closed_form(p: int, mu: float) -> float:

@@ -8,7 +8,7 @@ Subcommands:
   verify-identities  hypergeometric consistency web
 
 Exit status: 0 all residuals within tolerance, 1 tolerance failure (report
-still written), 2 configuration error.
+still written), 2 configuration error or overflow (no report written).
 """
 
 from __future__ import annotations
@@ -64,15 +64,19 @@ def _parse_m(text: str) -> list[int]:
 
 
 def _row(theta: float, m: int) -> dict:
+    """Every constant at (theta, m); OverflowError past the float range."""
     uc = universal_constants(theta, m)
     ec = eta_constants(theta, m, "cylinder_form")
     ball = ball_heat_coefficients(theta, m)
-    return {"theta": theta, "m": m,
-            "c1": uc.c1, "c2": uc.c2, "c3": uc.c3, "c4": uc.c4,
-            "c5": uc.c5, "c6": uc.c6, "c7": uc.c7,
-            "d1": ec.d1, "d2": ec.d2, "d3": ec.d3, "d4": ec.d4,
-            "a1_ball": ball["a1"], "a2_ball": ball["a2"],
-            "a1_eta": a1_eta_ball(theta, m)}
+    row = {"theta": theta, "m": m,
+           "c1": uc.c1, "c2": uc.c2, "c3": uc.c3, "c4": uc.c4,
+           "c5": uc.c5, "c6": uc.c6, "c7": uc.c7,
+           "d1": ec.d1, "d2": ec.d2, "d3": ec.d3, "d4": ec.d4,
+           "a1_ball": ball["a1"], "a2_ball": ball["a2"],
+           "a1_eta": a1_eta_ball(theta, m)}
+    if not all(map(math.isfinite, row.values())):
+        raise OverflowError(f"constants overflow at theta={theta}, m={m}")
+    return row
 
 
 def _emit(text: str, out_path) -> None:
@@ -268,7 +272,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

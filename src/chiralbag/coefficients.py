@@ -29,8 +29,10 @@ def _check_even(m: int) -> None:
 
 
 def _f2(theta: float, m: int) -> float:
-    """2F1(1/2, (m+1)/2; 3/2; -sinh^2 theta), shared by the cylinder forms."""
-    return hyp2f1(0.5, (m + 1) / 2, 1.5, -math.sinh(theta) ** 2)
+    """2F1(1/2, (m+1)/2; 3/2; -sinh^2 theta) of the cylinder forms, as its
+    terminating Pfaff image 2F1(1/2, 1-m/2; 3/2; tanh^2 theta) / cosh theta."""
+    th = math.tanh(theta)
+    return hyp2f1(0.5, 1 - m / 2, 1.5, th * th) / math.cosh(theta)
 
 
 @dataclass(frozen=True)
@@ -73,26 +75,26 @@ class EtaConstants:
 def universal_constants(theta: float, m: int) -> UniversalConstants:
     """All seven universal constants at (theta, m).
 
-    c3 is defined through the cylinder d4 (c3 = -2 d4); c2 and c7 use their
-    explicit tanh^2-argument forms, which stay well defined down to m = 2.
+    c3 is defined through the cylinder d4 (c3 = -2 d4).  c2 and c7 are
+    built from f_tanh = 2F1(1, (m-1)/2; 3/2; tanh^2 theta), taken as its
+    Pfaff image cosh^2 theta 2F1(1, 2-m/2; 3/2; -sinh^2 theta), a
+    terminating polynomial for m >= 4, and at m = 2 as artanh(x)/x at
+    x = tanh theta, i.e. theta coth theta.
     """
     _check_even(m)
-    sh, ch, th = math.sinh(theta), math.cosh(theta), math.tanh(theta)
-    f_tanh = hyp2f1(1.0, (m - 1) / 2, 1.5, th * th)
+    sh, ch = math.sinh(theta), math.cosh(theta)
+    if m == 2:
+        f_tanh = theta / math.tanh(theta) if theta else 1.0
+    else:
+        f_tanh = ch * ch * hyp2f1(1.0, 2 - m / 2, 1.5, -sh * sh)
     c1 = 0.25 * (ch ** (m - 1) - 1.0)
     c2 = ((2 * m - 5) / 3.0 + (2 - m) * f_tanh) / (2.0 * (m - 1))
-    c3 = -2.0 * _cylinder_d4(theta, m)
+    c3 = -2.0 * eta_constants(theta, m).d4
     c5 = ch * hyp2f1(1.0, 1 - m / 2, 0.5, -sh * sh)
     c6 = (m - 1) * sh * hyp2f1(1.0, 1 - m / 2, 1.5, -sh * sh)
     c7 = -0.5 * (1.0 - f_tanh)
     return UniversalConstants(theta=theta, m=m, c1=c1, c2=c2, c3=c3,
                               c4=0.0, c5=c5, c6=c6, c7=c7)
-
-
-def _cylinder_d4(theta: float, m: int) -> float:
-    sh, ch = math.sinh(theta), math.cosh(theta)
-    return -0.5 * math.tanh(theta) + \
-        0.5 * (m - 1) * sh * ch ** (m - 2) * _f2(theta, m)
 
 
 def eta_constants(theta: float, m: int,
@@ -114,7 +116,7 @@ def eta_constants(theta: float, m: int,
         f2 = _f2(theta, m)
         d1 = -0.5 * (m - 1) * sh * ch ** (m - 1) * f2
         d2 = -0.5 / ch - 0.5 * (m - 1) * sh * sh * ch ** (m - 2) * f2
-        d4 = _cylinder_d4(theta, m)
+        d4 = -0.5 * math.tanh(theta) + 0.5 * (m - 1) * sh * ch ** (m - 2) * f2
         return EtaConstants(theta=theta, m=m, d1=d1, d2=d2, d3=0.0,
                             source="cylinder_form", _d4=d4)
     raise ValueError(f"unknown source {source!r}")

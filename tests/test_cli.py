@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from chiralbag import cli
+from chiralbag import cli, coefficients
 
 
 def run(capsys, *argv):
@@ -88,6 +88,80 @@ class TestTable:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith("theta,m,")
+
+
+def _reference_row(theta: float, m: int) -> dict:
+    """The closed forms of one table row in 50-digit mpmath, in the paper's
+    tanh^2 and -sinh^2 arguments (at |theta| = 30 the tanh^2 argument loses
+    ~26 of the 50 digits)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        x = mp.mpf(theta)
+        sh, ch, th = mp.sinh(x), mp.cosh(x), mp.tanh(x)
+        k = mp.mpf(m)
+        f_tanh = mp.hyp2f1(1, (k - 1) / 2, 1.5, th ** 2)
+        f2 = mp.hyp2f1(0.5, (k + 1) / 2, 1.5, -sh ** 2)
+        poly_3half = mp.hyp2f1(1, 1 - k / 2, 1.5, -sh ** 2)
+        d4 = -th / 2 + (k - 1) / 2 * sh * ch ** (m - 2) * f2
+        pref = 2 ** (m // 2) / (2 ** m * mp.gamma(k / 2))
+        bracket = (2 * k - 5) / 3 + (2 - k) * f_tanh
+        return {"c1": (ch ** (m - 1) - 1) / 4, "c2": bracket / (2 * (k - 1)),
+                "c3": -2 * d4, "c4": 0,
+                "c5": ch * mp.hyp2f1(1, 1 - k / 2, 0.5, -sh ** 2),
+                "c6": (k - 1) * sh * poly_3half, "c7": -(1 - f_tanh) / 2,
+                "d1": -(k - 1) / 2 * sh * ch ** (m - 1) * f2,
+                "d2": -1 / (2 * ch)
+                - (k - 1) / 2 * sh ** 2 * ch ** (m - 2) * f2,
+                "d3": 0, "d4": d4,
+                "a1_ball": mp.sqrt(mp.pi) * pref * (ch ** (m - 1) - 1),
+                "a2_ball": pref * bracket,
+                "a1_eta": -(k - 1) * sh * pref * poly_3half}
+
+
+class TestClosedFormRow:
+    THETAS = tuple(5.0 * k for k in range(-6, 7))
+
+    @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
+    def test_against_mpmath(self, m):
+        for theta in self.THETAS:
+            row = cli._row(theta, m)
+            for key, want in _reference_row(theta, m).items():
+                scaled = abs(row[key] - want) / max(1, abs(want))
+                assert scaled <= 1e-13, (theta, m, key, float(scaled))
+
+    def test_every_2f1_terminates(self, monkeypatch):
+        # each hyp2f1 behind a row is a finite sum: a or b is a
+        # non-positive integer (m=2 takes theta coth theta instead)
+        params = []
+        hyp2f1 = coefficients.hyp2f1
+
+        def spy(a, b, c, z):
+            params.append((a, b))
+            return hyp2f1(a, b, c, z)
+        monkeypatch.setattr(coefficients, "hyp2f1", spy)
+        for m in (2, 4, 6, 8, 10, 12):
+            for theta in (0.0, 0.7, -0.7, 4.0, -4.0):
+                cli._row(theta, m)
+        assert params
+        for a, b in params:
+            assert any(v <= 0 and v == int(v) for v in (a, b)), (a, b)
+
+    @pytest.mark.parametrize("command", ("table", "coeffs"))
+    def test_whole_theta_line(self, capsys, command):
+        code, _ = run(capsys, command, "--m", "2,4,6,8,10,12",
+                      "--theta", "-30:30:7.5")
+        assert code == 0
+
+    @pytest.mark.parametrize("command", ("table", "coeffs"))
+    @pytest.mark.parametrize("m,theta", (("2", "800"), ("4", "180"),
+                                         ("12", "70")))
+    def test_overflow_exit_2(self, tmp_path, capsys, command, m, theta):
+        path = tmp_path / "report"
+        code = cli.main([command, "--m", m, "--theta", theta,
+                         "--format", "json", "--out", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not path.exists()
 
 
 class TestVerifyCommands:

@@ -40,7 +40,8 @@ class TestC7Relation:
 
 class TestAlternateForms:
     def test_m2_both_forms_constant(self):
-        # at m=2 the alternate-argument form of c2 collapses to -1/6 too
+        # at m=2 c2 is -1/6 in both forms, and c7 sets the tanh^2 series
+        # against the exact theta coth theta
         assert idn.check_alternate_forms(1.7, 2) < 1e-13
 
     def test_theta_zero(self):
