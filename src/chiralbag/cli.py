@@ -14,6 +14,7 @@ still written), 2 configuration error or overflow (no report written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -65,18 +66,19 @@ def _parse_m(text: str) -> list[int]:
 
 def _row(theta: float, m: int) -> dict:
     """Every constant at (theta, m); OverflowError past the float range."""
-    uc = universal_constants(theta, m)
-    ec = eta_constants(theta, m, "cylinder_form")
-    ball = ball_heat_coefficients(theta, m)
-    row = {"theta": theta, "m": m,
-           "c1": uc.c1, "c2": uc.c2, "c3": uc.c3, "c4": uc.c4,
-           "c5": uc.c5, "c6": uc.c6, "c7": uc.c7,
-           "d1": ec.d1, "d2": ec.d2, "d3": ec.d3, "d4": ec.d4,
-           "a1_ball": ball["a1"], "a2_ball": ball["a2"],
-           "a1_eta": a1_eta_ball(theta, m)}
-    if not all(map(math.isfinite, row.values())):
-        raise OverflowError(f"constants overflow at theta={theta}, m={m}")
-    return row
+    with contextlib.suppress(OverflowError):
+        uc = universal_constants(theta, m)
+        ec = eta_constants(theta, m, "cylinder_form")
+        ball = ball_heat_coefficients(theta, m)
+        row = {"theta": theta, "m": m,
+               "c1": uc.c1, "c2": uc.c2, "c3": uc.c3, "c4": uc.c4,
+               "c5": uc.c5, "c6": uc.c6, "c7": uc.c7,
+               "d1": ec.d1, "d2": ec.d2, "d3": ec.d3, "d4": ec.d4,
+               "a1_ball": ball["a1"], "a2_ball": ball["a2"],
+               "a1_eta": a1_eta_ball(theta, m)}
+        if all(map(math.isfinite, row.values())):
+            return row
+    raise OverflowError(f"constants overflow at theta={theta}, m={m}")
 
 
 def _emit(text: str, out_path) -> None:

@@ -8,6 +8,7 @@ boundary operator of the disc calculation is directly comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +100,9 @@ class ChiralProjectors:
 
 def chiral_projectors(rep: GammaRep, theta: float) -> ChiralProjectors:
     """Build Pi_+ and Pi_-; exp(theta gt) = cosh(theta) + sinh(theta) gt
-    exactly, since gt squares to the identity."""
+    exactly, since gt squares to the identity.  Checked to MATRIX_TOL
+    cosh^2 theta, the scale of their entries (OverflowError past ~355)."""
+    tol = MATRIX_TOL * math.cosh(theta) ** 2
     gt = rep.gamma_tilde
     eye = np.eye(rep.d_s)
     a = (np.cosh(theta) * eye + np.sinh(theta) * gt) @ gt @ rep.gamma_m
@@ -107,9 +110,9 @@ def chiral_projectors(rep: GammaRep, theta: float) -> ChiralProjectors:
     pi_plus = 0.5 * (eye - a)
     proj = ChiralProjectors(theta=theta, pi_plus=pi_plus, pi_minus=pi_minus)
     for p in (pi_plus, pi_minus):
-        if np.abs(p @ p - p).max() > MATRIX_TOL:
+        if np.abs(p @ p - p).max() > tol:
             raise CliffordError("chiral projector is not idempotent")
-    if np.abs(pi_plus + pi_minus - eye).max() > MATRIX_TOL:
+    if np.abs(pi_plus + pi_minus - eye).max() > tol:
         raise CliffordError("chiral projectors are not complementary")
     return proj
 
@@ -124,7 +127,7 @@ def pi_plus_product(rep: GammaRep, theta: float) -> np.ndarray:
     c, s = np.cosh(theta), np.sinh(theta)
     closed = 0.5 * c * (c * eye + s * gt - gt @ rep.gamma_m)
     resid = np.abs(prod - closed).max()
-    if resid > MATRIX_TOL:
+    if resid > MATRIX_TOL * c * c:
         raise CliffordError(
             f"Pi+ Pi+* closed form violated, max residual {resid:.3e}")
     return prod

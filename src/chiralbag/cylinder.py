@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 from scipy import integrate
 
-from .clifford import GammaRep, pi_plus_product
-from .specialfn import erf, erfcx, gamma_fn, hyp2f1
+from .clifford import GammaRep, chiral_projectors, pi_plus_product
+from .specialfn import erf, erfcx, gamma_fn, hyp2f1_euler
 
 QUAD_EPS = 1e-13
 FD_TOL = 1e-7
@@ -140,7 +140,6 @@ class ModeKernel:
 
 def boundary_condition_residual(kernel: ModeKernel, xp: float) -> float:
     """Max entry of Pi_- applied to the full kernel at x = 0."""
-    from .clifford import chiral_projectors
     p = kernel.params
     proj = chiral_projectors(p.rep, p.theta)
     return float(np.abs(proj.pi_minus @ kernel.full(0.0, xp)).max())
@@ -280,7 +279,7 @@ def check_t_integral(s: float, omega: float, theta: float) -> float:
                 (1 + erf(sqrt(t) omega tanh theta)) dt
         = cosh^{s+1}(theta)/|omega|^{s+1} [Gamma((s+1)/2)
           + 2/sqrt(pi) Gamma(1+s/2) sinh(theta) sgn(omega)
-            2F1(1/2, 1+s/2; 3/2; -sinh^2 theta)].
+            2F1(1/2, 1+s/2; 3/2; -sinh^2 theta)] (Euler's integral).
     """
     if s <= -1:
         raise ValueError("need s > -1 for integrability at t=0")
@@ -299,5 +298,5 @@ def check_t_integral(s: float, omega: float, theta: float) -> float:
         gamma_fn((s + 1) / 2.0)
         + 2.0 / math.sqrt(math.pi) * gamma_fn(1.0 + s / 2.0)
         * sh * math.copysign(1.0, omega)
-        * hyp2f1(0.5, 1.0 + s / 2.0, 1.5, -sh * sh))
+        * hyp2f1_euler(1.0 + s / 2.0, theta))
     return abs(num - closed) / abs(closed)

@@ -1,13 +1,16 @@
 """Special-function core: Gamma, Bessel J, erf/erfc and Gauss 2F1.
 
 Gamma, Bessel and the error functions are thin wrappers over scipy with the
-domain checks this package needs.  The Gauss hypergeometric function is
-implemented here: a power series with terminating-series detection and the
-Pfaff transform for negative arguments.
+domain checks this package needs.  hyp2f1 sums the finite 2F1 polynomials
+of the closed forms; hyp2f1_euler evaluates, by quadrature, the
+non-terminating 2F1 that the checks compare them with.
 """
 
 from __future__ import annotations
 
+import math
+
+from scipy import integrate
 from scipy import special as _sp
 
 
@@ -19,12 +22,6 @@ class ParameterError(ValueError):
     """Invalid parameter combination (e.g. 2F1 with non-positive integer c)."""
 
 
-class NonConvergenceError(RuntimeError):
-    """Series failed to reach _SERIES_TOL within _MAX_TERMS terms."""
-
-
-_SERIES_TOL = 1e-14
-_MAX_TERMS = 100_000
 _INT_TOL = 1e-12
 
 
@@ -71,57 +68,28 @@ def bessel_j_prime(p: int, x):
     return _sp.jvp(int(p), x)
 
 
-def _hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
-    """Power series sum of 2F1 for 0 <= z < 1 (or any z when it terminates)."""
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
+    """Gauss 2F1(a, b; c; z) for a or b a non-positive integer: a finite
+    polynomial in any real z.  ParameterError otherwise (see hyp2f1_euler)."""
+    if _nonpos_int(c) is not None:
+        raise ParameterError(f"2F1 undefined for c={c}")
+    degrees = [-v for v in (_nonpos_int(a), _nonpos_int(b)) if v is not None]
+    if not degrees:
+        raise ParameterError(f"2F1 does not terminate: a={a}, b={b}, c={c}")
     total = 1.0
     term = 1.0
-    n_stop = None
-    na, nb = _nonpos_int(a), _nonpos_int(b)
-    if na is not None or nb is not None:
-        cands = [-v for v in (na, nb) if v is not None]
-        n_stop = min(cands)
-    for n in range(_MAX_TERMS):
-        if n_stop is not None and n >= n_stop:
-            return total
+    for n in range(min(degrees)):
         term *= (a + n) * (b + n) / (c + n) * z / (n + 1)
         total += term
-        if n_stop is None and abs(term) <= _SERIES_TOL * abs(total):
-            return total
-    if n_stop is not None:
-        return total
-    raise NonConvergenceError(
-        f"2F1 series did not converge: a={a}, b={b}, c={c}, z={z}")
+    return total
 
 
-def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) for real parameters and z < 1.
-
-    Terminating cases (a or b a non-positive integer) are summed exactly as
-    polynomials.  For z < 0 the Pfaff transform maps the argument into [0, 1)
-    so the series always converges; this is the -sinh^2 <-> tanh^2 mapping
-    used throughout the coefficient formulas.
-    """
-    if _nonpos_int(c) is not None:
-        raise ParameterError(f"2F1 undefined for c={c}")
-    if _nonpos_int(a) is not None or _nonpos_int(b) is not None:
-        return _hyp2f1_series(a, b, c, z)
-    if z < 0.0:
-        return hyp2f1_via_pfaff(a, b, c, z)
-    if z >= 1.0:
-        raise ParameterError(f"2F1 series argument out of range: z={z}")
-    return _hyp2f1_series(a, b, c, z)
-
-
-def hyp2f1_via_pfaff(a: float, b: float, c: float, z: float) -> float:
-    """Evaluate 2F1 through the Pfaff transform
-    (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)), valid for z < 1.
-
-    Exposed separately so the terminating-polynomial and transformed-series
-    evaluation paths can be compared directly.
-    """
-    if _nonpos_int(c) is not None:
-        raise ParameterError(f"2F1 undefined for c={c}")
-    w = z / (z - 1.0)
-    if not (0.0 <= w < 1.0):
-        raise ParameterError(f"Pfaff-transformed argument out of range: {w}")
-    return (1.0 - z) ** (-a) * _hyp2f1_series(a, c - b, c, w)
+def hyp2f1_euler(b: float, theta: float) -> float:
+    """2F1(1/2, b; 3/2; -sinh^2 theta) by Euler's integral (DLMF 15.6.1),
+    (1/sinh theta) int_0^theta cosh(y)^(1-2b) dy, and 1 at theta = 0; for
+    b >= 1/2 the integrand is smooth and bounded on the whole theta line."""
+    if theta == 0.0:
+        return 1.0
+    val, _ = integrate.quad(lambda y: math.cosh(y) ** (1.0 - 2.0 * b),
+                            0.0, theta, epsabs=0.0, epsrel=1e-13)
+    return val / math.sinh(theta)

@@ -152,7 +152,8 @@ class TestClosedFormRow:
                       "--theta", "-30:30:7.5")
         assert code == 0
 
-    @pytest.mark.parametrize("command", ("table", "coeffs"))
+    @pytest.mark.parametrize("command", ("table", "coeffs",
+                                         "verify-identities"))
     @pytest.mark.parametrize("m,theta", (("2", "800"), ("4", "180"),
                                          ("12", "70")))
     def test_overflow_exit_2(self, tmp_path, capsys, command, m, theta):
@@ -160,8 +161,18 @@ class TestClosedFormRow:
         code = cli.main([command, "--m", m, "--theta", theta,
                          "--format", "json", "--out", str(path)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"theta={float(theta)}" in err and f"m={m}" in err
         assert not path.exists()
+
+    def test_identities_overflow_before_table(self, capsys):
+        # the d2 identity multiplies sinh^2 cosh^(m-1), which leaves the
+        # float range near |theta| = 710/(m+1), before the table does
+        assert run(capsys, "table", "--m", "2", "--theta", "300")[0] == 0
+        code = cli.main(["verify-identities", "--m", "2", "--theta", "300"])
+        assert code == 2
+        assert "theta=300.0, m=2" in capsys.readouterr().err
 
 
 class TestVerifyCommands:
@@ -176,6 +187,20 @@ class TestVerifyCommands:
                         "--theta", "0.5", "--tol", "1e-30")
         assert code == 1
         assert "False" in out  # report still written
+
+    def test_identities_whole_theta_line(self, capsys):
+        code, out = run(capsys, "verify-identities", "--m", "2,4,6,8,10,12",
+                        "--theta", "-40:40:2.5")
+        assert code == 0
+        assert "False" not in out
+
+    def test_cylinder_large_theta(self, capsys):
+        # the projector checks scale with cosh^2 theta and the t-integral
+        # closed form takes its 2F1 from Euler's integral
+        code, out = run(capsys, "verify-cylinder", "--m", "2,4,6,8,10,12",
+                        "--theta", "-4.5,4,4.5")
+        assert code == 0
+        assert "False" not in out
 
     def test_cylinder_pass(self, capsys):
         code, out = run(capsys, "verify-cylinder", "--m", "2",

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -71,3 +74,27 @@ def test_pi_plus_product_closed_form(m):
     p0 = cl.pi_plus_product(rep, 0.0)
     proj0 = cl.chiral_projectors(rep, 0.0)
     assert np.abs(p0 - proj0.pi_plus).max() < 1e-13
+
+
+@pytest.mark.parametrize("m", (2, 12))
+@pytest.mark.parametrize("theta", (4.0, -4.0, 8.0, -8.0))
+def test_checks_scale_with_cosh_squared(m, theta):
+    # the entries of Pi+- and Pi+ Pi+* grow like cosh^2 theta, and so do
+    # their rounding residuals
+    rep = cl.build_gamma(m)
+    proj = cl.chiral_projectors(rep, theta)
+    prod = cl.pi_plus_product(rep, theta)
+    gt, eye = rep.gamma_tilde, np.eye(rep.d_s)
+    c, s = math.cosh(theta), math.sinh(theta)
+    closed = 0.5 * c * (c * eye + s * gt - gt @ rep.gamma_m)
+    resid = max(np.abs(p @ p - p).max()
+                for p in (proj.pi_plus, proj.pi_minus))
+    resid = max(resid, np.abs(prod - closed).max())
+    assert resid / (c * c) < 1e-15
+
+
+def test_scaled_checks_still_catch_a_bad_chirality():
+    rep = cl.build_gamma(2)
+    bad = dataclasses.replace(rep, gamma_tilde=rep.gamma_tilde * (1 + 1e-6))
+    with pytest.raises(cl.CliffordError):
+        cl.chiral_projectors(bad, 4.0)

@@ -40,7 +40,7 @@ class TestC7Relation:
 
 class TestAlternateForms:
     def test_m2_both_forms_constant(self):
-        # at m=2 c2 is -1/6 in both forms, and c7 sets the tanh^2 series
+        # at m=2 c2 is -1/6 in both forms, and c7 sets Euler's integral
         # against the exact theta coth theta
         assert idn.check_alternate_forms(1.7, 2) < 1e-13
 
@@ -54,7 +54,7 @@ class TestAlternateForms:
 
 class TestEvaluationPaths:
     @pytest.mark.parametrize("m", (4, 8, 12))
-    def test_terminating_vs_pfaff(self, m):
+    def test_terminating_vs_euler(self, m):
         for theta in (0.4, 1.0, 2.0):
             assert idn.check_evaluation_paths(theta, m) < 1e-12
 

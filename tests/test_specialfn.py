@@ -1,6 +1,8 @@
 import math
+import warnings
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from chiralbag import specialfn as sf
 
@@ -55,17 +57,6 @@ class TestErf:
 
 
 class TestHyp2f1:
-    def test_log_case(self):
-        # 2F1(1,1;2;z) = -log(1-z)/z
-        for z in (0.3, 0.75, -0.5, -4.0):
-            assert sf.hyp2f1(1, 1, 2, z) == \
-                pytest.approx(-math.log1p(-z) / z, rel=1e-12)
-
-    def test_binomial_case(self):
-        # 2F1(a,b;b;z) = (1-z)^(-a)
-        assert sf.hyp2f1(0.75, 2.0, 2.0, 0.4) == \
-            pytest.approx(0.6 ** -0.75, rel=1e-13)
-
     def test_terminating_polynomial(self):
         # 2F1(1,-1;c;z) = 1 - z/c, any z
         for z in (0.5, -13.0, 7.0):
@@ -76,37 +67,46 @@ class TestHyp2f1:
         expect = 1 - 2 * z / c + 2 * z * z / (c * (c + 1))
         assert sf.hyp2f1(1.0, -2.0, c, z) == pytest.approx(expect, rel=1e-14)
 
-    def test_pfaff_agrees_with_direct(self):
-        # non-terminating, z < 0: hyp2f1 routes through the Pfaff transform
-        # already, so compare against a brute partial sum at small |z|
-        a, b, c, z = 0.5, 1.25, 1.5, -0.4
-        brute = 0.0
-        term = 1.0
-        for n in range(200):
-            brute += term
-            term *= (a + n) * (b + n) / (c + n) * z / (n + 1)
-        assert sf.hyp2f1(a, b, c, z) == pytest.approx(brute, rel=1e-12)
-        assert sf.hyp2f1_via_pfaff(a, b, c, z) == pytest.approx(brute,
-                                                                rel=1e-12)
-
-    def test_arcsin_case(self):
-        # 2F1(1/2, 1/2; 3/2; z) = arcsin(sqrt(z))/sqrt(z)
-        for z in (0.3, 0.81, -2.0):
-            r = math.sqrt(abs(z))
-            expect = math.asin(r) / r if z > 0 else math.asinh(r) / r
-            assert sf.hyp2f1(0.5, 0.5, 1.5, z) == pytest.approx(expect,
-                                                                rel=1e-12)
-
     def test_invalid_c(self):
         with pytest.raises(sf.ParameterError):
             sf.hyp2f1(1.0, 2.0, -1.0, 0.3)
 
-    def test_argument_range(self):
-        with pytest.raises(sf.ParameterError):
-            sf.hyp2f1(0.5, 0.5, 1.5, 1.0)
+    def test_nonterminating_raises(self):
+        for a, b, c in ((1.0, 1.0, 2.0), (1.0, 5.5, 1.5)):
+            for z in (-4.0, 0.3, math.tanh(5.0) ** 2):
+                with pytest.raises(sf.ParameterError):
+                    sf.hyp2f1(a, b, c, z)
 
-    def test_series_cap_raises(self):
-        # tanh(5)^2 is so close to 1 that the series needs more than
-        # _MAX_TERMS terms to reach _SERIES_TOL
-        with pytest.raises(sf.NonConvergenceError):
-            sf.hyp2f1(1.0, 5.5, 1.5, math.tanh(5.0) ** 2)
+
+THETAS = (0.0, 1e-8, -1e-8, 0.5, -0.5, 4.0, -4.0, 20.0, -20.0, 100.0,
+          -100.0, 300.0, -300.0)
+
+
+class TestHyp2f1Euler:
+    @pytest.mark.parametrize("theta", THETAS[1:])
+    def test_closed_forms(self, theta):
+        # 2F1(1/2, b; 3/2; -sinh^2 t) is t / sinh t at b = 1/2,
+        # 2 atan(tanh(t/2)) / sinh t at b = 1 and 1 / cosh t at b = 3/2
+        sh = math.sinh(theta)
+        for b, want in ((0.5, theta / sh),
+                        (1.0, 2.0 * math.atan(math.tanh(theta / 2)) / sh),
+                        (1.5, 1.0 / math.cosh(theta))):
+            assert sf.hyp2f1_euler(b, theta) == pytest.approx(want,
+                                                              rel=1e-14)
+
+    def test_theta_zero(self):
+        for b in (0.5, 1.0, 3.5):
+            assert sf.hyp2f1_euler(b, 0.0) == 1.0
+
+    @pytest.mark.parametrize("b", (0.5, 0.75, 1.25, 1.5, 2.5, 3.5, 4.5, 5.5,
+                                   6.5))
+    def test_against_mpmath(self, b):
+        mp = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            for theta in THETAS:
+                got = sf.hyp2f1_euler(b, theta)
+                with mp.workdps(50):
+                    want = mp.hyp2f1(0.5, b, 1.5, -mp.sinh(theta) ** 2)
+                    rel = abs((got - want) / want)
+                assert rel <= 1e-14, (b, theta, float(rel))
