@@ -7,6 +7,15 @@ the roots, assembles the truncated heat trace with the exact degeneracies,
 fits the small-t asymptotics against the basis t^((n-m)/2), and verifies the
 closed forms for the radial normalization constant and the chirality
 expectation value by quadrature.
+
+The roots solve arctan R_p(mu) = arctan r, R_p = J_{p+1}/J_p, which rises
+monotonically from -pi/2 to pi/2 between consecutive zeros of J_p and from 0
+to pi/2 on (0, j_{p,1}): one root per bracket and ratio, none in the first
+for r < 0.  Below mu = p, R_p is Gautschi's backward continued fraction
+R_k = mu / (2(k+1) - mu R_{k+1}) (SIAM Rev. 9 (1967) 24), which cannot
+underflow; it has R_k <= 1 for mu <= k+1, so every root of level p exceeds
+2(p+1) rho/(1+rho), rho = e^-|theta|.  One safeguarded Newton solve takes
+every bracket of every level and family at once.
 """
 
 from __future__ import annotations
@@ -21,13 +30,13 @@ from scipy import integrate
 from scipy import special as _sp
 
 from .coefficients import ball_volume, spinor_dimension
-from .specialfn import bessel_j, bessel_j_prime, gamma_fn
+from .specialfn import bessel_j
 
-ROOT_TOL = 1e-11
-
-
-class RootCountMismatchError(RuntimeError):
-    """Interval scan and grid sign-change count disagree."""
+# largest Newton correction |g / g'| / mu left at a returned root, where
+# g = arctan R_p(mu) - arctan r: the phase residual in units of the root
+ROOT_RTOL = 1e-13
+# a spectrum with more angular levels below mu_max is refused
+MAX_LEVELS = 1_000_000
 
 
 class InsufficientCutoffError(RuntimeError):
@@ -91,6 +100,13 @@ def degeneracy(n: int, m: int) -> int:
     return (spinor_dimension(m) // 2) * math.comb(m + n - 2, n)
 
 
+def _level_floor(p, theta: float):
+    """2(p+1) rho/(1+rho), rho = e^-|theta|, below every root of level p."""
+    rho = math.exp(-abs(theta))
+    return 2.0 * (p + 1) * rho / (1.0 + rho)
+
+
+@functools.lru_cache(maxsize=1024)
 def _jp_zeros_past(p: int, mu_max: float) -> np.ndarray:
     """Zeros of J_p up to and one past mu_max."""
     # McMahon: j_{p,k} ~ (k + p/2 - 1/4) pi
@@ -99,89 +115,94 @@ def _jp_zeros_past(p: int, mu_max: float) -> np.ndarray:
     while zs[-1] <= mu_max:
         nt += max(4, nt // 2)
         zs = _sp.jn_zeros(p, nt)
-    return zs
+    return zs[:np.searchsorted(zs, mu_max, side="right") + 1]
 
 
 def _condition(p: int, r: float, mu):
     return bessel_j(p + 1, mu) - r * bessel_j(p, mu)
 
 
-def _condition_prime(p: int, r: float, mu):
-    return bessel_j_prime(p + 1, mu) - r * bessel_j_prime(p, mu)
+def _phase(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """arctan R_p(mu) elementwise for mu > 0: from jv where mu >= p, from
+    the backward continued fraction where mu < p."""
+    phase = np.empty(mu.shape)
+    up = mu >= p
+    jp, jp1 = _sp.jv(p[up], mu[up]), _sp.jv(p[up] + 1, mu[up])
+    phase[up] = np.arctan2(np.copysign(1.0, jp) * jp1, np.abs(jp))
+    x, k = mu[~up], p[~up]
+    # R_{k+j} < x/(x + 2j + 2) here, so starting from R_{k+depth} = 0 errs
+    # by less than exp(-2 depth (depth+1)/(x + 2 depth)) <= e^-40
+    depth = 21 + int(math.sqrt(380.25 + 20.0 * np.max(x, initial=0.0)))
+    ratio = np.zeros(x.shape)
+    for j in range(depth, 0, -1):
+        ratio = x / (2.0 * (k + j) - x * ratio)
+    phase[~up] = np.arctan(ratio)
+    return phase
 
 
-def _bisect_newton(p: int, r: float, lo: np.ndarray, hi: np.ndarray,
-                   f_lo: np.ndarray) -> np.ndarray:
-    """Vectorized bisection (sign-change brackets assumed) plus Newton
-    polish for J_{p+1} - r J_p."""
-    lo = lo.copy()
-    hi = hi.copy()
-    sign_lo = np.sign(f_lo)
-    # underflow region near mu=0 for large p: the condition is dominated by
-    # -r J_p there, so a hard zero evaluates with the sign of -r
-    sign_lo[sign_lo == 0] = -np.sign(r)
-    for _ in range(55):
-        mid = 0.5 * (lo + hi)
-        fm = _condition(p, r, mid)
-        sm = np.sign(fm)
-        sm[sm == 0] = -np.sign(r)
-        left = sm == sign_lo
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
+def _newton(p: np.ndarray, mu: np.ndarray, target: np.ndarray) -> tuple:
+    """g = arctan R_p(mu) - target and the Newton step g / g'."""
+    phase = _phase(p, mu)
+    g = phase - target  # g' = 1 - (2p + 1) R/mu + R^2 over 1 + R^2
+    return g, g / (1.0 - (p + 0.5) * np.sin(2.0 * phase) / mu)
+
+
+def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
+           hi: np.ndarray) -> np.ndarray:
+    """Newton steps to arctan R_p = target that keep each bracket [lo, hi],
+    bisecting only where a step leaves it."""
     mu = 0.5 * (lo + hi)
-    for _ in range(3):
-        step = _condition(p, r, mu) / _condition_prime(p, r, mu)
-        mu = np.clip(mu - step, lo, hi)
+    for _ in range(100):
+        g, step = _newton(p, mu, target)
+        lo = np.where(g < 0.0, mu, lo)
+        hi = np.where(g > 0.0, mu, hi)
+        new = mu - step
+        # a step onto a bracket end is kept: bisecting it converges linearly
+        new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
+        mu, old = new, mu
+        if np.all(np.abs(mu - old) <= 1e-14 * old):
+            break
     return mu
 
 
-def find_roots(family: EigenvalueFamily, theta: float, mu_max: float,
-               audit: bool = True) -> RootSet:
-    """All roots of the family's eigenvalue condition in (0, mu_max].
-
-    Brackets are the intervals between consecutive zeros of J_p, where the
-    ratio J_{p+1}/J_p increases monotonically from -inf to +inf (plus the
-    interval (0, j_{p,1}), which holds a root exactly when r > 0); no root
-    can be skipped.  Each root is polished to |J_{p+1} - r J_p| < 1e-11.
-    """
+def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
+           mu_max: float) -> tuple:
+    """Level and value of each root in (0, mu_max] of J_{p+1} = r J_p, all
+    levels p and ratios r (|r| >= e^-|theta|).  Brackets end at the zeros
+    of J_p up to one past mu_max; a level p >= mu_max has one, (0, mu_max],
+    which holds a root iff r > 0 and arctan R_p(mu_max) >= arctan r."""
     if mu_max <= 0:
         raise ValueError("mu_max must be positive")
-    p = family.p
-    r = family.ratio(theta)
-    zs = _jp_zeros_past(p, mu_max)
-    los, his = [], []
-    if r > 0:
-        los.append(0.0)
-        his.append(zs[0])
-    for k in range(len(zs) - 1):
-        if zs[k] > mu_max:
-            break
-        los.append(zs[k])
-        his.append(zs[k + 1])
-    lo = np.asarray(los)
-    hi = np.asarray(his)
-    f_lo = np.where(lo == 0.0, -np.sign(r), _condition(p, r, lo))
-    roots = _bisect_newton(p, r, lo, hi, f_lo)
-    roots = roots[roots <= mu_max]
-    resid = np.abs(_condition(p, r, roots))
-    if resid.size and resid.max() > ROOT_TOL:
-        raise RuntimeError(
-            f"root polish failed: max condition residual {resid.max():.3e}")
-    if audit:
-        _audit_count(p, r, mu_max, len(roots))
+    low = levels[levels < mu_max]
+    cuts = [np.concatenate(([0.0], _jp_zeros_past(int(q), mu_max)))
+            for q in low]
+    high = levels[levels >= mu_max]
+    p = np.concatenate([np.repeat(low, [c.size - 1 for c in cuts]), high])
+    lo = np.concatenate([c[:-1] for c in cuts] + [np.zeros(high.size)])
+    hi = np.concatenate([c[1:] for c in cuts] + [np.full(high.size, mu_max)])
+    top = np.full(p.shape, np.pi / 2)  # the limit at a zero of J_p
+    top[p >= mu_max] = _phase(p[p >= mu_max], hi[p >= mu_max])
+    target = np.repeat(np.arctan(ratios), p.size)
+    p, lo, hi, top = (np.tile(a, len(ratios)) for a in (p, lo, hi, top))
+    hit = (top >= target) & ((lo > 0.0) | (target > 0.0))
+    p, target = p[hit], target[hit]
+    roots = _solve(p, target, np.maximum(lo[hit], _level_floor(p, theta)),
+                   hi[hit])
+    shift = np.max(np.abs(_newton(p, roots, target)[1]) / roots, initial=0.0)
+    if shift > ROOT_RTOL:
+        raise RuntimeError(f"root solve failed at theta={theta}: Newton "
+                           f"correction {shift:.3e} of the root")
+    keep = roots <= mu_max
+    return p[keep], roots[keep]
+
+
+def find_roots(family: EigenvalueFamily, theta: float,
+               mu_max: float) -> RootSet:
+    """All roots of the family's eigenvalue condition in (0, mu_max],
+    ascending, from the same brackets and solve as the whole spectrum."""
+    _, roots = _roots(np.array([family.p]), [family.ratio(theta)], theta,
+                      mu_max)
     return RootSet(family=family, theta=theta, roots=roots, mu_max=mu_max)
-
-
-def _audit_count(p: int, r: float, mu_max: float, n_found: int) -> None:
-    grid = np.linspace(1e-9, mu_max, max(int(round(mu_max / 0.05)), 10) + 1)
-    g = _condition(p, r, grid)
-    sg = np.sign(g)
-    sg[sg == 0] = -np.sign(r)
-    n_grid = int(np.count_nonzero(sg[1:] != sg[:-1]))
-    if n_grid != n_found:
-        raise RootCountMismatchError(
-            f"p={p}, r={r}: interval scan found {n_found} roots, "
-            f"grid sign changes give {n_grid}")
 
 
 @dataclass(frozen=True)
@@ -206,51 +227,43 @@ class AsymptoticFit:
 @functools.lru_cache(maxsize=32)
 def _spectrum(theta: float, m: int, mu_max: float) -> tuple:
     """Sorted eigenvalue array and matching degeneracy weights for all four
-    families, every angular level with at least one root below mu_max."""
-    mus, weights = [], []
-    n = 0
-    while True:
-        found_any = False
-        dn = degeneracy(n, m)
-        for fam in all_families(m, n):
-            rs = find_roots(fam, theta, mu_max, audit=False)
-            if rs.roots.size:
-                found_any = True
-                mus.append(rs.roots)
-                weights.append(np.full(rs.roots.size, float(dn)))
-        if not found_any:
-            break
-        n += 1
-    mu = np.concatenate(mus) if mus else np.empty(0)
-    w = np.concatenate(weights) if weights else np.empty(0)
+    families, every angular level whose root floor lies below mu_max."""
+    ratios = [fam.ratio(theta) for fam in all_families(m, 0)]
+    p0 = m // 2 - 1
+    # last level p with _level_floor(p) <= mu_max, one spare for rounding
+    n_levels = mu_max / _level_floor(0, theta) - p0 + 1
+    if n_levels > MAX_LEVELS:
+        raise ValueError(f"theta={theta}, m={m}: {n_levels:.3g} angular "
+                         f"levels below mu_max={mu_max}, over {MAX_LEVELS}")
+    n_levels = max(int(n_levels), 0)
+    p, mu = _roots(np.arange(p0, p0 + n_levels), ratios, theta, mu_max)
+    deg = np.array([degeneracy(n, m) for n in range(n_levels)], dtype=float)
     order = np.argsort(mu)
-    return mu[order], w[order], n  # n = first excluded angular level
+    return mu[order], deg[p - p0][order], n_levels  # n = first excluded level
 
 
 def _truncation_bound(theta: float, m: int, t: float, mu_max: float,
                       n_excluded: int) -> float:
-    """Gaussian tail bound for roots above mu_max plus whole angular levels
-    beyond the last included one.  Uses that consecutive roots of one family
-    are separated by at least 2 (zeros of J_p are at least pi apart for the
-    relevant p) and that the smallest root of level n grows at least like
-    0.2 p for |theta| <= 2."""
-    def family_tail(m_lo: float) -> float:
-        x = t * m_lo
-        return math.exp(-t * m_lo * m_lo) / max(1.0 - math.exp(-4.0 * x),
-                                                1e-300)
-    bound = 0.0
-    # tails of included levels, truncated at mu_max
-    for n in range(n_excluded):
-        bound += 4.0 * degeneracy(n, m) * family_tail(mu_max)
-    # excluded levels: every root exceeds max(mu_max, 0.2 p)
-    n = n_excluded
-    while True:
-        p = n + m // 2 - 1
-        term = 4.0 * degeneracy(n, m) * family_tail(max(mu_max, 0.2 * p))
+    """Gaussian tail bound for the roots above mu_max of the levels
+    n < n_excluded and all roots of the later levels: roots of one family
+    are at least 2 apart (zeros of J_p are at least pi apart for the
+    relevant p), every root exceeds _level_floor at any theta, and the
+    log-concave level terms sum to a geometric tail once they fall."""
+    spacing = max(1.0 - math.exp(-4.0 * t * mu_max), 1e-300)
+
+    def level(n: int) -> float:  # four families, roots above mu_max
+        low = max(mu_max, _level_floor(n + m // 2 - 1, theta))
+        return 4.0 * degeneracy(n, m) * math.exp(-t * low * low) / spacing
+    # sum_{n < N} binom(n + m - 2, n) = binom(N + m - 2, m - 1)
+    bound = 4.0 * (spinor_dimension(m) // 2) * math.comb(
+        n_excluded + m - 2, m - 1) * math.exp(-t * mu_max * mu_max) / spacing
+    n, term = n_excluded, level(n_excluded)
+    while term > 0.0:
+        after = level(n + 1)
+        if after < term:
+            return bound + term / (1.0 - after / term)
         bound += term
-        n += 1
-        if term < 1e-280 or n > n_excluded + 10_000:
-            break
+        n, term = n + 1, after
     return bound
 
 
@@ -340,15 +353,10 @@ def _norm_closed_form(p: int, mu: float) -> float:
 def _norm_simplified(family: EigenvalueFamily, theta: float,
                      mu: float) -> float:
     """1/C^2 from the on-shell simplified normalization constants."""
-    p = family.p
-    e = math.exp(theta) if family.chirality == "plus" \
-        else math.exp(-theta)
-    branch = 1.0 if family.chirality == "plus" else -1.0
-    # C_+ carries -(2p+1)e^(+-theta), C_- carries +(2p+1)e^(+-theta),
-    # with the sign of the (2p+1) term flipped on the (-) branch
-    pm = -1.0 if family.sign == "pos" else 1.0
-    denom = mu + mu * e * e + branch * pm * (2 * p + 1) * e
-    return bessel_j(p, mu) ** 2 * denom / mu
+    p, r = family.p, family.ratio(theta)
+    # C_+- carries -+(2p+1)e^(+-theta) on the (+) branch and the opposite
+    # sign on the (-) branch: -(2p+1) r in every family
+    return bessel_j(p, mu) ** 2 * (mu + mu * r * r - (2 * p + 1) * r) / mu
 
 
 def _gamma5_closed_form(family: EigenvalueFamily, theta: float,

@@ -81,6 +81,15 @@ def _row(theta: float, m: int) -> dict:
     raise OverflowError(f"constants overflow at theta={theta}, m={m}")
 
 
+@contextlib.contextmanager
+def _overflow_at(where: str):
+    """Re-raise an OverflowError with the inputs it happened at."""
+    try:
+        yield
+    except OverflowError:
+        raise OverflowError(f"overflow at {where}") from None
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -151,8 +160,9 @@ def cmd_verify_cylinder(args) -> int:
                 for t in args.t:
                     p = cylinder.ModeParams(omega=omega, theta=theta, t=t,
                                             rep=rep)
-                    r1 = cylinder.check_U1_integral(p)
-                    r2 = cylinder.check_U2_integral(p)
+                    with _overflow_at(f"theta={theta}, m={m}"):
+                        r1 = cylinder.check_U1_integral(p)
+                        r2 = cylinder.check_U2_integral(p)
                     passed = r1 < args.tol and r2 < args.tol
                     ok = ok and passed
                     rows.append({"m": m, "omega": omega, "theta": theta,
@@ -162,7 +172,8 @@ def cmd_verify_cylinder(args) -> int:
     for s in args.s:
         for omega in args.omega:
             for theta in args.theta:
-                rt = cylinder.check_t_integral(s, omega, theta)
+                with _overflow_at(f"theta={theta}, s={s}"):
+                    rt = cylinder.check_t_integral(s, omega, theta)
                 passed = rt < args.tol
                 ok = ok and passed
                 rows.append({"s": s, "omega": omega, "theta": theta,

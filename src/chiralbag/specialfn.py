@@ -61,13 +61,6 @@ def bessel_j(p: int, x):
     return _sp.jv(int(p), x)
 
 
-def bessel_j_prime(p: int, x):
-    """Derivative J_p'(x)."""
-    if p != int(p):
-        raise ValueError("bessel_j_prime expects integer order")
-    return _sp.jvp(int(p), x)
-
-
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss 2F1(a, b; c; z) for a or b a non-positive integer: a finite
     polynomial in any real z.  ParameterError otherwise (see hyp2f1_euler)."""

@@ -5,6 +5,7 @@ import pytest
 from scipy import special as sp
 
 from chiralbag import ball_spectrum as bs
+from chiralbag.coefficients import ball_heat_coefficients
 
 
 def dense_scan_roots(p, r, mu_max, step=0.002):
@@ -67,7 +68,7 @@ class TestFindRoots:
         rs = bs.find_roots(fam, 0.0, 20.0)
         assert rs.roots[0] == pytest.approx(1.4347, abs=2e-4)
 
-    @pytest.mark.parametrize("theta", (0.0, 0.9, -1.6))
+    @pytest.mark.parametrize("theta", (0.0, 0.9, -1.6, 3.0))
     @pytest.mark.parametrize("chirality,sign",
                              [("plus", "pos"), ("plus", "neg"),
                               ("minus", "pos"), ("minus", "neg")])
@@ -104,6 +105,49 @@ class TestFindRoots:
         assert len(a) == len(b)
         assert np.abs(a - b).max() < 1e-11
 
+    @pytest.mark.parametrize("p", (230, 231, 1000))
+    def test_small_ratio_roots_against_mpmath(self, p):
+        # r = e^-4: the one root below 100 sits near 2(p+1) r, far below p,
+        # where J_p underflows in double precision
+        mp = pytest.importorskip("mpmath")
+        fam = bs.EigenvalueFamily("minus", "neg", p, 2)
+        r = fam.ratio(4.0)
+        roots = bs.find_roots(fam, 4.0, 100.0).roots
+        assert len(roots) == 1
+        with mp.workdps(50):
+            exact = mp.findroot(
+                lambda z: mp.besselj(p + 1, z) / mp.besselj(p, z) - r,
+                mp.mpf(roots[0]))
+            assert abs(roots[0] / exact - 1) < 1e-12
+
+    @pytest.mark.parametrize("p", (60, 231))
+    def test_root_count_against_mpmath(self, p):
+        # sign changes of J_{p+1} - r J_p in 30-digit arithmetic on a 0.1
+        # grid; roots of one family lie more than 2 apart
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            grid = [mp.mpf(k) / 10 for k in range(1, 1001)]
+            jp = [mp.besselj(p, x) for x in grid]
+            jp1 = [mp.besselj(p + 1, x) for x in grid]
+            for fam in bs.all_families(2, p):
+                r = mp.mpf(fam.ratio(4.0))
+                sg = [mp.sign(a - r * b) for a, b in zip(jp1, jp)]
+                changes = sum(a != b for a, b in zip(sg, sg[1:]))
+                assert len(bs.find_roots(fam, 4.0, 100.0).roots) == changes
+
+    @pytest.mark.parametrize("theta", (0.5, 4.0, 6.0))
+    def test_roots_above_level_floor(self, theta, monkeypatch):
+        # solve without the floor as the first bracket's lower end, in
+        # every level up to 50 past the spectrum's cutoff: each root still
+        # exceeds 2(p+1) rho/(1+rho), so no level past the cutoff has one
+        _, _, n_excl = bs._spectrum(theta, 2, 100.0)
+        monkeypatch.setattr(bs, "_level_floor", lambda p, theta: 0.0 * p)
+        ratios = [fam.ratio(theta) for fam in bs.all_families(2, 0)]
+        p, roots = bs._roots(np.arange(n_excl + 50), ratios, theta, 100.0)
+        rho = math.exp(-abs(theta))
+        assert np.all(roots > 2 * (p + 1) * rho / (1 + rho))
+        assert p.max() < n_excl
+
     def test_invalid_mu_max(self):
         with pytest.raises(ValueError):
             bs.find_roots(bs.EigenvalueFamily("plus", "pos", 0, 2),
@@ -133,6 +177,22 @@ class TestHeatTrace:
         a = bs.heat_trace(0.6, 2, 0.2, 80.0).value
         b = bs.heat_trace(-0.6, 2, 0.2, 80.0).value
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("theta,m", ((3.0, 2), (4.0, 2), (4.0, 4)))
+    def test_truncation_bound_covers_tail(self, theta, m):
+        # the trace to mu_max = 100 less the trace to 30 is what the bound
+        # at 30 leaves out (the rest is below e^-200); the trace to 100
+        # itself follows the closed-form a0, a1, a2 of the ball
+        t = 0.02
+        full = bs.heat_trace(theta, m, t, 100.0).value
+        ball = ball_heat_coefficients(theta, m)
+        assert full == pytest.approx(sum(
+            a * t ** ((n - m) / 2) for n, a in
+            enumerate((bs.pinned_a0(m), ball["a1"], ball["a2"]))), rel=1e-3)
+        mu, w, n_excl = bs._spectrum(theta, m, 30.0)
+        part = math.fsum(w * np.exp(-t * mu * mu))
+        bound = bs._truncation_bound(theta, m, t, 30.0, n_excl)
+        assert 0.0 < full - part <= bound
 
     def test_insufficient_cutoff(self):
         with pytest.raises(bs.InsufficientCutoffError):

@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from scipy import integrate
 
 from chiralbag import cli, coefficients
 
@@ -166,6 +167,28 @@ class TestClosedFormRow:
         assert f"theta={float(theta)}" in err and f"m={m}" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("m,theta", (("2", "400"), ("4", "-400")))
+    def test_cylinder_overflow_exit_2(self, tmp_path, capsys, m, theta):
+        path = tmp_path / "report"
+        code = cli.main(["verify-cylinder", "--m", m, "--theta", theta,
+                         "--format", "json", "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"theta={float(theta)}, m={m}" in err
+        assert not path.exists()
+
+    def test_cylinder_t_integral_overflow_names_theta(self, tmp_path, capsys):
+        # cosh^(s+1) theta in the t-integral leaves the float range before
+        # the U rows' cosh^2 theta does
+        path = tmp_path / "report"
+        with pytest.warns(integrate.IntegrationWarning):
+            code = cli.main(["verify-cylinder", "--m", "2", "--theta", "300",
+                             "--s", "2.5", "--out", str(path)])
+        assert code == 2
+        assert "theta=300.0, s=2.5" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_identities_overflow_before_table(self, capsys):
         # the d2 identity multiplies sinh^2 cosh^(m-1), which leaves the
         # float range near |theta| = 710/(m+1), before the table does
@@ -224,6 +247,24 @@ class TestVerifyCommands:
                         "--theta", "0.5")
         assert code == 0
         assert "0.113105566753" in out  # closed-form a1 at 12 digits
+
+    def test_ball_large_theta(self, capsys):
+        # the small-ratio family has roots near 2(p+1)e^-|theta|, far below
+        # p, in thousands of angular levels
+        code, out = run(capsys, "verify-ball", "--m", "2",
+                        "--theta", "-6,-4,-3,3,4,6", "--format", "json")
+        assert code == 0
+        row = json.loads(out)[4]
+        assert row["theta"] == 4.0
+        assert abs(row["a1_fit"] / row["a1_closed"] - 1.0) < 1e-4
+
+    def test_ball_too_many_levels_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "report"
+        code = cli.main(["verify-ball", "--m", "2", "--theta", "10",
+                         "--out", str(path)])
+        assert code == 2
+        assert "theta=10.0, m=2" in capsys.readouterr().err
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [

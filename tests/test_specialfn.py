@@ -35,11 +35,6 @@ class TestBessel:
         assert sf.bessel_j(-1, x) == pytest.approx(-sf.bessel_j(1, x),
                                                    rel=1e-14)
 
-    def test_derivative(self):
-        x, h = 1.3, 1e-6
-        fd = (sf.bessel_j(2, x + h) - sf.bessel_j(2, x - h)) / (2 * h)
-        assert sf.bessel_j_prime(2, x) == pytest.approx(fd, abs=1e-9)
-
     def test_non_integer_order_rejected(self):
         with pytest.raises(ValueError):
             sf.bessel_j(0.5, 1.0)
