@@ -2,10 +2,8 @@
 boundary conditions: closed-form universal constants, direct spectral
 verification on the disc/ball, and per-mode cylinder kernel checks."""
 
-from .coefficients import (a1_eta_ball, ball_heat_coefficients,
-                           eta_constants, universal_constants)
+from .coefficients import universal_constants
 
-__all__ = ["universal_constants", "eta_constants",
-           "ball_heat_coefficients", "a1_eta_ball"]
+__all__ = ["universal_constants"]
 
 __version__ = "0.1.0"

@@ -8,7 +8,9 @@ Subcommands:
   verify-identities  hypergeometric consistency web
 
 Exit status: 0 all residuals within tolerance, 1 tolerance failure (report
-still written), 2 configuration error or overflow (no report written).
+still written), 2 configuration error, overflow or numerical failure (an
+insufficient cutoff, a failed root solve, a closed form that disagrees with
+its general form; no report written).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -25,8 +28,7 @@ import numpy as np
 
 from . import ball_spectrum, cylinder, identities
 from .clifford import build_gamma
-from .coefficients import (a1_eta_ball, ball_heat_coefficients,
-                           eta_constants, universal_constants)
+from .coefficients import universal_constants
 
 
 def _fmt(x: float) -> str:
@@ -67,15 +69,7 @@ def _parse_m(text: str) -> list[int]:
 def _row(theta: float, m: int) -> dict:
     """Every constant at (theta, m); OverflowError past the float range."""
     with contextlib.suppress(OverflowError):
-        uc = universal_constants(theta, m)
-        ec = eta_constants(theta, m, "cylinder_form")
-        ball = ball_heat_coefficients(theta, m)
-        row = {"theta": theta, "m": m,
-               "c1": uc.c1, "c2": uc.c2, "c3": uc.c3, "c4": uc.c4,
-               "c5": uc.c5, "c6": uc.c6, "c7": uc.c7,
-               "d1": ec.d1, "d2": ec.d2, "d3": ec.d3, "d4": ec.d4,
-               "a1_ball": ball["a1"], "a2_ball": ball["a2"],
-               "a1_eta": a1_eta_ball(theta, m)}
+        row = dataclasses.asdict(universal_constants(theta, m))
         if all(map(math.isfinite, row.values())):
             return row
     raise OverflowError(f"constants overflow at theta={theta}, m={m}")
@@ -103,14 +97,13 @@ def cmd_coeffs(args) -> int:
     for m in args.m:
         for theta in args.theta:
             r = _row(theta, m)
-            ball_d = eta_constants(theta, m, "ball_form")
             lines.append(f"theta={_fmt(theta)} m={m}")
             lines.append("  c1..c7: " + " ".join(
                 _fmt(r[f"c{i}"]) for i in range(1, 8)))
             lines.append("  d1..d4 (cylinder): " + " ".join(
                 _fmt(r[k]) for k in ("d1", "d2", "d3", "d4")))
             lines.append("  d1..d3 (ball):     " + " ".join(
-                _fmt(v) for v in (ball_d.d1, ball_d.d2, ball_d.d3)))
+                _fmt(v) for v in (-0.5 * r["c6"], -0.5 * r["c5"], 0.0)))
             lines.append(f"  a1_ball={_fmt(r['a1_ball'])} "
                          f"a2_ball={_fmt(r['a2_ball'])} "
                          f"a1_eta={_fmt(r['a1_eta'])}")
@@ -129,21 +122,23 @@ def cmd_verify_ball(args) -> int:
     rows = []
     for m in args.m:
         for theta in args.theta:
-            samples = ball_spectrum.geometric_samples(
-                theta, m, args.mu_max, t_min=args.t_min, t_max=args.t_max,
-                n_samples=args.n_samples)
-            fit = ball_spectrum.fit_heat_coefficients(samples, m, K=args.K)
-            ball = ball_heat_coefficients(theta, m)
+            with _overflow_at(f"theta={theta}, m={m}"):
+                samples = ball_spectrum.geometric_samples(
+                    theta, m, args.mu_max, t_min=args.t_min,
+                    t_max=args.t_max, n_samples=args.n_samples)
+                fit = ball_spectrum.fit_heat_coefficients(samples, m,
+                                                          K=args.K)
+                uc = universal_constants(theta, m)
             a1, a2 = fit.coeffs[1], fit.coeffs[2]
-            if abs(ball["a1"]) > 1e-10:
-                a1_ok = abs(a1 - ball["a1"]) / abs(ball["a1"]) < args.a1_rtol
+            if abs(uc.a1_ball) > 1e-10:
+                a1_ok = abs(a1 - uc.a1_ball) / abs(uc.a1_ball) < args.a1_rtol
             else:
                 a1_ok = abs(a1) < 3.0 * max(fit.coeff_errors[1], 1e-12)
-            a2_ok = abs(a2 - ball["a2"]) < args.a2_atol
+            a2_ok = abs(a2 - uc.a2_ball) < args.a2_atol
             ok = ok and a1_ok and a2_ok
             rows.append({"theta": theta, "m": m,
-                         "a1_fit": a1, "a1_closed": ball["a1"],
-                         "a2_fit": a2, "a2_closed": ball["a2"],
+                         "a1_fit": a1, "a1_closed": uc.a1_ball,
+                         "a2_fit": a2, "a2_closed": uc.a2_ball,
                          "fit_residual": fit.residual,
                          "pass": bool(a1_ok and a2_ok)})
     _emit(_report_text(rows, args.format), args.out)

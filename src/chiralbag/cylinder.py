@@ -23,6 +23,9 @@ from .specialfn import erf, erfcx, gamma_fn, hyp2f1_euler
 
 QUAD_EPS = 1e-13
 FD_TOL = 1e-7
+# point and step of the finite-difference audit of the x-derivatives
+FD_X = 0.4
+FD_STEP = 1e-5
 
 
 class DerivativeMismatchError(RuntimeError):
@@ -164,16 +167,16 @@ class DiracApplied:
     x-derivatives are audited against central differences on construction."""
 
     def __init__(self, params: ModeParams, kernel: ModeKernel,
-                 part: str = "full", f_matrix: Optional[np.ndarray] = None,
-                 audit_x: float = 0.4, fd_step: float = 1e-5):
+                 part: str = "full", f_matrix: Optional[np.ndarray] = None):
         self.params = params
         self.part = part
         self.pieces = kernel.split(part)
         self.f = np.eye(params.rep.d_s) if f_matrix is None else \
             np.asarray(f_matrix, dtype=complex)
-        self._audit(audit_x, fd_step)
+        self._audit()
 
-    def _audit(self, x: float, h: float) -> None:
+    def _audit(self) -> None:
+        x, h = FD_X, FD_STEP
         resid = max(abs((s(x + h, x) - s(x - h, x)) / (2.0 * h) - ds(x, x))
                     for s, ds, _ in self.pieces)
         if resid > FD_TOL:
@@ -241,8 +244,7 @@ def check_U1_integral(params: ModeParams,
 
 
 def check_U2_integral(params: ModeParams,
-                      f_matrix: Optional[np.ndarray] = None,
-                      erf_path: bool = False) -> float:
+                      f_matrix: Optional[np.ndarray] = None) -> float:
     """Residual of the integrated boundary-part identity: with the mode
     weight 1/sqrt(4 pi t) restored and E = e^{t b^2} erfc(-sqrt(t) b) for
     b = omega tanh(theta),
@@ -250,9 +252,6 @@ def check_U2_integral(params: ModeParams,
       int_0^inf f [P_x U_boundary] dx
         = -1/(2 cosh^2 theta) f gm Pi+ Pi+* [1/sqrt(pi t) + b E]
           - omega/(2 cosh^2 theta) f gm gt Pi+ Pi+* E.
-
-    erf_path evaluates E as e^{t b^2} (1 + erf(sqrt(t) b)) instead of through
-    the scaled erfc; the two must agree to rounding.
     """
     rep = params.rep
     f = np.eye(rep.d_s) if f_matrix is None else np.asarray(f_matrix,
@@ -260,10 +259,7 @@ def check_U2_integral(params: ModeParams,
     lhs = _integrated(params, "boundary", f)
     t, omega = params.t, params.omega
     b = omega * math.tanh(params.theta)
-    if erf_path:
-        E = math.exp(t * b * b) * (1.0 + erf(math.sqrt(t) * b))
-    else:
-        E = erfcx(-math.sqrt(t) * b)
+    E = erfcx(-math.sqrt(t) * b)
     pp = pi_plus_product(rep, params.theta)
     gm, gt = rep.gamma_m, rep.gamma_tilde
     pref = 0.5 / math.cosh(params.theta) ** 2

@@ -1,5 +1,6 @@
-"""Consistency web between the closed forms: the two routes to the eta
-constants d1, d2 must coincide, c7 is a fixed quotient of c2 away from m=2,
+"""Consistency web between the closed forms: the ball route to the eta
+constants d1, d2 (the pairing relations d1 = -c6/2, d2 = -c5/2) must
+coincide with the cylinder route, c7 is a fixed quotient of c2 away from m=2,
 and the finite 2F1 sums agree with Euler's integral for the paper's
 non-terminating 2F1.  These checks depend only on the special-function
 layer, so they isolate hypergeometric bugs from spectral-numerics bugs.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .coefficients import eta_constants, universal_constants
+from .coefficients import universal_constants
 from .specialfn import hyp2f1, hyp2f1_euler
 
 
@@ -22,26 +23,28 @@ def _scaled(diff: float, *values: float) -> float:
 
 
 def check_ball_cylinder_d1(theta: float, m: int) -> float:
-    """Scaled |d1(ball form) - d1(cylinder form)|."""
-    ball = eta_constants(theta, m, "ball_form")
-    cyl = eta_constants(theta, m, "cylinder_form")
-    return _scaled(abs(ball.d1 - cyl.d1), ball.d1)
+    """Scaled |d1(ball form) - d1(cylinder form)|, the ball form being
+    -c6/2."""
+    uc = universal_constants(theta, m)
+    ball = -0.5 * uc.c6
+    return _scaled(abs(ball - uc.d1), ball)
 
 
 def check_ball_cylinder_d2(theta: float, m: int) -> float:
-    """Max scaled residual of the d2 ball/cylinder comparison and of the
-    underlying hypergeometric identity, its right side by Euler's integral,
+    """Max scaled residual of the d2 ball/cylinder comparison, the ball form
+    being -c5/2, and of the underlying hypergeometric identity, its right
+    side by Euler's integral,
 
       cosh^2 t 2F1(1, 1-m/2; 1/2; -sinh^2 t)
         = 1 + (m-1) sinh^2 t cosh^{m-1} t 2F1(1/2, (m+1)/2; 3/2; -sinh^2 t).
     """
-    ball = eta_constants(theta, m, "ball_form")
-    cyl = eta_constants(theta, m, "cylinder_form")
+    uc = universal_constants(theta, m)
+    ball = -0.5 * uc.c5
     sh, ch = math.sinh(theta), math.cosh(theta)
     lhs = ch * ch * hyp2f1(1.0, 1 - m / 2, 0.5, -sh * sh)
     rhs = 1.0 + (m - 1) * sh * sh * ch ** (m - 1) * \
         hyp2f1_euler((m + 1) / 2, theta)
-    return max(_scaled(abs(ball.d2 - cyl.d2), ball.d2),
+    return max(_scaled(abs(ball - uc.d2), ball),
                _scaled(abs(lhs - rhs), lhs))
 
 

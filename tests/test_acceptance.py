@@ -16,8 +16,7 @@ from chiralbag import cylinder as cy
 from chiralbag import identities as idn
 from chiralbag.clifford import build_gamma, chiral_projectors, \
     pi_plus_product
-from chiralbag.coefficients import ball_heat_coefficients, eta_constants, \
-    universal_constants
+from chiralbag.coefficients import universal_constants
 
 MS = (2, 4, 6, 8, 10, 12)
 THETA_GRID = [round(-2.0 + 0.1 * k, 10) for k in range(41)]
@@ -39,8 +38,8 @@ def test_01_theta_zero_reduction():
     worst = 0.0
     for m in MS:
         uc = universal_constants(0.0, m)
-        worst = max(worst, max(abs(g - w)
-                               for g, w in zip(uc.as_tuple(), expect)))
+        got = (uc.c1, uc.c2, uc.c3, uc.c4, uc.c5, uc.c6, uc.c7)
+        worst = max(worst, max(abs(g - w) for g, w in zip(got, expect)))
     _report(1, "theta=0 reduction of c1..c7", worst < 1e-12,
             f"max |error| = {worst:.3e}")
 
@@ -50,13 +49,12 @@ def test_02_c_d_relations():
     for m in MS:
         for theta in THETA_GRID:
             uc = universal_constants(theta, m)
-            ec = eta_constants(theta, m, "cylinder_form")
             scale = max(1.0, abs(uc.c5), abs(uc.c6))
             worst = max(worst,
-                        abs(uc.c3 + 2 * ec.d4) / scale,
-                        abs(uc.c4 + 2 * ec.d3) / scale,
-                        abs(uc.c5 + 2 * ec.d2) / scale,
-                        abs(uc.c6 + 2 * ec.d1) / scale)
+                        abs(uc.c3 + 2 * uc.d4) / scale,
+                        abs(uc.c4 + 2 * uc.d3) / scale,
+                        abs(uc.c5 + 2 * uc.d2) / scale,
+                        abs(uc.c6 + 2 * uc.d1) / scale)
     _report(2, "c/d pairing relations", worst < 1e-12,
             f"max scaled residual = {worst:.3e}")
 
@@ -88,7 +86,7 @@ def test_05_disc_spectral_fit():
     for theta in (0.0, 0.5, 1.0):
         samples = bs.geometric_samples(theta, 2, 100.0)
         fit = bs.fit_heat_coefficients(samples, 2)
-        target = ball_heat_coefficients(theta, 2)
+        target = universal_constants(theta, 2)
         a1, a2 = fit.coeffs[1], fit.coeffs[2]
         if theta == 0.0:
             # the coefficient-level fit error (shift under K -> K+1),
@@ -99,7 +97,7 @@ def test_05_disc_spectral_fit():
             details.append(f"theta=0: |a1|={abs(a1):.2e} "
                            f"(3*fit err={3 * a1_err:.2e})")
         else:
-            rel = abs(a1 - target["a1"]) / abs(target["a1"])
+            rel = abs(a1 - target.a1_ball) / abs(target.a1_ball)
             a1_ok = rel < 0.01
             details.append(f"theta={theta}: a1 rel err {rel:.2e}")
         a2_err = abs(a2 + 1.0 / 6.0)

@@ -5,7 +5,7 @@ import pytest
 from scipy import special as sp
 
 from chiralbag import ball_spectrum as bs
-from chiralbag.coefficients import ball_heat_coefficients
+from chiralbag.coefficients import universal_constants
 
 
 def dense_scan_roots(p, r, mu_max, step=0.002):
@@ -185,10 +185,11 @@ class TestHeatTrace:
         # itself follows the closed-form a0, a1, a2 of the ball
         t = 0.02
         full = bs.heat_trace(theta, m, t, 100.0).value
-        ball = ball_heat_coefficients(theta, m)
+        ball = universal_constants(theta, m)
         assert full == pytest.approx(sum(
             a * t ** ((n - m) / 2) for n, a in
-            enumerate((bs.pinned_a0(m), ball["a1"], ball["a2"]))), rel=1e-3)
+            enumerate((bs.pinned_a0(m), ball.a1_ball, ball.a2_ball))),
+            rel=1e-3)
         mu, w, n_excl = bs._spectrum(theta, m, 30.0)
         part = math.fsum(w * np.exp(-t * mu * mu))
         bound = bs._truncation_bound(theta, m, t, 30.0, n_excl)

@@ -132,7 +132,8 @@ class TestClosedFormRow:
 
     def test_every_2f1_terminates(self, monkeypatch):
         # each hyp2f1 behind a row is a finite sum: a or b is a
-        # non-positive integer (m=2 takes theta coth theta instead)
+        # non-positive integer (m=2 takes theta coth theta instead), and
+        # each distinct polynomial is summed once per row
         params = []
         hyp2f1 = coefficients.hyp2f1
 
@@ -142,10 +143,12 @@ class TestClosedFormRow:
         monkeypatch.setattr(coefficients, "hyp2f1", spy)
         for m in (2, 4, 6, 8, 10, 12):
             for theta in (0.0, 0.7, -0.7, 4.0, -4.0):
+                params.clear()
                 cli._row(theta, m)
-        assert params
-        for a, b in params:
-            assert any(v <= 0 and v == int(v) for v in (a, b)), (a, b)
+                assert len(params) == (3 if m == 2 else 4), (theta, m)
+                for a, b in params:
+                    assert any(v <= 0 and v == int(v) for v in (a, b)), \
+                        (a, b)
 
     @pytest.mark.parametrize("command", ("table", "coeffs"))
     def test_whole_theta_line(self, capsys, command):
@@ -167,15 +170,32 @@ class TestClosedFormRow:
         assert f"theta={float(theta)}" in err and f"m={m}" in err
         assert not path.exists()
 
-    @pytest.mark.parametrize("m,theta", (("2", "400"), ("4", "-400")))
-    def test_cylinder_overflow_exit_2(self, tmp_path, capsys, m, theta):
+    @pytest.mark.parametrize("command,m,theta", (
+        pytest.param("verify-cylinder", "2", "400", id="2-400"),
+        pytest.param("verify-cylinder", "4", "-400", id="4--400"),
+        pytest.param("verify-ball", "2", "800", id="verify-ball-2-800")))
+    def test_cylinder_overflow_exit_2(self, tmp_path, capsys, command, m,
+                                      theta):
         path = tmp_path / "report"
-        code = cli.main(["verify-cylinder", "--m", m, "--theta", theta,
+        code = cli.main([command, "--m", m, "--theta", theta,
                          "--format", "json", "--out", str(path)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"theta={float(theta)}, m={m}" in err
+        assert not path.exists()
+
+    def test_consistency_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a closed form that disagrees with its general form is a typed
+        # numerical failure: exit 2 naming theta and m, no report
+        monkeypatch.setattr(coefficients, "CONSISTENCY_TOL", -1.0)
+        path = tmp_path / "p"
+        code = cli.main(["table", "--m", "4", "--theta", "0.5",
+                         "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "theta=0.5, m=4" in err
         assert not path.exists()
 
     def test_cylinder_t_integral_overflow_names_theta(self, tmp_path, capsys):

@@ -13,7 +13,8 @@ class TestUniversalConstants:
     def test_theta_zero_reduction(self, m):
         uc = co.universal_constants(0.0, m)
         expect = (0.0, -1.0 / 6.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        for got, want in zip(uc.as_tuple(), expect):
+        values = (uc.c1, uc.c2, uc.c3, uc.c4, uc.c5, uc.c6, uc.c7)
+        for got, want in zip(values, expect):
             assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("theta", THETAS)
@@ -62,32 +63,27 @@ class TestUniversalConstants:
 
 
 class TestEtaConstants:
+    # the cylinder route is the record's d1, d2; the ball route is the
+    # pairing relations d1 = -c6/2, d2 = -c5/2
     @pytest.mark.parametrize("theta", THETAS)
     def test_m2_cylinder_d4_vanishes(self, theta):
-        ec = co.eta_constants(theta, 2, "cylinder_form")
-        assert ec.d4 == pytest.approx(0.0, abs=1e-13)
-
-    def test_ball_form_has_no_d4(self):
-        ec = co.eta_constants(0.5, 4, "ball_form")
-        with pytest.raises(co.UnavailableConstantError):
-            ec.d4
-        assert ec.d3 == 0.0
+        uc = co.universal_constants(theta, 2)
+        assert uc.d4 == pytest.approx(0.0, abs=1e-13)
+        assert uc.d3 == 0.0
 
     def test_theta_zero(self):
-        for src in ("ball_form", "cylinder_form"):
-            ec = co.eta_constants(0.0, 6, src)
-            assert ec.d1 == 0.0
-            assert ec.d2 == pytest.approx(-0.5, abs=1e-13)
+        uc = co.universal_constants(0.0, 6)
+        for d1, d2 in ((uc.d1, uc.d2), (-0.5 * uc.c6, -0.5 * uc.c5)):
+            assert d1 == 0.0
+            assert d2 == pytest.approx(-0.5, abs=1e-13)
 
     def test_m2_values(self):
         theta = 0.8
-        ec = co.eta_constants(theta, 2, "ball_form")
-        assert ec.d1 == pytest.approx(-0.5 * math.sinh(theta), rel=1e-13)
-        assert ec.d2 == pytest.approx(-0.5 * math.cosh(theta), rel=1e-13)
-
-    def test_unknown_source(self):
-        with pytest.raises(ValueError):
-            co.eta_constants(0.1, 2, "other")
+        uc = co.universal_constants(theta, 2)
+        assert -0.5 * uc.c6 == pytest.approx(-0.5 * math.sinh(theta),
+                                             rel=1e-13)
+        assert -0.5 * uc.c5 == pytest.approx(-0.5 * math.cosh(theta),
+                                             rel=1e-13)
 
 
 class TestGeometry:
@@ -107,27 +103,25 @@ class TestGeometry:
 
 class TestBallCoefficients:
     def test_disc_values(self):
-        out = co.ball_heat_coefficients(1.0, 2)
+        uc = co.universal_constants(1.0, 2)
         # a1 = sqrt(pi) * 2/(4*1) * (cosh 1 - 1)
-        assert out["a1"] == pytest.approx(
+        assert uc.a1_ball == pytest.approx(
             math.sqrt(math.pi) / 2 * (math.cosh(1.0) - 1.0), rel=1e-12)
-        assert out["a2"] == pytest.approx(-1.0 / 6.0, abs=1e-13)
+        assert uc.a2_ball == pytest.approx(-1.0 / 6.0, abs=1e-13)
 
     @pytest.mark.parametrize("m", MS)
     def test_theta_zero_a1_vanishes(self, m):
-        out = co.ball_heat_coefficients(0.0, m)
-        assert out["a1"] == 0.0
+        assert co.universal_constants(0.0, m).a1_ball == 0.0
 
     def test_a1_eta_disc(self):
         # m=2: a1_eta = -sinh(theta)/2
         theta = 0.5
-        assert co.a1_eta_ball(theta, 2) == \
+        assert co.universal_constants(theta, 2).a1_eta == \
             pytest.approx(-0.5 * math.sinh(theta), rel=1e-13)
 
     @pytest.mark.parametrize("theta", (0.2, 1.4))
     @pytest.mark.parametrize("m", MS)
     def test_internal_cross_checks_pass(self, theta, m):
-        # both builders validate against their general-form routes and raise
-        # on disagreement
-        co.ball_heat_coefficients(theta, m)
-        co.a1_eta_ball(theta, m)
+        # a1, a2 and a1_eta are validated against their general-form
+        # routes, raising ConsistencyError on disagreement
+        co.universal_constants(theta, m)

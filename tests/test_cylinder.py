@@ -6,6 +6,7 @@ from scipy import integrate
 
 from chiralbag import cylinder as cy
 from chiralbag.clifford import build_gamma, pi_plus_product
+from chiralbag.specialfn import erf, erfcx
 
 
 ALL_M = [2, 4, 6, 8, 10, 12]
@@ -117,11 +118,15 @@ class TestU2Integral:
     def test_theta_zero_reduction(self, rep2):
         assert cy.check_U2_integral(params(rep2, theta=0.0)) < 1e-9
 
-    def test_erf_and_erfc_paths_agree(self, rep2):
-        p = params(rep2)
-        a = cy.check_U2_integral(p)
-        b = cy.check_U2_integral(p, erf_path=True)
-        assert abs(a - b) < 1e-12
+    def test_erf_and_erfc_paths_agree(self):
+        # E = e^{t b^2} erfc(-sqrt(t) b) of the U2 closed form, as the
+        # scaled erfc it is computed by and through erf
+        for omega, theta, t in ((1.3, 0.7, 0.25), (-1.3, -0.7, 0.25),
+                                (0.9, 1.2, 0.1)):
+            b = omega * math.tanh(theta)
+            scaled = erfcx(-math.sqrt(t) * b)
+            direct = math.exp(t * b * b) * (1.0 + erf(math.sqrt(t) * b))
+            assert scaled == pytest.approx(direct, rel=1e-13)
 
     def test_reflection_symmetry(self, rep2):
         a = cy.check_U2_integral(params(rep2, omega=1.3, theta=0.7))
