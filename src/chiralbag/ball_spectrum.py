@@ -11,11 +11,11 @@ expectation value by quadrature.
 The roots solve arctan R_p(mu) = arctan r, R_p = J_{p+1}/J_p, which rises
 monotonically from -pi/2 to pi/2 between consecutive zeros of J_p and from 0
 to pi/2 on (0, j_{p,1}): one root per bracket and ratio, none in the first
-for r < 0.  Below mu = p, R_p is Gautschi's backward continued fraction
-R_k = mu / (2(k+1) - mu R_{k+1}) (SIAM Rev. 9 (1967) 24), which cannot
-underflow; it has R_k <= 1 for mu <= k+1, so every root of level p exceeds
-2(p+1) rho/(1+rho), rho = e^-|theta|.  One safeguarded Newton solve takes
-every bracket of every level and family at once.
+for r < 0.  R_p is Gautschi's backward continued fraction
+R_k = mu / (2(k+1) - mu R_{k+1}) (SIAM Rev. 9 (1967) 24); started past p and
+mu it is Miller's stable backward recurrence, which cannot underflow.  It has
+R_k <= 1 for mu <= k+1, so every root of level p exceeds 2(p+1) rho/(1+rho),
+rho = e^-|theta|.  One safeguarded Newton solve takes every bracket at once.
 """
 
 from __future__ import annotations
@@ -123,21 +123,17 @@ def _condition(p: int, r: float, mu):
 
 
 def _phase(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """arctan R_p(mu) elementwise for mu > 0: from jv where mu >= p, from
-    the backward continued fraction where mu < p."""
-    phase = np.empty(mu.shape)
-    up = mu >= p
-    jp, jp1 = _sp.jv(p[up], mu[up]), _sp.jv(p[up] + 1, mu[up])
-    phase[up] = np.arctan2(np.copysign(1.0, jp) * jp1, np.abs(jp))
-    x, k = mu[~up], p[~up]
-    # R_{k+j} < x/(x + 2j + 2) here, so starting from R_{k+depth} = 0 errs
-    # by less than exp(-2 depth (depth+1)/(x + 2 depth)) <= e^-40
-    depth = 21 + int(math.sqrt(380.25 + 20.0 * np.max(x, initial=0.0)))
-    ratio = np.zeros(x.shape)
+    """arctan R_p(mu) elementwise for mu > 0 from the backward continued
+    fraction, started from R = 0 at d = 21 + floor(sqrt(380.25 + 20 mu)) steps
+    past k = max(p, ceil(mu)), where R_{k+j} < mu/(mu + 2j + 2): that errs by
+    < exp(-2d(d+1)/(mu + 2d)) <= e^-40, and the steps down to p keep it so."""
+    # one depth, the largest any element needs: a deeper start only helps
+    depth = (math.ceil(np.max(mu - p, initial=0.0)) + 21
+             + int(math.sqrt(380.25 + 20.0 * np.max(mu, initial=0.0))))
+    ratio = np.zeros(mu.shape)
     for j in range(depth, 0, -1):
-        ratio = x / (2.0 * (k + j) - x * ratio)
-    phase[~up] = np.arctan(ratio)
-    return phase
+        ratio = mu / (2.0 * (p + j) - mu * ratio)
+    return np.arctan(ratio)
 
 
 def _newton(p: np.ndarray, mu: np.ndarray, target: np.ndarray) -> tuple:
@@ -150,19 +146,21 @@ def _newton(p: np.ndarray, mu: np.ndarray, target: np.ndarray) -> tuple:
 def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
            hi: np.ndarray) -> np.ndarray:
     """Newton steps to arctan R_p = target that keep each bracket [lo, hi],
-    bisecting only where a step leaves it."""
-    mu = 0.5 * (lo + hi)
+    bisecting where a step leaves it; a root retires at a step <= 1e-14 mu."""
+    mu, root, live = 0.5 * (lo + hi), np.empty(lo.shape), np.arange(lo.size)
     for _ in range(100):
         g, step = _newton(p, mu, target)
-        lo = np.where(g < 0.0, mu, lo)
-        hi = np.where(g > 0.0, mu, hi)
+        lo, hi = np.where(g < 0.0, mu, lo), np.where(g > 0.0, mu, hi)
         new = mu - step
         # a step onto a bracket end is kept: bisecting it converges linearly
         new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
-        mu, old = new, mu
-        if np.all(np.abs(mu - old) <= 1e-14 * old):
+        root[live] = new
+        more = np.abs(new - mu) > 1e-14 * mu
+        if not more.any():
             break
-    return mu
+        live, p, target, lo, hi, mu = (
+            a[more] for a in (live, p, target, lo, hi, new))
+    return root
 
 
 def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,

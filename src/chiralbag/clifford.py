@@ -8,6 +8,7 @@ boundary operator of the disc calculation is directly comparable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,8 +47,10 @@ class GammaRep:
         return self.gammas[-1]
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def build_gamma(m: int) -> GammaRep:
-    """Build the representation for even m with 2 <= m <= 12."""
+    """Build and check the representation for even m with 2 <= m <= 12, once
+    per m: later calls return the same object, whose arrays are read-only."""
     if m % 2 or not (2 <= m <= 12):
         raise CliffordError(f"m must be even with 2 <= m <= 12, got {m}")
     k = m // 2
@@ -62,6 +65,8 @@ def build_gamma(m: int) -> GammaRep:
     for g in gammas:
         gt = gt @ g if isinstance(gt, np.ndarray) else gt * g
     gt = gt.real.astype(complex) if np.abs(gt.imag).max() < 1e-15 else gt
+    for a in (*gammas, gt):
+        a.flags.writeable = False
     rep = GammaRep(m=m, d_s=2 ** k, gammas=gammas, gamma_tilde=gt)
     _check_rep(rep)
     return rep

@@ -148,10 +148,50 @@ class TestFindRoots:
         assert np.all(roots > 2 * (p + 1) * rho / (1 + rho))
         assert p.max() < n_excl
 
+    def test_spectrum_satisfies_condition_in_jv(self):
+        # an oracle apart from the continued fraction: scipy jv at every root
+        # with mu >= p of the theta=1.3 disc spectrum (J_p underflows below)
+        theta = 1.3
+        n_excl = bs._spectrum(theta, 2, 100.0)[2]
+        for fam in bs.all_families(2, 0):
+            r = fam.ratio(theta)
+            p, mu = bs._roots(np.arange(n_excl), [r], theta, 100.0)
+            for q in np.unique(p[mu >= p]):
+                at = mu[(p == q) & (mu >= p)]
+                scale = np.abs(sp.jv(q + 1, at)) + np.abs(r * sp.jv(q, at))
+                assert np.all(np.abs(bs._condition(int(q), r, at))
+                              <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("theta,m,mu_max,count", (
+        (0.5, 2, 100.0, 5013), (2.0, 2, 100.0, 5277), (3.0, 2, 100.0, 5910),
+        (4.0, 2, 100.0, 7636), (6.0, 2, 100.0, 25083), (0.0, 4, 40.0, 748),
+        (0.7, 4, 40.0, 758), (-1.5, 4, 40.0, 806)))
+    def test_spectrum_root_counts(self, theta, m, mu_max, count):
+        assert bs._spectrum(theta, m, mu_max)[0].size == count
+
     def test_invalid_mu_max(self):
         with pytest.raises(ValueError):
             bs.find_roots(bs.EigenvalueFamily("plus", "pos", 0, 2),
                           0.0, -1.0)
+
+
+class TestPhase:
+    @pytest.mark.parametrize("p", (0, 1, 5, 60, 230, 400))
+    def test_against_mpmath(self, p):
+        # mu on both sides of p up to 200, and 1e-9 either side of the first
+        # two zeros of J_p, where the phase jumps from pi/2 to -pi/2
+        mp = pytest.importorskip("mpmath")
+        zeros = sp.jn_zeros(p, 2)
+        near = [q * p for q in (0.5, 0.99, 1.01, 1.5) if 0 < q * p <= 200]
+        mu = np.concatenate((np.geomspace(1e-3, 200.0, 23), near,
+                             zeros - 1e-9, zeros + 1e-9))
+        phase = bs._phase(np.full(mu.size, p), mu)
+        with mp.workdps(50):
+            exact = np.array([float(mp.atan(mp.besselj(p + 1, mp.mpf(x))
+                                            / mp.besselj(p, mp.mpf(x))))
+                              for x in mu])
+        assert np.abs(phase - exact).max() < 1e-14
+        assert np.all(phase[-4:-2] > 1.5) and np.all(phase[-2:] < -1.5)
 
 
 class TestHeatTrace:

@@ -98,3 +98,24 @@ def test_scaled_checks_still_catch_a_bad_chirality():
     bad = dataclasses.replace(rep, gamma_tilde=rep.gamma_tilde * (1 + 1e-6))
     with pytest.raises(cl.CliffordError):
         cl.chiral_projectors(bad, 4.0)
+
+
+@pytest.mark.parametrize("m", MS)
+def test_build_gamma_is_cached_and_read_only(m):
+    rep = cl.build_gamma(m)
+    assert cl.build_gamma(m) is rep
+    for a in (*rep.gammas, rep.gamma_tilde):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
+def test_first_build_is_checked(monkeypatch):
+    checked = []
+    monkeypatch.setattr(cl, "_check_rep", checked.append)
+    cl.build_gamma.cache_clear()
+    try:
+        rep = cl.build_gamma(4)
+        assert cl.build_gamma(4) is rep
+        assert checked == [rep]
+    finally:
+        cl.build_gamma.cache_clear()
