@@ -37,6 +37,11 @@ from .specialfn import bessel_j
 ROOT_RTOL = 1e-13
 # a spectrum with more angular levels below mu_max is refused
 MAX_LEVELS = 1_000_000
+# the heat-trace samples of verify-ball, smallest t first, and the number
+# of coefficients a_1..a_K fitted to them
+T_GRID = np.geomspace(0.02, 0.3, 20)
+T_GRID.flags.writeable = False
+FIT_DEPTH = 5
 
 
 class InsufficientCutoffError(RuntimeError):
@@ -82,14 +87,6 @@ class EigenvalueFamily:
 def all_families(m: int, n: int) -> list[EigenvalueFamily]:
     return [EigenvalueFamily(chi, sgn, n, m)
             for chi in ("plus", "minus") for sgn in ("pos", "neg")]
-
-
-@dataclass(frozen=True)
-class RootSet:
-    family: EigenvalueFamily
-    theta: float
-    roots: np.ndarray
-    mu_max: float
 
 
 def degeneracy(n: int, m: int) -> int:
@@ -195,19 +192,11 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
 
 
 def find_roots(family: EigenvalueFamily, theta: float,
-               mu_max: float) -> RootSet:
+               mu_max: float) -> np.ndarray:
     """All roots of the family's eigenvalue condition in (0, mu_max],
     ascending, from the same brackets and solve as the whole spectrum."""
-    _, roots = _roots(np.array([family.p]), [family.ratio(theta)], theta,
-                      mu_max)
-    return RootSet(family=family, theta=theta, roots=roots, mu_max=mu_max)
-
-
-@dataclass(frozen=True)
-class HeatTraceSample:
-    t: float
-    value: float
-    truncation_bound: float
+    return _roots(np.array([family.p]), [family.ratio(theta)], theta,
+                  mu_max)[1]
 
 
 @dataclass(frozen=True)
@@ -222,8 +211,7 @@ class AsymptoticFit:
     coeff_errors: np.ndarray = None
 
 
-@functools.lru_cache(maxsize=32)
-def _spectrum(theta: float, m: int, mu_max: float) -> tuple:
+def spectrum(theta: float, m: int, mu_max: float) -> tuple:
     """Sorted eigenvalue array and matching degeneracy weights for all four
     families, every angular level whose root floor lies below mu_max."""
     ratios = [fam.ratio(theta) for fam in all_families(m, 0)]
@@ -265,21 +253,25 @@ def _truncation_bound(theta: float, m: int, t: float, mu_max: float,
     return bound
 
 
-def heat_trace(theta: float, m: int, t: float,
-               mu_max: float) -> HeatTraceSample:
-    """Truncated trace of exp(-t P^2) on the unit m-ball: sum over the four
-    families and all angular levels of deg * exp(-t mu^2), in ascending
-    eigenvalue order with exact compensated summation."""
-    if t <= 0:
+def heat_trace(theta: float, m: int, ts: Sequence[float],
+               mu_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated trace of exp(-t P^2) on the unit m-ball at each t of ts,
+    and the truncation bound of each: deg * exp(-t mu^2) over the four
+    families and all angular levels of one spectrum, summed exactly in
+    ascending eigenvalue order."""
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts <= 0):
         raise ValueError("t must be positive")
-    mu, w, n_excl = _spectrum(theta, m, mu_max)
-    value = math.fsum(w * np.exp(-t * mu * mu))
-    bound = _truncation_bound(theta, m, t, mu_max, n_excl)
-    if bound >= 1e-10 * value:
-        raise InsufficientCutoffError(
-            f"truncation bound {bound:.3e} too large for trace {value:.6e} "
-            f"at t={t}; raise mu_max")
-    return HeatTraceSample(t=t, value=value, truncation_bound=bound)
+    mu, w, n_excl = spectrum(theta, m, mu_max)
+    values, bounds = np.empty(ts.shape), np.empty(ts.shape)
+    for i, t in enumerate(ts.tolist()):
+        values[i] = math.fsum(w * np.exp(-t * mu * mu))
+        bounds[i] = _truncation_bound(theta, m, t, mu_max, n_excl)
+        if bounds[i] >= 1e-10 * values[i]:
+            raise InsufficientCutoffError(
+                f"truncation bound {bounds[i]:.3e} too large for trace "
+                f"{values[i]:.6e} at t={t}; raise mu_max")
+    return values, bounds
 
 
 def pinned_a0(m: int) -> float:
@@ -288,18 +280,19 @@ def pinned_a0(m: int) -> float:
     return (4 * math.pi) ** (-m / 2) * ball_volume(m) * spinor_dimension(m)
 
 
-def fit_heat_coefficients(samples: Sequence[HeatTraceSample], m: int,
-                          K: int = 5) -> AsymptoticFit:
-    """Least-squares extraction of a_1..a_K from heat-trace samples against
-    the basis t^((n-m)/2), with a_0 pinned to its known interior value.
+def fit_heat_coefficients(ts: Sequence[float], values: Sequence[float],
+                          m: int) -> AsymptoticFit:
+    """Least-squares extraction of a_1..a_K, K = FIT_DEPTH, from heat-trace
+    values at ts against the basis t^((n-m)/2), with a_0 pinned to its known
+    interior value.
 
-    K defaults to 5 so the upper coefficients absorb higher-order
-    contamination; the returned residual is the rms misfit.
+    K = 5 lets the upper coefficients absorb higher-order contamination;
+    the returned residual is the rms misfit.
     """
-    if len(samples) < K + 3:
+    K = FIT_DEPTH
+    t, y = np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
+    if t.size < K + 3:
         raise ValueError(f"need at least K+3 = {K + 3} samples")
-    t = np.array([s.t for s in samples])
-    y = np.array([s.value for s in samples])
     a0 = pinned_a0(m)
     y = y - a0 * t ** (-m / 2)
 
@@ -319,7 +312,7 @@ def fit_heat_coefficients(samples: Sequence[HeatTraceSample], m: int,
 
     coef, resid, cond = solve(K)
     errors = np.full(K, resid)
-    if len(samples) >= K + 4:
+    if t.size >= K + 4:
         try:
             deeper, _, _ = solve(K + 1)
             errors = np.abs(deeper[:K] - coef)
@@ -330,20 +323,12 @@ def fit_heat_coefficients(samples: Sequence[HeatTraceSample], m: int,
                          coeff_errors=np.concatenate([[0.0], errors]))
 
 
-def geometric_samples(theta: float, m: int, mu_max: float,
-                      t_min: float = 0.02, t_max: float = 0.3,
-                      n_samples: int = 20) -> list[HeatTraceSample]:
-    """Heat-trace samples on a geometric t-grid, smallest t first."""
-    ts = np.geomspace(t_min, t_max, n_samples)
-    return [heat_trace(theta, m, float(t), mu_max) for t in ts]
-
-
 def _norm_closed_form(p: int, mu: float) -> float:
-    """1/C^2 from the Bessel-quadratic closed form; J_{-1} = -J_1 is handled
-    by the reflection built into bessel_j."""
+    """1/C^2 from the Bessel-quadratic closed form; bessel_j gives
+    J_{-1} = -J_1 at p = 0."""
     jp = bessel_j(p, mu)
     jp1 = bessel_j(p + 1, mu)
-    jm1 = bessel_j(p - 1, mu) if p >= 1 else -bessel_j(1, mu)
+    jm1 = bessel_j(p - 1, mu)
     jp2 = bessel_j(p + 2, mu)
     return 0.5 * (jp * jp + jp1 * jp1 - jm1 * jp1 - jp * jp2)
 

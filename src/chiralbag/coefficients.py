@@ -53,16 +53,20 @@ def universal_constants(theta: float, m: int) -> UniversalConstants:
     2F1 polynomial summed once.
 
     d1, d2, d4 are the cylinder forms, built from f2 = 2F1(1/2, (m+1)/2;
-    3/2; -sinh^2 theta) taken as its terminating Pfaff image 2F1(1/2,
-    1-m/2; 3/2; tanh^2 theta) / cosh theta, and c3 = -2 d4.  The ball
-    forms d1 = -c6/2, d2 = -c5/2 are the pairing relations.  c2 and c7 are
-    built from f_tanh = 2F1(1, (m-1)/2; 3/2; tanh^2 theta), taken as its
-    Pfaff image cosh^2 theta 2F1(1, 2-m/2; 3/2; -sinh^2 theta), a
+    3/2; -sinh^2 theta) taken as its terminating Pfaff image P / cosh theta,
+    P = 2F1(1/2, 1-m/2; 3/2; tanh^2 theta), and c3 = -2 d4.  Each is
+    written with tanh theta and P so that no intermediate product exceeds
+    the value: d1 = -(m-1)/2 tanh cosh^(m-1) P, d2 = -1/(2 cosh) -
+    (m-1)/2 tanh^2 cosh^(m-1) P, d4 = -tanh/2 + (m-1)/2 tanh cosh^(m-2) P.
+    The ball forms d1 = -c6/2, d2 = -c5/2 are the pairing relations.  c2
+    and c7 are built from f_tanh = 2F1(1, (m-1)/2; 3/2; tanh^2 theta), taken
+    as its Pfaff image cosh^2 theta 2F1(1, 2-m/2; 3/2; -sinh^2 theta), a
     terminating polynomial for m >= 4, and at m = 2 as artanh(x)/x at
     x = tanh theta, i.e. theta coth theta.  a1 and a2 are checked against
     their general boundary-invariant forms with L_aa = m - 1 on the unit
     sphere, and a1_eta against its d1 route; ConsistencyError on
-    disagreement.
+    disagreement, OverflowError naming theta and m where either side
+    leaves the float range.
     """
     _check_even(m)
     sh, ch, th = math.sinh(theta), math.cosh(theta), math.tanh(theta)
@@ -73,10 +77,10 @@ def universal_constants(theta: float, m: int) -> UniversalConstants:
         f_tanh = ch * ch * hyp2f1(1.0, 2 - m / 2, 1.5, z)
     p_half = hyp2f1(1.0, 1 - m / 2, 0.5, z)
     p_3half = hyp2f1(1.0, 1 - m / 2, 1.5, z)
-    f2 = hyp2f1(0.5, 1 - m / 2, 1.5, th * th) / ch
+    poly = hyp2f1(0.5, 1 - m / 2, 1.5, th * th)
     c1 = 0.25 * (ch ** (m - 1) - 1.0)
     c2 = ((2 * m - 5) / 3.0 + (2 - m) * f_tanh) / (2.0 * (m - 1))
-    d4 = -0.5 * th + 0.5 * (m - 1) * sh * ch ** (m - 2) * f2
+    d4 = -0.5 * th + 0.5 * (m - 1) * th * ch ** (m - 2) * poly
     c6 = (m - 1) * sh * p_3half
     d_s = spinor_dimension(m)
     norm = 2 ** m * gamma_fn(m / 2)
@@ -89,6 +93,8 @@ def universal_constants(theta: float, m: int) -> UniversalConstants:
             ("a1", a1, (4 * math.pi) ** (-(m - 1) / 2) * area * d_s * c1),
             ("a2", a2, (4 * math.pi) ** (-m / 2) * area * d_s * c2 * (m - 1)),
             ("a1_eta", a1_eta, 2.0 / norm * d_s * (-0.5 * c6))):
+        if not (math.isfinite(value) and math.isfinite(general)):
+            raise OverflowError(f"{name} overflows at theta={theta}, m={m}")
         if abs(value - general) > CONSISTENCY_TOL * max(1.0, abs(value)):
             raise ConsistencyError(
                 f"{name} closed form disagrees with its general form at "
@@ -96,8 +102,8 @@ def universal_constants(theta: float, m: int) -> UniversalConstants:
     return UniversalConstants(
         theta=theta, m=m, c1=c1, c2=c2, c3=-2.0 * d4, c4=0.0,
         c5=ch * p_half, c6=c6, c7=-0.5 * (1.0 - f_tanh),
-        d1=-0.5 * (m - 1) * sh * ch ** (m - 1) * f2,
-        d2=-0.5 / ch - 0.5 * (m - 1) * sh * sh * ch ** (m - 2) * f2,
+        d1=-0.5 * (m - 1) * th * ch ** (m - 1) * poly,
+        d2=-0.5 / ch - 0.5 * (m - 1) * th * th * ch ** (m - 1) * poly,
         d3=0.0, d4=d4, a1_ball=a1, a2_ball=a2, a1_eta=a1_eta)
 
 

@@ -1,4 +1,4 @@
-"""Special-function core: Gamma, Bessel J, erf/erfc and Gauss 2F1.
+"""Special-function core: Gamma, Bessel J, erf/erfcx and Gauss 2F1.
 
 Gamma, Bessel and the error functions are thin wrappers over scipy with the
 domain checks this package needs.  hyp2f1 sums the finite 2F1 polynomials
@@ -42,10 +42,6 @@ def gamma_fn(x: float) -> float:
 
 def erf(x):
     return _sp.erf(x)
-
-
-def erfc(x):
-    return _sp.erfc(x)
 
 
 def erfcx(x):

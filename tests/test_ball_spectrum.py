@@ -66,7 +66,7 @@ class TestFindRoots:
     def test_first_root_j1_equals_j0(self):
         fam = bs.EigenvalueFamily("plus", "pos", 0, 2)
         rs = bs.find_roots(fam, 0.0, 20.0)
-        assert rs.roots[0] == pytest.approx(1.4347, abs=2e-4)
+        assert rs[0] == pytest.approx(1.4347, abs=2e-4)
 
     @pytest.mark.parametrize("theta", (0.0, 0.9, -1.6, 3.0))
     @pytest.mark.parametrize("chirality,sign",
@@ -76,22 +76,22 @@ class TestFindRoots:
         fam = bs.EigenvalueFamily(chirality, sign, 1, 4)
         rs = bs.find_roots(fam, theta, 25.0)
         oracle = dense_scan_roots(fam.p, fam.ratio(theta), 25.0)
-        assert len(rs.roots) == len(oracle)
-        assert np.abs(rs.roots - oracle).max() < 1e-8
+        assert len(rs) == len(oracle)
+        assert np.abs(rs - oracle).max() < 1e-8
 
     def test_roots_satisfy_condition(self):
         fam = bs.EigenvalueFamily("minus", "pos", 2, 6)
         rs = bs.find_roots(fam, 1.2, 40.0)
         p, r = fam.p, fam.ratio(1.2)
-        resid = np.abs(sp.jv(p + 1, rs.roots) - r * sp.jv(p, rs.roots))
+        resid = np.abs(sp.jv(p + 1, rs) - r * sp.jv(p, rs))
         assert resid.max() < 1e-11
-        assert np.all(np.diff(rs.roots) > 0)
+        assert np.all(np.diff(rs) > 0)
 
     def test_interlacing_with_bessel_zeros(self):
         # theta=0, p=0: roots of J1 = +-J0 interlace with zeros of J0
         z0 = sp.jn_zeros(0, 5)
         pos = bs.find_roots(bs.EigenvalueFamily("plus", "pos", 0, 2),
-                            0.0, z0[-1]).roots
+                            0.0, z0[-1])
         for k in range(4):
             assert np.count_nonzero((pos > z0[k]) & (pos < z0[k + 1])) == 1
         assert np.count_nonzero(pos < z0[0]) == 1
@@ -99,9 +99,9 @@ class TestFindRoots:
     def test_theta_reflection_swaps_families(self):
         th = 0.8
         a = bs.find_roots(bs.EigenvalueFamily("plus", "pos", 0, 2),
-                          th, 30.0).roots
+                          th, 30.0)
         b = bs.find_roots(bs.EigenvalueFamily("minus", "neg", 0, 2),
-                          -th, 30.0).roots
+                          -th, 30.0)
         assert len(a) == len(b)
         assert np.abs(a - b).max() < 1e-11
 
@@ -112,7 +112,7 @@ class TestFindRoots:
         mp = pytest.importorskip("mpmath")
         fam = bs.EigenvalueFamily("minus", "neg", p, 2)
         r = fam.ratio(4.0)
-        roots = bs.find_roots(fam, 4.0, 100.0).roots
+        roots = bs.find_roots(fam, 4.0, 100.0)
         assert len(roots) == 1
         with mp.workdps(50):
             exact = mp.findroot(
@@ -133,14 +133,14 @@ class TestFindRoots:
                 r = mp.mpf(fam.ratio(4.0))
                 sg = [mp.sign(a - r * b) for a, b in zip(jp1, jp)]
                 changes = sum(a != b for a, b in zip(sg, sg[1:]))
-                assert len(bs.find_roots(fam, 4.0, 100.0).roots) == changes
+                assert len(bs.find_roots(fam, 4.0, 100.0)) == changes
 
     @pytest.mark.parametrize("theta", (0.5, 4.0, 6.0))
     def test_roots_above_level_floor(self, theta, monkeypatch):
         # solve without the floor as the first bracket's lower end, in
         # every level up to 50 past the spectrum's cutoff: each root still
         # exceeds 2(p+1) rho/(1+rho), so no level past the cutoff has one
-        _, _, n_excl = bs._spectrum(theta, 2, 100.0)
+        _, _, n_excl = bs.spectrum(theta, 2, 100.0)
         monkeypatch.setattr(bs, "_level_floor", lambda p, theta: 0.0 * p)
         ratios = [fam.ratio(theta) for fam in bs.all_families(2, 0)]
         p, roots = bs._roots(np.arange(n_excl + 50), ratios, theta, 100.0)
@@ -152,7 +152,7 @@ class TestFindRoots:
         # an oracle apart from the continued fraction: scipy jv at every root
         # with mu >= p of the theta=1.3 disc spectrum (J_p underflows below)
         theta = 1.3
-        n_excl = bs._spectrum(theta, 2, 100.0)[2]
+        n_excl = bs.spectrum(theta, 2, 100.0)[2]
         for fam in bs.all_families(2, 0):
             r = fam.ratio(theta)
             p, mu = bs._roots(np.arange(n_excl), [r], theta, 100.0)
@@ -167,7 +167,7 @@ class TestFindRoots:
         (4.0, 2, 100.0, 7636), (6.0, 2, 100.0, 25083), (0.0, 4, 40.0, 748),
         (0.7, 4, 40.0, 758), (-1.5, 4, 40.0, 806)))
     def test_spectrum_root_counts(self, theta, m, mu_max, count):
-        assert bs._spectrum(theta, m, mu_max)[0].size == count
+        assert bs.spectrum(theta, m, mu_max)[0].size == count
 
     def test_invalid_mu_max(self):
         with pytest.raises(ValueError):
@@ -197,25 +197,24 @@ class TestPhase:
 class TestHeatTrace:
     def test_large_t_dominated_by_lowest_modes(self):
         t = 5.0
-        sample = bs.heat_trace(0.0, 2, t, 60.0)
+        value = bs.heat_trace(0.0, 2, [t], 60.0)[0][0]
         # explicit few-term oracle: smallest eigenvalues from all families,
         # all levels whose first root is small enough to matter
         total = 0.0
         for n in range(6):
             for fam in bs.all_families(2, n):
-                roots = bs.find_roots(fam, 0.0, 12.0).roots
+                roots = bs.find_roots(fam, 0.0, 12.0)
                 total += bs.degeneracy(n, 2) * \
                     float(np.sum(np.exp(-t * roots ** 2)))
-        assert sample.value == pytest.approx(total, rel=1e-10)
+        assert value == pytest.approx(total, rel=1e-10)
 
     def test_monotone_in_t(self):
-        v1 = bs.heat_trace(0.3, 2, 0.05, 100.0).value
-        v2 = bs.heat_trace(0.3, 2, 0.1, 100.0).value
+        v1, v2 = bs.heat_trace(0.3, 2, [0.05, 0.1], 100.0)[0]
         assert v1 > v2 > 0
 
     def test_even_in_theta(self):
-        a = bs.heat_trace(0.6, 2, 0.2, 80.0).value
-        b = bs.heat_trace(-0.6, 2, 0.2, 80.0).value
+        a = bs.heat_trace(0.6, 2, [0.2], 80.0)[0][0]
+        b = bs.heat_trace(-0.6, 2, [0.2], 80.0)[0][0]
         assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize("theta,m", ((3.0, 2), (4.0, 2), (4.0, 4)))
@@ -224,57 +223,49 @@ class TestHeatTrace:
         # at 30 leaves out (the rest is below e^-200); the trace to 100
         # itself follows the closed-form a0, a1, a2 of the ball
         t = 0.02
-        full = bs.heat_trace(theta, m, t, 100.0).value
+        full = bs.heat_trace(theta, m, [t], 100.0)[0][0]
         ball = universal_constants(theta, m)
         assert full == pytest.approx(sum(
             a * t ** ((n - m) / 2) for n, a in
             enumerate((bs.pinned_a0(m), ball.a1_ball, ball.a2_ball))),
             rel=1e-3)
-        mu, w, n_excl = bs._spectrum(theta, m, 30.0)
+        mu, w, n_excl = bs.spectrum(theta, m, 30.0)
         part = math.fsum(w * np.exp(-t * mu * mu))
         bound = bs._truncation_bound(theta, m, t, 30.0, n_excl)
         assert 0.0 < full - part <= bound
 
     def test_insufficient_cutoff(self):
         with pytest.raises(bs.InsufficientCutoffError):
-            bs.heat_trace(0.0, 2, 0.01, 15.0)
+            bs.heat_trace(0.0, 2, [0.01], 15.0)
 
     def test_invalid_t(self):
         with pytest.raises(ValueError):
-            bs.heat_trace(0.0, 2, -0.1, 50.0)
+            bs.heat_trace(0.0, 2, [-0.1], 50.0)
 
 
 class TestFit:
     def test_recovers_synthetic_series(self):
         coeffs = (0.5, 0.2, -1.0 / 6.0, 0.03, 0.0, 0.0)
         ts = np.geomspace(0.02, 0.3, 20)
-        samples = [bs.HeatTraceSample(
-            t=float(t),
-            value=float(sum(a * t ** ((n - 2) / 2)
-                            for n, a in enumerate(coeffs))),
-            truncation_bound=0.0) for t in ts]
-        fit = bs.fit_heat_coefficients(samples, 2, K=5)
+        values = sum(a * ts ** ((n - 2) / 2) for n, a in enumerate(coeffs))
+        fit = bs.fit_heat_coefficients(ts, values, 2)
         assert np.abs(fit.coeffs - np.array(coeffs)).max() < 1e-8
         assert fit.residual < 1e-10
 
     def test_too_few_samples(self):
-        samples = [bs.HeatTraceSample(t=0.1 * (k + 1), value=1.0,
-                                      truncation_bound=0.0)
-                   for k in range(4)]
+        ts = 0.1 * np.arange(1, 5)
         with pytest.raises(ValueError):
-            bs.fit_heat_coefficients(samples, 2, K=5)
+            bs.fit_heat_coefficients(ts, np.ones(4), 2)
 
     def test_ill_conditioned(self):
         ts = 0.1 + 1e-9 * np.arange(10)
-        samples = [bs.HeatTraceSample(t=float(t), value=1.0,
-                                      truncation_bound=0.0) for t in ts]
         with pytest.raises(bs.IllConditionedFitError):
-            bs.fit_heat_coefficients(samples, 2, K=5)
+            bs.fit_heat_coefficients(ts, np.ones(10), 2)
 
     def test_disc_fit_against_closed_forms(self):
         theta = 0.5
-        samples = bs.geometric_samples(theta, 2, 100.0)
-        fit = bs.fit_heat_coefficients(samples, 2)
+        values, _ = bs.heat_trace(theta, 2, bs.T_GRID, 100.0)
+        fit = bs.fit_heat_coefficients(bs.T_GRID, values, 2)
         a1_target = math.sqrt(math.pi) / 2 * (math.cosh(theta) - 1.0)
         assert abs(fit.coeffs[1] - a1_target) / a1_target < 0.01
         assert abs(fit.coeffs[2] + 1.0 / 6.0) < 0.01
@@ -283,7 +274,7 @@ class TestFit:
 class TestModeIntegrals:
     def test_disc_gamma5_value(self):
         fam = bs.EigenvalueFamily("plus", "pos", 0, 2)
-        mu = float(bs.find_roots(fam, 0.0, 10.0).roots[0])
+        mu = float(bs.find_roots(fam, 0.0, 10.0)[0])
         expect = -0.5 / (mu - 0.5)
         assert expect == pytest.approx(-0.5350, abs=2e-4)
         out = bs.verify_mode_integrals(fam, 0.0, mu)
@@ -292,7 +283,7 @@ class TestModeIntegrals:
 
     def test_m4_third_root(self):
         fam = bs.EigenvalueFamily("plus", "pos", 1, 4)
-        mu = float(bs.find_roots(fam, 0.6, 30.0).roots[2])
+        mu = float(bs.find_roots(fam, 0.6, 30.0)[2])
         out = bs.verify_mode_integrals(fam, 0.6, mu)
         assert out["norm_residual"] < 1e-10
         assert out["gamma5_residual"] < 1e-10

@@ -1,12 +1,17 @@
+import argparse
 import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from scipy import integrate
 
-from chiralbag import cli, coefficients
+from chiralbag import ball_spectrum, cli, coefficients
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -33,6 +38,8 @@ class TestParsing:
             cli._parse_theta("")
         with pytest.raises(ValueError):
             cli._parse_theta("0:1:-0.5")
+        with pytest.raises(ValueError):  # finite ends, too many steps
+            cli._parse_theta("0:1e308:1e-308")
 
     def test_bad_m(self):
         with pytest.raises(ValueError):
@@ -92,16 +99,23 @@ class TestTable:
 
 
 def _reference_row(theta: float, m: int) -> dict:
-    """The closed forms of one table row in 50-digit mpmath, in the paper's
-    tanh^2 and -sinh^2 arguments (at |theta| = 30 the tanh^2 argument loses
-    ~26 of the 50 digits)."""
+    """The closed forms of one table row in mpmath, in the paper's tanh^2
+    and -sinh^2 arguments, at 0.87 |theta| + 40 digits: 1 - tanh^2 theta ~
+    4 e^(-2|theta|) costs the tanh^2 argument ~0.87 |theta| of them.  At
+    m = 2 the tanh^2 series is artanh(tanh theta)/tanh theta (DLMF 15.4.3),
+    and the non-terminating -sinh^2 series, which loses no digits, is taken
+    at 50: mpmath reaches both only slowly next to the overflow edge."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
+    with mp.workdps(40 + int(0.87 * abs(theta))):
         x = mp.mpf(theta)
         sh, ch, th = mp.sinh(x), mp.cosh(x), mp.tanh(x)
         k = mp.mpf(m)
-        f_tanh = mp.hyp2f1(1, (k - 1) / 2, 1.5, th ** 2)
-        f2 = mp.hyp2f1(0.5, (k + 1) / 2, 1.5, -sh ** 2)
+        if m == 2 and theta:
+            f_tanh = mp.atanh(th) / th
+        else:
+            f_tanh = mp.hyp2f1(1, (k - 1) / 2, 1.5, th ** 2)
+        with mp.workdps(50):
+            f2 = mp.hyp2f1(0.5, (k + 1) / 2, 1.5, -sh ** 2)
         poly_3half = mp.hyp2f1(1, 1 - k / 2, 1.5, -sh ** 2)
         d4 = -th / 2 + (k - 1) / 2 * sh * ch ** (m - 2) * f2
         pref = 2 ** (m // 2) / (2 ** m * mp.gamma(k / 2))
@@ -121,10 +135,12 @@ def _reference_row(theta: float, m: int) -> dict:
 
 class TestClosedFormRow:
     THETAS = tuple(5.0 * k for k in range(-6, 7))
+    # just inside the last |theta| whose row fits the float range
+    EDGES = {2: 709.7, 4: 237.0, 6: 142.4, 8: 101.9, 10: 79.3, 12: 65.0}
 
     @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
     def test_against_mpmath(self, m):
-        for theta in self.THETAS:
+        for theta in self.THETAS + (self.EDGES[m], -self.EDGES[m]):
             row = cli._row(theta, m)
             for key, want in _reference_row(theta, m).items():
                 scaled = abs(row[key] - want) / max(1, abs(want))
@@ -158,12 +174,13 @@ class TestClosedFormRow:
 
     @pytest.mark.parametrize("command", ("table", "coeffs",
                                          "verify-identities"))
-    @pytest.mark.parametrize("m,theta", (("2", "800"), ("4", "180"),
+    @pytest.mark.parametrize("m,theta", (("2", "800"), ("4", "240"),
                                          ("12", "70")))
     def test_overflow_exit_2(self, tmp_path, capsys, command, m, theta):
         path = tmp_path / "report"
-        code = cli.main([command, "--m", m, "--theta", theta,
-                         "--format", "json", "--out", str(path)])
+        fmt = [] if command == "coeffs" else ["--format", "json"]
+        code = cli.main([command, "--m", m, "--theta", theta, *fmt,
+                         "--out", str(path)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -278,6 +295,21 @@ class TestVerifyCommands:
         assert row["theta"] == 4.0
         assert abs(row["a1_fit"] / row["a1_closed"] - 1.0) < 1e-4
 
+    def test_ball_one_spectrum_per_row(self, capsys, monkeypatch):
+        # each row solves its spectrum once, and a repeated row solves it
+        # again: nothing is cached between rows
+        solved = []
+        roots = ball_spectrum._roots
+
+        def spy(levels, ratios, theta, mu_max):
+            solved.append(theta)
+            return roots(levels, ratios, theta, mu_max)
+        monkeypatch.setattr(ball_spectrum, "_roots", spy)
+        code, _ = run(capsys, "verify-ball", "--m", "2",
+                      "--theta", "0.5,0.5")
+        assert code == 0
+        assert solved == [0.5, 0.5]
+
     def test_ball_too_many_levels_exit_2(self, tmp_path, capsys):
         path = tmp_path / "report"
         code = cli.main(["verify-ball", "--m", "2", "--theta", "10",
@@ -310,6 +342,92 @@ def test_csv_matches_json(capsys, argv):
                 assert float(got) == row[key]
             else:
                 assert got == str(row[key])
+
+
+# a cheap command line for each subcommand
+COMMANDS = {
+    "coeffs": ("--m", "2", "--theta", "0.5"),
+    "table": ("--m", "2", "--theta", "0.5"),
+    "verify-ball": ("--m", "2", "--theta", "0.5"),
+    "verify-cylinder": ("--m", "2", "--theta", "0.5", "--omega", "1.3",
+                        "--t", "0.25", "--s", "2.5"),
+    "verify-identities": ("--m", "2", "--theta", "0.5"),
+}
+
+
+class _ReadLog(argparse.Namespace):
+    """Parsed arguments that record which of them a handler reads."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.__dict__["_read"] = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestFlags:
+    def test_every_command_listed(self):
+        ap = cli.build_parser()
+        sub = next(a for a in ap._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_flag_is_read(self, tmp_path, command):
+        args = cli.build_parser().parse_args(
+            [command, *COMMANDS[command], "--out", str(tmp_path / "r")])
+        flags = set(vars(args)) - {"command", "func"}
+        log = _ReadLog(**vars(args))
+        args.func(log)
+        assert flags <= log._read, flags - log._read
+
+    def test_verify_ball_flags(self):
+        args = cli.build_parser().parse_args(["verify-ball"])
+        assert set(vars(args)) - {"command", "func"} == {
+            "m", "theta", "format", "out", "mu_max"}
+
+    def test_coeffs_has_no_format(self, capsys):
+        assert cli.main(["coeffs", "--format", "json"]) == 2
+
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("command,flag,text", (
+        ("coeffs", "--theta", "{}"),
+        ("table", "--theta", "0,{}"),
+        ("table", "--theta", "0:{}:1"),
+        ("table", "--theta", "0:1:{}"),
+        ("verify-ball", "--theta", "{}"),
+        ("verify-ball", "--mu-max", "{}"),
+        ("verify-cylinder", "--theta", "{}"),
+        ("verify-cylinder", "--omega", "1,{}"),
+        ("verify-cylinder", "--t", "{}"),
+        ("verify-cylinder", "--s", "{}"),
+        ("verify-cylinder", "--tol", "{}"),
+        ("verify-identities", "--tol", "{}")))
+    def test_non_finite_exit_2(self, tmp_path, capsys, command, flag, text,
+                               value):
+        path = tmp_path / "report"
+        code = cli.main([command, *COMMANDS[command],
+                         f"{flag}={text.format(value)}", "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err and value in err
+        assert not path.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The `chiralbag ...` lines of the README Command line block."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```", 2)[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("chiralbag ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
+def test_readme_command_line(capsys, argv):
+    assert cli.main(argv) == 0
 
 
 class TestErrors:
