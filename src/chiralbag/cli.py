@@ -13,6 +13,9 @@ pinned.  A row passes when a1 is within 1% of the closed form (A1_RTOL in
 this module; where a1 vanishes, within 3 fit errors of 0) and a2 within
 0.01 (A2_ATOL).  Its one numerical flag is the eigenvalue cutoff --mu-max.
 
+A --theta range start:stop:step holds at most 10^6 points
+(MAX_THETA_POINTS); a longer one is a configuration error naming its count.
+
 Exit status: 0 all residuals within tolerance, 1 tolerance failure (report
 still written), 2 configuration error (nan or inf in any float flag too),
 overflow or numerical failure (an insufficient cutoff, a failed root solve,
@@ -25,6 +28,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -39,6 +43,8 @@ from .coefficients import universal_constants
 # verify-ball pass bounds on the fitted a1 (relative) and a2 (absolute)
 A1_RTOL = 0.01
 A2_ATOL = 0.01
+# the most points a --theta start:stop:step range may hold
+MAX_THETA_POINTS = 10 ** 6
 
 
 def _fmt(x: float) -> str:
@@ -77,6 +83,10 @@ def _parse_theta(text: str) -> list[float]:
         n = int(math.floor(span + 1e-9)) + 1
         if n < 1:
             raise ValueError("empty theta range")
+        if n > MAX_THETA_POINTS:  # argparse prints this message
+            raise argparse.ArgumentTypeError(
+                f"theta range {text!r} has {n} points, more than "
+                f"{MAX_THETA_POINTS}")
         return [start + k * step for k in range(n)]
     return _finite_list(text)
 
@@ -94,7 +104,8 @@ def _parse_m(text: str) -> list[int]:
 def _row(theta: float, m: int) -> dict:
     """Every constant at (theta, m); OverflowError past the float range."""
     with contextlib.suppress(OverflowError):
-        row = dataclasses.asdict(universal_constants(theta, m))
+        uc = universal_constants(theta, m)
+        row = {f.name: getattr(uc, f.name) for f in dataclasses.fields(uc)}
         if all(map(math.isfinite, row.values())):
             return row
     raise OverflowError(f"constants overflow at theta={theta}, m={m}")
@@ -227,7 +238,10 @@ def _report_text(rows: list[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; its defaults
+    are tuples, so no call can change what the next one parses."""
     ap = argparse.ArgumentParser(
         prog="chiralbag",
         description="Boundary heat-kernel constants for chiral bag "
@@ -237,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, text, report=True):
         p = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
-        p.add_argument("--m", type=_parse_m, default=[2],
+        p.add_argument("--m", type=_parse_m, default=(2,),
                        help="comma list of even dimensions in [2, 12]")
-        p.add_argument("--theta", type=_parse_theta, default=[0.0],
+        p.add_argument("--theta", type=_parse_theta, default=(0.0,),
                        help="comma list or start:stop:step")
         if report:  # the commands that write through _report_text
             p.add_argument("--format", choices=("csv", "json"),
@@ -257,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     vc = command("verify-cylinder", cmd_verify_cylinder,
                  "kernel identity checks")
-    vc.add_argument("--omega", type=_finite_list, default=[0.5, 1.3, 2.0])
-    vc.add_argument("--t", type=_finite_list, default=[0.1, 0.25])
-    vc.add_argument("--s", type=_finite_list, default=[1.5, 2.5])
+    vc.add_argument("--omega", type=_finite_list, default=(0.5, 1.3, 2.0))
+    vc.add_argument("--t", type=_finite_list, default=(0.1, 0.25))
+    vc.add_argument("--s", type=_finite_list, default=(1.5, 2.5))
     vc.add_argument("--tol", type=_finite, default=1e-8)
 
     vi = command("verify-identities", cmd_verify_identities,

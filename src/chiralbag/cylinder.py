@@ -11,6 +11,7 @@ identities and the t-integral closed form by quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -55,14 +56,18 @@ class ModeKernel:
     exp(-omega^2 t)/sqrt(4 pi t) stripped, as free + image + boundary parts.
 
     All evaluators accept an optional t override so finite-difference checks
-    in t reuse the same object.
+    in t reuse the same object.  Pi+ Pi+* is built on first use, by the
+    boundary part only.
     """
 
     def __init__(self, params: ModeParams):
         self.params = params
-        self._bmat = 2.0 / math.cosh(params.theta) ** 2 * \
-            pi_plus_product(params.rep, params.theta)
         self._eye = np.eye(params.rep.d_s)
+
+    @functools.cached_property
+    def pi_plus_product(self) -> np.ndarray:
+        """Pi+ Pi+*, checked against its closed form (clifford)."""
+        return pi_plus_product(self.params.rep, self.params.theta)
 
     # -- scalar pieces ----------------------------------------------------
 
@@ -120,9 +125,11 @@ class ModeKernel:
         for boundary; "full" is the sum of all three."""
         pieces = {
             "free": (self.free_scalar, self.free_scalar_dx, self._eye),
-            "image": (self.image_scalar, self.image_scalar_dx, self._eye),
-            "boundary": (self.boundary_scalar, self.boundary_scalar_dx,
-                         self._bmat)}
+            "image": (self.image_scalar, self.image_scalar_dx, self._eye)}
+        if part in ("boundary", "full"):
+            pieces["boundary"] = (
+                self.boundary_scalar, self.boundary_scalar_dx,
+                2.0 / math.cosh(self.params.theta) ** 2 * self.pi_plus_product)
         if part == "full":
             return tuple(pieces.values())
         if part not in pieces:
@@ -215,12 +222,12 @@ def _window(params: ModeParams) -> float:
     return X
 
 
-def _integrated(params: ModeParams, part: str, f: np.ndarray) -> np.ndarray:
+def _integrated(kernel: ModeKernel, part: str, f: np.ndarray) -> np.ndarray:
     """int_0^X f [P_x U_part] dx / sqrt(4 pi t) over the tail-bounded window
     [0, X]: (omega S0 f gt gm + S1 f gm) M / sqrt(4 pi t), where S0 and S1
     integrate the part's scalar and its x-derivative and M is its matrix."""
-    integrand = DiracApplied(params, ModeKernel(params), part=part,
-                             f_matrix=f)
+    params = kernel.params
+    integrand = DiracApplied(params, kernel, part=part, f_matrix=f)
     return integrand.integral(0.0, _window(params)) / \
         math.sqrt(4.0 * math.pi * params.t)
 
@@ -236,7 +243,7 @@ def check_U1_integral(params: ModeParams,
     rep = params.rep
     f = np.eye(rep.d_s) if f_matrix is None else np.asarray(f_matrix,
                                                             dtype=complex)
-    lhs = _integrated(params, "image", f)
+    lhs = _integrated(ModeKernel(params), "image", f)
     gm, gt = rep.gamma_m, rep.gamma_tilde
     rhs = 0.5 / math.sqrt(4.0 * math.pi * params.t) * f @ gm \
         + 0.25 * params.omega * f @ gm @ gt
@@ -256,11 +263,12 @@ def check_U2_integral(params: ModeParams,
     rep = params.rep
     f = np.eye(rep.d_s) if f_matrix is None else np.asarray(f_matrix,
                                                             dtype=complex)
-    lhs = _integrated(params, "boundary", f)
+    kernel = ModeKernel(params)
+    lhs = _integrated(kernel, "boundary", f)
     t, omega = params.t, params.omega
     b = omega * math.tanh(params.theta)
     E = erfcx(-math.sqrt(t) * b)
-    pp = pi_plus_product(rep, params.theta)
+    pp = kernel.pi_plus_product
     gm, gt = rep.gamma_m, rep.gamma_tilde
     pref = 0.5 / math.cosh(params.theta) ** 2
     rhs = -pref * f @ gm @ pp * (1.0 / math.sqrt(math.pi * t) + b * E) \

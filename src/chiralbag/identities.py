@@ -4,13 +4,16 @@ coincide with the cylinder route, c7 is a fixed quotient of c2 away from m=2,
 and the finite 2F1 sums agree with Euler's integral for the paper's
 non-terminating 2F1.  These checks depend only on the special-function
 layer, so they isolate hypergeometric bugs from spectral-numerics bugs.
+Every check takes one GridPoint: the constants record of its (theta, m)
+and the two Euler integrals the checks compare against.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from .coefficients import universal_constants
+from .coefficients import UniversalConstants, universal_constants
 from .specialfn import hyp2f1, hyp2f1_euler
 
 
@@ -22,44 +25,62 @@ def _scaled(diff: float, *values: float) -> float:
     return diff / max(1.0, *(abs(v) for v in values))
 
 
-def check_ball_cylinder_d1(theta: float, m: int) -> float:
+@dataclass(frozen=True)
+class GridPoint:
+    """What the checks share at one (theta, m): the constants record and
+    the only two Euler integrals they use, E+ = 2F1(1/2, (m+1)/2; 3/2;
+    -sinh^2 theta) and E- = 2F1(1/2, (m-1)/2; 3/2; -sinh^2 theta)."""
+    constants: UniversalConstants
+    euler_plus: float
+    euler_minus: float
+
+
+def grid_point(theta: float, m: int) -> GridPoint:
+    """The constants and both Euler integrals at (theta, m), each once."""
+    return GridPoint(universal_constants(theta, m),
+                     hyp2f1_euler((m + 1) / 2, theta),
+                     hyp2f1_euler((m - 1) / 2, theta))
+
+
+def check_ball_cylinder_d1(point: GridPoint) -> float:
     """Scaled |d1(ball form) - d1(cylinder form)|, the ball form being
     -c6/2."""
-    uc = universal_constants(theta, m)
+    uc = point.constants
     ball = -0.5 * uc.c6
     return _scaled(abs(ball - uc.d1), ball)
 
 
-def check_ball_cylinder_d2(theta: float, m: int) -> float:
+def check_ball_cylinder_d2(point: GridPoint) -> float:
     """Max scaled residual of the d2 ball/cylinder comparison, the ball form
     being -c5/2, and of the underlying hypergeometric identity, its right
-    side by Euler's integral,
+    side by Euler's integral (E+),
 
       cosh^2 t 2F1(1, 1-m/2; 1/2; -sinh^2 t)
         = 1 + (m-1) sinh^2 t cosh^{m-1} t 2F1(1/2, (m+1)/2; 3/2; -sinh^2 t).
     """
-    uc = universal_constants(theta, m)
+    uc = point.constants
+    m = uc.m
     ball = -0.5 * uc.c5
-    sh, ch = math.sinh(theta), math.cosh(theta)
+    sh, ch = math.sinh(uc.theta), math.cosh(uc.theta)
     lhs = ch * ch * hyp2f1(1.0, 1 - m / 2, 0.5, -sh * sh)
-    rhs = 1.0 + (m - 1) * sh * sh * ch ** (m - 1) * \
-        hyp2f1_euler((m + 1) / 2, theta)
+    rhs = 1.0 + (m - 1) * sh * sh * ch ** (m - 1) * point.euler_plus
     return max(_scaled(abs(ball - uc.d2), ball),
                _scaled(abs(lhs - rhs), lhs))
 
 
-def check_c7_relation(theta: float, m: int) -> float:
+def check_c7_relation(point: GridPoint) -> float:
     """Scaled |c7 + (m-1)/(m-2) (c2 + 1/6)|; the quotient form needs
     m >= 4."""
+    uc = point.constants
+    m = uc.m
     if m < 4:
         raise ValueError("the c7/c2 quotient form requires m >= 4; "
                          "use the explicit c7 at m=2")
-    uc = universal_constants(theta, m)
     return _scaled(abs(uc.c7 + (m - 1) / (m - 2) * (uc.c2 + 1.0 / 6.0)),
                    uc.c7)
 
 
-def check_alternate_forms(theta: float, m: int) -> float:
+def check_alternate_forms(point: GridPoint) -> float:
     """Max residual between c2, c7 as built by universal_constants (the
     terminating -sinh^2 form, theta coth theta at m=2) and the paper's
     tanh^2-argument forms
@@ -68,25 +89,29 @@ def check_alternate_forms(theta: float, m: int) -> float:
       c7 = -[1 - 2F1(1, (m-1)/2; 3/2; tanh^2 t)] / 2,
 
     the 2F1 taken by Pfaff's transformation as cosh^{m-1} t times
-    2F1(1/2, (m-1)/2; 3/2; -sinh^2 t), by Euler's integral.
+    2F1(1/2, (m-1)/2; 3/2; -sinh^2 t), by Euler's integral (E-).
     """
-    uc = universal_constants(theta, m)
-    g = math.cosh(theta) ** (m - 1) * hyp2f1_euler((m - 1) / 2, theta)
+    uc = point.constants
+    m = uc.m
+    g = math.cosh(uc.theta) ** (m - 1) * point.euler_minus
     c2_alt = ((2 * m - 5) / 3.0 + (2 - m) * g) / (2.0 * (m - 1))
     c7_alt = -0.5 * (1.0 - g)
     return max(_scaled(abs(uc.c2 - c2_alt), uc.c2),
                _scaled(abs(uc.c7 - c7_alt), uc.c7))
 
 
-def check_evaluation_paths(theta: float, m: int) -> float:
+def check_evaluation_paths(point: GridPoint) -> float:
     """Scaled |2F1(1, b; 3/2; -sinh^2 t) - cosh^{1-2b} t 2F1(1/2, 3/2-b; 3/2;
     -sinh^2 t)| (Euler's transformation): the polynomial of c6, d1 (b =
-    1-m/2) and of c2 (b = 2-m/2, m >= 4) against Euler's integral."""
+    1-m/2, whose Euler integral is E+) and of c2 (b = 2-m/2, m >= 4, E-)
+    against Euler's integral."""
+    theta, m = point.constants.theta, point.constants.m
     sh, ch = math.sinh(theta), math.cosh(theta)
+    paths = ((1 - m / 2, point.euler_plus), (2 - m / 2, point.euler_minus))
     worst = 0.0
-    for b in (1 - m / 2, 2 - m / 2) if m >= 4 else (1 - m / 2,):
+    for b, euler in paths if m >= 4 else paths[:1]:
         direct = hyp2f1(1.0, b, 1.5, -sh * sh)
-        via = ch ** (1 - 2 * b) * hyp2f1_euler(1.5 - b, theta)
+        via = ch ** (1 - 2 * b) * euler
         worst = max(worst, _scaled(abs(direct - via), direct))
     return worst
 
@@ -96,25 +121,30 @@ GRID_MS = (2, 4, 6, 8, 10, 12)
 
 
 def grid_report(thetas=GRID_THETAS, ms=GRID_MS) -> dict:
-    """Max residual of each identity over the (theta, m) grid, the c7
-    quotient from m = 4; OverflowError naming theta and m on overflow."""
+    """Max residual of each identity over the (theta, m) grid, every check
+    at a point sharing one GridPoint.  The c7 quotient runs from m = 4 and
+    has no entry when no m reaches 4.  OverflowError naming theta and m
+    on overflow."""
     checks = {"ball_cylinder_d1": check_ball_cylinder_d1,
               "ball_cylinder_d2": check_ball_cylinder_d2,
               "c7_relation": check_c7_relation,
               "alternate_forms": check_alternate_forms,
               "evaluation_paths": check_evaluation_paths}
-    out = dict.fromkeys(checks, 0.0)
+    out = {name: 0.0 for name in checks
+           if name != "c7_relation" or any(m >= 4 for m in ms)}
     for m in ms:
         for theta in thetas:
-            for name, check in checks.items():
-                if name == "c7_relation" and m < 4:
-                    continue
-                try:
-                    r = check(float(theta), m)
-                except OverflowError:
-                    r = math.inf
-                if not math.isfinite(r):
-                    raise OverflowError(
-                        f"{name} overflows at theta={theta}, m={m}")
-                out[name] = max(out[name], r)
+            name = "grid_point"  # the step an overflow is reported at
+            try:
+                point = grid_point(float(theta), m)
+                for name, check in checks.items():
+                    if name == "c7_relation" and m < 4:
+                        continue
+                    r = check(point)
+                    if not math.isfinite(r):
+                        raise OverflowError
+                    out[name] = max(out[name], r)
+            except OverflowError:
+                raise OverflowError(
+                    f"{name} overflows at theta={theta}, m={m}") from None
     return out

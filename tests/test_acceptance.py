@@ -63,8 +63,9 @@ def test_03_ball_cylinder_consistency():
     worst = 0.0
     for m in MS:
         for theta in THETA_GRID:
-            worst = max(worst, idn.check_ball_cylinder_d1(theta, m),
-                        idn.check_ball_cylinder_d2(theta, m))
+            point = idn.grid_point(theta, m)
+            worst = max(worst, idn.check_ball_cylinder_d1(point),
+                        idn.check_ball_cylinder_d2(point))
     _report(3, "ball vs cylinder eta constants", worst < 1e-11,
             f"max scaled residual = {worst:.3e}")
 
@@ -73,7 +74,8 @@ def test_04_c7_quotient():
     worst = 0.0
     for m in MS[1:]:
         for theta in THETA_GRID:
-            worst = max(worst, idn.check_c7_relation(theta, m))
+            worst = max(worst,
+                        idn.check_c7_relation(idn.grid_point(theta, m)))
     _report(4, "c7/c2 quotient relation, m >= 4", worst < 1e-12,
             f"max scaled residual = {worst:.3e}")
 
@@ -129,8 +131,8 @@ def test_07_special_function_oracles():
     paths_worst = 0.0
     for m in MS:
         for theta in (0.5, 1.0, 2.0):
-            paths_worst = max(paths_worst,
-                              idn.check_evaluation_paths(theta, m))
+            paths_worst = max(paths_worst, idn.check_evaluation_paths(
+                idn.grid_point(theta, m)))
     _report(7, "2F1 evaluation-path oracle", paths_worst < 1e-12,
             f"2F1 path residual={paths_worst:.3e}")
 

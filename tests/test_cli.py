@@ -3,7 +3,9 @@ import csv
 import io
 import json
 import math
+import runpy
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,22 @@ class TestParsing:
             cli._parse_theta("0:1:-0.5")
         with pytest.raises(ValueError):  # finite ends, too many steps
             cli._parse_theta("0:1e308:1e-308")
+
+    def test_theta_range_limit(self, monkeypatch):
+        assert cli.MAX_THETA_POINTS == 10 ** 6
+        monkeypatch.setattr(cli, "MAX_THETA_POINTS", 10)
+        assert len(cli._parse_theta("0:9:1")) == 10
+        with pytest.raises(argparse.ArgumentTypeError, match="has 11 points"):
+            cli._parse_theta("0:10:1")
+
+    def test_huge_theta_range_exit_2(self, tmp_path, capsys):
+        # refused from its count alone: the list is never built
+        path = tmp_path / "report"
+        code = cli.main(["table", "--theta", "0:1:1e-12",
+                         "--out", str(path)])
+        assert code == 2
+        assert "1000000000001 points" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_bad_m(self):
         with pytest.raises(ValueError):
@@ -248,6 +266,17 @@ class TestVerifyCommands:
         assert code == 1
         assert "False" in out  # report still written
 
+    def test_identities_c7_row_needs_m_from_4(self, capsys):
+        # the c7 quotient is skipped at m = 2, so no row reports it
+        code, out = run(capsys, "verify-identities", "--m", "2",
+                        "--theta", "0.5")
+        assert code == 0
+        assert "c7_relation" not in out
+        code, out = run(capsys, "verify-identities", "--m", "2,4",
+                        "--theta", "0.5")
+        assert code == 0
+        assert "c7_relation" in out
+
     def test_identities_whole_theta_line(self, capsys):
         code, out = run(capsys, "verify-identities", "--m", "2,4,6,8,10,12",
                         "--theta", "-40:40:2.5")
@@ -415,6 +444,52 @@ class TestFlags:
         err = capsys.readouterr().err
         assert f"argument {flag}: invalid" in err and value in err
         assert not path.exists()
+
+
+class TestParserCache:
+    @pytest.fixture
+    def fresh_cache(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_built_once(self, monkeypatch, capsys, fresh_cache):
+        # each run of the body adds the subcommands once
+        built = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            return add_subparsers(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+        for _ in range(3):
+            assert run(capsys, "table", *COMMANDS["table"])[0] == 0
+            assert run(capsys, "table", "--m", "3")[0] == 2
+        assert len(built) == 1
+
+    def test_calls_do_not_leak(self, tmp_path, capsys):
+        # a flag given to one call leaves the defaults of the next as they
+        # were: its report equals that of a freshly built parser
+        first, second, fresh = (tmp_path / name for name in "abc")
+        assert cli.main(["verify-cylinder", "--omega", "1.0",
+                         "--out", str(first)]) == 0
+        assert cli.main(["verify-cylinder", "--out", str(second)]) == 0
+        args = cli.build_parser.__wrapped__().parse_args(
+            ["verify-cylinder", "--out", str(fresh)])
+        assert args.func(args) == 0
+        assert second.read_text() == fresh.read_text()
+        assert first.read_text() != second.read_text()
+        # an argparse error after a successful call is still exit 2
+        assert cli.main(["verify-cylinder", "--m", "3"]) == 2
+        assert "argument --m: invalid" in capsys.readouterr().err
+
+
+def test_python_m_chiralbag(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["chiralbag", "table", "--theta", "0.5"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("chiralbag", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("theta,m,c1,")
 
 
 def _readme_commands() -> list[list[str]]:

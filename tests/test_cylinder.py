@@ -142,7 +142,7 @@ class TestU2Integral:
         # at theta=0 the closed form collapses to
         # -1/2 f gm Pi+Pi+* / sqrt(pi t) - omega/2 f gm gt Pi+Pi+*
         p = params(rep2, theta=0.0)
-        lhs = cy._integrated(p, "boundary", np.eye(rep2.d_s))
+        lhs = cy._integrated(cy.ModeKernel(p), "boundary", np.eye(rep2.d_s))
         pp = pi_plus_product(rep2, 0.0)
         gm, gt = rep2.gamma_m, rep2.gamma_tilde
         rhs = -0.5 / math.sqrt(math.pi * p.t) * gm @ pp \
@@ -172,6 +172,21 @@ class TestQuadratureCount:
             assert check(p) < 1e-13
             assert len(calls) == 2
 
+
+def test_one_pi_plus_product_per_U_row(monkeypatch, rep4):
+    # the image part needs no Pi+ Pi+*; U2 builds it once for its boundary
+    # part and reuses it on the right side
+    built = []
+
+    def spy(rep, theta):
+        built.append(theta)
+        return pi_plus_product(rep, theta)
+    monkeypatch.setattr(cy, "pi_plus_product", spy)
+    p = params(rep4)
+    assert cy.check_U1_integral(p) < 1e-13
+    assert built == []
+    assert cy.check_U2_integral(p) < 1e-13
+    assert built == [p.theta]
 
 class TestTIntegral:
     def test_theta_zero(self):
