@@ -3,10 +3,10 @@
 Eigenvalues of the Dirac operator under chiral bag conditions are the
 positive roots mu of J_{p+1}(mu) = r J_p(mu), with p = n + m/2 - 1 and a
 family-dependent ratio r in {+e^t, -e^t, -e^-t, +e^-t}.  This module locates
-the roots, assembles the truncated heat trace with the exact degeneracies,
-fits the small-t asymptotics against the basis t^((n-m)/2), and verifies the
-closed forms for the radial normalization constant and the chirality
-expectation value by quadrature.
+the roots, assembles the truncated heat trace with the exact degeneracies
+and fits the small-t asymptotics against the basis t^((n-m)/2), which is
+what verify-ball reports.  The tests check the closed forms for the radial
+normalization constant and the chirality expectation value at these roots.
 
 The roots solve arctan R_p(mu) = arctan r, R_p = J_{p+1}/J_p, which rises
 monotonically from -pi/2 to pi/2 between consecutive zeros of J_p and from 0
@@ -23,14 +23,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy import special as _sp
 
 from .coefficients import ball_volume, spinor_dimension
-from .specialfn import bessel_j
 
 # largest Newton correction |g / g'| / mu left at a returned root, where
 # g = arctan R_p(mu) - arctan r: the phase residual in units of the root
@@ -48,45 +46,8 @@ class InsufficientCutoffError(RuntimeError):
     """Heat-trace truncation bound exceeds the requested accuracy."""
 
 
-class OffShellError(ValueError):
-    """A mode integral was requested at a non-eigenvalue mu."""
-
-
 class IllConditionedFitError(RuntimeError):
     pass
-
-
-Chirality = Literal["plus", "minus"]  # the (+-) superscript of the family
-Sign = Literal["pos", "neg"]          # the +- eigenvalue branch
-
-
-@dataclass(frozen=True)
-class EigenvalueFamily:
-    chirality: Chirality
-    sign: Sign
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if self.m % 2 or self.m < 2:
-            raise ValueError("m must be even and >= 2")
-
-    @property
-    def p(self) -> int:
-        return self.n + self.m // 2 - 1
-
-    def ratio(self, theta: float) -> float:
-        """The ratio r in the eigenvalue condition J_{p+1} = r J_p."""
-        if self.chirality == "plus":
-            return math.exp(theta) if self.sign == "pos" else -math.exp(theta)
-        return -math.exp(-theta) if self.sign == "pos" else math.exp(-theta)
-
-
-def all_families(m: int, n: int) -> list[EigenvalueFamily]:
-    return [EigenvalueFamily(chi, sgn, n, m)
-            for chi in ("plus", "minus") for sgn in ("pos", "neg")]
 
 
 def degeneracy(n: int, m: int) -> int:
@@ -113,10 +74,6 @@ def _jp_zeros_past(p: int, mu_max: float) -> np.ndarray:
         nt += max(4, nt // 2)
         zs = _sp.jn_zeros(p, nt)
     return zs[:np.searchsorted(zs, mu_max, side="right") + 1]
-
-
-def _condition(p: int, r: float, mu):
-    return bessel_j(p + 1, mu) - r * bessel_j(p, mu)
 
 
 def _phase(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -191,14 +148,6 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     return p[keep], roots[keep]
 
 
-def find_roots(family: EigenvalueFamily, theta: float,
-               mu_max: float) -> np.ndarray:
-    """All roots of the family's eigenvalue condition in (0, mu_max],
-    ascending, from the same brackets and solve as the whole spectrum."""
-    return _roots(np.array([family.p]), [family.ratio(theta)], theta,
-                  mu_max)[1]
-
-
 @dataclass(frozen=True)
 class AsymptoticFit:
     coeffs: np.ndarray  # a_0 .. a_K
@@ -208,13 +157,16 @@ class AsymptoticFit:
     # coefficient when the nuisance depth grows from K to K+1.  The rms
     # misfit alone understates coefficient errors, because the neglected
     # higher-order terms are smooth and partially absorbed by the basis.
-    coeff_errors: np.ndarray = None
+    coeff_errors: np.ndarray
 
 
 def spectrum(theta: float, m: int, mu_max: float) -> tuple:
     """Sorted eigenvalue array and matching degeneracy weights for all four
     families, every angular level whose root floor lies below mu_max."""
-    ratios = [fam.ratio(theta) for fam in all_families(m, 0)]
+    # r of J_{p+1} = r J_p for (chirality, branch) = (+, pos), (+, neg),
+    # (-, pos), (-, neg)
+    ratios = (math.exp(theta), -math.exp(theta), -math.exp(-theta),
+              math.exp(-theta))
     p0 = m // 2 - 1
     # last level p with _level_floor(p) <= mu_max, one spare for rounding
     n_levels = mu_max / _level_floor(0, theta) - p0 + 1
@@ -321,62 +273,3 @@ def fit_heat_coefficients(ts: Sequence[float], values: Sequence[float],
     return AsymptoticFit(coeffs=np.concatenate([[a0], coef]),
                          residual=resid, condition_estimate=cond,
                          coeff_errors=np.concatenate([[0.0], errors]))
-
-
-def _norm_closed_form(p: int, mu: float) -> float:
-    """1/C^2 from the Bessel-quadratic closed form; bessel_j gives
-    J_{-1} = -J_1 at p = 0."""
-    jp = bessel_j(p, mu)
-    jp1 = bessel_j(p + 1, mu)
-    jm1 = bessel_j(p - 1, mu)
-    jp2 = bessel_j(p + 2, mu)
-    return 0.5 * (jp * jp + jp1 * jp1 - jm1 * jp1 - jp * jp2)
-
-
-def _norm_simplified(family: EigenvalueFamily, theta: float,
-                     mu: float) -> float:
-    """1/C^2 from the on-shell simplified normalization constants."""
-    p, r = family.p, family.ratio(theta)
-    # C_+- carries -+(2p+1)e^(+-theta) on the (+) branch and the opposite
-    # sign on the (-) branch: -(2p+1) r in every family
-    return bessel_j(p, mu) ** 2 * (mu + mu * r * r - (2 * p + 1) * r) / mu
-
-
-def _gamma5_closed_form(family: EigenvalueFamily, theta: float,
-                        mu: float) -> float:
-    p = family.p
-    ch = math.cosh(theta)
-    branch = 1.0 if family.chirality == "plus" else -1.0
-    shift = branch * (p + 0.5) / ch
-    if family.sign == "pos":
-        return -0.5 / (ch * (mu - shift))
-    return 0.5 / (ch * (mu + shift))
-
-
-def verify_mode_integrals(family: EigenvalueFamily, theta: float,
-                          mu: float) -> dict:
-    """Check the closed forms for the radial normalization constant and the
-    chirality expectation value against adaptive quadrature at an eigenvalue
-    mu of the family."""
-    p = family.p
-    r = family.ratio(theta)
-    if abs(_condition(p, r, mu)) > 1e-9:
-        raise OffShellError(
-            f"mu={mu} is not an eigenvalue of the family (residual "
-            f"{abs(_condition(p, r, mu)):.3e})")
-    norm_quad, _ = integrate.quad(
-        lambda x: x * (bessel_j(p + 1, mu * x) ** 2
-                       + bessel_j(p, mu * x) ** 2),
-        0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    closed = _norm_closed_form(p, mu)
-    simplified = _norm_simplified(family, theta, mu)
-    norm_residual = max(abs(norm_quad - closed), abs(norm_quad - simplified))
-    diff_quad, _ = integrate.quad(
-        lambda x: x * (bessel_j(p + 1, mu * x) ** 2
-                       - bessel_j(p, mu * x) ** 2),
-        0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    orientation = 1.0 if family.chirality == "plus" else -1.0
-    gamma5_quad = orientation * diff_quad / norm_quad
-    gamma5_residual = abs(gamma5_quad - _gamma5_closed_form(family, theta, mu))
-    return {"norm_residual": norm_residual,
-            "gamma5_residual": gamma5_residual}

@@ -54,17 +54,19 @@ def _fmt(x: float) -> str:
 
 
 def _finite(text: str) -> float:
-    """The parser of every float flag value: nan and inf are refused."""
+    """The parser of every float flag value: nan and inf are refused (as
+    ArgumentTypeError, whose message argparse prints)."""
     x = float(text)
     if not math.isfinite(x):
-        raise ValueError(f"not a finite number: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: not a finite number")
     return x
 
 
 def _finite_list(text: str) -> list[float]:
     vals = [_finite(v) for v in text.split(",") if v.strip()]
     if not vals:
-        raise ValueError("empty list")
+        raise argparse.ArgumentTypeError(f"invalid list {text!r}: empty")
     return vals
 
 
@@ -72,18 +74,21 @@ def _parse_theta(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError(f"theta range must be start:stop:step, "
-                             f"got {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"invalid theta range {text!r}: not start:stop:step")
         start, stop, step = (_finite(p) for p in parts)
         if step <= 0:
-            raise ValueError("theta step must be positive")
+            raise argparse.ArgumentTypeError(
+                f"invalid theta range {text!r}: step must be positive")
         span = (stop - start) / step
         if not math.isfinite(span):
-            raise ValueError(f"theta range {text!r} is too long")
+            raise argparse.ArgumentTypeError(
+                f"invalid theta range {text!r}: too long")
         n = int(math.floor(span + 1e-9)) + 1
         if n < 1:
-            raise ValueError("empty theta range")
-        if n > MAX_THETA_POINTS:  # argparse prints this message
+            raise argparse.ArgumentTypeError(
+                f"invalid theta range {text!r}: empty")
+        if n > MAX_THETA_POINTS:
             raise argparse.ArgumentTypeError(
                 f"theta range {text!r} has {n} points, more than "
                 f"{MAX_THETA_POINTS}")
@@ -94,10 +99,11 @@ def _parse_theta(text: str) -> list[float]:
 def _parse_m(text: str) -> list[int]:
     ms = [int(v) for v in text.split(",") if v.strip()]
     if not ms:
-        raise ValueError("empty m list")
+        raise argparse.ArgumentTypeError(f"invalid m list {text!r}: empty")
     for m in ms:
         if m % 2 or not (2 <= m <= 12):
-            raise ValueError(f"m must be even in [2, 12], got {m}")
+            raise argparse.ArgumentTypeError(
+                f"invalid m {m}: must be even in [2, 12]")
     return ms
 
 

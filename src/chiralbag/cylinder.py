@@ -4,14 +4,15 @@ route to the eta-type boundary constants.
 For one transverse mode of frequency omega the kernel splits into a free
 Gaussian, an image Gaussian and a boundary term proportional to
 2 Pi+ Pi+* / cosh^2(theta) times a scalar involving exp(u^2) erfc(u).  This
-module evaluates the split kernel stably (scaled erfc throughout), applies
-the per-mode operator P = gt gm omega + gm d/dx, and checks the integrated
-identities and the t-integral closed form by quadrature.
+module evaluates the image and boundary scalars stably (scaled erfc
+throughout), applies the per-mode operator P = gt gm omega + gm d/dx, and
+checks by quadrature what verify-cylinder reports: the integrated identities
+and the t-integral closed form.  The tests build the whole kernel from these
+scalars and check its boundary condition and the heat equation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate
 
-from .clifford import GammaRep, chiral_projectors, pi_plus_product
+from .clifford import GammaRep, pi_plus_product
 from .specialfn import erf, erfcx, gamma_fn, hyp2f1_euler
 
 QUAD_EPS = 1e-13
@@ -51,165 +52,43 @@ class ModeParams:
             raise ValueError("t must be positive")
 
 
-class ModeKernel:
-    """The bracketed factor of the per-mode kernel, with the mode weight
-    exp(-omega^2 t)/sqrt(4 pi t) stripped, as free + image + boundary parts.
+def _image(params: ModeParams) -> tuple:
+    """The image Gaussian -e^{-eta^2/4t}, eta = x + x', of the mode kernel
+    with its weight exp(-omega^2 t)/sqrt(4 pi t) stripped, and its
+    x-derivative at fixed x', as functions of (x, x')."""
+    t = params.t
 
-    All evaluators accept an optional t override so finite-difference checks
-    in t reuse the same object.  Pi+ Pi+* is built on first use, by the
-    boundary part only.
-    """
-
-    def __init__(self, params: ModeParams):
-        self.params = params
-        self._eye = np.eye(params.rep.d_s)
-
-    @functools.cached_property
-    def pi_plus_product(self) -> np.ndarray:
-        """Pi+ Pi+*, checked against its closed form (clifford)."""
-        return pi_plus_product(self.params.rep, self.params.theta)
-
-    # -- scalar pieces ----------------------------------------------------
-
-    def _b(self) -> float:
-        return self.params.omega * math.tanh(self.params.theta)
-
-    def free_scalar(self, x: float, xp: float, t: Optional[float] = None):
-        t = self.params.t if t is None else t
-        xi = x - xp
-        return math.exp(-xi * xi / (4.0 * t))
-
-    def image_scalar(self, x: float, xp: float, t: Optional[float] = None):
-        t = self.params.t if t is None else t
+    def scalar(x: float, xp: float) -> float:
         eta = x + xp
         return -math.exp(-eta * eta / (4.0 * t))
 
-    def boundary_scalar(self, x: float, xp: float,
-                        t: Optional[float] = None):
-        """[1 + sqrt(pi t) omega tanh(theta) e^{u^2} erfc(u)] e^{-eta^2/4t},
-        evaluated as e^{-eta^2/4t} (1 + sqrt(pi t) b erfcx(u)) so the
-        exponentials never overflow."""
-        t = self.params.t if t is None else t
+    def scalar_dx(x: float, xp: float) -> float:
+        return -(x + xp) / (2.0 * t) * scalar(x, xp)
+    return scalar, scalar_dx
+
+
+def _boundary(params: ModeParams) -> tuple:
+    """The scalar of the boundary term, whose matrix is
+    2 Pi+ Pi+* / cosh^2(theta), and its x-derivative at fixed x':
+    [1 + sqrt(pi t) b e^{u^2} erfc(u)] e^{-eta^2/4t}, b = omega tanh(theta),
+    u = eta/sqrt(4t) - sqrt(t) b, evaluated with erfcx(u) = e^{u^2} erfc(u)
+    so the exponentials never overflow."""
+    t = params.t
+    b = params.omega * math.tanh(params.theta)
+
+    def scalar(x: float, xp: float) -> float:
         eta = x + xp
-        b = self._b()
         u = eta / math.sqrt(4.0 * t) - math.sqrt(t) * b
         return math.exp(-eta * eta / (4.0 * t)) * \
             (1.0 + math.sqrt(math.pi * t) * b * erfcx(u))
 
-    def boundary_scalar_dx(self, x: float, xp: float,
-                           t: Optional[float] = None):
-        """d/dx of boundary_scalar at fixed xp:
-        -e^{-eta^2/4t} [eta/2t + b + sqrt(pi t) b^2 erfcx(u)]."""
-        t = self.params.t if t is None else t
+    def scalar_dx(x: float, xp: float) -> float:
+        """-e^{-eta^2/4t} [eta/2t + b + sqrt(pi t) b^2 erfcx(u)]."""
         eta = x + xp
-        b = self._b()
         u = eta / math.sqrt(4.0 * t) - math.sqrt(t) * b
         return -math.exp(-eta * eta / (4.0 * t)) * \
             (eta / (2.0 * t) + b + math.sqrt(math.pi * t) * b * b * erfcx(u))
-
-    def free_scalar_dx(self, x: float, xp: float,
-                       t: Optional[float] = None):
-        t = self.params.t if t is None else t
-        return -(x - xp) / (2.0 * t) * self.free_scalar(x, xp, t)
-
-    def image_scalar_dx(self, x: float, xp: float,
-                        t: Optional[float] = None):
-        t = self.params.t if t is None else t
-        return -(x + xp) / (2.0 * t) * self.image_scalar(x, xp, t)
-
-    # -- matrix-valued parts ----------------------------------------------
-
-    def split(self, part: str) -> tuple:
-        """(scalar value, scalar x-derivative, fixed matrix) for each piece
-        of a kernel part: identity for free and image, the boundary matrix
-        for boundary; "full" is the sum of all three."""
-        pieces = {
-            "free": (self.free_scalar, self.free_scalar_dx, self._eye),
-            "image": (self.image_scalar, self.image_scalar_dx, self._eye)}
-        if part in ("boundary", "full"):
-            pieces["boundary"] = (
-                self.boundary_scalar, self.boundary_scalar_dx,
-                2.0 / math.cosh(self.params.theta) ** 2 * self.pi_plus_product)
-        if part == "full":
-            return tuple(pieces.values())
-        if part not in pieces:
-            raise ValueError(f"unknown kernel part {part!r}")
-        return (pieces[part],)
-
-    def full(self, x, xp, t=None):
-        return sum(s(x, xp, t) * mat for s, _, mat in self.split("full"))
-
-    def weighted_full(self, x, xp, t=None):
-        """Kernel with the exp(-omega^2 t)/sqrt(4 pi t) mode weight restored;
-        this is the object that satisfies the per-mode heat equation."""
-        tt = self.params.t if t is None else t
-        w = math.exp(-self.params.omega ** 2 * tt) / \
-            math.sqrt(4.0 * math.pi * tt)
-        return w * self.full(x, xp, t=tt)
-
-
-def boundary_condition_residual(kernel: ModeKernel, xp: float) -> float:
-    """Max entry of Pi_- applied to the full kernel at x = 0."""
-    p = kernel.params
-    proj = chiral_projectors(p.rep, p.theta)
-    return float(np.abs(proj.pi_minus @ kernel.full(0.0, xp)).max())
-
-
-def heat_equation_residual(kernel: ModeKernel, x: float, xp: float,
-                           h_x: float = 1e-4, h_t: float = 1e-5) -> float:
-    """Finite-difference residual of (d_t + omega^2 - d_x^2) on the weighted
-    kernel at an interior point."""
-    p = kernel.params
-    f = kernel.weighted_full
-    d_t = (f(x, xp, t=p.t + h_t) - f(x, xp, t=p.t - h_t)) / (2.0 * h_t)
-    d_xx = (f(x + h_x, xp) - 2.0 * f(x, xp) + f(x - h_x, xp)) / (h_x * h_x)
-    return float(np.abs(d_t + p.omega ** 2 * f(x, xp) - d_xx).max())
-
-
-class DiracApplied:
-    """f [P_x (kernel part)] at coincidence x = x', with P realized per mode
-    as gt gm omega + gm d/dx.  Each piece of the part is a scalar s times a
-    fixed matrix M, so P maps it to f (omega s gt gm + s' gm) M; pointwise
-    values and integrals both go through that form.  The analytic
-    x-derivatives are audited against central differences on construction."""
-
-    def __init__(self, params: ModeParams, kernel: ModeKernel,
-                 part: str = "full", f_matrix: Optional[np.ndarray] = None):
-        self.params = params
-        self.part = part
-        self.pieces = kernel.split(part)
-        self.f = np.eye(params.rep.d_s) if f_matrix is None else \
-            np.asarray(f_matrix, dtype=complex)
-        self._audit()
-
-    def _audit(self) -> None:
-        x, h = FD_X, FD_STEP
-        resid = max(abs((s(x + h, x) - s(x - h, x)) / (2.0 * h) - ds(x, x))
-                    for s, ds, _ in self.pieces)
-        if resid > FD_TOL:
-            raise DerivativeMismatchError(
-                f"analytic d/dx vs central differences: residual "
-                f"{resid:.3e} at x={x} for part {self.part!r}")
-
-    def _apply(self, s0, s1, mat: np.ndarray) -> np.ndarray:
-        """f (omega s0 gt gm + s1 gm) mat."""
-        rep = self.params.rep
-        return self.f @ (self.params.omega * s0 * rep.gamma_tilde
-                         @ rep.gamma_m + s1 * rep.gamma_m) @ mat
-
-    def __call__(self, x: float) -> np.ndarray:
-        return sum(self._apply(s(x, x), ds(x, x), mat)
-                   for s, ds, mat in self.pieces)
-
-    def integral(self, a: float, b: float) -> np.ndarray:
-        """int_a^b of the applied part: two real scalar quadratures per
-        piece, then the fixed Clifford matrices."""
-        def quad(g):
-            val, _ = integrate.quad(lambda x: g(x, x), a, b, epsabs=QUAD_EPS,
-                                    epsrel=1e-12, limit=200)
-            return val
-        return sum(self._apply(quad(s), quad(ds), mat)
-                   for s, ds, mat in self.pieces)
+    return scalar, scalar_dx
 
 
 def _window(params: ModeParams) -> float:
@@ -222,13 +101,30 @@ def _window(params: ModeParams) -> float:
     return X
 
 
-def _integrated(kernel: ModeKernel, part: str, f: np.ndarray) -> np.ndarray:
-    """int_0^X f [P_x U_part] dx / sqrt(4 pi t) over the tail-bounded window
-    [0, X]: (omega S0 f gt gm + S1 f gm) M / sqrt(4 pi t), where S0 and S1
-    integrate the part's scalar and its x-derivative and M is its matrix."""
-    params = kernel.params
-    integrand = DiracApplied(params, kernel, part=part, f_matrix=f)
-    return integrand.integral(0.0, _window(params)) / \
+def _integrated(params: ModeParams, piece: tuple, matrix: np.ndarray,
+                f: np.ndarray) -> np.ndarray:
+    """int_0^X f [P_x (s M)] dx / sqrt(4 pi t) at x = x' over the
+    tail-bounded window [0, X] for a piece (s, s') = _image or _boundary
+    with fixed matrix M: f (omega S0 gt gm + S1 gm) M / sqrt(4 pi t), S0 and
+    S1 the quadratures of s and s'.  s' is first audited against central
+    differences."""
+    scalar, scalar_dx = piece
+    x, h = FD_X, FD_STEP
+    resid = abs((scalar(x + h, x) - scalar(x - h, x)) / (2.0 * h)
+                - scalar_dx(x, x))
+    if resid > FD_TOL:
+        raise DerivativeMismatchError(
+            f"analytic d/dx vs central differences: residual {resid:.3e} "
+            f"at x={x}")
+    X = _window(params)
+
+    def quad(g) -> float:
+        val, _ = integrate.quad(lambda x: g(x, x), 0.0, X, epsabs=QUAD_EPS,
+                                epsrel=1e-12, limit=200)
+        return val
+    rep = params.rep
+    return f @ (params.omega * quad(scalar) * rep.gamma_tilde @ rep.gamma_m
+                + quad(scalar_dx) * rep.gamma_m) @ matrix / \
         math.sqrt(4.0 * math.pi * params.t)
 
 
@@ -243,7 +139,7 @@ def check_U1_integral(params: ModeParams,
     rep = params.rep
     f = np.eye(rep.d_s) if f_matrix is None else np.asarray(f_matrix,
                                                             dtype=complex)
-    lhs = _integrated(ModeKernel(params), "image", f)
+    lhs = _integrated(params, _image(params), np.eye(rep.d_s), f)
     gm, gt = rep.gamma_m, rep.gamma_tilde
     rhs = 0.5 / math.sqrt(4.0 * math.pi * params.t) * f @ gm \
         + 0.25 * params.omega * f @ gm @ gt
@@ -263,12 +159,12 @@ def check_U2_integral(params: ModeParams,
     rep = params.rep
     f = np.eye(rep.d_s) if f_matrix is None else np.asarray(f_matrix,
                                                             dtype=complex)
-    kernel = ModeKernel(params)
-    lhs = _integrated(kernel, "boundary", f)
+    pp = pi_plus_product(rep, params.theta)  # checked against its closed form
+    lhs = _integrated(params, _boundary(params),
+                      2.0 / math.cosh(params.theta) ** 2 * pp, f)
     t, omega = params.t, params.omega
     b = omega * math.tanh(params.theta)
     E = erfcx(-math.sqrt(t) * b)
-    pp = kernel.pi_plus_product
     gm, gt = rep.gamma_m, rep.gamma_tilde
     pref = 0.5 / math.cosh(params.theta) ** 2
     rhs = -pref * f @ gm @ pp * (1.0 / math.sqrt(math.pi * t) + b * E) \

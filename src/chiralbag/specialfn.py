@@ -1,9 +1,11 @@
-"""Special-function core: Gamma, Bessel J, erf/erfcx and Gauss 2F1.
+"""Special-function core: Gamma, erf/erfcx and Gauss 2F1.
 
-Gamma, Bessel and the error functions are thin wrappers over scipy with the
-domain checks this package needs.  hyp2f1 sums the finite 2F1 polynomials
-of the closed forms; hyp2f1_euler evaluates, by quadrature, the
-non-terminating 2F1 that the checks compare them with.
+Gamma and the error functions are thin wrappers over scipy; gamma_fn
+refuses its poles.  The ball spectrum needs no Bessel values: it works on a
+continued fraction for J_{p+1}/J_p between scipy's zeros of J_p.  hyp2f1
+sums the finite 2F1 polynomials of the closed forms; hyp2f1_euler
+evaluates, by quadrature, the non-terminating 2F1 that the checks compare
+them with.
 """
 
 from __future__ import annotations
@@ -47,14 +49,6 @@ def erf(x):
 def erfcx(x):
     """Scaled complementary error function exp(x^2) erfc(x)."""
     return _sp.erfcx(x)
-
-
-def bessel_j(p: int, x):
-    """Bessel function J_p(x) for integer order p >= 0 (p = -1 allowed via
-    the reflection J_{-1} = -J_1)."""
-    if p != int(p):
-        raise ValueError("bessel_j expects integer order")
-    return _sp.jv(int(p), x)
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:

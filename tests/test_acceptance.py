@@ -17,6 +17,8 @@ from chiralbag import identities as idn
 from chiralbag.clifford import build_gamma, chiral_projectors, \
     pi_plus_product
 from chiralbag.coefficients import universal_constants
+from test_ball_spectrum import FAMILIES, mode_integral_residuals, ratio, \
+    roots
 
 MS = (2, 4, 6, 8, 10, 12)
 THETA_GRID = [round(-2.0 + 0.1 * k, 10) for k in range(41)]
@@ -139,14 +141,14 @@ def test_07_special_function_oracles():
 
 def test_08_mode_integral_closed_forms():
     worst = 0.0
-    for m in (2, 4):
-        for theta in (0.0, 0.6):
-            for fam in bs.all_families(m, 0):
-                roots = bs.find_roots(fam, theta, 40.0)[:5]
-                for mu in roots:
-                    out = bs.verify_mode_integrals(fam, theta, float(mu))
-                    worst = max(worst, out["norm_residual"],
-                                out["gamma5_residual"])
+    for m in (2, 4, 6, 8):
+        p = m // 2 - 1  # level n = 0
+        for theta in (-0.6, 0.0, 0.6, 2.0):
+            for chirality, sign in FAMILIES:
+                for mu in roots(p, ratio(chirality, sign, theta), theta,
+                                40.0)[:5]:
+                    worst = max(worst, *mode_integral_residuals(
+                        chirality, sign, p, theta, float(mu)))
     _report(8, "normalization and chirality mode integrals",
             worst < 1e-10, f"max residual = {worst:.3e}")
 

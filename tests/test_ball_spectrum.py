@@ -2,10 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import special as sp
 
 from chiralbag import ball_spectrum as bs
 from chiralbag.coefficients import universal_constants
+
+# the (chirality, branch) eigenvalue families, in the order spectrum takes
+# their ratios
+FAMILIES = (("plus", "pos"), ("plus", "neg"), ("minus", "pos"),
+            ("minus", "neg"))
+
+
+def ratio(chirality, sign, theta):
+    """r in the family's eigenvalue condition J_{p+1} = r J_p:
+    +-e^theta for chirality plus, -+e^-theta for minus."""
+    r = math.exp(theta if chirality == "plus" else -theta)
+    return r if (chirality == "plus") == (sign == "pos") else -r
+
+
+def roots(p, r, theta, mu_max):
+    """The roots of J_{p+1} = r J_p in (0, mu_max], ascending, from the
+    brackets and solve of the whole spectrum."""
+    return bs._roots(np.array([p]), [r], theta, mu_max)[1]
 
 
 def dense_scan_roots(p, r, mu_max, step=0.002):
@@ -41,31 +60,35 @@ class TestDegeneracy:
 
 
 class TestFamilies:
+    """The spectrum is the four families' roots at Bessel order
+    p = n + m/2 - 1 of level n."""
+
     def test_ratio_mapping(self):
-        th = 0.7
-        assert bs.EigenvalueFamily("plus", "pos", 0, 2).ratio(th) == \
-            pytest.approx(math.exp(th))
-        assert bs.EigenvalueFamily("minus", "pos", 0, 2).ratio(th) == \
-            pytest.approx(-math.exp(-th))
-        assert bs.EigenvalueFamily("plus", "neg", 0, 2).ratio(th) == \
-            pytest.approx(-math.exp(th))
-        assert bs.EigenvalueFamily("minus", "neg", 0, 2).ratio(th) == \
-            pytest.approx(math.exp(-th))
+        th, mu_max = 0.7, 30.0
+        mu, _, n_excl = bs.spectrum(th, 2, mu_max)
+        expect = np.sort(np.concatenate([
+            bs._roots(np.arange(n_excl), [ratio(c, s, th)], th, mu_max)[1]
+            for c, s in FAMILIES]))
+        assert mu.size == expect.size
+        assert np.abs(mu - expect).max() < 1e-12
 
     def test_p_index(self):
-        assert bs.EigenvalueFamily("plus", "pos", 3, 4).p == 4
+        # the lowest eigenvalue at m = 4 is in level n = 0, order p = 1
+        mu, w, _ = bs.spectrum(0.7, 4, 20.0)
+        lowest = min(roots(1, ratio(c, s, 0.7), 0.7, 20.0)[0]
+                     for c, s in FAMILIES)
+        assert mu[0] == pytest.approx(lowest, rel=1e-13)
+        assert w[0] == bs.degeneracy(0, 4)
 
     def test_validation(self):
+        # an odd dimension has no spinor degeneracy
         with pytest.raises(ValueError):
-            bs.EigenvalueFamily("plus", "pos", -1, 2)
-        with pytest.raises(ValueError):
-            bs.EigenvalueFamily("plus", "pos", 0, 3)
+            bs.spectrum(0.7, 3, 20.0)
 
 
 class TestFindRoots:
     def test_first_root_j1_equals_j0(self):
-        fam = bs.EigenvalueFamily("plus", "pos", 0, 2)
-        rs = bs.find_roots(fam, 0.0, 20.0)
+        rs = roots(0, ratio("plus", "pos", 0.0), 0.0, 20.0)
         assert rs[0] == pytest.approx(1.4347, abs=2e-4)
 
     @pytest.mark.parametrize("theta", (0.0, 0.9, -1.6, 3.0))
@@ -73,16 +96,17 @@ class TestFindRoots:
                              [("plus", "pos"), ("plus", "neg"),
                               ("minus", "pos"), ("minus", "neg")])
     def test_against_dense_scan_oracle(self, theta, chirality, sign):
-        fam = bs.EigenvalueFamily(chirality, sign, 1, 4)
-        rs = bs.find_roots(fam, theta, 25.0)
-        oracle = dense_scan_roots(fam.p, fam.ratio(theta), 25.0)
+        # level n = 1 at m = 4
+        r = ratio(chirality, sign, theta)
+        rs = roots(2, r, theta, 25.0)
+        oracle = dense_scan_roots(2, r, 25.0)
         assert len(rs) == len(oracle)
         assert np.abs(rs - oracle).max() < 1e-8
 
     def test_roots_satisfy_condition(self):
-        fam = bs.EigenvalueFamily("minus", "pos", 2, 6)
-        rs = bs.find_roots(fam, 1.2, 40.0)
-        p, r = fam.p, fam.ratio(1.2)
+        # level n = 2 at m = 6
+        p, r = 4, ratio("minus", "pos", 1.2)
+        rs = roots(p, r, 1.2, 40.0)
         resid = np.abs(sp.jv(p + 1, rs) - r * sp.jv(p, rs))
         assert resid.max() < 1e-11
         assert np.all(np.diff(rs) > 0)
@@ -90,18 +114,15 @@ class TestFindRoots:
     def test_interlacing_with_bessel_zeros(self):
         # theta=0, p=0: roots of J1 = +-J0 interlace with zeros of J0
         z0 = sp.jn_zeros(0, 5)
-        pos = bs.find_roots(bs.EigenvalueFamily("plus", "pos", 0, 2),
-                            0.0, z0[-1])
+        pos = roots(0, ratio("plus", "pos", 0.0), 0.0, z0[-1])
         for k in range(4):
             assert np.count_nonzero((pos > z0[k]) & (pos < z0[k + 1])) == 1
         assert np.count_nonzero(pos < z0[0]) == 1
 
     def test_theta_reflection_swaps_families(self):
         th = 0.8
-        a = bs.find_roots(bs.EigenvalueFamily("plus", "pos", 0, 2),
-                          th, 30.0)
-        b = bs.find_roots(bs.EigenvalueFamily("minus", "neg", 0, 2),
-                          -th, 30.0)
+        a = roots(0, ratio("plus", "pos", th), th, 30.0)
+        b = roots(0, ratio("minus", "neg", -th), -th, 30.0)
         assert len(a) == len(b)
         assert np.abs(a - b).max() < 1e-11
 
@@ -110,15 +131,14 @@ class TestFindRoots:
         # r = e^-4: the one root below 100 sits near 2(p+1) r, far below p,
         # where J_p underflows in double precision
         mp = pytest.importorskip("mpmath")
-        fam = bs.EigenvalueFamily("minus", "neg", p, 2)
-        r = fam.ratio(4.0)
-        roots = bs.find_roots(fam, 4.0, 100.0)
-        assert len(roots) == 1
+        r = ratio("minus", "neg", 4.0)
+        found = roots(p, r, 4.0, 100.0)
+        assert len(found) == 1
         with mp.workdps(50):
             exact = mp.findroot(
                 lambda z: mp.besselj(p + 1, z) / mp.besselj(p, z) - r,
-                mp.mpf(roots[0]))
-            assert abs(roots[0] / exact - 1) < 1e-12
+                mp.mpf(found[0]))
+            assert abs(found[0] / exact - 1) < 1e-12
 
     @pytest.mark.parametrize("p", (60, 231))
     def test_root_count_against_mpmath(self, p):
@@ -129,11 +149,11 @@ class TestFindRoots:
             grid = [mp.mpf(k) / 10 for k in range(1, 1001)]
             jp = [mp.besselj(p, x) for x in grid]
             jp1 = [mp.besselj(p + 1, x) for x in grid]
-            for fam in bs.all_families(2, p):
-                r = mp.mpf(fam.ratio(4.0))
-                sg = [mp.sign(a - r * b) for a, b in zip(jp1, jp)]
+            for c, s in FAMILIES:
+                r = ratio(c, s, 4.0)
+                sg = [mp.sign(a - mp.mpf(r) * b) for a, b in zip(jp1, jp)]
                 changes = sum(a != b for a, b in zip(sg, sg[1:]))
-                assert len(bs.find_roots(fam, 4.0, 100.0)) == changes
+                assert len(roots(p, r, 4.0, 100.0)) == changes
 
     @pytest.mark.parametrize("theta", (0.5, 4.0, 6.0))
     def test_roots_above_level_floor(self, theta, monkeypatch):
@@ -142,10 +162,11 @@ class TestFindRoots:
         # exceeds 2(p+1) rho/(1+rho), so no level past the cutoff has one
         _, _, n_excl = bs.spectrum(theta, 2, 100.0)
         monkeypatch.setattr(bs, "_level_floor", lambda p, theta: 0.0 * p)
-        ratios = [fam.ratio(theta) for fam in bs.all_families(2, 0)]
-        p, roots = bs._roots(np.arange(n_excl + 50), ratios, theta, 100.0)
+        p, mu = bs._roots(np.arange(n_excl + 50),
+                          [ratio(c, s, theta) for c, s in FAMILIES], theta,
+                          100.0)
         rho = math.exp(-abs(theta))
-        assert np.all(roots > 2 * (p + 1) * rho / (1 + rho))
+        assert np.all(mu > 2 * (p + 1) * rho / (1 + rho))
         assert p.max() < n_excl
 
     def test_spectrum_satisfies_condition_in_jv(self):
@@ -153,14 +174,14 @@ class TestFindRoots:
         # with mu >= p of the theta=1.3 disc spectrum (J_p underflows below)
         theta = 1.3
         n_excl = bs.spectrum(theta, 2, 100.0)[2]
-        for fam in bs.all_families(2, 0):
-            r = fam.ratio(theta)
+        for c, s in FAMILIES:
+            r = ratio(c, s, theta)
             p, mu = bs._roots(np.arange(n_excl), [r], theta, 100.0)
             for q in np.unique(p[mu >= p]):
                 at = mu[(p == q) & (mu >= p)]
-                scale = np.abs(sp.jv(q + 1, at)) + np.abs(r * sp.jv(q, at))
-                assert np.all(np.abs(bs._condition(int(q), r, at))
-                              <= 1e-12 * scale)
+                jp1, jp = sp.jv(q + 1, at), sp.jv(q, at)
+                scale = np.abs(jp1) + np.abs(r * jp)
+                assert np.all(np.abs(jp1 - r * jp) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("theta,m,mu_max,count", (
         (0.5, 2, 100.0, 5013), (2.0, 2, 100.0, 5277), (3.0, 2, 100.0, 5910),
@@ -171,8 +192,7 @@ class TestFindRoots:
 
     def test_invalid_mu_max(self):
         with pytest.raises(ValueError):
-            bs.find_roots(bs.EigenvalueFamily("plus", "pos", 0, 2),
-                          0.0, -1.0)
+            roots(0, ratio("plus", "pos", 0.0), 0.0, -1.0)
 
 
 class TestPhase:
@@ -202,10 +222,10 @@ class TestHeatTrace:
         # all levels whose first root is small enough to matter
         total = 0.0
         for n in range(6):
-            for fam in bs.all_families(2, n):
-                roots = bs.find_roots(fam, 0.0, 12.0)
+            for c, s in FAMILIES:
+                mu = roots(n, ratio(c, s, 0.0), 0.0, 12.0)
                 total += bs.degeneracy(n, 2) * \
-                    float(np.sum(np.exp(-t * roots ** 2)))
+                    float(np.sum(np.exp(-t * mu ** 2)))
         assert value == pytest.approx(total, rel=1e-10)
 
     def test_monotone_in_t(self):
@@ -271,27 +291,63 @@ class TestFit:
         assert abs(fit.coeffs[2] + 1.0 / 6.0) < 0.01
 
 
+def _norm_closed_form(p, mu):
+    """1/C^2 from the Bessel-quadratic closed form; jv gives J_{-1} = -J_1
+    at p = 0."""
+    jp, jp1, jm1, jp2 = (sp.jv(q, mu) for q in (p, p + 1, p - 1, p + 2))
+    return 0.5 * (jp * jp + jp1 * jp1 - jm1 * jp1 - jp * jp2)
+
+
+def _norm_simplified(p, r, mu):
+    """1/C^2 from the on-shell simplified normalization constants."""
+    # C_+- carries -+(2p+1)e^(+-theta) on the (+) branch and the opposite
+    # sign on the (-) branch: -(2p+1) r in every family
+    return sp.jv(p, mu) ** 2 * (mu + mu * r * r - (2 * p + 1) * r) / mu
+
+
+def _gamma5_closed_form(chirality, sign, p, theta, mu):
+    ch = math.cosh(theta)
+    branch = 1.0 if chirality == "plus" else -1.0
+    shift = branch * (p + 0.5) / ch
+    if sign == "pos":
+        return -0.5 / (ch * (mu - shift))
+    return 0.5 / (ch * (mu + shift))
+
+
+def mode_integral_residuals(chirality, sign, p, theta, mu):
+    """Residuals of the closed forms for the radial normalization constant
+    and the chirality expectation value against adaptive quadrature, at an
+    eigenvalue mu of the family at Bessel order p."""
+    r = ratio(chirality, sign, theta)
+    condition = sp.jv(p + 1, mu) - r * sp.jv(p, mu)
+    assert abs(condition) <= 1e-9, f"mu={mu} is not an eigenvalue"
+    norm_quad, _ = integrate.quad(
+        lambda x: x * (sp.jv(p + 1, mu * x) ** 2 + sp.jv(p, mu * x) ** 2),
+        0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+    norm_residual = max(abs(norm_quad - _norm_closed_form(p, mu)),
+                        abs(norm_quad - _norm_simplified(p, r, mu)))
+    diff_quad, _ = integrate.quad(
+        lambda x: x * (sp.jv(p + 1, mu * x) ** 2 - sp.jv(p, mu * x) ** 2),
+        0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+    orientation = 1.0 if chirality == "plus" else -1.0
+    gamma5_quad = orientation * diff_quad / norm_quad
+    return norm_residual, abs(
+        gamma5_quad - _gamma5_closed_form(chirality, sign, p, theta, mu))
+
+
 class TestModeIntegrals:
     def test_disc_gamma5_value(self):
-        fam = bs.EigenvalueFamily("plus", "pos", 0, 2)
-        mu = float(bs.find_roots(fam, 0.0, 10.0)[0])
+        mu = float(roots(0, ratio("plus", "pos", 0.0), 0.0, 10.0)[0])
         expect = -0.5 / (mu - 0.5)
         assert expect == pytest.approx(-0.5350, abs=2e-4)
-        out = bs.verify_mode_integrals(fam, 0.0, mu)
-        assert out["norm_residual"] < 1e-10
-        assert out["gamma5_residual"] < 1e-10
+        assert max(mode_integral_residuals("plus", "pos", 0, 0.0, mu)) \
+            < 1e-10
 
     def test_m4_third_root(self):
-        fam = bs.EigenvalueFamily("plus", "pos", 1, 4)
-        mu = float(bs.find_roots(fam, 0.6, 30.0)[2])
-        out = bs.verify_mode_integrals(fam, 0.6, mu)
-        assert out["norm_residual"] < 1e-10
-        assert out["gamma5_residual"] < 1e-10
-
-    def test_off_shell_rejected(self):
-        fam = bs.EigenvalueFamily("plus", "pos", 0, 2)
-        with pytest.raises(bs.OffShellError):
-            bs.verify_mode_integrals(fam, 0.0, 2.0)
+        # level n = 1 at m = 4
+        mu = float(roots(2, ratio("plus", "pos", 0.6), 0.6, 30.0)[2])
+        assert max(mode_integral_residuals("plus", "pos", 2, 0.6, mu)) \
+            < 1e-10
 
 
 def test_pinned_a0_disc():

@@ -34,13 +34,15 @@ class TestParsing:
         assert cli._parse_theta("0,0.5,-1") == [0.0, 0.5, -1.0]
 
     def test_bad_theta(self):
-        with pytest.raises(ValueError):
+        # ArgumentTypeError: argparse prints its message, not its own
+        with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_theta("0:1")
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_theta("")
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_theta("0:1:-0.5")
-        with pytest.raises(ValueError):  # finite ends, too many steps
+        # finite ends, too many steps
+        with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_theta("0:1e308:1e-308")
 
     def test_theta_range_limit(self, monkeypatch):
@@ -60,9 +62,9 @@ class TestParsing:
         assert not path.exists()
 
     def test_bad_m(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_m("3")
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_m("14")
 
     def test_merge_negative_values(self):
@@ -231,6 +233,18 @@ class TestClosedFormRow:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "theta=0.5, m=4" in err
+        assert not path.exists()
+
+    def test_cylinder_tail_bound_exit_2(self, tmp_path, capsys):
+        # a window of 12 sqrt(t) + 2 |omega| t leaves a Gaussian tail far
+        # above 1e-20 when omega^2 t is huge and t tiny
+        path = tmp_path / "report"
+        code = cli.main(["verify-cylinder", "--m", "2", "--theta", "0.3",
+                         "--omega", "1e149", "--t", "1e-300", "--s", "1.5",
+                         "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tail bound 2.289e+84")
         assert not path.exists()
 
     def test_cylinder_t_integral_overflow_names_theta(self, tmp_path, capsys):
@@ -506,13 +520,25 @@ def test_readme_command_line(capsys, argv):
 
 
 class TestErrors:
-    def test_bad_m_exit_2(self, capsys):
-        code, _ = run(capsys, "table", "--m", "3", "--theta", "0")
+    def test_bad_m_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "report"
+        code = cli.main(["table", "--m", "3", "--theta", "0",
+                         "--out", str(path)])
         assert code == 2
+        assert "argument --m: invalid m 3: must be even in [2, 12]" in \
+            capsys.readouterr().err
+        assert not path.exists()
 
-    def test_bad_theta_exit_2(self, capsys):
-        code, _ = run(capsys, "table", "--m", "2", "--theta", "0:1")
-        assert code == 2
+    def test_bad_theta_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "report"
+        for text, reason in (("0:1", "not start:stop:step"),
+                             ("0:1:-0.5", "step must be positive"),
+                             ("nan", "'nan': not a finite number")):
+            code = cli.main(["table", "--m", "2", f"--theta={text}",
+                             "--out", str(path)])
+            assert code == 2
+            assert reason in capsys.readouterr().err
+            assert not path.exists()
 
     def test_unknown_command_exit_2(self, capsys):
         code = cli.main(["frobnicate"])

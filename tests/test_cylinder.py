@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,15 @@ import pytest
 from scipy import integrate
 
 from chiralbag import cylinder as cy
-from chiralbag.clifford import build_gamma, pi_plus_product
+from chiralbag.clifford import build_gamma, chiral_projectors, \
+    pi_plus_product
 from chiralbag.specialfn import erf, erfcx
 
 
 ALL_M = [2, 4, 6, 8, 10, 12]
+# (theta, omega) of the kernel checks, at every m in ALL_M
+KERNEL_GRID = [(theta, omega) for theta in (-1.1, 0.0, 0.7, 2.0)
+               for omega in (-0.8, 1.3)]
 
 
 @pytest.fixture(scope="module")
@@ -26,39 +31,88 @@ def params(rep, omega=1.3, theta=0.7, t=0.25):
     return cy.ModeParams(omega=omega, theta=theta, t=t, rep=rep)
 
 
+def free(p):
+    """The free Gaussian e^{-(x - x')^2/4t} and its x-derivative."""
+    def scalar(x, xp):
+        xi = x - xp
+        return math.exp(-xi * xi / (4.0 * p.t))
+    return scalar, lambda x, xp: -(x - xp) / (2.0 * p.t) * scalar(x, xp)
+
+
+def kernel(p):
+    """The full mode kernel free + image + 2 Pi+ Pi+* / cosh^2 boundary,
+    with the weight exp(-omega^2 t)/sqrt(4 pi t) stripped, from the
+    package's scalars."""
+    eye = np.eye(p.rep.d_s)
+    mat = 2.0 / math.cosh(p.theta) ** 2 * pi_plus_product(p.rep, p.theta)
+    parts = ((free(p)[0], eye), (cy._image(p)[0], eye),
+             (cy._boundary(p)[0], mat))
+    return lambda x, xp: sum(s(x, xp) * m for s, m in parts)
+
+
+def boundary_condition_residual(p, xp):
+    """Max entry of Pi_- applied to the full kernel at x = 0."""
+    proj = chiral_projectors(p.rep, p.theta)
+    return float(np.abs(proj.pi_minus @ kernel(p)(0.0, xp)).max())
+
+
+def heat_equation_residual(p, x, xp, h_x=1e-4, h_t=1e-5):
+    """Finite-difference residual of (d_t + omega^2 - d_x^2) on the kernel
+    with its mode weight restored, at an interior point."""
+    def weighted(t):
+        q = dataclasses.replace(p, t=t)
+        w = math.exp(-q.omega ** 2 * t) / math.sqrt(4.0 * math.pi * t)
+        k = kernel(q)
+        return lambda x, xp: w * k(x, xp)
+    f, f_up, f_down = weighted(p.t), weighted(p.t + h_t), weighted(p.t - h_t)
+    d_t = (f_up(x, xp) - f_down(x, xp)) / (2.0 * h_t)
+    d_xx = (f(x + h_x, xp) - 2.0 * f(x, xp) + f(x - h_x, xp)) / (h_x * h_x)
+    return float(np.abs(d_t + p.omega ** 2 * f(x, xp) - d_xx).max())
+
+
 class TestModeKernel:
     def test_theta_zero_boundary_scalar(self, rep2):
-        k = cy.ModeKernel(params(rep2, theta=0.0))
+        boundary = cy._boundary(params(rep2, theta=0.0))[0]
         eta = 0.9
-        assert k.boundary_scalar(0.4, 0.5) == \
+        assert boundary(0.4, 0.5) == \
             pytest.approx(math.exp(-eta * eta / (4 * 0.25)), rel=1e-13)
 
     def test_omega_zero_bracket_is_one(self, rep2):
-        k = cy.ModeKernel(params(rep2, omega=0.0))
+        boundary = cy._boundary(params(rep2, omega=0.0))[0]
         for x, xp in ((0.1, 0.3), (1.0, 2.0)):
             eta = x + xp
-            assert k.boundary_scalar(x, xp) == \
+            assert boundary(x, xp) == \
                 pytest.approx(math.exp(-eta * eta / (4 * 0.25)), rel=1e-13)
 
     def test_boundary_condition(self, rep2):
-        k = cy.ModeKernel(params(rep2))
         for xp in (0.05, 0.3, 1.1):
-            assert cy.boundary_condition_residual(k, xp) < 1e-10
+            assert boundary_condition_residual(params(rep2), xp) < 1e-10
+        for m in ALL_M:
+            rep = build_gamma(m)
+            for theta, omega in KERNEL_GRID:
+                p = params(rep, omega=omega, theta=theta)
+                for xp in (0.05, 0.3, 1.1):
+                    assert boundary_condition_residual(p, xp) < 1e-10, \
+                        (m, theta, omega, xp)
 
     def test_boundary_condition_m4(self, rep4):
-        k = cy.ModeKernel(params(rep4, omega=0.8, theta=1.1, t=0.1))
-        assert cy.boundary_condition_residual(k, 0.4) < 1e-10
+        p = params(rep4, omega=0.8, theta=1.1, t=0.1)
+        assert boundary_condition_residual(p, 0.4) < 1e-10
 
     @pytest.mark.parametrize("x,xp", [(0.4, 0.7), (0.2, 0.2), (1.3, 0.5)])
     def test_heat_equation(self, rep2, x, xp):
-        k = cy.ModeKernel(params(rep2))
-        assert cy.heat_equation_residual(k, x, xp) < 1e-6
+        assert heat_equation_residual(params(rep2), x, xp) < 1e-6
+        for m in ALL_M:
+            rep = build_gamma(m)
+            for theta, omega in KERNEL_GRID:
+                p = params(rep, omega=omega, theta=theta)
+                assert heat_equation_residual(p, x, xp) < 1e-6, \
+                    (m, theta, omega)
 
     def test_scaled_erfc_stability(self, rep2):
         # far from the boundary the naive exp(u^2) erfc(u) would overflow;
         # the scalar must still evaluate to a finite (tiny) value
-        k = cy.ModeKernel(params(rep2, t=0.01))
-        v = k.boundary_scalar(30.0, 30.0)
+        v = cy._boundary(params(rep2, t=0.01))[0](30.0, 30.0)
         assert math.isfinite(v)
         assert v == pytest.approx(0.0, abs=1e-300)
 
@@ -70,31 +124,29 @@ class TestModeKernel:
 class TestApplyDirac:
     def test_fd_audit_passes(self, rep2):
         p = cy.ModeParams(omega=1.1, theta=0.5, t=0.2, rep=rep2)
-        k = cy.ModeKernel(p)
-        for part in ("free", "image", "boundary", "full"):
-            cy.DiracApplied(p, k, part=part)
+        eye = np.eye(rep2.d_s)
+        for piece in (free(p), cy._image(p), cy._boundary(p)):
+            cy._integrated(p, piece, eye, eye)
 
-    def test_fd_audit_catches_wrong_derivative(self, rep2, monkeypatch):
+    def test_fd_audit_catches_wrong_derivative(self, rep2):
         p = params(rep2)
-        k = cy.ModeKernel(p)
-        good = cy.ModeKernel.boundary_scalar_dx
-        monkeypatch.setattr(cy.ModeKernel, "boundary_scalar_dx",
-                            lambda self, x, xp, t=None:
-                            1.01 * good(self, x, xp, t))
+        scalar, scalar_dx = cy._boundary(p)
+        eye = np.eye(rep2.d_s)
         with pytest.raises(cy.DerivativeMismatchError):
-            cy.DiracApplied(p, k, part="boundary")
+            cy._integrated(p, (scalar, lambda x, xp: 1.01 * scalar_dx(x, xp)),
+                           eye, eye)
 
     def test_theta_zero_image_part(self, rep2):
         # P applied to the image Gaussian at coincidence:
         # -gt gm w e^{-x^2/t} + gm (x/t) e^{-x^2/t}
         p = cy.ModeParams(omega=1.3, theta=0.0, t=0.25, rep=rep2)
-        k = cy.ModeKernel(p)
-        ap = cy.DiracApplied(p, k, part="image")
+        scalar, scalar_dx = cy._image(p)
         x = 0.6
         g = math.exp(-x * x / p.t)
         gm, gt = rep2.gamma_m, rep2.gamma_tilde
+        applied = p.omega * scalar(x, x) * gt @ gm + scalar_dx(x, x) * gm
         expect = -p.omega * gt @ gm * g + gm * (x / p.t) * g
-        assert np.abs(ap(x) - expect).max() < 1e-13
+        assert np.abs(applied - expect).max() < 1e-13
 
 
 class TestU1Integral:
@@ -142,8 +194,8 @@ class TestU2Integral:
         # at theta=0 the closed form collapses to
         # -1/2 f gm Pi+Pi+* / sqrt(pi t) - omega/2 f gm gt Pi+Pi+*
         p = params(rep2, theta=0.0)
-        lhs = cy._integrated(cy.ModeKernel(p), "boundary", np.eye(rep2.d_s))
         pp = pi_plus_product(rep2, 0.0)
+        lhs = cy._integrated(p, cy._boundary(p), 2.0 * pp, np.eye(rep2.d_s))
         gm, gt = rep2.gamma_m, rep2.gamma_tilde
         rhs = -0.5 / math.sqrt(math.pi * p.t) * gm @ pp \
             - 0.5 * p.omega * gm @ gt @ pp

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from chiralbag import identities as idn

@@ -1,7 +1,6 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import IntegrationWarning
@@ -22,27 +21,6 @@ class TestGamma:
         for x in (0.0, -1.0, -7.0):
             with pytest.raises(sf.PoleArgumentError):
                 sf.gamma_fn(x)
-
-
-class TestBessel:
-    def test_values(self):
-        # abramowitz-stegun style spot values
-        assert sf.bessel_j(0, 2.4048255576957728) == pytest.approx(0.0,
-                                                                   abs=1e-12)
-        assert sf.bessel_j(1, 1.0) == pytest.approx(0.4400505857449335,
-                                                    rel=1e-12)
-
-    def test_negative_order_reflection(self):
-        x = 1.7
-        assert sf.bessel_j(-1, x) == pytest.approx(-sf.bessel_j(1, x),
-                                                   rel=1e-14)
-        # bitwise on a grid: the p = 0 normalization uses J_{-1} directly
-        xs = np.linspace(0.01, 50.0, 10001)
-        assert np.array_equal(sf.bessel_j(-1, xs), -sf.bessel_j(1, xs))
-
-    def test_non_integer_order_rejected(self):
-        with pytest.raises(ValueError):
-            sf.bessel_j(0.5, 1.0)
 
 
 class TestErf:
