@@ -16,6 +16,10 @@ R_k = mu / (2(k+1) - mu R_{k+1}) (SIAM Rev. 9 (1967) 24); started past p and
 mu it is Miller's stable backward recurrence, which cannot underflow.  It has
 R_k <= 1 for mu <= k+1, so every root of level p exceeds 2(p+1) rho/(1+rho),
 rho = e^-|theta|.  One safeguarded Newton solve takes every bracket at once.
+
+The trace sums, exactly rounded, only the eigenvalues whose terms can reach
+the result: those past a cut, where every later term is below 2^-70 of the
+lowest one, are left out and their bound joins the truncation bound.
 """
 
 from __future__ import annotations
@@ -77,16 +81,23 @@ def _jp_zeros_past(p: int, mu_max: float) -> np.ndarray:
 
 
 def _phase(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """arctan R_p(mu) elementwise for mu > 0 from the backward continued
-    fraction, started from R = 0 at d = 21 + floor(sqrt(380.25 + 20 mu)) steps
-    past k = max(p, ceil(mu)), where R_{k+j} < mu/(mu + 2j + 2): that errs by
-    < exp(-2d(d+1)/(mu + 2d)) <= e^-40, and the steps down to p keep it so."""
+    """arctan R_p(mu) elementwise for integer p >= 0 and mu > 0 from the
+    backward continued fraction, started from R = 0 at d = 21 +
+    floor(sqrt(380.25 + 20 mu)) steps past k = max(p, ceil(mu)), where
+    R_{k+j} < mu/(mu + 2j + 2): that errs by < exp(-2d(d+1)/(mu + 2d)) <=
+    e^-40, and the steps down to p keep it so."""
     # one depth, the largest any element needs: a deeper start only helps
     depth = (math.ceil(np.max(mu - p, initial=0.0)) + 21
              + int(math.sqrt(380.25 + 20.0 * np.max(mu, initial=0.0))))
-    ratio = np.zeros(mu.shape)
-    for j in range(depth, 0, -1):
-        ratio = mu / (2.0 * (p + j) - mu * ratio)
+    # R = mu / (2(p + j) - mu R) in place: 2(p + j) is an integer, exact in
+    # float64 however it is reached, so each step rounds as the plain one
+    ratio, denom = np.zeros(mu.shape), np.empty(mu.shape)
+    twice = 2.0 * (p + depth)
+    for _ in range(depth):
+        np.multiply(mu, ratio, out=denom)
+        np.subtract(twice, denom, out=denom)
+        np.divide(mu, denom, out=ratio)
+        twice -= 2.0
     return np.arctan(ratio)
 
 
@@ -163,6 +174,7 @@ class AsymptoticFit:
 def spectrum(theta: float, m: int, mu_max: float) -> tuple:
     """Sorted eigenvalue array and matching degeneracy weights for all four
     families, every angular level whose root floor lies below mu_max."""
+    spinor_dimension(m)  # refuses a bad m before the solve
     # r of J_{p+1} = r J_p for (chirality, branch) = (+, pos), (+, neg),
     # (-, pos), (-, neg)
     ratios = (math.exp(theta), -math.exp(theta), -math.exp(-theta),
@@ -209,16 +221,30 @@ def heat_trace(theta: float, m: int, ts: Sequence[float],
                mu_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Truncated trace of exp(-t P^2) on the unit m-ball at each t of ts,
     and the truncation bound of each: deg * exp(-t mu^2) over the four
-    families and all angular levels of one spectrum, summed exactly in
-    ascending eigenvalue order."""
+    families and all angular levels of one spectrum.
+
+    The first term w_0 exp(-t mu_0^2) is a lower bound on the trace, so the
+    terms at mu >= cut, t cut^2 = ln(sum w / w_0) + 70 ln 2 + t mu_0^2, add
+    up to less than 2^-70 of it.  Only the terms below cut are summed,
+    exactly rounded (math.fsum), and the bound of the rest, sum w
+    exp(-t cut^2), joins the truncation bound.  The value is the exactly
+    rounded sum of every term unless that sum lies within 2^-70 of a
+    rounding boundary, and one ulp from it even then."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
     mu, w, n_excl = spectrum(theta, m, mu_max)
     values, bounds = np.empty(ts.shape), np.empty(ts.shape)
+    weight = math.fsum(w)
+    # ln(sum w / w_0) + 70 ln 2 and mu_0; an empty spectrum sums nothing
+    spread, mu0 = ((math.log(weight / w[0]) + 70.0 * math.log(2.0),
+                    float(mu[0])) if mu.size else (0.0, 0.0))
     for i, t in enumerate(ts.tolist()):
-        values[i] = math.fsum(w * np.exp(-t * mu * mu))
-        bounds[i] = _truncation_bound(theta, m, t, mu_max, n_excl)
+        cut = math.sqrt(spread / t + mu0 * mu0)
+        k = int(np.searchsorted(mu, cut))
+        values[i] = math.fsum(w[:k] * np.exp(-t * mu[:k] * mu[:k]))
+        bounds[i] = (_truncation_bound(theta, m, t, mu_max, n_excl)
+                     + weight * math.exp(-t * cut * cut))
         if bounds[i] >= 1e-10 * values[i]:
             raise InsufficientCutoffError(
                 f"truncation bound {bounds[i]:.3e} too large for trace "

@@ -56,7 +56,11 @@ def _fmt(x: float) -> str:
 def _finite(text: str) -> float:
     """The parser of every float flag value: nan and inf are refused (as
     ArgumentTypeError, whose message argparse prints)."""
-    x = float(text)
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: not a number") from None
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(
             f"invalid value {text!r}: not a finite number")
@@ -97,7 +101,11 @@ def _parse_theta(text: str) -> list[float]:
 
 
 def _parse_m(text: str) -> list[int]:
-    ms = [int(v) for v in text.split(",") if v.strip()]
+    try:
+        ms = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid m list {text!r}: not integers") from None
     if not ms:
         raise argparse.ArgumentTypeError(f"invalid m list {text!r}: empty")
     for m in ms:

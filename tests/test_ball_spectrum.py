@@ -85,6 +85,14 @@ class TestFamilies:
         with pytest.raises(ValueError):
             bs.spectrum(0.7, 3, 20.0)
 
+    @pytest.mark.parametrize("m", (3, 0))
+    def test_bad_m_refused_before_the_solve(self, m, monkeypatch):
+        def solve(*args):
+            raise AssertionError("roots solved for a bad m")
+        monkeypatch.setattr(bs, "_roots", solve)
+        with pytest.raises(ValueError, match="even"):
+            bs.spectrum(0.5, m, 100.0)
+
 
 class TestFindRoots:
     def test_first_root_j1_equals_j0(self):
@@ -195,7 +203,31 @@ class TestFindRoots:
             roots(0, ratio("plus", "pos", 0.0), 0.0, -1.0)
 
 
+def plain_phase(p, mu):
+    """_phase as the plain recurrence R = mu / (2(p + j) - mu R), one new
+    array per operation, from the same depth."""
+    depth = (math.ceil(np.max(mu - p, initial=0.0)) + 21
+             + int(math.sqrt(380.25 + 20.0 * np.max(mu, initial=0.0))))
+    ratio = np.zeros(mu.shape)
+    for j in range(depth, 0, -1):
+        ratio = mu / (2.0 * (p + j) - mu * ratio)
+    return np.arctan(ratio)
+
+
 class TestPhase:
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_bit_identical_to_plain_recurrence(self, seed):
+        # random levels below mu_max = 100 with mu on both sides of p and
+        # at p itself, and the levels p >= mu_max taken at mu_max
+        rng = np.random.default_rng(seed)
+        p = rng.integers(0, 100, 400)
+        mu = np.concatenate((rng.uniform(1e-3, 100.0, 200),
+                             p[200:300] * rng.uniform(0.5, 1.5, 100) + 1e-3,
+                             np.maximum(p[300:], 1e-3)))
+        p = np.concatenate((p, np.arange(100, 160)))
+        mu = np.concatenate((mu, np.full(60, 100.0)))
+        assert np.array_equal(bs._phase(p, mu), plain_phase(p, mu))
+
     @pytest.mark.parametrize("p", (0, 1, 5, 60, 230, 400))
     def test_against_mpmath(self, p):
         # mu on both sides of p up to 200, and 1e-9 either side of the first
@@ -212,6 +244,18 @@ class TestPhase:
                               for x in mu])
         assert np.abs(phase - exact).max() < 1e-14
         assert np.all(phase[-4:-2] > 1.5) and np.all(phase[-2:] < -1.5)
+
+
+@pytest.fixture
+def fsum_sizes(monkeypatch):
+    """The length of each sequence math.fsum sums, in call order."""
+    fsum, sizes = math.fsum, []
+
+    def spy(terms):
+        sizes.append(len(terms))
+        return fsum(terms)
+    monkeypatch.setattr(math, "fsum", spy)
+    return sizes
 
 
 class TestHeatTrace:
@@ -253,6 +297,30 @@ class TestHeatTrace:
         part = math.fsum(w * np.exp(-t * mu * mu))
         bound = bs._truncation_bound(theta, m, t, 30.0, n_excl)
         assert 0.0 < full - part <= bound
+
+    @pytest.mark.parametrize("m", (2, 8, 12))
+    @pytest.mark.parametrize("theta", (0.5, -1.3, 2.0, 6.0))
+    def test_equals_fsum_over_every_term(self, theta, m, monkeypatch,
+                                         fsum_sizes):
+        # the sum over the terms below the cut is the exactly rounded sum of
+        # them all; without the spectrum's own truncation bound, each bound
+        # is that of the terms the cut leaves out, below 2^-70 of the trace
+        monkeypatch.setattr(bs, "_truncation_bound", lambda *args: 0.0)
+        values, bounds = bs.heat_trace(theta, m, bs.T_GRID, 100.0)
+        monkeypatch.undo()
+        # the weights, then each t
+        assert len(fsum_sizes) == 1 + bs.T_GRID.size
+        mu, w, _ = bs.spectrum(theta, m, 100.0)
+        for t, value, bound, k in zip(bs.T_GRID, values, bounds,
+                                      fsum_sizes[1:]):
+            terms = w * np.exp(-t * mu * mu)
+            assert value == math.fsum(terms)
+            assert math.fsum(terms[k:]) <= bound <= 2.0 ** -69 * value
+
+    def test_sums_only_the_terms_that_count(self, fsum_sizes):
+        bs.heat_trace(1.1, 2, [0.3], 100.0)
+        total, summed = fsum_sizes
+        assert summed < 0.1 * total
 
     def test_insufficient_cutoff(self):
         with pytest.raises(bs.InsufficientCutoffError):

@@ -540,6 +540,20 @@ class TestErrors:
             assert reason in capsys.readouterr().err
             assert not path.exists()
 
+    @pytest.mark.parametrize("argv,reason", (
+        (("table", "--m", "x"), "argument --m: invalid m list 'x'"),
+        (("table", "--theta", "abc"),
+         "argument --theta: invalid value 'abc': not a number"),
+        (("verify-cylinder", "--omega", "1,abc"),
+         "argument --omega: invalid value 'abc': not a number")))
+    def test_non_numeric_exit_2(self, tmp_path, capsys, argv, reason):
+        # the bad value is named, not the parser function
+        path = tmp_path / "report"
+        assert cli.main([*argv, "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert reason in err and "_parse" not in err and "_finite" not in err
+        assert not path.exists()
+
     def test_unknown_command_exit_2(self, capsys):
         code = cli.main(["frobnicate"])
         assert code == 2
