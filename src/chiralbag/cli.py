@@ -7,25 +7,33 @@ Subcommands:
   verify-cylinder    integrated kernel identities and the t-integral
   verify-identities  hypergeometric consistency web
 
+Each command returns its report rows; main writes them (CSV, JSON, or the
+coeffs text block) and sets the exit code.
+
 verify-ball samples the heat trace at 20 geometric t from 0.02 to 0.3
 (ball_spectrum.T_GRID) and fits a_1..a_5 (ball_spectrum.FIT_DEPTH) with a_0
 pinned.  A row passes when a1 is within 1% of the closed form (A1_RTOL in
 this module; where a1 vanishes, within 3 fit errors of 0) and a2 within
 0.01 (A2_ATOL).  Its one numerical flag is the eigenvalue cutoff --mu-max.
+A verify-cylinder row passes when its residuals are below CYLINDER_TOL
+(1e-8), a verify-identities row when its largest residual is below
+IDENTITY_TOL (1e-11); no flag changes these bounds.
 
 A --theta range start:stop:step holds at most 10^6 points
 (MAX_THETA_POINTS); a longer one is a configuration error naming its count.
 
 Exit status: 0 all residuals within tolerance, 1 tolerance failure (report
 still written), 2 configuration error (nan or inf in any float flag too),
-overflow or numerical failure (an insufficient cutoff, a failed root solve,
-a closed form that disagrees with its general form; no report written).
+overflow, division by zero or other numerical failure (an insufficient
+cutoff, a failed root solve, a closed form that disagrees with its general
+form), or a report that cannot be written to --out; no report is
+written.  An overflow or division by zero is reported at its point: theta
+and m, or theta and s for the t-integral.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import functools
@@ -43,6 +51,10 @@ from .coefficients import universal_constants
 # verify-ball pass bounds on the fitted a1 (relative) and a2 (absolute)
 A1_RTOL = 0.01
 A2_ATOL = 0.01
+# verify-cylinder bound on every residual; verify-identities bound on each
+# identity's largest residual
+CYLINDER_TOL = 1e-8
+IDENTITY_TOL = 1e-11
 # the most points a --theta start:stop:step range may hold
 MAX_THETA_POINTS = 10 ** 6
 
@@ -115,39 +127,98 @@ def _parse_m(text: str) -> list[int]:
     return ms
 
 
-def _row(theta: float, m: int) -> dict:
+def _constants(theta: float, m: int) -> dict:
     """Every constant at (theta, m); OverflowError past the float range."""
-    with contextlib.suppress(OverflowError):
-        uc = universal_constants(theta, m)
-        row = {f.name: getattr(uc, f.name) for f in dataclasses.fields(uc)}
-        if all(map(math.isfinite, row.values())):
-            return row
-    raise OverflowError(f"constants overflow at theta={theta}, m={m}")
+    uc = universal_constants(theta, m)
+    row = {f.name: getattr(uc, f.name) for f in dataclasses.fields(uc)}
+    if not all(map(math.isfinite, row.values())):
+        raise OverflowError
+    return row
 
 
-@contextlib.contextmanager
-def _overflow_at(where: str):
-    """Re-raise an OverflowError with the inputs it happened at."""
-    try:
-        yield
-    except OverflowError:
-        raise OverflowError(f"overflow at {where}") from None
-
-
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+def _ball_row(theta: float, m: int, mu_max: float) -> dict:
+    values, _ = ball_spectrum.heat_trace(theta, m, ball_spectrum.T_GRID,
+                                         mu_max)
+    fit = ball_spectrum.fit_heat_coefficients(ball_spectrum.T_GRID, values, m)
+    uc = universal_constants(theta, m)
+    a1, a2 = fit.coeffs[1], fit.coeffs[2]
+    if abs(uc.a1_ball) > 1e-10:
+        a1_ok = abs(a1 - uc.a1_ball) / abs(uc.a1_ball) < A1_RTOL
     else:
-        sys.stdout.write(text)
+        a1_ok = abs(a1) < 3.0 * max(fit.coeff_errors[1], 1e-12)
+    return {"theta": theta, "m": m, "a1_fit": a1, "a1_closed": uc.a1_ball,
+            "a2_fit": a2, "a2_closed": uc.a2_ball,
+            "fit_residual": fit.residual,
+            "pass": bool(a1_ok and abs(a2 - uc.a2_ball) < A2_ATOL)}
 
 
-def cmd_coeffs(args) -> int:
-    lines = []
-    for m in args.m:
-        for theta in args.theta:
-            r = _row(theta, m)
-            lines.append(f"theta={_fmt(theta)} m={m}")
+def _u_row(theta: float, m: int, omega: float, t: float) -> dict:
+    p = cylinder.ModeParams(omega=omega, theta=theta, t=t, rep=build_gamma(m))
+    r1 = cylinder.check_U1_integral(p)
+    r2 = cylinder.check_U2_integral(p)
+    return {"m": m, "omega": omega, "theta": theta, "t": t,
+            "U1_residual": r1, "U2_residual": r2,
+            "pass": r1 < CYLINDER_TOL and r2 < CYLINDER_TOL}
+
+
+def _t_row(theta: float, s: float, omega: float) -> dict:
+    rt = cylinder.check_t_integral(s, omega, theta)
+    return {"s": s, "omega": omega, "theta": theta,
+            "t_integral_residual": rt, "pass": rt < CYLINDER_TOL}
+
+
+def _each(points, row) -> list[dict]:
+    """row(**point) at every point; an ArithmeticError (overflow, division
+    by zero) is re-raised naming the point, theta first."""
+    rows = []
+    for point in points:
+        try:
+            rows.append(row(**point))
+        except ArithmeticError as exc:
+            where = ", ".join(f"{k}={v}" for k, v in point.items())
+            raise ArithmeticError(
+                f"{type(exc).__name__} at {where}") from None
+    return rows
+
+
+def _grid(args) -> list[dict]:
+    return [{"theta": theta, "m": m} for m in args.m for theta in args.theta]
+
+
+def cmd_table(args) -> list[dict]:
+    return _each(_grid(args), _constants)
+
+
+def cmd_verify_ball(args) -> list[dict]:
+    return _each(_grid(args), functools.partial(_ball_row,
+                                                mu_max=args.mu_max))
+
+
+def cmd_verify_cylinder(args) -> list[dict]:
+    u_points = [{"theta": theta, "m": m, "omega": omega, "t": t}
+                for m in args.m for omega in args.omega
+                for theta in args.theta for t in args.t]
+    # the t-integral does not depend on m
+    t_points = [{"theta": theta, "s": s, "omega": omega}
+                for s in args.s for omega in args.omega
+                for theta in args.theta]
+    return _each(u_points, _u_row) + _each(t_points, _t_row)
+
+
+def cmd_verify_identities(args) -> list[dict]:
+    report = identities.grid_report(thetas=args.theta, ms=tuple(args.m))
+    return [{"identity": k, "max_residual": v, "pass": v < IDENTITY_TOL}
+            for k, v in report.items()]
+
+
+def _report_text(rows: list[dict], fmt: str) -> str:
+    """The constants rows as the coeffs text block, a JSON list of the
+    rows, or CSV whose header is every row key in first-seen order; a row
+    without some key leaves that cell empty."""
+    if fmt == "text":
+        lines = []
+        for r in rows:
+            lines.append(f"theta={_fmt(r['theta'])} m={r['m']}")
             lines.append("  c1..c7: " + " ".join(
                 _fmt(r[f"c{i}"]) for i in range(1, 8)))
             lines.append("  d1..d4 (cylinder): " + " ".join(
@@ -157,87 +228,7 @@ def cmd_coeffs(args) -> int:
             lines.append(f"  a1_ball={_fmt(r['a1_ball'])} "
                          f"a2_ball={_fmt(r['a2_ball'])} "
                          f"a1_eta={_fmt(r['a1_eta'])}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def cmd_table(args) -> int:
-    rows = [_row(theta, m) for m in args.m for theta in args.theta]
-    _emit(_report_text(rows, args.format), args.out)
-    return 0
-
-
-def cmd_verify_ball(args) -> int:
-    ok = True
-    rows = []
-    for m in args.m:
-        for theta in args.theta:
-            with _overflow_at(f"theta={theta}, m={m}"):
-                values, _ = ball_spectrum.heat_trace(
-                    theta, m, ball_spectrum.T_GRID, args.mu_max)
-                fit = ball_spectrum.fit_heat_coefficients(
-                    ball_spectrum.T_GRID, values, m)
-                uc = universal_constants(theta, m)
-            a1, a2 = fit.coeffs[1], fit.coeffs[2]
-            if abs(uc.a1_ball) > 1e-10:
-                a1_ok = abs(a1 - uc.a1_ball) / abs(uc.a1_ball) < A1_RTOL
-            else:
-                a1_ok = abs(a1) < 3.0 * max(fit.coeff_errors[1], 1e-12)
-            a2_ok = abs(a2 - uc.a2_ball) < A2_ATOL
-            ok = ok and a1_ok and a2_ok
-            rows.append({"theta": theta, "m": m,
-                         "a1_fit": a1, "a1_closed": uc.a1_ball,
-                         "a2_fit": a2, "a2_closed": uc.a2_ball,
-                         "fit_residual": fit.residual,
-                         "pass": bool(a1_ok and a2_ok)})
-    _emit(_report_text(rows, args.format), args.out)
-    return 0 if ok else 1
-
-
-def cmd_verify_cylinder(args) -> int:
-    ok = True
-    rows = []
-    for m in args.m:
-        rep = build_gamma(m)
-        for omega in args.omega:
-            for theta in args.theta:
-                for t in args.t:
-                    p = cylinder.ModeParams(omega=omega, theta=theta, t=t,
-                                            rep=rep)
-                    with _overflow_at(f"theta={theta}, m={m}"):
-                        r1 = cylinder.check_U1_integral(p)
-                        r2 = cylinder.check_U2_integral(p)
-                    passed = r1 < args.tol and r2 < args.tol
-                    ok = ok and passed
-                    rows.append({"m": m, "omega": omega, "theta": theta,
-                                 "t": t, "U1_residual": r1,
-                                 "U2_residual": r2, "pass": passed})
-    # the t-integral does not depend on m
-    for s in args.s:
-        for omega in args.omega:
-            for theta in args.theta:
-                with _overflow_at(f"theta={theta}, s={s}"):
-                    rt = cylinder.check_t_integral(s, omega, theta)
-                passed = rt < args.tol
-                ok = ok and passed
-                rows.append({"s": s, "omega": omega, "theta": theta,
-                             "t_integral_residual": rt, "pass": passed})
-    _emit(_report_text(rows, args.format), args.out)
-    return 0 if ok else 1
-
-
-def cmd_verify_identities(args) -> int:
-    report = identities.grid_report(thetas=args.theta, ms=tuple(args.m))
-    ok = all(v < args.tol for v in report.values())
-    rows = [{"identity": k, "max_residual": v, "pass": v < args.tol}
-            for k, v in report.items()]
-    _emit(_report_text(rows, args.format), args.out)
-    return 0 if ok else 1
-
-
-def _report_text(rows: list[dict], fmt: str) -> str:
-    """JSON list of the rows, or CSV whose header is every row key in
-    first-seen order; a row without some key leaves that cell empty."""
+        return "\n".join(lines) + "\n"
     if fmt == "json":
         clean = [{k: (float(_fmt(v)) if isinstance(v, (float, np.floating))
                       else v) for k, v in r.items()} for r in rows]
@@ -262,21 +253,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "conditions: tables and numerical verification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, func, text, report=True):
+    def command(name, func, text, text_block=False):
         p = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
         p.add_argument("--m", type=_parse_m, default=(2,),
                        help="comma list of even dimensions in [2, 12]")
         p.add_argument("--theta", type=_parse_theta, default=(0.0,),
                        help="comma list or start:stop:step")
-        if report:  # the commands that write through _report_text
+        if text_block:
+            p.set_defaults(format="text")
+        else:
             p.add_argument("--format", choices=("csv", "json"),
                            default="csv")
         p.add_argument("--out", default=None, help="output path (stdout "
                        "if omitted)")
         return p
 
-    command("coeffs", cmd_coeffs, "print all constants", report=False)
+    command("coeffs", cmd_table, "print all constants", text_block=True)
     command("table", cmd_table, "write the coefficient grid")
 
     vb = command("verify-ball", cmd_verify_ball,
@@ -288,11 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--omega", type=_finite_list, default=(0.5, 1.3, 2.0))
     vc.add_argument("--t", type=_finite_list, default=(0.1, 0.25))
     vc.add_argument("--s", type=_finite_list, default=(1.5, 2.5))
-    vc.add_argument("--tol", type=_finite, default=1e-8)
 
-    vi = command("verify-identities", cmd_verify_identities,
-                 "consistency web")
-    vi.add_argument("--tol", type=_finite, default=1e-11)
+    command("verify-identities", cmd_verify_identities, "consistency web")
     return ap
 
 
@@ -323,10 +313,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (ValueError, RuntimeError, OverflowError) as exc:
+        rows = args.func(args)
+        text = _report_text(rows, args.format)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if all(r.get("pass", True) for r in rows) else 1
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import random
+import re
 import runpy
 import shlex
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 from scipy import integrate
 
-from chiralbag import ball_spectrum, cli, coefficients
+from chiralbag import ball_spectrum, cli, coefficients, cylinder
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -161,7 +163,7 @@ class TestClosedFormRow:
     @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
     def test_against_mpmath(self, m):
         for theta in self.THETAS + (self.EDGES[m], -self.EDGES[m]):
-            row = cli._row(theta, m)
+            row = cli._constants(theta, m)
             for key, want in _reference_row(theta, m).items():
                 scaled = abs(row[key] - want) / max(1, abs(want))
                 assert scaled <= 1e-13, (theta, m, key, float(scaled))
@@ -180,7 +182,7 @@ class TestClosedFormRow:
         for m in (2, 4, 6, 8, 10, 12):
             for theta in (0.0, 0.7, -0.7, 4.0, -4.0):
                 params.clear()
-                cli._row(theta, m)
+                cli._constants(theta, m)
                 assert len(params) == (3 if m == 2 else 4), (theta, m)
                 for a, b in params:
                     assert any(v <= 0 and v == int(v) for v in (a, b)), \
@@ -274,9 +276,10 @@ class TestVerifyCommands:
         assert code == 0
         assert "False" not in out
 
-    def test_identities_tol_failure_exit_1(self, capsys):
+    def test_identities_tol_failure_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "IDENTITY_TOL", 1e-30)
         code, out = run(capsys, "verify-identities", "--m", "2",
-                        "--theta", "0.5", "--tol", "1e-30")
+                        "--theta", "0.5")
         assert code == 1
         assert "False" in out  # report still written
 
@@ -419,12 +422,16 @@ class TestFlags:
         assert set(sub.choices) == set(COMMANDS)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_every_flag_is_read(self, tmp_path, command):
-        args = cli.build_parser().parse_args(
-            [command, *COMMANDS[command], "--out", str(tmp_path / "r")])
+    def test_every_flag_is_read(self, tmp_path, monkeypatch, command):
+        # main runs on arguments that log their reads, so a flag read by
+        # neither the handler nor main's writer fails the test
+        argv = [command, *COMMANDS[command], "--out", str(tmp_path / "r")]
+        args = cli.build_parser().parse_args(argv)
         flags = set(vars(args)) - {"command", "func"}
         log = _ReadLog(**vars(args))
-        args.func(log)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda self, argv: log)
+        assert cli.main(argv) == 0
         assert flags <= log._read, flags - log._read
 
     def test_verify_ball_flags(self):
@@ -446,9 +453,7 @@ class TestFlags:
         ("verify-cylinder", "--theta", "{}"),
         ("verify-cylinder", "--omega", "1,{}"),
         ("verify-cylinder", "--t", "{}"),
-        ("verify-cylinder", "--s", "{}"),
-        ("verify-cylinder", "--tol", "{}"),
-        ("verify-identities", "--tol", "{}")))
+        ("verify-cylinder", "--s", "{}")))
     def test_non_finite_exit_2(self, tmp_path, capsys, command, flag, text,
                                value):
         path = tmp_path / "report"
@@ -481,21 +486,20 @@ class TestParserCache:
             assert run(capsys, "table", "--m", "3")[0] == 2
         assert len(built) == 1
 
-    def test_calls_do_not_leak(self, tmp_path, capsys):
+    def test_calls_do_not_leak(self, tmp_path, capsys, monkeypatch):
         # a flag given to one call leaves the defaults of the next as they
         # were: its report equals that of a freshly built parser
         first, second, fresh = (tmp_path / name for name in "abc")
         assert cli.main(["verify-cylinder", "--omega", "1.0",
                          "--out", str(first)]) == 0
         assert cli.main(["verify-cylinder", "--out", str(second)]) == 0
-        args = cli.build_parser.__wrapped__().parse_args(
-            ["verify-cylinder", "--out", str(fresh)])
-        assert args.func(args) == 0
-        assert second.read_text() == fresh.read_text()
-        assert first.read_text() != second.read_text()
         # an argparse error after a successful call is still exit 2
         assert cli.main(["verify-cylinder", "--m", "3"]) == 2
         assert "argument --m: invalid" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.main(["verify-cylinder", "--out", str(fresh)]) == 0
+        assert second.read_text() == fresh.read_text()
+        assert first.read_text() != second.read_text()
 
 
 def test_python_m_chiralbag(monkeypatch, capsys):
@@ -557,3 +561,102 @@ class TestErrors:
     def test_unknown_command_exit_2(self, capsys):
         code = cli.main(["frobnicate"])
         assert code == 2
+
+
+class TestContract:
+    """Each command returns rows; _each names the point an ArithmeticError
+    happens at, and main alone writes the report and sets the exit code."""
+
+    @pytest.mark.parametrize("argv,warns", (
+        pytest.param(("--theta", "22", "--omega", "-1.7"), False,
+                     id="cancel-22"),
+        pytest.param(("--theta", "30", "--omega", "-1.7"), False,
+                     id="cancel-30"),
+        pytest.param(("--theta", "3", "--omega", "1e-200"), True,
+                     id="underflow-3"),
+        pytest.param(("--omega", "1e-320"), True, id="underflow-0")))
+    def test_t_integral_zero_division_exit_2(self, tmp_path, capsys, argv,
+                                             warns):
+        # the closed form cancels to 0 or |omega|^(s+1) underflows: a
+        # division by zero in check_t_integral, reported at its point
+        path = tmp_path / "report"
+        argv = ["verify-cylinder", "--m", "2", "--s", "2.5", *argv,
+                "--out", str(path)]
+        if warns:
+            with pytest.warns(integrate.IntegrationWarning):
+                code = cli.main(argv)
+        else:
+            code = cli.main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ZeroDivisionError at theta=")
+        assert "s=2.5" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("where", ("missing", "directory"))
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, where):
+        path = tmp_path / "no" / "r" if where == "missing" else tmp_path
+        assert cli.main(["table", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command,module,name,where", (
+        ("table", cli, "universal_constants", "theta=0.5, m=4"),
+        ("coeffs", cli, "universal_constants", "theta=0.5, m=4"),
+        ("verify-ball", ball_spectrum, "heat_trace", "theta=0.5, m=4"),
+        ("verify-cylinder", cylinder, "check_U1_integral", "theta=0.5, m=4"),
+        ("verify-cylinder", cylinder, "check_t_integral",
+         "theta=0.5, s=2.5")), ids=("table", "coeffs", "verify-ball",
+                                    "verify-cylinder-U", "verify-cylinder-t"))
+    def test_division_by_zero_names_point(self, tmp_path, capsys,
+                                          monkeypatch, command, module, name,
+                                          where):
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+        monkeypatch.setattr(module, name, fail)
+        path = tmp_path / "report"
+        argv = [command, "--m", "4", "--theta", "0.5", "--out", str(path)]
+        if command == "verify-cylinder":
+            argv += ["--omega", "1.3", "--t", "0.25", "--s", "2.5"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ZeroDivisionError at {where}")
+        assert not path.exists()
+
+    @staticmethod
+    def _sweep_cases():
+        """(omega, theta, s) over omega in +-[1e-300, 1e3], theta in
+        [-30, 30] and s in [0.5, 3]: every corner, then 64 seeded draws
+        with log-uniform |omega|."""
+        corners = [(sign * mag, theta, s) for sign in (-1.0, 1.0)
+                   for mag in (1e-300, 1e3) for theta in (-30.0, 30.0)
+                   for s in (0.5, 3.0)]
+        rng = random.Random(2005)
+        return corners + [(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(
+            -300.0, 3.0), rng.uniform(-30.0, 30.0), rng.uniform(0.5, 3.0))
+            for _ in range(64)]
+
+    # hostile flag values warn; the exit code is what is checked
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning",
+                                "ignore::RuntimeWarning")
+    def test_cylinder_sweep_exit_code(self, tmp_path):
+        path = tmp_path / "report"
+        for omega, theta, s in self._sweep_cases():
+            path.unlink(missing_ok=True)
+            code = cli.main(["verify-cylinder", "--m", "2",
+                             f"--omega={omega!r}", f"--theta={theta!r}",
+                             f"--s={s!r}", "--out", str(path)])
+            assert code in (0, 1, 2), (omega, theta, s)
+            assert path.exists() == (code != 2), (omega, theta, s, code)
+
+
+def test_readme_flags_match_parser():
+    # every flag the Command line section names exists, and every flag
+    # some command takes is named there
+    text = README.read_text().split("## Command line", 1)[1]
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for p in sub.choices.values() for a in p._actions
+             for opt in a.option_strings if opt.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == flags - {"--help"}
