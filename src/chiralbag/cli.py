@@ -27,8 +27,9 @@ still written), 2 configuration error (nan or inf in any float flag too),
 overflow, division by zero or other numerical failure (an insufficient
 cutoff, a failed root solve, a closed form that disagrees with its general
 form), or a report that cannot be written to --out; no report is
-written.  An overflow or division by zero is reported at its point: theta
-and m, or theta and s for the t-integral.
+written.  A numerical failure is reported at its point: theta and m (with
+omega and t for a U row), or theta, s and omega for the t-integral; an
+overflow or division by zero by its type name, any other after its message.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import sys
 import numpy as np
 
 from . import ball_spectrum, cylinder, identities
-from .clifford import build_gamma
 from .coefficients import universal_constants
 
 # verify-ball pass bounds on the fitted a1 (relative) and a2 (absolute)
@@ -153,9 +153,8 @@ def _ball_row(theta: float, m: int, mu_max: float) -> dict:
 
 
 def _u_row(theta: float, m: int, omega: float, t: float) -> dict:
-    p = cylinder.ModeParams(omega=omega, theta=theta, t=t, rep=build_gamma(m))
-    r1 = cylinder.check_U1_integral(p)
-    r2 = cylinder.check_U2_integral(p)
+    r1 = cylinder.check_U1_integral(m, omega, t)
+    r2 = cylinder.check_U2_integral(m, omega, theta, t)
     return {"m": m, "omega": omega, "theta": theta, "t": t,
             "U1_residual": r1, "U2_residual": r2,
             "pass": r1 < CYLINDER_TOL and r2 < CYLINDER_TOL}
@@ -168,16 +167,19 @@ def _t_row(theta: float, s: float, omega: float) -> dict:
 
 
 def _each(points, row) -> list[dict]:
-    """row(**point) at every point; an ArithmeticError (overflow, division
-    by zero) is re-raised naming the point, theta first."""
+    """row(**point) at every point; a failure there is re-raised naming the
+    point, theta first: an ArithmeticError (overflow, division by zero) by
+    its type, a ValueError or RuntimeError after its message."""
     rows = []
     for point in points:
         try:
             rows.append(row(**point))
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError, RuntimeError) as exc:
             where = ", ".join(f"{k}={v}" for k, v in point.items())
-            raise ArithmeticError(
-                f"{type(exc).__name__} at {where}") from None
+            if isinstance(exc, ArithmeticError):
+                raise ArithmeticError(
+                    f"{type(exc).__name__} at {where}") from None
+            raise type(exc)(f"{exc} (at {where})") from None
     return rows
 
 

@@ -1,5 +1,6 @@
 """Skew-adjoint gamma matrices in even dimension, the chirality matrix and
-the chiral bag projectors.
+the product Pi+ Pi+* of the chiral bag projector that the cylinder kernel
+needs.
 
 The representation is the iterated Pauli/Kronecker one, pinned so that for
 m=2 the chirality matrix comes out as diag(1, -1); with that choice the 2x2
@@ -95,44 +96,24 @@ def _check_rep(rep: GammaRep) -> None:
         raise CliffordError("(gamma_tilde gamma_m)^2 != identity")
 
 
-@dataclass(frozen=True)
-class ChiralProjectors:
-    """Chiral bag projectors Pi_-+ = (1 +- exp(theta gt) gt gamma_m)/2."""
-    theta: float
-    pi_plus: np.ndarray = field(repr=False)
-    pi_minus: np.ndarray = field(repr=False)
-
-
-def chiral_projectors(rep: GammaRep, theta: float) -> ChiralProjectors:
-    """Build Pi_+ and Pi_-; exp(theta gt) = cosh(theta) + sinh(theta) gt
-    exactly, since gt squares to the identity.  Checked to MATRIX_TOL
-    cosh^2 theta, the scale of their entries (OverflowError past ~355)."""
+def pi_plus_product(rep: GammaRep, theta: float) -> np.ndarray:
+    """Pi_+ Pi_+^dagger, Pi_+ = (1 - exp(theta gt) gt gamma_m)/2 the chiral
+    bag projector (exp(theta gt) = cosh(theta) + sinh(theta) gt exactly).
+    Pi_+ is checked idempotent, which covers Pi_- = 1 - Pi_+, and the product
+    against its closed form cosh(theta)/2 (cosh(theta) + sinh(theta) gt -
+    gt gamma_m), both to MATRIX_TOL cosh^2 theta, the scale of their entries
+    (OverflowError past ~355)."""
     tol = MATRIX_TOL * math.cosh(theta) ** 2
     gt = rep.gamma_tilde
     eye = np.eye(rep.d_s)
-    a = (np.cosh(theta) * eye + np.sinh(theta) * gt) @ gt @ rep.gamma_m
-    pi_minus = 0.5 * (eye + a)
-    pi_plus = 0.5 * (eye - a)
-    proj = ChiralProjectors(theta=theta, pi_plus=pi_plus, pi_minus=pi_minus)
-    for p in (pi_plus, pi_minus):
-        if np.abs(p @ p - p).max() > tol:
-            raise CliffordError("chiral projector is not idempotent")
-    if np.abs(pi_plus + pi_minus - eye).max() > tol:
-        raise CliffordError("chiral projectors are not complementary")
-    return proj
-
-
-def pi_plus_product(rep: GammaRep, theta: float) -> np.ndarray:
-    """Pi_+ Pi_+^dagger, checked against its closed form
-    cosh(theta)/2 * (cosh(theta) + sinh(theta) gt - gt gamma_m)."""
-    proj = chiral_projectors(rep, theta)
-    prod = proj.pi_plus @ proj.pi_plus.conj().T
-    gt = rep.gamma_tilde
-    eye = np.eye(rep.d_s)
     c, s = np.cosh(theta), np.sinh(theta)
+    pi_plus = 0.5 * (eye - (c * eye + s * gt) @ gt @ rep.gamma_m)
+    if np.abs(pi_plus @ pi_plus - pi_plus).max() > tol:
+        raise CliffordError("chiral projector is not idempotent")
+    prod = pi_plus @ pi_plus.conj().T
     closed = 0.5 * c * (c * eye + s * gt - gt @ rep.gamma_m)
     resid = np.abs(prod - closed).max()
-    if resid > MATRIX_TOL * c * c:
+    if resid > tol:
         raise CliffordError(
             f"Pi+ Pi+* closed form violated, max residual {resid:.3e}")
     return prod

@@ -7,20 +7,20 @@ Gaussian, an image Gaussian and a boundary term proportional to
 module evaluates the image and boundary scalars stably (scaled erfc
 throughout), applies the per-mode operator P = gt gm omega + gm d/dx, and
 checks by quadrature what verify-cylinder reports: the integrated identities
-and the t-integral closed form.  The tests build the whole kernel from these
-scalars and check its boundary condition and the heat equation.
+at one mode and the t-integral closed form.  Any fixed left factor f of an
+identity multiplies both its sides, so f = 1 checks it whole.  The tests
+build the whole kernel from these scalars and check its boundary condition
+and the heat equation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import integrate
 
-from .clifford import GammaRep, pi_plus_product
+from .clifford import GammaRep, build_gamma, pi_plus_product
 from .specialfn import erf, erfcx, gamma_fn, hyp2f1_euler
 
 QUAD_EPS = 1e-13
@@ -38,26 +38,10 @@ class TailBoundError(RuntimeError):
     """Gaussian tail beyond the quadrature window is not negligible."""
 
 
-@dataclass(frozen=True)
-class ModeParams:
-    """One transverse mode: frequency omega, chiral angle theta, time t,
-    and the Clifford representation fixing gm and gt."""
-    omega: float
-    theta: float
-    t: float
-    rep: GammaRep
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-
-
-def _image(params: ModeParams) -> tuple:
+def _image(t: float) -> tuple:
     """The image Gaussian -e^{-eta^2/4t}, eta = x + x', of the mode kernel
     with its weight exp(-omega^2 t)/sqrt(4 pi t) stripped, and its
     x-derivative at fixed x', as functions of (x, x')."""
-    t = params.t
-
     def scalar(x: float, xp: float) -> float:
         eta = x + xp
         return -math.exp(-eta * eta / (4.0 * t))
@@ -67,15 +51,12 @@ def _image(params: ModeParams) -> tuple:
     return scalar, scalar_dx
 
 
-def _boundary(params: ModeParams) -> tuple:
+def _boundary(t: float, b: float) -> tuple:
     """The scalar of the boundary term, whose matrix is
     2 Pi+ Pi+* / cosh^2(theta), and its x-derivative at fixed x':
     [1 + sqrt(pi t) b e^{u^2} erfc(u)] e^{-eta^2/4t}, b = omega tanh(theta),
     u = eta/sqrt(4t) - sqrt(t) b, evaluated with erfcx(u) = e^{u^2} erfc(u)
     so the exponentials never overflow."""
-    t = params.t
-    b = params.omega * math.tanh(params.theta)
-
     def scalar(x: float, xp: float) -> float:
         eta = x + xp
         u = eta / math.sqrt(4.0 * t) - math.sqrt(t) * b
@@ -91,23 +72,24 @@ def _boundary(params: ModeParams) -> tuple:
     return scalar, scalar_dx
 
 
-def _window(params: ModeParams) -> float:
-    X = 12.0 * math.sqrt(params.t) + 2.0 * abs(params.omega) * params.t
+def _window(omega: float, t: float) -> float:
+    X = 12.0 * math.sqrt(t) + 2.0 * abs(omega) * t
     # all integrand pieces decay at least like exp(-x^2/t) up to bounded
     # prefactors; demand a negligible tail at the cut
-    tail = math.exp(-X * X / params.t) * (4.0 + abs(params.omega))
+    tail = math.exp(-X * X / t) * (4.0 + abs(omega))
     if tail > 1e-20:
         raise TailBoundError(f"tail bound {tail:.3e} at X={X}")
     return X
 
 
-def _integrated(params: ModeParams, piece: tuple, matrix: np.ndarray,
-                f: np.ndarray) -> np.ndarray:
-    """int_0^X f [P_x (s M)] dx / sqrt(4 pi t) at x = x' over the
-    tail-bounded window [0, X] for a piece (s, s') = _image or _boundary
-    with fixed matrix M: f (omega S0 gt gm + S1 gm) M / sqrt(4 pi t), S0 and
-    S1 the quadratures of s and s'.  s' is first audited against central
-    differences."""
+def _integrated(rep: GammaRep, omega: float, t: float, piece: tuple,
+                matrix: np.ndarray) -> np.ndarray:
+    """int_0^X [P_x (s M)] dx / sqrt(4 pi t) at x = x' over the tail-bounded
+    window [0, X] for a piece (s, s') = _image or _boundary with fixed matrix
+    M: (omega S0 gt gm + S1 gm) M / sqrt(4 pi t), S0 and S1 the quadratures
+    of s and s'.  t must be positive; s' is first checked by differences."""
+    if t <= 0:
+        raise ValueError("t must be positive")
     scalar, scalar_dx = piece
     x, h = FD_X, FD_STEP
     resid = abs((scalar(x + h, x) - scalar(x - h, x)) / (2.0 * h)
@@ -116,59 +98,48 @@ def _integrated(params: ModeParams, piece: tuple, matrix: np.ndarray,
         raise DerivativeMismatchError(
             f"analytic d/dx vs central differences: residual {resid:.3e} "
             f"at x={x}")
-    X = _window(params)
+    X = _window(omega, t)
 
     def quad(g) -> float:
         val, _ = integrate.quad(lambda x: g(x, x), 0.0, X, epsabs=QUAD_EPS,
                                 epsrel=1e-12, limit=200)
         return val
-    rep = params.rep
-    return f @ (params.omega * quad(scalar) * rep.gamma_tilde @ rep.gamma_m
-                + quad(scalar_dx) * rep.gamma_m) @ matrix / \
-        math.sqrt(4.0 * math.pi * params.t)
+    return (omega * quad(scalar) * rep.gamma_tilde @ rep.gamma_m
+            + quad(scalar_dx) * rep.gamma_m) @ matrix / \
+        math.sqrt(4.0 * math.pi * t)
 
 
-def check_U1_integral(params: ModeParams,
-                      f_matrix: Optional[np.ndarray] = None) -> float:
-    """Residual of the integrated image-part identity: with the mode weight
-    1/sqrt(4 pi t) restored,
+def check_U1_integral(m: int, omega: float, t: float) -> float:
+    """Residual of the integrated image-part identity in dimension m: with
+    the mode weight 1/sqrt(4 pi t) restored,
 
-      int_0^inf f [P_x U_image] dx
-        = 1/sqrt(4 pi t) * 1/2 f gm + 1/4 omega f gm gt.
+      int_0^inf [P_x U_image] dx = 1/sqrt(4 pi t) * 1/2 gm + 1/4 omega gm gt.
     """
-    rep = params.rep
-    f = np.eye(rep.d_s) if f_matrix is None else np.asarray(f_matrix,
-                                                            dtype=complex)
-    lhs = _integrated(params, _image(params), np.eye(rep.d_s), f)
+    rep = build_gamma(m)
+    lhs = _integrated(rep, omega, t, _image(t), np.eye(rep.d_s))
     gm, gt = rep.gamma_m, rep.gamma_tilde
-    rhs = 0.5 / math.sqrt(4.0 * math.pi * params.t) * f @ gm \
-        + 0.25 * params.omega * f @ gm @ gt
+    rhs = 0.5 / math.sqrt(4.0 * math.pi * t) * gm + 0.25 * omega * gm @ gt
     return float(np.abs(lhs - rhs).max())
 
 
-def check_U2_integral(params: ModeParams,
-                      f_matrix: Optional[np.ndarray] = None) -> float:
-    """Residual of the integrated boundary-part identity: with the mode
-    weight 1/sqrt(4 pi t) restored and E = e^{t b^2} erfc(-sqrt(t) b) for
-    b = omega tanh(theta),
+def check_U2_integral(m: int, omega: float, theta: float, t: float) -> float:
+    """Residual of the integrated boundary-part identity in dimension m: with
+    the weight restored, b = omega tanh theta, E = e^{t b^2} erfc(-sqrt(t) b),
 
-      int_0^inf f [P_x U_boundary] dx
-        = -1/(2 cosh^2 theta) f gm Pi+ Pi+* [1/sqrt(pi t) + b E]
-          - omega/(2 cosh^2 theta) f gm gt Pi+ Pi+* E.
+      int_0^inf [P_x U_boundary] dx
+        = -1/(2 cosh^2 theta) gm Pi+ Pi+* [1/sqrt(pi t) + b E]
+          - omega/(2 cosh^2 theta) gm gt Pi+ Pi+* E.
     """
-    rep = params.rep
-    f = np.eye(rep.d_s) if f_matrix is None else np.asarray(f_matrix,
-                                                            dtype=complex)
-    pp = pi_plus_product(rep, params.theta)  # checked against its closed form
-    lhs = _integrated(params, _boundary(params),
-                      2.0 / math.cosh(params.theta) ** 2 * pp, f)
-    t, omega = params.t, params.omega
-    b = omega * math.tanh(params.theta)
+    rep = build_gamma(m)
+    pp = pi_plus_product(rep, theta)  # checked against its closed form
+    b = omega * math.tanh(theta)
+    lhs = _integrated(rep, omega, t, _boundary(t, b),
+                      2.0 / math.cosh(theta) ** 2 * pp)
     E = erfcx(-math.sqrt(t) * b)
     gm, gt = rep.gamma_m, rep.gamma_tilde
-    pref = 0.5 / math.cosh(params.theta) ** 2
-    rhs = -pref * f @ gm @ pp * (1.0 / math.sqrt(math.pi * t) + b * E) \
-        - pref * omega * f @ gm @ gt @ pp * E
+    pref = 0.5 / math.cosh(theta) ** 2
+    rhs = -pref * gm @ pp * (1.0 / math.sqrt(math.pi * t) + b * E) \
+        - pref * omega * gm @ gt @ pp * E
     return float(np.abs(lhs - rhs).max())
 
 

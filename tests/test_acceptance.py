@@ -14,11 +14,11 @@ import numpy as np
 from chiralbag import ball_spectrum as bs
 from chiralbag import cylinder as cy
 from chiralbag import identities as idn
-from chiralbag.clifford import build_gamma, chiral_projectors, \
-    pi_plus_product
+from chiralbag.clifford import build_gamma, pi_plus_product
 from chiralbag.coefficients import universal_constants
 from test_ball_spectrum import FAMILIES, mode_integral_residuals, ratio, \
     roots
+from test_clifford import projectors
 
 MS = (2, 4, 6, 8, 10, 12)
 THETA_GRID = [round(-2.0 + 0.1 * k, 10) for k in range(41)]
@@ -115,14 +115,12 @@ def test_05_disc_spectral_fit():
 
 
 def test_06_cylinder_checks():
-    rep = build_gamma(2)
     worst = 0.0
     for omega in (0.5, 1.3, 2.0):
         for theta in (0.0, 0.4, 0.7, 1.2):
             for t in (0.1, 0.25):
-                p = cy.ModeParams(omega=omega, theta=theta, t=t, rep=rep)
-                worst = max(worst, cy.check_U1_integral(p),
-                            cy.check_U2_integral(p))
+                worst = max(worst, cy.check_U1_integral(2, omega, t),
+                            cy.check_U2_integral(2, omega, theta, t))
             for s in (1.5, 2.5):
                 worst = max(worst, cy.check_t_integral(s, omega, theta))
     _report(6, "cylinder integrated identities + t-integral",
@@ -168,11 +166,9 @@ def test_09_clifford_invariants():
         worst = max(worst, np.abs(gt @ gt - eye).max(),
                     abs(np.trace(gt)))
         for theta in (0.0, 0.8, -1.5):
-            proj = chiral_projectors(rep, theta)
-            worst = max(worst,
-                        np.abs(proj.pi_plus @ proj.pi_plus
-                               - proj.pi_plus).max(),
-                        np.abs(proj.pi_plus + proj.pi_minus - eye).max())
+            pi_plus, pi_minus = projectors(rep, theta)
+            worst = max(worst, np.abs(pi_plus @ pi_plus - pi_plus).max(),
+                        np.abs(pi_plus + pi_minus - eye).max())
             prod = pi_plus_product(rep, theta)
             c, s = math.cosh(theta), math.sinh(theta)
             closed = 0.5 * c * (c * eye + s * gt - gt @ rep.gamma_m)

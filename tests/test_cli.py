@@ -564,7 +564,7 @@ class TestErrors:
 
 
 class TestContract:
-    """Each command returns rows; _each names the point an ArithmeticError
+    """Each command returns rows; _each names the point a numerical failure
     happens at, and main alone writes the report and sets the exit code."""
 
     @pytest.mark.parametrize("argv,warns", (
@@ -622,6 +622,32 @@ class TestContract:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: ZeroDivisionError at {where}")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flags,flag,value", (
+        (("--t", "0"), "t", "0.0"),
+        (("--t", "-0.1"), "t", "-0.1"),
+        (("--s", "-1"), "s", "-1.0"),
+        (("--omega", "0"), "omega", "0.0"),
+        (("--theta", "0.3", "--omega", "1e149", "--t", "1e-300", "--s",
+          "1.5"), "t", "1e-300")),
+        ids=("t-zero", "t-negative", "s-negative", "omega-zero", "tail"))
+    def test_flag_domain_error_names_point(self, tmp_path, capsys, flags,
+                                           flag, value):
+        # a value outside a check's domain is a configuration error,
+        # reported after its message at the point, theta first
+        path = tmp_path / "report"
+        code = cli.main(["verify-cylinder", "--m", "2", *flags,
+                         "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(")\n")
+        where = err[err.rindex("(at ") + 4:-2].split(", ")
+        point = dict(kv.split("=") for kv in where)
+        theta = flags[flags.index("--theta") + 1] if "--theta" in flags \
+            else "0"
+        assert where[0] == f"theta={float(theta)}"
+        assert point[flag] == value
         assert not path.exists()
 
     @staticmethod

@@ -9,6 +9,16 @@ from chiralbag import clifford as cl
 MS = (2, 4, 6, 8, 10, 12)
 
 
+def projectors(rep, theta):
+    """Reference chiral bag projectors Pi_+ and Pi_-, written out from the
+    formula Pi_-+ = (1 +- exp(theta gt) gt gamma_m)/2 with
+    exp(theta gt) = cosh(theta) + sinh(theta) gt."""
+    eye = np.eye(rep.d_s)
+    a = (np.cosh(theta) * eye + np.sinh(theta) * rep.gamma_tilde) \
+        @ rep.gamma_tilde @ rep.gamma_m
+    return 0.5 * (eye - a), 0.5 * (eye + a)
+
+
 @pytest.mark.parametrize("m", MS)
 def test_representation_invariants(m):
     rep = cl.build_gamma(m)
@@ -45,21 +55,23 @@ def test_invalid_dimension():
 @pytest.mark.parametrize("theta", (0.0, 0.5, -1.3, 2.0))
 def test_projectors(m, theta):
     rep = cl.build_gamma(m)
-    proj = cl.chiral_projectors(rep, theta)
+    pi_plus, pi_minus = projectors(rep, theta)
     eye = np.eye(rep.d_s)
-    for p in (proj.pi_plus, proj.pi_minus):
+    for p in (pi_plus, pi_minus):
         assert np.abs(p @ p - p).max() < 1e-12
-    assert np.abs(proj.pi_plus + proj.pi_minus - eye).max() < 1e-13
+    assert np.abs(pi_plus + pi_minus - eye).max() < 1e-13
     # each projects onto half the spinor space
-    assert np.trace(proj.pi_minus).real == pytest.approx(rep.d_s / 2,
-                                                         abs=1e-12)
+    assert np.trace(pi_minus).real == pytest.approx(rep.d_s / 2, abs=1e-12)
+    # the package's product is the reference Pi_+ Pi_+*
+    prod = pi_plus @ pi_plus.conj().T
+    assert np.abs(cl.pi_plus_product(rep, theta) - prod).max() < 1e-13
 
 
 def test_disc_boundary_projector_spectrum():
     # m=2: Pi_- has eigenvalues {0, 1} (idempotent, trace 1)
     rep = cl.build_gamma(2)
-    proj = cl.chiral_projectors(rep, 0.8)
-    evals = sorted(np.linalg.eigvals(proj.pi_minus).real)
+    _, pi_minus = projectors(rep, 0.8)
+    evals = sorted(np.linalg.eigvals(pi_minus).real)
     assert evals[0] == pytest.approx(0.0, abs=1e-12)
     assert evals[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -72,8 +84,7 @@ def test_pi_plus_product_closed_form(m):
     prod = cl.pi_plus_product(rep, 0.9)
     assert np.abs(prod - prod.conj().T).max() < 1e-13
     p0 = cl.pi_plus_product(rep, 0.0)
-    proj0 = cl.chiral_projectors(rep, 0.0)
-    assert np.abs(p0 - proj0.pi_plus).max() < 1e-13
+    assert np.abs(p0 - projectors(rep, 0.0)[0]).max() < 1e-13
 
 
 @pytest.mark.parametrize("m", (2, 12))
@@ -82,13 +93,11 @@ def test_checks_scale_with_cosh_squared(m, theta):
     # the entries of Pi+- and Pi+ Pi+* grow like cosh^2 theta, and so do
     # their rounding residuals
     rep = cl.build_gamma(m)
-    proj = cl.chiral_projectors(rep, theta)
     prod = cl.pi_plus_product(rep, theta)
     gt, eye = rep.gamma_tilde, np.eye(rep.d_s)
     c, s = math.cosh(theta), math.sinh(theta)
     closed = 0.5 * c * (c * eye + s * gt - gt @ rep.gamma_m)
-    resid = max(np.abs(p @ p - p).max()
-                for p in (proj.pi_plus, proj.pi_minus))
+    resid = max(np.abs(p @ p - p).max() for p in projectors(rep, theta))
     resid = max(resid, np.abs(prod - closed).max())
     assert resid / (c * c) < 1e-15
 
@@ -96,8 +105,8 @@ def test_checks_scale_with_cosh_squared(m, theta):
 def test_scaled_checks_still_catch_a_bad_chirality():
     rep = cl.build_gamma(2)
     bad = dataclasses.replace(rep, gamma_tilde=rep.gamma_tilde * (1 + 1e-6))
-    with pytest.raises(cl.CliffordError):
-        cl.chiral_projectors(bad, 4.0)
+    with pytest.raises(cl.CliffordError, match="not idempotent"):
+        cl.pi_plus_product(bad, 4.0)
 
 
 @pytest.mark.parametrize("m", MS)

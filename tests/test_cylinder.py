@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,169 +5,155 @@ import pytest
 from scipy import integrate
 
 from chiralbag import cylinder as cy
-from chiralbag.clifford import build_gamma, chiral_projectors, \
-    pi_plus_product
+from chiralbag.clifford import build_gamma, pi_plus_product
 from chiralbag.specialfn import erf, erfcx
+from test_clifford import projectors
 
 
 ALL_M = [2, 4, 6, 8, 10, 12]
 # (theta, omega) of the kernel checks, at every m in ALL_M
 KERNEL_GRID = [(theta, omega) for theta in (-1.1, 0.0, 0.7, 2.0)
                for omega in (-0.8, 1.3)]
+# the reference mode of the checks: (omega, theta, t)
+OMEGA, THETA, T = 1.3, 0.7, 0.25
 
 
-@pytest.fixture(scope="module")
-def rep2():
-    return build_gamma(2)
-
-
-@pytest.fixture(scope="module")
-def rep4():
-    return build_gamma(4)
-
-
-def params(rep, omega=1.3, theta=0.7, t=0.25):
-    return cy.ModeParams(omega=omega, theta=theta, t=t, rep=rep)
-
-
-def free(p):
+def free(t):
     """The free Gaussian e^{-(x - x')^2/4t} and its x-derivative."""
     def scalar(x, xp):
         xi = x - xp
-        return math.exp(-xi * xi / (4.0 * p.t))
-    return scalar, lambda x, xp: -(x - xp) / (2.0 * p.t) * scalar(x, xp)
+        return math.exp(-xi * xi / (4.0 * t))
+    return scalar, lambda x, xp: -(x - xp) / (2.0 * t) * scalar(x, xp)
 
 
-def kernel(p):
+def kernel(m, omega, theta, t):
     """The full mode kernel free + image + 2 Pi+ Pi+* / cosh^2 boundary,
     with the weight exp(-omega^2 t)/sqrt(4 pi t) stripped, from the
     package's scalars."""
-    eye = np.eye(p.rep.d_s)
-    mat = 2.0 / math.cosh(p.theta) ** 2 * pi_plus_product(p.rep, p.theta)
-    parts = ((free(p)[0], eye), (cy._image(p)[0], eye),
-             (cy._boundary(p)[0], mat))
-    return lambda x, xp: sum(s(x, xp) * m for s, m in parts)
+    rep = build_gamma(m)
+    eye = np.eye(rep.d_s)
+    mat = 2.0 / math.cosh(theta) ** 2 * pi_plus_product(rep, theta)
+    parts = ((free(t)[0], eye), (cy._image(t)[0], eye),
+             (cy._boundary(t, omega * math.tanh(theta))[0], mat))
+    return lambda x, xp: sum(s(x, xp) * a for s, a in parts)
 
 
-def boundary_condition_residual(p, xp):
+def boundary_condition_residual(m, omega, theta, t, xp):
     """Max entry of Pi_- applied to the full kernel at x = 0."""
-    proj = chiral_projectors(p.rep, p.theta)
-    return float(np.abs(proj.pi_minus @ kernel(p)(0.0, xp)).max())
+    _, pi_minus = projectors(build_gamma(m), theta)
+    return float(np.abs(pi_minus @ kernel(m, omega, theta, t)(0.0, xp))
+                 .max())
 
 
-def heat_equation_residual(p, x, xp, h_x=1e-4, h_t=1e-5):
+def heat_equation_residual(m, omega, theta, t, x, xp, h_x=1e-4, h_t=1e-5):
     """Finite-difference residual of (d_t + omega^2 - d_x^2) on the kernel
     with its mode weight restored, at an interior point."""
     def weighted(t):
-        q = dataclasses.replace(p, t=t)
-        w = math.exp(-q.omega ** 2 * t) / math.sqrt(4.0 * math.pi * t)
-        k = kernel(q)
+        w = math.exp(-omega ** 2 * t) / math.sqrt(4.0 * math.pi * t)
+        k = kernel(m, omega, theta, t)
         return lambda x, xp: w * k(x, xp)
-    f, f_up, f_down = weighted(p.t), weighted(p.t + h_t), weighted(p.t - h_t)
+    f, f_up, f_down = weighted(t), weighted(t + h_t), weighted(t - h_t)
     d_t = (f_up(x, xp) - f_down(x, xp)) / (2.0 * h_t)
     d_xx = (f(x + h_x, xp) - 2.0 * f(x, xp) + f(x - h_x, xp)) / (h_x * h_x)
-    return float(np.abs(d_t + p.omega ** 2 * f(x, xp) - d_xx).max())
+    return float(np.abs(d_t + omega ** 2 * f(x, xp) - d_xx).max())
 
 
 class TestModeKernel:
-    def test_theta_zero_boundary_scalar(self, rep2):
-        boundary = cy._boundary(params(rep2, theta=0.0))[0]
+    def test_theta_zero_boundary_scalar(self):
+        boundary = cy._boundary(T, OMEGA * math.tanh(0.0))[0]
         eta = 0.9
         assert boundary(0.4, 0.5) == \
             pytest.approx(math.exp(-eta * eta / (4 * 0.25)), rel=1e-13)
 
-    def test_omega_zero_bracket_is_one(self, rep2):
-        boundary = cy._boundary(params(rep2, omega=0.0))[0]
+    def test_omega_zero_bracket_is_one(self):
+        boundary = cy._boundary(T, 0.0 * math.tanh(THETA))[0]
         for x, xp in ((0.1, 0.3), (1.0, 2.0)):
             eta = x + xp
             assert boundary(x, xp) == \
                 pytest.approx(math.exp(-eta * eta / (4 * 0.25)), rel=1e-13)
 
-    def test_boundary_condition(self, rep2):
+    def test_boundary_condition(self):
         for xp in (0.05, 0.3, 1.1):
-            assert boundary_condition_residual(params(rep2), xp) < 1e-10
+            assert boundary_condition_residual(2, OMEGA, THETA, T, xp) \
+                < 1e-10
         for m in ALL_M:
-            rep = build_gamma(m)
             for theta, omega in KERNEL_GRID:
-                p = params(rep, omega=omega, theta=theta)
                 for xp in (0.05, 0.3, 1.1):
-                    assert boundary_condition_residual(p, xp) < 1e-10, \
-                        (m, theta, omega, xp)
+                    assert boundary_condition_residual(
+                        m, omega, theta, T, xp) < 1e-10, (m, theta, omega, xp)
 
-    def test_boundary_condition_m4(self, rep4):
-        p = params(rep4, omega=0.8, theta=1.1, t=0.1)
-        assert boundary_condition_residual(p, 0.4) < 1e-10
+    def test_boundary_condition_m4(self):
+        assert boundary_condition_residual(4, 0.8, 1.1, 0.1, 0.4) < 1e-10
 
     @pytest.mark.parametrize("x,xp", [(0.4, 0.7), (0.2, 0.2), (1.3, 0.5)])
-    def test_heat_equation(self, rep2, x, xp):
-        assert heat_equation_residual(params(rep2), x, xp) < 1e-6
+    def test_heat_equation(self, x, xp):
+        assert heat_equation_residual(2, OMEGA, THETA, T, x, xp) < 1e-6
         for m in ALL_M:
-            rep = build_gamma(m)
             for theta, omega in KERNEL_GRID:
-                p = params(rep, omega=omega, theta=theta)
-                assert heat_equation_residual(p, x, xp) < 1e-6, \
-                    (m, theta, omega)
+                assert heat_equation_residual(m, omega, theta, T, x, xp) \
+                    < 1e-6, (m, theta, omega)
 
-    def test_scaled_erfc_stability(self, rep2):
+    def test_scaled_erfc_stability(self):
         # far from the boundary the naive exp(u^2) erfc(u) would overflow;
         # the scalar must still evaluate to a finite (tiny) value
-        v = cy._boundary(params(rep2, t=0.01))[0](30.0, 30.0)
+        v = cy._boundary(0.01, OMEGA * math.tanh(THETA))[0](30.0, 30.0)
         assert math.isfinite(v)
         assert v == pytest.approx(0.0, abs=1e-300)
 
-    def test_invalid_t(self, rep2):
-        with pytest.raises(ValueError):
-            cy.ModeParams(omega=1.0, theta=0.0, t=0.0, rep=rep2)
+    def test_invalid_t(self, monkeypatch):
+        # refused before any quadrature
+        monkeypatch.setattr(cy, "integrate", None)
+        for t in (0.0, -0.1):
+            with pytest.raises(ValueError, match="t must be positive"):
+                cy.check_U1_integral(2, 1.0, t)
+            with pytest.raises(ValueError, match="t must be positive"):
+                cy.check_U2_integral(2, 1.0, 0.0, t)
 
 
 class TestApplyDirac:
-    def test_fd_audit_passes(self, rep2):
-        p = cy.ModeParams(omega=1.1, theta=0.5, t=0.2, rep=rep2)
-        eye = np.eye(rep2.d_s)
-        for piece in (free(p), cy._image(p), cy._boundary(p)):
-            cy._integrated(p, piece, eye, eye)
+    def test_fd_audit_passes(self):
+        rep = build_gamma(2)
+        eye = np.eye(rep.d_s)
+        for piece in (free(0.2), cy._image(0.2),
+                      cy._boundary(0.2, 1.1 * math.tanh(0.5))):
+            cy._integrated(rep, 1.1, 0.2, piece, eye)
 
-    def test_fd_audit_catches_wrong_derivative(self, rep2):
-        p = params(rep2)
-        scalar, scalar_dx = cy._boundary(p)
-        eye = np.eye(rep2.d_s)
+    def test_fd_audit_catches_wrong_derivative(self):
+        rep = build_gamma(2)
+        scalar, scalar_dx = cy._boundary(T, OMEGA * math.tanh(THETA))
         with pytest.raises(cy.DerivativeMismatchError):
-            cy._integrated(p, (scalar, lambda x, xp: 1.01 * scalar_dx(x, xp)),
-                           eye, eye)
+            cy._integrated(rep, OMEGA, T,
+                           (scalar, lambda x, xp: 1.01 * scalar_dx(x, xp)),
+                           np.eye(rep.d_s))
 
-    def test_theta_zero_image_part(self, rep2):
+    def test_theta_zero_image_part(self):
         # P applied to the image Gaussian at coincidence:
         # -gt gm w e^{-x^2/t} + gm (x/t) e^{-x^2/t}
-        p = cy.ModeParams(omega=1.3, theta=0.0, t=0.25, rep=rep2)
-        scalar, scalar_dx = cy._image(p)
+        rep = build_gamma(2)
+        omega, t = 1.3, 0.25
+        scalar, scalar_dx = cy._image(t)
         x = 0.6
-        g = math.exp(-x * x / p.t)
-        gm, gt = rep2.gamma_m, rep2.gamma_tilde
-        applied = p.omega * scalar(x, x) * gt @ gm + scalar_dx(x, x) * gm
-        expect = -p.omega * gt @ gm * g + gm * (x / p.t) * g
+        g = math.exp(-x * x / t)
+        gm, gt = rep.gamma_m, rep.gamma_tilde
+        applied = omega * scalar(x, x) * gt @ gm + scalar_dx(x, x) * gm
+        expect = -omega * gt @ gm * g + gm * (x / t) * g
         assert np.abs(applied - expect).max() < 1e-13
 
 
 class TestU1Integral:
-    def test_reference_point(self, rep2):
-        assert cy.check_U1_integral(params(rep2)) < 1e-8
+    def test_reference_point(self):
+        assert cy.check_U1_integral(2, OMEGA, T) < 1e-8
 
-    def test_omega_zero(self, rep2):
-        assert cy.check_U1_integral(params(rep2, omega=0.0)) < 1e-10
-
-    @pytest.mark.parametrize("m", ALL_M)
-    def test_f_gamma_tilde(self, m):
-        rep = build_gamma(m)
-        p = params(rep, omega=2.0, theta=0.4, t=0.1)
-        assert cy.check_U1_integral(p, f_matrix=rep.gamma_tilde) < 1e-13
+    def test_omega_zero(self):
+        assert cy.check_U1_integral(2, 0.0, T) < 1e-10
 
 
 class TestU2Integral:
-    def test_reference_point(self, rep2):
-        assert cy.check_U2_integral(params(rep2)) < 1e-8
+    def test_reference_point(self):
+        assert cy.check_U2_integral(2, OMEGA, THETA, T) < 1e-8
 
-    def test_theta_zero_reduction(self, rep2):
-        assert cy.check_U2_integral(params(rep2, theta=0.0)) < 1e-9
+    def test_theta_zero_reduction(self):
+        assert cy.check_U2_integral(2, OMEGA, 0.0, T) < 1e-9
 
     def test_erf_and_erfc_paths_agree(self):
         # E = e^{t b^2} erfc(-sqrt(t) b) of the U2 closed form, as the
@@ -180,25 +165,24 @@ class TestU2Integral:
             direct = math.exp(t * b * b) * (1.0 + erf(math.sqrt(t) * b))
             assert scaled == pytest.approx(direct, rel=1e-13)
 
-    def test_reflection_symmetry(self, rep2):
-        a = cy.check_U2_integral(params(rep2, omega=1.3, theta=0.7))
-        b = cy.check_U2_integral(params(rep2, omega=-1.3, theta=-0.7))
+    def test_reflection_symmetry(self):
+        a = cy.check_U2_integral(2, 1.3, 0.7, T)
+        b = cy.check_U2_integral(2, -1.3, -0.7, T)
         assert a < 1e-8 and b < 1e-8
 
     @pytest.mark.parametrize("m", ALL_M)
     def test_every_m(self, m):
-        assert cy.check_U2_integral(params(build_gamma(m), omega=0.9,
-                                           theta=1.2, t=0.1)) < 1e-13
+        assert cy.check_U2_integral(m, 0.9, 1.2, 0.1) < 1e-13
 
-    def test_theta_zero_explicit_rhs(self, rep2):
+    def test_theta_zero_explicit_rhs(self):
         # at theta=0 the closed form collapses to
-        # -1/2 f gm Pi+Pi+* / sqrt(pi t) - omega/2 f gm gt Pi+Pi+*
-        p = params(rep2, theta=0.0)
-        pp = pi_plus_product(rep2, 0.0)
-        lhs = cy._integrated(p, cy._boundary(p), 2.0 * pp, np.eye(rep2.d_s))
-        gm, gt = rep2.gamma_m, rep2.gamma_tilde
-        rhs = -0.5 / math.sqrt(math.pi * p.t) * gm @ pp \
-            - 0.5 * p.omega * gm @ gt @ pp
+        # -1/2 gm Pi+Pi+* / sqrt(pi t) - omega/2 gm gt Pi+Pi+*
+        rep = build_gamma(2)
+        pp = pi_plus_product(rep, 0.0)
+        lhs = cy._integrated(rep, OMEGA, T, cy._boundary(T, 0.0), 2.0 * pp)
+        gm, gt = rep.gamma_m, rep.gamma_tilde
+        rhs = -0.5 / math.sqrt(math.pi * T) * gm @ pp \
+            - 0.5 * OMEGA * gm @ gt @ pp
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -218,14 +202,14 @@ class TestQuadratureCount:
                 return integrate.quad(*args, **kwargs)
 
         monkeypatch.setattr(cy, "integrate", Counting())
-        p = params(build_gamma(m))
-        for check in (cy.check_U1_integral, cy.check_U2_integral):
+        for check in (lambda: cy.check_U1_integral(m, OMEGA, T),
+                      lambda: cy.check_U2_integral(m, OMEGA, THETA, T)):
             calls.clear()
-            assert check(p) < 1e-13
+            assert check() < 1e-13
             assert len(calls) == 2
 
 
-def test_one_pi_plus_product_per_U_row(monkeypatch, rep4):
+def test_one_pi_plus_product_per_U_row(monkeypatch):
     # the image part needs no Pi+ Pi+*; U2 builds it once for its boundary
     # part and reuses it on the right side
     built = []
@@ -234,11 +218,11 @@ def test_one_pi_plus_product_per_U_row(monkeypatch, rep4):
         built.append(theta)
         return pi_plus_product(rep, theta)
     monkeypatch.setattr(cy, "pi_plus_product", spy)
-    p = params(rep4)
-    assert cy.check_U1_integral(p) < 1e-13
+    assert cy.check_U1_integral(4, OMEGA, T) < 1e-13
     assert built == []
-    assert cy.check_U2_integral(p) < 1e-13
-    assert built == [p.theta]
+    assert cy.check_U2_integral(4, OMEGA, THETA, T) < 1e-13
+    assert built == [THETA]
+
 
 class TestTIntegral:
     def test_theta_zero(self):
