@@ -15,7 +15,18 @@ for r < 0.  R_p is Gautschi's backward continued fraction
 R_k = mu / (2(k+1) - mu R_{k+1}) (SIAM Rev. 9 (1967) 24); started past p and
 mu it is Miller's stable backward recurrence, which cannot underflow.  It has
 R_k <= 1 for mu <= k+1, so every root of level p exceeds 2(p+1) rho/(1+rho),
-rho = e^-|theta|.  One safeguarded Newton solve takes every bracket at once.
+rho = e^-|theta|.
+
+One safeguarded solve takes every bracket at once, on the phase
+psi = arctan R_p, which obeys the first-order ODE psi' = 1 - (p + 1/2)
+sin 2psi / mu; with psi'' = (p + 1/2)(sin 2psi / mu - 2 cos 2psi psi') / mu
+both derivatives cost nothing once psi is known.  psi is known at the upper
+end of every bracket, pi/2 at a zero of J_p and arctan R_p(mu_max) at
+mu_max, so each root starts from a few RK4 steps of dmu/dpsi = 1 / psi'
+run from there down to arctan r, and converges by Halley steps (the
+phase-function route to special-function roots: Glaser, Liu, Rokhlin, SIAM
+J. Sci. Comput. 29 (2007) 1420; Segura, SIAM J. Numer. Anal. 48 (2010)
+452).
 
 The trace sums, exactly rounded, only the eigenvalues whose terms can reach
 the result: those past a cut, where every later term is below 2^-70 of the
@@ -101,20 +112,60 @@ def _phase(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.arctan(ratio)
 
 
+def _slope(p: np.ndarray, mu: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """psi' = 1 - (p + 1/2) sin 2psi / mu at psi = phase = arctan R_p(mu)."""
+    return 1.0 - (p + 0.5) * np.sin(2.0 * phase) / mu
+
+
 def _newton(p: np.ndarray, mu: np.ndarray, target: np.ndarray) -> tuple:
     """g = arctan R_p(mu) - target and the Newton step g / g'."""
     phase = _phase(p, mu)
-    g = phase - target  # g' = 1 - (2p + 1) R/mu + R^2 over 1 + R^2
-    return g, g / (1.0 - (p + 0.5) * np.sin(2.0 * phase) / mu)
+    g = phase - target
+    return g, g / _slope(p, mu, phase)
+
+
+def _start(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
+           hi: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """mu at psi = target from 4 RK4 steps of dmu/dpsi = 1 / psi', run from
+    (hi, top) down to target; the midpoint where that is not finite or not
+    inside (lo, hi)."""
+    h = 0.25 * (target - top)
+    mu, psi = hi, top
+    # the field has a pole where psi' = 0 off the phase curve itself
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(4):
+            k1 = h / _slope(p, mu, psi)
+            k2 = h / _slope(p, mu + 0.5 * k1, psi + 0.5 * h)
+            k3 = h / _slope(p, mu + 0.5 * k2, psi + 0.5 * h)
+            k4 = h / _slope(p, mu + k3, psi + h)
+            mu, psi = mu + (k1 + 2.0 * (k2 + k3) + k4) / 6.0, psi + h
+    return np.where((mu > lo) & (mu < hi), mu, 0.5 * (lo + hi))
 
 
 def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
-           hi: np.ndarray) -> np.ndarray:
-    """Newton steps to arctan R_p = target that keep each bracket [lo, hi],
-    bisecting where a step leaves it; a root retires at a step <= 1e-14 mu."""
-    mu, root, live = 0.5 * (lo + hi), np.empty(lo.shape), np.arange(lo.size)
+           hi: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """arctan R_p = target in each bracket [lo, hi], arctan R_p(hi) = top:
+    Halley steps from the start of _start that keep the bracket, bisecting
+    where a step leaves it; a root retires at a step <= 1e-14 mu.
+
+    The Bessel recurrences give R_p' = 1 - (2p + 1) R_p / mu + R_p^2, so
+    psi = arctan R_p has psi' = R_p' / (1 + R_p^2) = 1 - (p + 1/2) sin 2psi
+    / mu and psi'' = (p + 1/2)(sin 2psi / mu - 2 cos 2psi psi') / mu: the
+    one phase a step evaluates gives g = psi - target, psi' and psi'', and
+    the Halley step (g / psi') / (1 - g psi'' / (2 psi'^2)).  psi is known
+    at the upper end of every bracket, pi/2 at a zero of J_p (its limit
+    from below) and top at mu_max.  At the lower end of a first bracket it
+    is not: lo is the level floor there, and at mu -> 0 the field 1 / psi'
+    is 0/0.  So every start runs down from hi."""
+    mu = _start(p, target, lo, hi, top)
+    root, live = np.empty(lo.shape), np.arange(lo.size)
     for _ in range(100):
-        g, step = _newton(p, mu, target)
+        phase = _phase(p, mu)
+        g, slope = phase - target, _slope(p, mu, phase)
+        bend = (p + 0.5) * (np.sin(2.0 * phase) / mu
+                            - 2.0 * np.cos(2.0 * phase) * slope) / mu
+        step = g / slope
+        step = step / (1.0 - 0.5 * step * bend / slope)
         lo, hi = np.where(g < 0.0, mu, lo), np.where(g > 0.0, mu, hi)
         new = mu - step
         # a step onto a bracket end is kept: bisecting it converges linearly
@@ -150,11 +201,11 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     hit = (top >= target) & ((lo > 0.0) | (target > 0.0))
     p, target = p[hit], target[hit]
     roots = _solve(p, target, np.maximum(lo[hit], _level_floor(p, theta)),
-                   hi[hit])
+                   hi[hit], top[hit])
     shift = np.max(np.abs(_newton(p, roots, target)[1]) / roots, initial=0.0)
     if shift > ROOT_RTOL:
-        raise RuntimeError(f"root solve failed at theta={theta}: Newton "
-                           f"correction {shift:.3e} of the root")
+        raise RuntimeError(f"root solve failed: a correction of "
+                           f"{shift:.3e} of the root is left")
     keep = roots <= mu_max
     return p[keep], roots[keep]
 
@@ -183,8 +234,8 @@ def spectrum(theta: float, m: int, mu_max: float) -> tuple:
     # last level p with _level_floor(p) <= mu_max, one spare for rounding
     n_levels = mu_max / _level_floor(0, theta) - p0 + 1
     if n_levels > MAX_LEVELS:
-        raise ValueError(f"theta={theta}, m={m}: {n_levels:.3g} angular "
-                         f"levels below mu_max={mu_max}, over {MAX_LEVELS}")
+        raise ValueError(f"{n_levels:.3g} angular levels below "
+                         f"mu_max={mu_max}, over {MAX_LEVELS}")
     n_levels = max(int(n_levels), 0)
     p, mu = _roots(np.arange(p0, p0 + n_levels), ratios, theta, mu_max)
     deg = np.array([degeneracy(n, m) for n in range(n_levels)], dtype=float)

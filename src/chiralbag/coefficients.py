@@ -97,8 +97,7 @@ def universal_constants(theta: float, m: int) -> UniversalConstants:
             raise OverflowError(f"{name} overflows at theta={theta}, m={m}")
         if abs(value - general) > CONSISTENCY_TOL * max(1.0, abs(value)):
             raise ConsistencyError(
-                f"{name} closed form disagrees with its general form at "
-                f"theta={theta}, m={m}")
+                f"{name} closed form disagrees with its general form")
     return UniversalConstants(
         theta=theta, m=m, c1=c1, c2=c2, c3=-2.0 * d4, c4=0.0,
         c5=ch * p_half, c6=c6, c7=-0.5 * (1.0 - f_tanh),

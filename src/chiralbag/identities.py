@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefficients import UniversalConstants, universal_constants
+from .coefficients import (ConsistencyError, UniversalConstants,
+                           universal_constants)
 from .specialfn import hyp2f1, hyp2f1_euler
 
 
@@ -124,7 +125,8 @@ def grid_report(thetas=GRID_THETAS, ms=GRID_MS) -> dict:
     """Max residual of each identity over the (theta, m) grid, every check
     at a point sharing one GridPoint.  The c7 quotient runs from m = 4 and
     has no entry when no m reaches 4.  OverflowError naming theta and m
-    on overflow."""
+    on overflow, and ConsistencyError naming them where a closed form
+    disagrees with its general form."""
     checks = {"ball_cylinder_d1": check_ball_cylinder_d1,
               "ball_cylinder_d2": check_ball_cylinder_d2,
               "c7_relation": check_c7_relation,
@@ -147,4 +149,7 @@ def grid_report(thetas=GRID_THETAS, ms=GRID_MS) -> dict:
             except OverflowError:
                 raise OverflowError(
                     f"{name} overflows at theta={theta}, m={m}") from None
+            except ConsistencyError as exc:
+                raise ConsistencyError(
+                    f"{exc} at theta={theta}, m={m}") from None
     return out

@@ -148,6 +148,37 @@ class TestFindRoots:
                 mp.mpf(found[0]))
             assert abs(found[0] / exact - 1) < 1e-12
 
+    @pytest.mark.parametrize("theta", (1.0, 2.0, -2.0))
+    @pytest.mark.parametrize("p", (30, 60, 90, 100, 120))
+    def test_first_root_below_turning_point_against_mpmath(self, p, theta):
+        # r = e^-|theta|: the first root lies below mu = p, where the phase
+        # start crosses the flat turning region; at p >= mu_max = 100 it
+        # runs from arctan R_p(mu_max), not pi/2
+        mp = pytest.importorskip("mpmath")
+        r = math.exp(-abs(theta))
+        found = roots(p, r, theta, 100.0)[0]
+        assert found < p
+        with mp.workdps(50):
+            exact = mp.findroot(
+                lambda z: mp.besselj(p + 1, z) - r * mp.besselj(p, z),
+                mp.mpf(found))
+            assert abs(found / exact - 1) < 1e-14
+
+    @pytest.mark.parametrize("theta,m,per_root", (
+        (0.5, 2, 4.0), (1.0, 2, 4.0), (2.0, 2, 4.0), (3.0, 2, 4.0),
+        (3.0, 12, 4.0), (6.0, 2, 5.0)))
+    def test_phase_work_per_root(self, theta, m, per_root, monkeypatch):
+        # every element the continued fraction evaluates in one spectrum,
+        # the solve's final check included; the count repeats exactly
+        phase, elements = bs._phase, []
+
+        def spy(p, mu):
+            elements.append(mu.size)
+            return phase(p, mu)
+        monkeypatch.setattr(bs, "_phase", spy)
+        mu = bs.spectrum(theta, m, 100.0)[0]
+        assert sum(elements) <= per_root * mu.size
+
     @pytest.mark.parametrize("p", (60, 231))
     def test_root_count_against_mpmath(self, p):
         # sign changes of J_{p+1} - r J_p in 30-digit arithmetic on a 0.1

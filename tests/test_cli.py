@@ -237,6 +237,30 @@ class TestClosedFormRow:
         assert "theta=0.5, m=4" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv,module,name,where", (
+        (("verify-ball", "--m", "2", "--theta", "10"), None, None,
+         "theta=10.0, m=2"),
+        (("verify-ball", "--m", "2", "--theta", "0.5", "--mu-max", "20"),
+         ball_spectrum, "ROOT_RTOL", "theta=0.5, m=2"),
+        (("table", "--m", "4", "--theta", "0.5"), coefficients,
+         "CONSISTENCY_TOL", "theta=0.5, m=4"),
+        (("verify-identities", "--m", "4", "--theta", "0.5"), coefficients,
+         "CONSISTENCY_TOL", "theta=0.5, m=4")),
+        ids=("level-limit", "root-solve", "consistency-table",
+             "consistency-identities"))
+    def test_error_names_point_once(self, tmp_path, capsys, monkeypatch,
+                                    argv, module, name, where):
+        # the level limit, a root left unconverged and a closed form that
+        # disagrees with its general form: the message names its point once
+        if module is not None:
+            monkeypatch.setattr(module, name, -1.0)
+        path = tmp_path / "report"
+        assert cli.main([*argv, "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Newton" not in err
+        assert err.count(where) == 1 and err.count("theta=") == 1
+        assert not path.exists()
+
     def test_cylinder_tail_bound_exit_2(self, tmp_path, capsys):
         # a window of 12 sqrt(t) + 2 |omega| t leaves a Gaussian tail far
         # above 1e-20 when omega^2 t is huge and t tiny
