@@ -8,7 +8,11 @@ Subcommands:
   verify-identities  hypergeometric consistency web
 
 Each command returns its report rows; main writes them (CSV, JSON, or the
-coeffs text block) and sets the exit code.
+coeffs text block) and sets the exit code.  The JSON report is the bytes
+of json.dumps(rows, indent=2) with every float rounded to 12 significant
+digits, written without the pure-Python indenting encoder: the C encoder
+writes each row with its items already on their own lines, and the rows
+are joined into the list's layout.
 
 verify-ball samples the heat trace at 20 geometric t from 0.02 to 0.3
 (ball_spectrum.T_GRID) and fits a_1..a_5 (ball_spectrum.FIT_DEPTH) with a_0
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -130,7 +133,7 @@ def _parse_m(text: str) -> list[int]:
 def _constants(theta: float, m: int) -> dict:
     """Every constant at (theta, m); OverflowError past the float range."""
     uc = universal_constants(theta, m)
-    row = {f.name: getattr(uc, f.name) for f in dataclasses.fields(uc)}
+    row = dict(vars(uc))
     if not all(map(math.isfinite, row.values())):
         raise OverflowError
     return row
@@ -213,6 +216,21 @@ def cmd_verify_identities(args) -> list[dict]:
             for k, v in report.items()]
 
 
+# one row as a JSON object by the C encoder (it runs in C because indent is
+# None), its items already on the lines of json.dumps(indent=2)
+_encode_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
+def _json_row(row: dict) -> str:
+    """The row as json.dumps(indent=2) writes it inside a list, floats
+    rounded to 12 significant digits like _fmt; + 0.0 turns -0.0 into
+    0.0."""
+    text = _encode_row({k: (float(f"{v:.12g}") + 0.0
+                            if isinstance(v, (float, np.floating)) else v)
+                        for k, v in row.items()})
+    return "{\n    " + text[1:-1] + "\n  }" if row else text
+
+
 def _report_text(rows: list[dict], fmt: str) -> str:
     """The constants rows as the coeffs text block, a JSON list of the
     rows, or CSV whose header is every row key in first-seen order; a row
@@ -232,9 +250,9 @@ def _report_text(rows: list[dict], fmt: str) -> str:
                          f"a1_eta={_fmt(r['a1_eta'])}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        clean = [{k: (float(_fmt(v)) if isinstance(v, (float, np.floating))
-                      else v) for k, v in r.items()} for r in rows]
-        return json.dumps(clean, indent=2) + "\n"
+        if not rows:
+            return "[]\n"
+        return "[\n  " + ",\n  ".join(map(_json_row, rows)) + "\n]\n"
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(
         k for r in rows for k in r)), restval="", lineterminator="\n")

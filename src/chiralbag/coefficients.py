@@ -10,6 +10,7 @@ and the even dimension m.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,22 @@ class UniversalConstants:
     a1_eta: float
 
 
+@functools.cache
+def _factors(m: int) -> tuple:
+    """The theta-independent factors of universal_constants at m: d_s,
+    norm = 2^m Gamma(m/2), the a1 and a2 prefactors sqrt(pi) d_s/norm and
+    2 (m-1) d_s/norm, and the prefactors of the general forms of a1, a2
+    and a1_eta.  Each product is in the order the constants apply it, so
+    every value is bit-identical to forming it inline."""
+    d_s = spinor_dimension(m)
+    norm = 2 ** m * gamma_fn(m / 2)
+    pref = d_s / norm
+    area = sphere_volume(m)
+    return (d_s, norm, math.sqrt(math.pi) * pref, pref * 2 * (m - 1),
+            (4 * math.pi) ** (-(m - 1) / 2) * area * d_s,
+            (4 * math.pi) ** (-m / 2) * area * d_s, 2.0 / norm * d_s)
+
+
 def universal_constants(theta: float, m: int) -> UniversalConstants:
     """c1..c7, d1..d4 and the unit-ball a1, a2, a1_eta at (theta, m), each
     2F1 polynomial summed once.
@@ -82,17 +99,14 @@ def universal_constants(theta: float, m: int) -> UniversalConstants:
     c2 = ((2 * m - 5) / 3.0 + (2 - m) * f_tanh) / (2.0 * (m - 1))
     d4 = -0.5 * th + 0.5 * (m - 1) * th * ch ** (m - 2) * poly
     c6 = (m - 1) * sh * p_3half
-    d_s = spinor_dimension(m)
-    norm = 2 ** m * gamma_fn(m / 2)
-    pref = d_s / norm
-    a1 = math.sqrt(math.pi) * pref * (ch ** (m - 1) - 1.0)
-    a2 = pref * 2 * (m - 1) * c2
+    d_s, norm, k_a1, k_a2, g_a1, g_a2, g_eta = _factors(m)
+    a1 = k_a1 * (ch ** (m - 1) - 1.0)
+    a2 = k_a2 * c2
     a1_eta = -sh * d_s * (m - 1) / norm * p_3half
-    area = sphere_volume(m)
     for name, value, general in (
-            ("a1", a1, (4 * math.pi) ** (-(m - 1) / 2) * area * d_s * c1),
-            ("a2", a2, (4 * math.pi) ** (-m / 2) * area * d_s * c2 * (m - 1)),
-            ("a1_eta", a1_eta, 2.0 / norm * d_s * (-0.5 * c6))):
+            ("a1", a1, g_a1 * c1),
+            ("a2", a2, g_a2 * c2 * (m - 1)),
+            ("a1_eta", a1_eta, g_eta * (-0.5 * c6))):
         if not (math.isfinite(value) and math.isfinite(general)):
             raise OverflowError(f"{name} overflows at theta={theta}, m={m}")
         if abs(value - general) > CONSISTENCY_TOL * max(1.0, abs(value)):

@@ -10,6 +10,7 @@ them with.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from scipy import integrate
@@ -51,28 +52,44 @@ def erfcx(x):
     return _sp.erfcx(x)
 
 
-def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss 2F1(a, b; c; z) for a or b a non-positive integer: a finite
-    polynomial in any real z.  ParameterError otherwise (see hyp2f1_euler)."""
+@functools.lru_cache(maxsize=256)
+def _degree(a: float, b: float, c: float) -> int:
+    """The degree of the 2F1 polynomial at (a, b, c); ParameterError, which
+    is not cached, for a pole in c or a series that does not terminate."""
     if _nonpos_int(c) is not None:
         raise ParameterError(f"2F1 undefined for c={c}")
     degrees = [-v for v in (_nonpos_int(a), _nonpos_int(b)) if v is not None]
     if not degrees:
         raise ParameterError(f"2F1 does not terminate: a={a}, b={b}, c={c}")
+    return min(degrees)
+
+
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
+    """Gauss 2F1(a, b; c; z) for a or b a non-positive integer: a finite
+    polynomial in any real z.  ParameterError otherwise (see hyp2f1_euler)."""
     total = 1.0
     term = 1.0
-    for n in range(min(degrees)):
+    for n in range(_degree(a, b, c)):
         term *= (a + n) * (b + n) / (c + n) * z / (n + 1)
         total += term
     return total
 
 
+# below this |theta| hyp2f1_euler is its series 1 - b sinh^2(theta)/3, whose
+# next term, b(b+1) sinh^4(theta)/10, is below 1e-31 for b <= 13/2
+EULER_SERIES_THETA = 1e-8
+
+
 def hyp2f1_euler(b: float, theta: float) -> float:
     """2F1(1/2, b; 3/2; -sinh^2 theta) by Euler's integral (DLMF 15.6.1),
-    (1/sinh theta) int_0^theta cosh(y)^(1-2b) dy, and 1 at theta = 0; for
-    b >= 1/2 the integrand is smooth and bounded on the whole theta line."""
-    if theta == 0.0:
-        return 1.0
-    val, _ = integrate.quad(lambda y: math.cosh(y) ** (1.0 - 2.0 * b),
+    (1/sinh theta) int_0^theta cosh(y)^(1-2b) dy; for b >= 1/2 the
+    integrand is smooth and bounded on the whole theta line.  For |theta|
+    below EULER_SERIES_THETA, where quad over a tiny or subnormal interval
+    is unreliable, it is the series 1 - b sinh^2(theta)/3."""
+    sh = math.sinh(theta)
+    if abs(theta) < EULER_SERIES_THETA:
+        return 1.0 - b * sh * sh / 3.0
+    power = 1.0 - 2.0 * b
+    val, _ = integrate.quad(lambda y: math.cosh(y) ** power,
                             0.0, theta, epsabs=0.0, epsrel=1e-13)
-    return val / math.sinh(theta)
+    return val / sh

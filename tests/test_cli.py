@@ -7,9 +7,11 @@ import random
 import re
 import runpy
 import shlex
+import struct
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -318,6 +320,15 @@ class TestVerifyCommands:
         assert code == 0
         assert "c7_relation" in out
 
+    def test_identities_subnormal_theta(self, capsys):
+        # the Euler integral is its series at tiny |theta|, so a subnormal
+        # angle passes like theta = 0
+        for theta in ("5e-324", "-1e-310"):
+            code, out = run(capsys, "verify-identities", "--m", "2,4",
+                            "--theta", theta)
+            assert code == 0
+            assert "False" not in out
+
     def test_identities_whole_theta_line(self, capsys):
         code, out = run(capsys, "verify-identities", "--m", "2,4,6,8,10,12",
                         "--theta", "-40:40:2.5")
@@ -412,6 +423,52 @@ def test_csv_matches_json(capsys, argv):
                 assert float(got) == row[key]
             else:
                 assert got == str(row[key])
+
+
+def _reference_json(rows: list[dict]) -> str:
+    """The JSON report as the pure-Python indenting encoder writes it."""
+    return json.dumps([{k: (float(cli._fmt(v))
+                            if isinstance(v, (float, np.floating)) else v)
+                        for k, v in r.items()} for r in rows],
+                      indent=2) + "\n"
+
+
+class TestJsonWriter:
+    # the C-encoded writer must give json.dumps(indent=2)'s bytes
+    def test_edge_values(self):
+        rows = [{"theta": 0.0, "m": 2, "neg_zero": -0.0,
+                 "np_neg_zero": np.float64(-0.0), "np": np.float64(1 / 3),
+                 "nan": math.nan, "inf": math.inf, "ninf": -math.inf,
+                 "tiny": 5e-324, "small": 1e-5, "big": 1e16,
+                 "long": 123456789012.5, "int": -7, "yes": True,
+                 "no": False},
+                {"identity": "alternate_forms", "max_residual": 2.5e-14,
+                 "pass": True},
+                {"identity": 'quote " and \\ and \u00e9', "pass": False},
+                {}]
+        for some in (rows, rows[:1], rows[3:]):
+            assert cli._report_text(some, "json") == _reference_json(some)
+
+    def test_empty(self):
+        assert cli._report_text([], "json") == _reference_json([]) == "[]\n"
+
+    def test_cylinder_rows_with_mixed_keys(self):
+        args = cli.build_parser().parse_args(
+            ["verify-cylinder", "--m", "2,4", "--theta", "0,-0.4",
+             "--omega", "1.3", "--t", "0.25", "--s", "2.5"])
+        rows = args.func(args)
+        assert {"U1_residual", "t_integral_residual"} <= {
+            k for r in rows for k in r}
+        assert cli._report_text(rows, "json") == _reference_json(rows)
+
+    def test_float_sweep(self):
+        # every exponent, both signs, subnormals, nan and inf payloads
+        rng = random.Random("json-writer")
+        values = [struct.unpack("<d", rng.getrandbits(64).to_bytes(
+            8, "little"))[0] for _ in range(10 ** 4)]
+        rows = [{f"v{k}": v for k, v in enumerate(values[i:i + 16])}
+                for i in range(0, len(values), 16)]
+        assert cli._report_text(rows, "json") == _reference_json(rows)
 
 
 # a cheap command line for each subcommand

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
 from chiralbag import coefficients as co
+from chiralbag.specialfn import gamma_fn, hyp2f1
 
 MS = (2, 4, 6, 8, 10, 12)
 THETAS = (0.0, 0.3, -0.7, 1.0, 2.0)
@@ -125,3 +128,47 @@ class TestBallCoefficients:
         # a1, a2 and a1_eta are validated against their general-form
         # routes, raising ConsistencyError on disagreement
         co.universal_constants(theta, m)
+
+
+def _reference_constants(theta, m):
+    """universal_constants as it formed every factor inline, before the
+    theta-independent ones were cached per m (consistency checks left
+    out: they change no value)."""
+    sh, ch, th = math.sinh(theta), math.cosh(theta), math.tanh(theta)
+    z = -sh * sh
+    if m == 2:
+        f_tanh = theta / th if theta else 1.0
+    else:
+        f_tanh = ch * ch * hyp2f1(1.0, 2 - m / 2, 1.5, z)
+    p_half = hyp2f1(1.0, 1 - m / 2, 0.5, z)
+    p_3half = hyp2f1(1.0, 1 - m / 2, 1.5, z)
+    poly = hyp2f1(0.5, 1 - m / 2, 1.5, th * th)
+    c1 = 0.25 * (ch ** (m - 1) - 1.0)
+    c2 = ((2 * m - 5) / 3.0 + (2 - m) * f_tanh) / (2.0 * (m - 1))
+    d4 = -0.5 * th + 0.5 * (m - 1) * th * ch ** (m - 2) * poly
+    c6 = (m - 1) * sh * p_3half
+    d_s = co.spinor_dimension(m)
+    norm = 2 ** m * gamma_fn(m / 2)
+    pref = d_s / norm
+    a1 = math.sqrt(math.pi) * pref * (ch ** (m - 1) - 1.0)
+    a2 = pref * 2 * (m - 1) * c2
+    a1_eta = -sh * d_s * (m - 1) / norm * p_3half
+    return co.UniversalConstants(
+        theta=theta, m=m, c1=c1, c2=c2, c3=-2.0 * d4, c4=0.0,
+        c5=ch * p_half, c6=c6, c7=-0.5 * (1.0 - f_tanh),
+        d1=-0.5 * (m - 1) * th * ch ** (m - 1) * poly,
+        d2=-0.5 / ch - 0.5 * (m - 1) * th * th * ch ** (m - 1) * poly,
+        d3=0.0, d4=d4, a1_ball=a1, a2_ball=a2, a1_eta=a1_eta)
+
+
+@pytest.mark.parametrize("m", MS)
+def test_bit_identical_to_inline_factors(m):
+    # the per-m factors are cached in the order they were applied inline,
+    # so every field is the same float, sign of zero included
+    rng = random.Random(f"factors:{m}")
+    for theta in [0.0] + [rng.uniform(-60.0, 60.0) for _ in range(300)]:
+        got = co.universal_constants(theta, m)
+        want = _reference_constants(theta, m)
+        for field in dataclasses.fields(got):
+            assert repr(getattr(got, field.name)) == \
+                repr(getattr(want, field.name)), (theta, m, field.name)

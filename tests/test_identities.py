@@ -71,8 +71,9 @@ def test_grid_report():
 
 
 def test_grid_point_shared_by_the_checks(monkeypatch):
-    # one constants record and two Euler integrals per (theta, m), however
-    # many checks read them
+    # one constants record per (theta, m), however many checks read it, and
+    # each distinct Euler integral (theta, b) once per report: E+ at m is E-
+    # at m + 2, so 3 thetas at m = 2, 4, 6 take 12 integrals, not 18
     records, integrals = [], []
 
     def constants(theta, m):
@@ -88,8 +89,19 @@ def test_grid_point_shared_by_the_checks(monkeypatch):
     idn.grid_report(thetas=thetas, ms=ms)
     assert sorted(records) == sorted((t, m) for t in thetas for m in ms)
     assert sorted(integrals) == sorted(
-        (t, b) for t in thetas for m in ms for b in ((m + 1) / 2,
-                                                     (m - 1) / 2))
+        (t, b) for t in thetas for b in (0.5, 1.5, 2.5, 3.5))
+
+
+def test_shared_integrals_leave_the_report_unchanged():
+    # the memo lends E+ at m as E- at m + 2, in any order of m; the report
+    # equals the maximum over one-point reports, which share nothing
+    thetas, ms = (0.3, -1.1, 2.0), (6, 2, 4, 2)
+    want = {}
+    for m in ms:
+        for theta in thetas:
+            for name, r in idn.grid_report(thetas=(theta,), ms=(m,)).items():
+                want[name] = max(want.get(name, 0.0), r)
+    assert idn.grid_report(thetas=thetas, ms=ms) == want
 
 
 def test_grid_report_c7_only_with_m_from_4():

@@ -88,3 +88,27 @@ class TestHyp2f1Euler:
                     want = mp.hyp2f1(0.5, b, 1.5, -mp.sinh(theta) ** 2)
                     rel = abs((got - want) / want)
                 assert rel <= 1e-14, (b, theta, float(rel))
+
+    @pytest.mark.parametrize("b", [k / 2 for k in range(1, 14)])
+    def test_tiny_theta_against_mpmath(self, b):
+        # below |theta| = 1e-8 the value is the series 1 - b sinh^2/3, so a
+        # subnormal or tiny interval never reaches quad; the quadrature
+        # just above the cut stays within a few ulp too
+        mp = pytest.importorskip("mpmath")
+        for theta in (5e-324, -5e-324, 1e-320, 1e-310, -1e-310, 2.2e-308,
+                      1e-200, 1e-9, 1e-8, 2e-8):
+            got = sf.hyp2f1_euler(b, theta)
+            with mp.workdps(30):
+                want = mp.hyp2f1(0.5, b, 1.5, -mp.sinh(theta) ** 2)
+                rel = abs((got - want) / want)
+            assert rel <= 5e-16, (b, theta, float(rel))
+        for theta in (5e-324, -1e-310, 1e-200):
+            assert sf.hyp2f1_euler(b, theta) == 1.0
+
+
+def test_hyp2f1_refusal_raised_on_every_call():
+    # the per-(a, b, c) degree is cached, a refusal is not
+    for a, b, c in ((1.0, -2.0, -3.0), (1.0, 5.5, 1.5)):
+        for _ in range(2):
+            with pytest.raises(sf.ParameterError):
+                sf.hyp2f1(a, b, c, 0.3)
