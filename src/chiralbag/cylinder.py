@@ -5,12 +5,26 @@ For one transverse mode of frequency omega the kernel splits into a free
 Gaussian, an image Gaussian and a boundary term proportional to
 2 Pi+ Pi+* / cosh^2(theta) times a scalar involving exp(u^2) erfc(u).  This
 module evaluates the image and boundary scalars stably (scaled erfc
-throughout), applies the per-mode operator P = gt gm omega + gm d/dx, and
-checks by quadrature what verify-cylinder reports: the integrated identities
-at one mode and the t-integral closed form.  Any fixed left factor f of an
-identity multiplies both its sides, so f = 1 checks it whole.  The tests
-build the whole kernel from these scalars and check its boundary condition
-and the heat equation.
+throughout, as ufuncs of x and x'), applies the per-mode operator
+P = gt gm omega + gm d/dx, and checks by quadrature what verify-cylinder
+reports: the integrated identities at one mode and the t-integral closed
+form.  Any fixed left factor f of an identity multiplies both its sides, so
+f = 1 checks it whole.  The tests build the whole kernel from these scalars
+and check its boundary condition and the heat equation.
+
+Every check integrates by one of two fixed rules, which evaluate their
+integrand once, on a whole array of nodes, and return a value and an error
+estimate.  The x-integrals over the tail-bounded window [0, X] use
+Gauss-Legendre panels graded in units of sqrt(t), the scale of every
+piece's Gaussian; each panel is summed at 10 and at 20 nodes, and the
+estimate is the difference of the two sums.  The t-integral is taken on the
+scale tau = t omega^2 / cosh^2(theta): with t = L v, L = cosh^2(theta) /
+omega^2, its numeric side is L^((s+1)/2) times the unit-scale integral
+int_0^inf v^((s-1)/2) e^{-v} erfc(-sgn(omega) sinh(theta) sqrt(v)) dv,
+where erfc(-x) stands for 1 + erf(x).  That integral is summed by the
+exp-sinh rule v = exp(pi/2 sinh(tau)) (Takahasi and Mori, Publ. RIMS 9
+(1974) 721), trapezoidal in tau, and the estimate is the full-step sum less
+the sum at twice the step.
 """
 
 from __future__ import annotations
@@ -18,16 +32,38 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .clifford import GammaRep, build_gamma, pi_plus_product
-from .specialfn import erf, erfcx, gamma_fn, hyp2f1_euler
+from .specialfn import erfc, erfcx, gamma_fn, hyp2f1_euler
 
-QUAD_EPS = 1e-13
 FD_TOL = 1e-7
 # point and step of the finite-difference audit of the x-derivatives
 FD_X = 0.4
 FD_STEP = 1e-5
+
+# panel edges of the window rule in units of sqrt(t), clipped at the window
+# end X; the Gauss-Legendre nodes of both orders as offsets from a panel's
+# left end in units of its half-width, and their weights as the two columns
+# of one matrix
+PANEL_EDGES = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
+                        12.0, np.inf])
+_LOW = np.polynomial.legendre.leggauss(10)
+_HIGH = np.polynomial.legendre.leggauss(20)
+_NODES = 1.0 + np.concatenate([_LOW[0], _HIGH[0]])
+_WEIGHTS = np.column_stack([np.r_[_LOW[1], np.zeros(20)],
+                            np.r_[np.zeros(10), _HIGH[1]]])
+
+# exp-sinh rule in y = ln v = pi/2 sinh(tau), tau = k/32 in [-6.5, 4.5]:
+# e^-v has vanished at the top (v = e^70.7), and the bottom (v = e^-522)
+# leaves v^((s+1)/2) below 1e-10 of the integral for s > -0.9 and reaches
+# the erfc cut-off v ~ 1/sinh^2(theta) for |theta| up to ~260.  Every other
+# node from the first (k = -208) is the rule at twice the step.
+DE_STEP = 1.0 / 32.0
+_TAU = DE_STEP * np.arange(-208, 145)
+_DE_Y = 0.5 * math.pi * np.sinh(_TAU)
+_DE_WEIGHTS = DE_STEP * 0.5 * math.pi * np.cosh(_TAU)
+# rounding floor of both estimates, per unit of sum |w f|
+_ROUNDING = 20.0 * np.finfo(float).eps
 
 
 class DerivativeMismatchError(RuntimeError):
@@ -41,12 +77,12 @@ class TailBoundError(RuntimeError):
 def _image(t: float) -> tuple:
     """The image Gaussian -e^{-eta^2/4t}, eta = x + x', of the mode kernel
     with its weight exp(-omega^2 t)/sqrt(4 pi t) stripped, and its
-    x-derivative at fixed x', as functions of (x, x')."""
-    def scalar(x: float, xp: float) -> float:
+    x-derivative at fixed x', as functions of (x, x'), scalars or arrays."""
+    def scalar(x, xp):
         eta = x + xp
-        return -math.exp(-eta * eta / (4.0 * t))
+        return -np.exp(-eta * eta / (4.0 * t))
 
-    def scalar_dx(x: float, xp: float) -> float:
+    def scalar_dx(x, xp):
         return -(x + xp) / (2.0 * t) * scalar(x, xp)
     return scalar, scalar_dx
 
@@ -56,24 +92,28 @@ def _boundary(t: float, b: float) -> tuple:
     2 Pi+ Pi+* / cosh^2(theta), and its x-derivative at fixed x':
     [1 + sqrt(pi t) b e^{u^2} erfc(u)] e^{-eta^2/4t}, b = omega tanh(theta),
     u = eta/sqrt(4t) - sqrt(t) b, evaluated with erfcx(u) = e^{u^2} erfc(u)
-    so the exponentials never overflow."""
-    def scalar(x: float, xp: float) -> float:
+    so the exponentials never overflow.  Both take scalars or arrays; their
+    erfcx parts, the only parts that can overflow, are largest in size at
+    x = x' = 0."""
+    def scalar(x, xp):
         eta = x + xp
         u = eta / math.sqrt(4.0 * t) - math.sqrt(t) * b
-        return math.exp(-eta * eta / (4.0 * t)) * \
+        return np.exp(-eta * eta / (4.0 * t)) * \
             (1.0 + math.sqrt(math.pi * t) * b * erfcx(u))
 
-    def scalar_dx(x: float, xp: float) -> float:
+    def scalar_dx(x, xp):
         """-e^{-eta^2/4t} [eta/2t + b + sqrt(pi t) b^2 erfcx(u)]."""
         eta = x + xp
         u = eta / math.sqrt(4.0 * t) - math.sqrt(t) * b
-        return -math.exp(-eta * eta / (4.0 * t)) * \
+        return -np.exp(-eta * eta / (4.0 * t)) * \
             (eta / (2.0 * t) + b + math.sqrt(math.pi * t) * b * b * erfcx(u))
     return scalar, scalar_dx
 
 
 def _window(omega: float, t: float) -> float:
     X = 12.0 * math.sqrt(t) + 2.0 * abs(omega) * t
+    if not math.isfinite(X):
+        raise OverflowError(f"quadrature window X={X}")
     # all integrand pieces decay at least like exp(-x^2/t) up to bounded
     # prefactors; demand a negligible tail at the cut
     tail = math.exp(-X * X / t) * (4.0 + abs(omega))
@@ -82,15 +122,44 @@ def _window(omega: float, t: float) -> float:
     return X
 
 
+def _panels(g, t: float, X: float) -> tuple[float, float]:
+    """int_0^X g(x) dx and its error estimate by Gauss-Legendre panels at
+    sqrt(t) PANEL_EDGES clipped at X, 10 and 20 nodes each; g is called once,
+    on every node."""
+    edges = np.minimum(PANEL_EDGES * math.sqrt(t), X)
+    half = 0.5 * np.diff(edges)
+    x = edges[:-1, None] + half[:, None] * _NODES
+    with np.errstate(under="ignore"):
+        f = g(x.ravel()).reshape(x.shape)
+    low, high = half @ (f @ _WEIGHTS)
+    return float(high), float(abs(high - low) + _ROUNDING
+                              * (half @ (np.abs(f) @ _WEIGHTS[:, 1])))
+
+
+def _exp_sinh(F) -> tuple[float, float]:
+    """int_0^inf f(v) dv and its error estimate by the exp-sinh rule, from
+    F(y) = v f(v) as a function of y = ln v (called once, on every node)."""
+    with np.errstate(under="ignore"):
+        f = F(_DE_Y) * _DE_WEIGHTS
+    full = f.sum()
+    return float(full), float(abs(full - 2.0 * f[::2].sum())
+                              + _ROUNDING * np.abs(f).sum())
+
+
 def _integrated(rep: GammaRep, omega: float, t: float, piece: tuple,
-                matrix: np.ndarray) -> np.ndarray:
+                matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """int_0^X [P_x (s M)] dx / sqrt(4 pi t) at x = x' over the tail-bounded
     window [0, X] for a piece (s, s') = _image or _boundary with fixed matrix
-    M: (omega S0 gt gm + S1 gm) M / sqrt(4 pi t), S0 and S1 the quadratures
-    of s and s'.  t must be positive; s' is first checked by differences."""
+    M: (omega S0 gt gm + S1 gm) M / sqrt(4 pi t), S0 and S1 the integrals
+    of s and s', and the largest entry of the same product taken over the
+    sizes of the matrices and the rule's error estimates of S0 and S1.  t
+    must be positive, a piece not finite at x = x' = 0 (where any overflow
+    shows first) is an OverflowError, and s' is checked by differences."""
     if t <= 0:
         raise ValueError("t must be positive")
     scalar, scalar_dx = piece
+    if not all(math.isfinite(g(0.0, 0.0)) for g in piece):
+        raise OverflowError("kernel piece not finite at x = 0")
     x, h = FD_X, FD_STEP
     resid = abs((scalar(x + h, x) - scalar(x - h, x)) / (2.0 * h)
                 - scalar_dx(x, x))
@@ -99,32 +168,34 @@ def _integrated(rep: GammaRep, omega: float, t: float, piece: tuple,
             f"analytic d/dx vs central differences: residual {resid:.3e} "
             f"at x={x}")
     X = _window(omega, t)
+    (s0, e0), (s1, e1) = (_panels(lambda x: g(x, x), t, X) for g in piece)
+    gtgm, gm = rep.gamma_tilde @ rep.gamma_m, rep.gamma_m
+    norm = math.sqrt(4.0 * math.pi * t)
+    lhs = (omega * s0 * gtgm + s1 * gm) @ matrix / norm
+    err = (abs(omega) * e0 * np.abs(gtgm) + e1 * np.abs(gm)) @ \
+        np.abs(matrix) / norm
+    return lhs, float(err.max())
 
-    def quad(g) -> float:
-        val, _ = integrate.quad(lambda x: g(x, x), 0.0, X, epsabs=QUAD_EPS,
-                                epsrel=1e-12, limit=200)
-        return val
-    return (omega * quad(scalar) * rep.gamma_tilde @ rep.gamma_m
-            + quad(scalar_dx) * rep.gamma_m) @ matrix / \
-        math.sqrt(4.0 * math.pi * t)
 
-
-def check_U1_integral(m: int, omega: float, t: float) -> float:
-    """Residual of the integrated image-part identity in dimension m: with
-    the mode weight 1/sqrt(4 pi t) restored,
+def check_U1_integral(m: int, omega: float, t: float) -> tuple[float, float]:
+    """Residual of the integrated image-part identity in dimension m, and
+    the quadrature's error estimate on it: with the mode weight
+    1/sqrt(4 pi t) restored,
 
       int_0^inf [P_x U_image] dx = 1/sqrt(4 pi t) * 1/2 gm + 1/4 omega gm gt.
     """
     rep = build_gamma(m)
-    lhs = _integrated(rep, omega, t, _image(t), np.eye(rep.d_s))
+    lhs, err = _integrated(rep, omega, t, _image(t), np.eye(rep.d_s))
     gm, gt = rep.gamma_m, rep.gamma_tilde
     rhs = 0.5 / math.sqrt(4.0 * math.pi * t) * gm + 0.25 * omega * gm @ gt
-    return float(np.abs(lhs - rhs).max())
+    return float(np.abs(lhs - rhs).max()), err
 
 
-def check_U2_integral(m: int, omega: float, theta: float, t: float) -> float:
-    """Residual of the integrated boundary-part identity in dimension m: with
-    the weight restored, b = omega tanh theta, E = e^{t b^2} erfc(-sqrt(t) b),
+def check_U2_integral(m: int, omega: float, theta: float,
+                      t: float) -> tuple[float, float]:
+    """Residual of the integrated boundary-part identity in dimension m, and
+    the quadrature's error estimate on it: with the weight restored,
+    b = omega tanh theta, E = e^{t b^2} erfc(-sqrt(t) b),
 
       int_0^inf [P_x U_boundary] dx
         = -1/(2 cosh^2 theta) gm Pi+ Pi+* [1/sqrt(pi t) + b E]
@@ -133,18 +204,47 @@ def check_U2_integral(m: int, omega: float, theta: float, t: float) -> float:
     rep = build_gamma(m)
     pp = pi_plus_product(rep, theta)  # checked against its closed form
     b = omega * math.tanh(theta)
-    lhs = _integrated(rep, omega, t, _boundary(t, b),
-                      2.0 / math.cosh(theta) ** 2 * pp)
+    lhs, err = _integrated(rep, omega, t, _boundary(t, b),
+                           2.0 / math.cosh(theta) ** 2 * pp)
     E = erfcx(-math.sqrt(t) * b)
     gm, gt = rep.gamma_m, rep.gamma_tilde
     pref = 0.5 / math.cosh(theta) ** 2
     rhs = -pref * gm @ pp * (1.0 / math.sqrt(math.pi * t) + b * E) \
         - pref * omega * gm @ gt @ pp * E
-    return float(np.abs(lhs - rhs).max())
+    return float(np.abs(lhs - rhs).max()), err
 
 
-def check_t_integral(s: float, omega: float, theta: float) -> float:
-    """Relative residual of the Mellin-type closed form
+def _t_integral(s: float, omega: float,
+                theta: float) -> tuple[float, float]:
+    """int_0^inf t^{(s-1)/2} e^{-t omega^2/cosh^2 theta}
+    erfc(-sqrt(t) omega tanh theta) dt and its error estimate, for s > -1
+    and omega != 0.  With t = L e^y, L = cosh^2(theta)/omega^2 and
+    a = (s+1)/2 it is L^a times the exp-sinh integral over y of
+    exp(a y - e^y) erfc(-c e^{y/2}), c = sgn(omega) sinh(theta).  The
+    exponent is taken less its largest value a ln(a) - a, which goes into
+    the prefactor, so it never overflows.  L or the prefactor past the float
+    range is an OverflowError, and omega^2 underflowing to 0 a
+    ZeroDivisionError, before any node is evaluated."""
+    ch = math.cosh(theta)
+    L = ch * ch / (omega * omega)
+    if not math.isfinite(L):
+        raise OverflowError(f"t-integral scale L={L}")
+    a = (s + 1) / 2.0
+    c = math.sinh(theta) * math.copysign(1.0, omega)
+    peak = a * math.log(a) - a
+    scale = L ** a * math.exp(peak)
+    if not math.isfinite(scale):
+        raise OverflowError(f"t-integral prefactor {scale}")
+    unit, err = _exp_sinh(lambda y: np.exp(a * y - np.exp(y) - peak)
+                          * erfc(-c * np.exp(0.5 * y)))
+    return scale * unit, scale * err
+
+
+def check_t_integral(s: float, omega: float,
+                     theta: float) -> tuple[float, float]:
+    """Relative residual of the Mellin-type closed form, and the relative
+    error estimate of its numeric side (_t_integral, where 1 + erf(x) is
+    erfc(-x)):
 
       int_0^inf t^{(s-1)/2} e^{-t omega^2/cosh^2 theta}
                 (1 + erf(sqrt(t) omega tanh theta)) dt
@@ -156,18 +256,11 @@ def check_t_integral(s: float, omega: float, theta: float) -> float:
         raise ValueError("need s > -1 for integrability at t=0")
     if omega == 0:
         raise ValueError("omega must be nonzero")
-    ch, sh, th = math.cosh(theta), math.sinh(theta), math.tanh(theta)
-
-    def integrand(t):
-        return t ** ((s - 1) / 2.0) * \
-            math.exp(-t * omega * omega / (ch * ch)) * \
-            (1.0 + erf(math.sqrt(t) * omega * th))
-
-    num, _ = integrate.quad(integrand, 0.0, np.inf,
-                            epsabs=1e-13, epsrel=1e-12, limit=400)
+    num, err = _t_integral(s, omega, theta)
+    ch, sh = math.cosh(theta), math.sinh(theta)
     closed = ch ** (s + 1) / abs(omega) ** (s + 1) * (
         gamma_fn((s + 1) / 2.0)
         + 2.0 / math.sqrt(math.pi) * gamma_fn(1.0 + s / 2.0)
         * sh * math.copysign(1.0, omega)
         * hyp2f1_euler(1.0 + s / 2.0, theta))
-    return abs(num - closed) / abs(closed)
+    return abs(num - closed) / abs(closed), err / abs(closed)

@@ -1,4 +1,4 @@
-"""Special-function core: Gamma, erf/erfcx and Gauss 2F1.
+"""Special-function core: Gamma, erfc/erfcx and Gauss 2F1.
 
 Gamma and the error functions are thin wrappers over scipy; gamma_fn
 refuses its poles.  The ball spectrum needs no Bessel values: it works on a
@@ -43,8 +43,8 @@ def gamma_fn(x: float) -> float:
     return float(_sp.gamma(x))
 
 
-def erf(x):
-    return _sp.erf(x)
+def erfc(x):
+    return _sp.erfc(x)
 
 
 def erfcx(x):

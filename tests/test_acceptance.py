@@ -119,10 +119,10 @@ def test_06_cylinder_checks():
     for omega in (0.5, 1.3, 2.0):
         for theta in (0.0, 0.4, 0.7, 1.2):
             for t in (0.1, 0.25):
-                worst = max(worst, cy.check_U1_integral(2, omega, t),
-                            cy.check_U2_integral(2, omega, theta, t))
+                worst = max(worst, cy.check_U1_integral(2, omega, t)[0],
+                            cy.check_U2_integral(2, omega, theta, t)[0])
             for s in (1.5, 2.5):
-                worst = max(worst, cy.check_t_integral(s, omega, theta))
+                worst = max(worst, cy.check_t_integral(s, omega, theta)[0])
     _report(6, "cylinder integrated identities + t-integral",
             worst < 1e-8, f"max residual = {worst:.3e}")
 

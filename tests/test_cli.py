@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from chiralbag import ball_spectrum, cli, coefficients, cylinder
 
@@ -276,14 +275,31 @@ class TestClosedFormRow:
         assert not path.exists()
 
     def test_cylinder_t_integral_overflow_names_theta(self, tmp_path, capsys):
-        # cosh^(s+1) theta in the t-integral leaves the float range before
-        # the U rows' cosh^2 theta does
+        # the t-integral's prefactor (cosh^2 theta / omega^2)^((s+1)/2)
+        # leaves the float range before the U rows' cosh^2 theta does
         path = tmp_path / "report"
-        with pytest.warns(integrate.IntegrationWarning):
-            code = cli.main(["verify-cylinder", "--m", "2", "--theta", "300",
-                             "--s", "2.5", "--out", str(path)])
+        code = cli.main(["verify-cylinder", "--m", "2", "--theta", "300",
+                         "--s", "2.5", "--out", str(path)])
         assert code == 2
         assert "theta=300.0, s=2.5" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flags,where", (
+        (("--theta", "30", "--omega", "1000", "--t", "0.1"),
+         "theta=30.0, m=2, omega=1000.0, t=0.1"),
+        (("--theta", "0.3", "--omega", "1e307", "--t", "100"),
+         "theta=0.3, m=2, omega=1e+307, t=100.0")),
+        ids=("boundary-term", "window"))
+    def test_cylinder_U_overflow_names_point(self, tmp_path, capsys, flags,
+                                             where):
+        # e^{t b^2} of the boundary term, b = omega tanh theta, or the
+        # window 12 sqrt(t) + 2 |omega| t past the float range: an
+        # OverflowError before any node is evaluated, with no warning
+        path = tmp_path / "report"
+        code = cli.main(["verify-cylinder", "--m", "2", *flags,
+                         "--out", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: OverflowError at {where}\n"
         assert not path.exists()
 
     def test_identities_overflow_before_table(self, capsys):
@@ -342,6 +358,26 @@ class TestVerifyCommands:
                         "--theta", "-4.5,4,4.5")
         assert code == 0
         assert "False" not in out
+
+    def test_cylinder_very_large_theta_positive_omega(self, capsys):
+        # on the scale t omega^2 / cosh^2 theta the t-integral stays a
+        # unit-scale integral for omega > 0 as theta grows
+        code, out = run(capsys, "verify-cylinder", "--m", "2,4,6,8,10,12",
+                        "--theta", "5,6,8,10,20,30", "--omega", "0.5,1.3,2.0",
+                        "--s", "1.5,2.5", "--format", "json")
+        assert code == 0
+        rows = [r for r in json.loads(out) if "t_integral_residual" in r]
+        assert len(rows) == 36
+        assert max(r["t_integral_residual"] for r in rows) <= 1.2e-15
+
+    def test_cylinder_csv_header(self, capsys):
+        code, out = run(capsys, "verify-cylinder", "--m", "2",
+                        "--theta", "0.7", "--omega", "1.3", "--t", "0.25",
+                        "--s", "2.5")
+        assert code == 0
+        assert out.splitlines()[0] == \
+            "m,omega,theta,t,U1_residual,U1_err,U2_residual,U2_err,pass," \
+            "s,t_integral_residual,t_integral_err"
 
     def test_cylinder_pass(self, capsys):
         code, out = run(capsys, "verify-cylinder", "--m", "2",
@@ -648,26 +684,19 @@ class TestContract:
     """Each command returns rows; _each names the point a numerical failure
     happens at, and main alone writes the report and sets the exit code."""
 
-    @pytest.mark.parametrize("argv,warns", (
-        pytest.param(("--theta", "22", "--omega", "-1.7"), False,
-                     id="cancel-22"),
-        pytest.param(("--theta", "30", "--omega", "-1.7"), False,
-                     id="cancel-30"),
-        pytest.param(("--theta", "3", "--omega", "1e-200"), True,
+    @pytest.mark.parametrize("argv", (
+        pytest.param(("--theta", "22", "--omega", "-1.7"), id="cancel-22"),
+        pytest.param(("--theta", "30", "--omega", "-1.7"), id="cancel-30"),
+        pytest.param(("--theta", "3", "--omega", "1e-200"),
                      id="underflow-3"),
-        pytest.param(("--omega", "1e-320"), True, id="underflow-0")))
-    def test_t_integral_zero_division_exit_2(self, tmp_path, capsys, argv,
-                                             warns):
-        # the closed form cancels to 0 or |omega|^(s+1) underflows: a
-        # division by zero in check_t_integral, reported at its point
+        pytest.param(("--omega", "1e-320"), id="underflow-0")))
+    def test_t_integral_zero_division_exit_2(self, tmp_path, capsys, argv):
+        # the closed form cancels to 0 or omega^2 underflows: a division by
+        # zero in check_t_integral, reported at its point
         path = tmp_path / "report"
         argv = ["verify-cylinder", "--m", "2", "--s", "2.5", *argv,
                 "--out", str(path)]
-        if warns:
-            with pytest.warns(integrate.IntegrationWarning):
-                code = cli.main(argv)
-        else:
-            code = cli.main(argv)
+        code = cli.main(argv)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ZeroDivisionError at theta=")
@@ -744,10 +773,8 @@ class TestContract:
             -300.0, 3.0), rng.uniform(-30.0, 30.0), rng.uniform(0.5, 3.0))
             for _ in range(64)]
 
-    # hostile flag values warn; the exit code is what is checked
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning",
-                                "ignore::RuntimeWarning")
     def test_cylinder_sweep_exit_code(self, tmp_path):
+        # no value warns either: pyproject makes a RuntimeWarning an error
         path = tmp_path / "report"
         for omega, theta, s in self._sweep_cases():
             path.unlink(missing_ok=True)

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from chiralbag import cylinder as cy
 from chiralbag.clifford import build_gamma, pi_plus_product
-from chiralbag.specialfn import erf, erfcx
+from chiralbag.specialfn import erfc, erfcx
 from test_clifford import projectors
 
 
@@ -22,7 +22,7 @@ def free(t):
     """The free Gaussian e^{-(x - x')^2/4t} and its x-derivative."""
     def scalar(x, xp):
         xi = x - xp
-        return math.exp(-xi * xi / (4.0 * t))
+        return np.exp(-xi * xi / (4.0 * t))
     return scalar, lambda x, xp: -(x - xp) / (2.0 * t) * scalar(x, xp)
 
 
@@ -102,7 +102,7 @@ class TestModeKernel:
 
     def test_invalid_t(self, monkeypatch):
         # refused before any quadrature
-        monkeypatch.setattr(cy, "integrate", None)
+        monkeypatch.setattr(cy, "_panels", None)
         for t in (0.0, -0.1):
             with pytest.raises(ValueError, match="t must be positive"):
                 cy.check_U1_integral(2, 1.0, t)
@@ -142,18 +142,18 @@ class TestApplyDirac:
 
 class TestU1Integral:
     def test_reference_point(self):
-        assert cy.check_U1_integral(2, OMEGA, T) < 1e-8
+        assert cy.check_U1_integral(2, OMEGA, T)[0] < 1e-8
 
     def test_omega_zero(self):
-        assert cy.check_U1_integral(2, 0.0, T) < 1e-10
+        assert cy.check_U1_integral(2, 0.0, T)[0] < 1e-10
 
 
 class TestU2Integral:
     def test_reference_point(self):
-        assert cy.check_U2_integral(2, OMEGA, THETA, T) < 1e-8
+        assert cy.check_U2_integral(2, OMEGA, THETA, T)[0] < 1e-8
 
     def test_theta_zero_reduction(self):
-        assert cy.check_U2_integral(2, OMEGA, 0.0, T) < 1e-9
+        assert cy.check_U2_integral(2, OMEGA, 0.0, T)[0] < 1e-9
 
     def test_erf_and_erfc_paths_agree(self):
         # E = e^{t b^2} erfc(-sqrt(t) b) of the U2 closed form, as the
@@ -162,24 +162,27 @@ class TestU2Integral:
                                 (0.9, 1.2, 0.1)):
             b = omega * math.tanh(theta)
             scaled = erfcx(-math.sqrt(t) * b)
-            direct = math.exp(t * b * b) * (1.0 + erf(math.sqrt(t) * b))
+            direct = math.exp(t * b * b) * (1.0 + math.erf(math.sqrt(t) * b))
             assert scaled == pytest.approx(direct, rel=1e-13)
+            assert erfc(-math.sqrt(t) * b) == \
+                pytest.approx(1.0 + math.erf(math.sqrt(t) * b), rel=1e-15)
 
     def test_reflection_symmetry(self):
-        a = cy.check_U2_integral(2, 1.3, 0.7, T)
-        b = cy.check_U2_integral(2, -1.3, -0.7, T)
+        a = cy.check_U2_integral(2, 1.3, 0.7, T)[0]
+        b = cy.check_U2_integral(2, -1.3, -0.7, T)[0]
         assert a < 1e-8 and b < 1e-8
 
     @pytest.mark.parametrize("m", ALL_M)
     def test_every_m(self, m):
-        assert cy.check_U2_integral(m, 0.9, 1.2, 0.1) < 1e-13
+        assert cy.check_U2_integral(m, 0.9, 1.2, 0.1)[0] < 1e-13
 
     def test_theta_zero_explicit_rhs(self):
         # at theta=0 the closed form collapses to
         # -1/2 gm Pi+Pi+* / sqrt(pi t) - omega/2 gm gt Pi+Pi+*
         rep = build_gamma(2)
         pp = pi_plus_product(rep, 0.0)
-        lhs = cy._integrated(rep, OMEGA, T, cy._boundary(T, 0.0), 2.0 * pp)
+        lhs, _ = cy._integrated(rep, OMEGA, T, cy._boundary(T, 0.0),
+                                2.0 * pp)
         gm, gt = rep.gamma_m, rep.gamma_tilde
         rhs = -0.5 / math.sqrt(math.pi * T) * gm @ pp \
             - 0.5 * OMEGA * gm @ gt @ pp
@@ -190,23 +193,41 @@ class TestQuadratureCount:
     @pytest.mark.parametrize("m", [2, 12])
     def test_two_scalar_quads_per_check(self, m, monkeypatch):
         # the Clifford matrices factor out of the integrands, so each check
-        # costs two real quadratures whatever the spinor dimension
-        calls = []
+        # costs two real quadratures whatever the spinor dimension, and each
+        # rule calls its integrand once, on all of its nodes
+        rules, evals = [], []
+        panels = cy._panels
 
-        class Counting:
-            def __getattr__(self, name):
-                return getattr(integrate, name)
+        def counting(g, t, X):
+            rules.append(X)
 
-            def quad(self, *args, **kwargs):
-                calls.append(args[1:3])
-                return integrate.quad(*args, **kwargs)
+            def counted(x):
+                evals.append(np.size(x))
+                return g(x)
+            return panels(counted, t, X)
 
-        monkeypatch.setattr(cy, "integrate", Counting())
-        for check in (lambda: cy.check_U1_integral(m, OMEGA, T),
-                      lambda: cy.check_U2_integral(m, OMEGA, THETA, T)):
-            calls.clear()
+        monkeypatch.setattr(cy, "_panels", counting)
+        for check in (lambda: cy.check_U1_integral(m, OMEGA, T)[0],
+                      lambda: cy.check_U2_integral(m, OMEGA, THETA, T)[0]):
+            rules.clear()
+            evals.clear()
             assert check() < 1e-13
-            assert len(calls) == 2
+            assert len(rules) == 2
+            assert len(evals) == 2 and min(evals) > 1
+
+    def test_one_exp_sinh_call_per_t_check(self, monkeypatch):
+        calls = []
+        exp_sinh = cy._exp_sinh
+
+        def counting(F):
+            def counted(y):
+                calls.append(np.size(y))
+                return F(y)
+            return exp_sinh(counted)
+
+        monkeypatch.setattr(cy, "_exp_sinh", counting)
+        assert cy.check_t_integral(2.5, 1.7, 0.6)[0] < 1e-13
+        assert len(calls) == 1 and calls[0] > 1
 
 
 def test_one_pi_plus_product_per_U_row(monkeypatch):
@@ -218,19 +239,19 @@ def test_one_pi_plus_product_per_U_row(monkeypatch):
         built.append(theta)
         return pi_plus_product(rep, theta)
     monkeypatch.setattr(cy, "pi_plus_product", spy)
-    assert cy.check_U1_integral(4, OMEGA, T) < 1e-13
+    assert cy.check_U1_integral(4, OMEGA, T)[0] < 1e-13
     assert built == []
-    assert cy.check_U2_integral(4, OMEGA, THETA, T) < 1e-13
+    assert cy.check_U2_integral(4, OMEGA, THETA, T)[0] < 1e-13
     assert built == [THETA]
 
 
 class TestTIntegral:
     def test_theta_zero(self):
-        assert cy.check_t_integral(2.0, 1.5, 0.0) < 1e-10
+        assert cy.check_t_integral(2.0, 1.5, 0.0)[0] < 1e-10
 
     def test_reference_points(self):
-        assert cy.check_t_integral(2.5, 1.7, 0.6) < 1e-8
-        assert cy.check_t_integral(2.5, -1.7, 0.6) < 1e-8
+        assert cy.check_t_integral(2.5, 1.7, 0.6)[0] < 1e-8
+        assert cy.check_t_integral(2.5, -1.7, 0.6)[0] < 1e-8
 
     def test_theta_zero_closed_form_directly(self):
         s, omega = 2.0, 1.5
@@ -246,3 +267,87 @@ class TestTIntegral:
             cy.check_t_integral(-1.5, 1.0, 0.0)
         with pytest.raises(ValueError):
             cy.check_t_integral(2.0, 0.0, 0.3)
+
+
+# the oracle grid covers the perfbench cylinder_modes box (|theta| <= 1.5,
+# omega in [0.3, 2.5], t in [0.05, 0.4], s in [0.5, 3]) and the points the
+# other tests and the README run: b = omega tanh(theta) up to |omega| = 2.5
+ORACLE_T = (0.05, 0.1, 0.25, 0.4)
+ORACLE_B = (-2.5, -0.3, 0.7, 2.5)
+# (s, omega, theta) of the t-integral, out to |theta| = 4.5 both ways and to
+# theta = 30 for sgn(omega) sinh(theta) > 0
+ORACLE_THETA = (-4.5, -1.5, -0.4, 0.0, 0.7, 1.5, 4.5)
+ORACLE_S = [(s, 0.3, theta) for s in (0.5, 1.5, 3.0)
+            for theta in ORACLE_THETA] + \
+    [(2.5, -2.5, theta) for theta in ORACLE_THETA] + \
+    [(s, 0.5, theta) for s in (1.5, 2.5) for theta in (5.0, 8.0, 30.0)]
+
+
+def _oracle(value, estimate, ref, scale):
+    """The rule's value within 1e-14 of the 30-digit reference, scaled, and
+    its estimate no smaller than its actual error above 1e-15 scaled."""
+    error = abs(value - float(ref)) / scale
+    assert error < 1e-14
+    assert error < 1e-15 or estimate / scale >= error
+
+
+class TestOracle:
+    @pytest.mark.parametrize("t", ORACLE_T)
+    def test_window_rule(self, t):
+        mp = pytest.importorskip("mpmath")
+        # past 12 sqrt(t) every piece is below e^-144 of its size
+        edges = [mp.mpf(e) * mp.sqrt(t) for e in cy.PANEL_EDGES[:-1]]
+        cases = [(cy._image(t), _mp_image(mp, t), 0.0)] + \
+            [(cy._boundary(t, b), _mp_boundary(mp, t, b), b)
+             for b in ORACLE_B]
+        for piece, exact, b in cases:
+            X = cy._window(b, t)
+            for g, h in zip(piece, exact):
+                value, estimate = cy._panels(lambda x: g(x, x), t, X)
+                size, _ = cy._panels(lambda x: np.abs(g(x, x)), t, X)
+                with mp.workdps(30):
+                    ref = mp.quad(lambda x: h(x, x), edges,
+                                  method="gauss-legendre")
+                _oracle(value, estimate, ref, size)
+
+    @pytest.mark.parametrize("s,omega,theta", ORACLE_S)
+    def test_t_rule(self, s, omega, theta):
+        mp = pytest.importorskip("mpmath")
+        value, estimate = cy._t_integral(s, omega, theta)
+        with mp.workdps(30):
+            s, omega, theta = map(mp.mpf, (s, omega, theta))
+            L = mp.cosh(theta) ** 2 / omega ** 2
+            b = omega * mp.tanh(theta)
+            ref = mp.quad(lambda t: t ** ((s - 1) / 2) * mp.exp(-t / L)
+                          * (1 + mp.erf(mp.sqrt(t) * b)),
+                          [0] + [L * mp.exp(k) for k in range(-66, 7, 6)]
+                          + [mp.inf])
+        _oracle(value, estimate, ref, float(ref))
+
+
+def _mp_image(mp, t):
+    t = mp.mpf(t)
+
+    def scalar(x, xp):
+        return -mp.exp(-(x + xp) ** 2 / (4 * t))
+    return scalar, lambda x, xp: -(x + xp) / (2 * t) * scalar(x, xp)
+
+
+def _mp_boundary(mp, t, b):
+    """The boundary scalar and its x-derivative from exp(u^2) erfc(u) in
+    30-digit arithmetic."""
+    t, b = mp.mpf(t), mp.mpf(b)
+
+    def parts(x, xp):
+        eta = x + xp
+        u = eta / mp.sqrt(4 * t) - mp.sqrt(t) * b
+        return eta, mp.exp(-eta ** 2 / (4 * t)), mp.exp(u * u) * mp.erfc(u)
+
+    def scalar(x, xp):
+        eta, g, e = parts(x, xp)
+        return g * (1 + mp.sqrt(mp.pi * t) * b * e)
+
+    def scalar_dx(x, xp):
+        eta, g, e = parts(x, xp)
+        return -g * (eta / (2 * t) + b + mp.sqrt(mp.pi * t) * b * b * e)
+    return scalar, scalar_dx

@@ -31,7 +31,7 @@ class TestErf:
 
     def test_erfc_erf_complement(self):
         x = 0.7
-        assert special.erfc(x) + sf.erf(x) == pytest.approx(1.0, rel=1e-14)
+        assert special.erf(x) + sf.erfc(x) == pytest.approx(1.0, rel=1e-14)
 
 
 class TestHyp2f1:
