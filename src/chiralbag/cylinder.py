@@ -15,11 +15,11 @@ and check its boundary condition and the heat equation.
 Every check integrates by one of two fixed rules, which evaluate their
 integrand once, on a whole array of nodes, and return a value and an error
 estimate.  The x-integrals over the tail-bounded window [0, X] use
-Gauss-Legendre panels graded in units of sqrt(t), the scale of every
-piece's Gaussian; each panel is summed at 10 and at 20 nodes, and the
-estimate is the difference of the two sums.  The t-integral is taken on the
-scale tau = t omega^2 / cosh^2(theta): with t = L v, L = cosh^2(theta) /
-omega^2, its numeric side is L^((s+1)/2) times the unit-scale integral
+specialfn.panel_rule, the rule of Euler's integral too, on panels graded in
+units of sqrt(t), the scale of every piece's Gaussian.  The t-integral is
+taken on the scale tau = t omega^2 / cosh^2(theta): with t = L v,
+L = cosh^2(theta) / omega^2, its numeric side is L^((s+1)/2) times the
+unit-scale integral
 int_0^inf v^((s-1)/2) e^{-v} erfc(-sgn(omega) sinh(theta) sqrt(v)) dv,
 where erfc(-x) stands for 1 + erf(x).  That integral is summed by the
 exp-sinh rule v = exp(pi/2 sinh(tau)) (Takahasi and Mori, Publ. RIMS 9
@@ -34,7 +34,8 @@ import math
 import numpy as np
 
 from .clifford import GammaRep, build_gamma, pi_plus_product
-from .specialfn import erfc, erfcx, gamma_fn, hyp2f1_euler
+from .specialfn import ROUNDING, erfc, erfcx, gamma_fn, hyp2f1_euler, \
+    panel_rule
 
 FD_TOL = 1e-7
 # point and step of the finite-difference audit of the x-derivatives
@@ -42,28 +43,23 @@ FD_X = 0.4
 FD_STEP = 1e-5
 
 # panel edges of the window rule in units of sqrt(t), clipped at the window
-# end X; the Gauss-Legendre nodes of both orders as offsets from a panel's
-# left end in units of its half-width, and their weights as the two columns
-# of one matrix
+# end X
 PANEL_EDGES = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
                         12.0, np.inf])
-_LOW = np.polynomial.legendre.leggauss(10)
-_HIGH = np.polynomial.legendre.leggauss(20)
-_NODES = 1.0 + np.concatenate([_LOW[0], _HIGH[0]])
-_WEIGHTS = np.column_stack([np.r_[_LOW[1], np.zeros(20)],
-                            np.r_[np.zeros(10), _HIGH[1]]])
 
 # exp-sinh rule in y = ln v = pi/2 sinh(tau), tau = k/32 in [-6.5, 4.5]:
 # e^-v has vanished at the top (v = e^70.7), and the bottom (v = e^-522)
-# leaves v^((s+1)/2) below 1e-10 of the integral for s > -0.9 and reaches
+# leaves v^((s+1)/2) below 1e-10 of the integral for s > S_MIN and reaches
 # the erfc cut-off v ~ 1/sinh^2(theta) for |theta| up to ~260.  Every other
 # node from the first (k = -208) is the rule at twice the step.
 DE_STEP = 1.0 / 32.0
 _TAU = DE_STEP * np.arange(-208, 145)
 _DE_Y = 0.5 * math.pi * np.sinh(_TAU)
 _DE_WEIGHTS = DE_STEP * 0.5 * math.pi * np.cosh(_TAU)
-# rounding floor of both estimates, per unit of sum |w f|
-_ROUNDING = 20.0 * np.finfo(float).eps
+# the t-integral's lower bound on s: the integral converges for s > -1, but
+# the head below the rule's lowest node, of relative size about
+# e^(-261 (s+1)) (1.7e-6 at s = -0.95), is lost unseen by the estimate
+S_MIN = -0.9
 
 
 class DerivativeMismatchError(RuntimeError):
@@ -122,20 +118,6 @@ def _window(omega: float, t: float) -> float:
     return X
 
 
-def _panels(g, t: float, X: float) -> tuple[float, float]:
-    """int_0^X g(x) dx and its error estimate by Gauss-Legendre panels at
-    sqrt(t) PANEL_EDGES clipped at X, 10 and 20 nodes each; g is called once,
-    on every node."""
-    edges = np.minimum(PANEL_EDGES * math.sqrt(t), X)
-    half = 0.5 * np.diff(edges)
-    x = edges[:-1, None] + half[:, None] * _NODES
-    with np.errstate(under="ignore"):
-        f = g(x.ravel()).reshape(x.shape)
-    low, high = half @ (f @ _WEIGHTS)
-    return float(high), float(abs(high - low) + _ROUNDING
-                              * (half @ (np.abs(f) @ _WEIGHTS[:, 1])))
-
-
 def _exp_sinh(F) -> tuple[float, float]:
     """int_0^inf f(v) dv and its error estimate by the exp-sinh rule, from
     F(y) = v f(v) as a function of y = ln v (called once, on every node)."""
@@ -143,7 +125,7 @@ def _exp_sinh(F) -> tuple[float, float]:
         f = F(_DE_Y) * _DE_WEIGHTS
     full = f.sum()
     return float(full), float(abs(full - 2.0 * f[::2].sum())
-                              + _ROUNDING * np.abs(f).sum())
+                              + ROUNDING * np.abs(f).sum())
 
 
 def _integrated(rep: GammaRep, omega: float, t: float, piece: tuple,
@@ -167,8 +149,9 @@ def _integrated(rep: GammaRep, omega: float, t: float, piece: tuple,
         raise DerivativeMismatchError(
             f"analytic d/dx vs central differences: residual {resid:.3e} "
             f"at x={x}")
-    X = _window(omega, t)
-    (s0, e0), (s1, e1) = (_panels(lambda x: g(x, x), t, X) for g in piece)
+    edges = np.minimum(PANEL_EDGES * math.sqrt(t), _window(omega, t))
+    (s0, e0), (s1, e1) = (panel_rule(lambda x: g(x, x), edges)
+                          for g in piece)
     gtgm, gm = rep.gamma_tilde @ rep.gamma_m, rep.gamma_m
     norm = math.sqrt(4.0 * math.pi * t)
     lhs = (omega * s0 * gtgm + s1 * gm) @ matrix / norm
@@ -217,8 +200,8 @@ def check_U2_integral(m: int, omega: float, theta: float,
 def _t_integral(s: float, omega: float,
                 theta: float) -> tuple[float, float]:
     """int_0^inf t^{(s-1)/2} e^{-t omega^2/cosh^2 theta}
-    erfc(-sqrt(t) omega tanh theta) dt and its error estimate, for s > -1
-    and omega != 0.  With t = L e^y, L = cosh^2(theta)/omega^2 and
+    erfc(-sqrt(t) omega tanh theta) dt and its error estimate, for
+    s > S_MIN and omega != 0.  With t = L e^y, L = cosh^2(theta)/omega^2 and
     a = (s+1)/2 it is L^a times the exp-sinh integral over y of
     exp(a y - e^y) erfc(-c e^{y/2}), c = sgn(omega) sinh(theta).  The
     exponent is taken less its largest value a ln(a) - a, which goes into
@@ -252,8 +235,9 @@ def check_t_integral(s: float, omega: float,
           + 2/sqrt(pi) Gamma(1+s/2) sinh(theta) sgn(omega)
             2F1(1/2, 1+s/2; 3/2; -sinh^2 theta)] (Euler's integral).
     """
-    if s <= -1:
-        raise ValueError("need s > -1 for integrability at t=0")
+    if s <= S_MIN:
+        raise ValueError(f"need s > {S_MIN}: the exp-sinh rule drops the "
+                         "t-integral's head at t=0")
     if omega == 0:
         raise ValueError("omega must be nonzero")
     num, err = _t_integral(s, omega, theta)

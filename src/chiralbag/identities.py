@@ -5,9 +5,8 @@ and the finite 2F1 sums agree with Euler's integral for the paper's
 non-terminating 2F1.  These checks depend only on the special-function
 layer, so they isolate hypergeometric bugs from spectral-numerics bugs.
 Every check takes one GridPoint: the constants record of its (theta, m)
-and the two Euler integrals the checks compare against.  E+ at m is the
-same integral as E- at m + 2, so grid_report passes one memo of the
-integrals to every grid_point and computes each distinct (b, theta) once.
+and the two Euler integrals the checks compare against, which grid_report
+takes for all m at a theta from one hyp2f1_euler call.
 """
 
 from __future__ import annotations
@@ -39,17 +38,11 @@ class GridPoint:
 
 
 def grid_point(theta: float, m: int, euler=None) -> GridPoint:
-    """The constants and both Euler integrals at (theta, m).  euler, a dict
-    from (b, theta) to the integral, lends integrals already computed and
-    keeps the new ones: E+ at m is E- at m + 2."""
-    constants = universal_constants(theta, m)
-    if euler is None:
-        euler = {}
-    for b in ((m + 1) / 2, (m - 1) / 2):
-        if (b, theta) not in euler:
-            euler[b, theta] = hyp2f1_euler(b, theta)
-    return GridPoint(constants, euler[(m + 1) / 2, theta],
-                     euler[(m - 1) / 2, theta])
+    """The constants and both Euler integrals at (theta, m), these taken
+    from euler, a dict from b to the integral at theta, when given."""
+    bs = [(m + 1) / 2, (m - 1) / 2]
+    euler = euler or dict(zip(bs, hyp2f1_euler(bs, theta)))
+    return GridPoint(universal_constants(theta, m), *(euler[b] for b in bs))
 
 
 def check_ball_cylinder_d1(point: GridPoint) -> float:
@@ -131,15 +124,11 @@ GRID_MS = (2, 4, 6, 8, 10, 12)
 
 
 def grid_report(thetas=GRID_THETAS, ms=GRID_MS) -> dict:
-    """Max residual of each identity over the (theta, m) grid, every check
-    at a point sharing one GridPoint, and each distinct Euler integral
-    (b, theta) computed once: the points share one memo, from which an
-    integral is dropped once no later m reads its b.  The m loop is the
-    outer one, so a failure names the first failing point in m-major
-    order.  The c7 quotient runs from m = 4 and
-    has no entry when no m reaches 4.  OverflowError naming theta and m
-    on overflow, and ConsistencyError naming them where a closed form
-    disagrees with its general form."""
+    """Max residual of each identity over the (theta, m) grid, the checks
+    at a point sharing one GridPoint.  A failure names the first failing
+    point in theta-major order: OverflowError on overflow, ConsistencyError
+    where a closed form disagrees with its general form.  The c7 quotient
+    runs from m = 4 and has no entry when no m reaches 4."""
     checks = {"ball_cylinder_d1": check_ball_cylinder_d1,
               "ball_cylinder_d2": check_ball_cylinder_d2,
               "c7_relation": check_c7_relation,
@@ -147,14 +136,14 @@ def grid_report(thetas=GRID_THETAS, ms=GRID_MS) -> dict:
               "evaluation_paths": check_evaluation_paths}
     out = {name: 0.0 for name in checks
            if name != "c7_relation" or any(m >= 4 for m in ms)}
-    euler = {}
-    for i, m in enumerate(ms):
-        # keep only the integrals this and the later m still read
-        later = {b for k in ms[i:] for b in ((k + 1) / 2, (k - 1) / 2)}
-        euler = {key: v for key, v in euler.items() if key[0] in later}
-        for theta in thetas:
+    bs = sorted({b for m in ms for b in ((m + 1) / 2, (m - 1) / 2)})
+    for theta in thetas:
+        euler = {}
+        for m in ms:
             name = "grid_point"  # the step an overflow is reported at
             try:
+                if not euler:  # in the try, so a failure names theta and m
+                    euler = dict(zip(bs, hyp2f1_euler(bs, float(theta))))
                 point = grid_point(float(theta), m, euler)
                 for name, check in checks.items():
                     if name == "c7_relation" and m < 4:

@@ -1,19 +1,21 @@
-"""Special-function core: Gamma, erfc/erfcx and Gauss 2F1.
+"""Special-function core: Gamma, erfc/erfcx, Gauss 2F1 and the package's
+one finite-interval quadrature.
 
 Gamma and the error functions are thin wrappers over scipy; gamma_fn
 refuses its poles.  The ball spectrum needs no Bessel values: it works on a
 continued fraction for J_{p+1}/J_p between scipy's zeros of J_p.  hyp2f1
 sums the finite 2F1 polynomials of the closed forms; hyp2f1_euler
-evaluates, by quadrature, the non-terminating 2F1 that the checks compare
-them with.
+evaluates the non-terminating 2F1 that the checks compare them with by
+panel_rule, the Gauss-Legendre panel rule of the cylinder checks.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
-from scipy import integrate
+import numpy as np
 from scipy import special as _sp
 
 
@@ -75,21 +77,57 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     return total
 
 
+# the Gauss-Legendre nodes of both orders of panel_rule as offsets from a
+# panel's left end in units of its half-width, and their weights as the two
+# columns of one matrix
+_LOW, _HIGH = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
+_NODES = 1.0 + np.concatenate([_LOW[0], _HIGH[0]])
+_WEIGHTS = np.column_stack([np.r_[_LOW[1], np.zeros(20)],
+                            np.r_[np.zeros(10), _HIGH[1]]])
+# rounding floor of the package's error estimates, per unit of sum |w f|
+ROUNDING = 20.0 * np.finfo(float).eps
+
+
+def panel_rule(g, edges: np.ndarray) -> tuple:
+    """int g from edges[0] to edges[-1] by Gauss-Legendre panels between the
+    edges at 20 nodes, and its error estimate: the difference from 10 nodes
+    plus the rounding floor.  g is called once, on the (panels, nodes)
+    array, and may add a leading axis of integrands."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = edges[:-1, None] + half[:, None] * _NODES
+    with np.errstate(under="ignore"):
+        f = g(x)
+    low, high = (half @ (f @ _WEIGHTS)).T
+    return high, abs(high - low) + ROUNDING * (
+        np.abs(f) @ _WEIGHTS[:, 1] @ half)
+
+
 # below this |theta| hyp2f1_euler is its series 1 - b sinh^2(theta)/3, whose
-# next term, b(b+1) sinh^4(theta)/10, is below 1e-31 for b <= 13/2
-EULER_SERIES_THETA = 1e-8
+# next term, b(b+1) sinh^4(theta)/10, is below 1e-19 for b <= 13/2; there
+# the panel sum, whose weights add up to 2 - 2 ulp, is a few ulp off, and
+# where the panel half-widths underflow it fails
+EULER_SERIES_THETA = 1e-5
+# panel edges of Euler's integral; the panels end at |theta|
+EULER_EDGES = [0.0] + [2.0 ** k for k in range(-3, 11)]
 
 
-def hyp2f1_euler(b: float, theta: float) -> float:
+def hyp2f1_euler(b, theta: float):
     """2F1(1/2, b; 3/2; -sinh^2 theta) by Euler's integral (DLMF 15.6.1),
-    (1/sinh theta) int_0^theta cosh(y)^(1-2b) dy; for b >= 1/2 the
-    integrand is smooth and bounded on the whole theta line.  For |theta|
-    below EULER_SERIES_THETA, where quad over a tiny or subnormal interval
-    is unreliable, it is the series 1 - b sinh^2(theta)/3."""
+    (1/|sinh theta|) int_0^|theta| cosh(y)^(1-2b) dy, smooth and bounded
+    for b >= 1/2, or its series below EULER_SERIES_THETA.  A list of b
+    gives the list of one-b values from one panel_rule call."""
     sh = math.sinh(theta)
-    if abs(theta) < EULER_SERIES_THETA:
-        return 1.0 - b * sh * sh / 3.0
-    power = 1.0 - 2.0 * b
-    val, _ = integrate.quad(lambda y: math.cosh(y) ** power,
-                            0.0, theta, epsabs=0.0, epsrel=1e-13)
-    return val / sh
+    a = abs(theta)
+    if a < EULER_SERIES_THETA:
+        return (1.0 - np.asarray(b) * sh * sh / 3.0).tolist()
+
+    def integrand(y):
+        # c ** v for each float v: numpy computes a broadcast array of
+        # exponents otherwise (v = -1 as a reciprocal only for a float),
+        # and the list's values must be the one-b values bit for bit
+        c = np.cosh(y)
+        if isinstance(b, list):
+            return np.array([c ** (1.0 - 2.0 * v) for v in b])
+        return c ** (1.0 - 2.0 * b)
+    edges = np.array(EULER_EDGES[:bisect.bisect_left(EULER_EDGES, a)] + [a])
+    return (panel_rule(integrand, edges)[0] / abs(sh)).tolist()

@@ -310,6 +310,32 @@ class TestClosedFormRow:
         assert code == 2
         assert "theta=300.0, m=2" in capsys.readouterr().err
 
+    def test_identities_names_first_failure_theta_major(self, tmp_path,
+                                                          capsys):
+        # theta=70 fails at m=12 and theta=240 at every m: the first
+        # failing point in theta-major order is named
+        path = tmp_path / "report"
+        code = cli.main(["verify-identities", "--m", "2,12", "--theta",
+                         "70,240", "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "theta=70.0, m=12" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("s", ("-0.95", "-0.99"))
+    def test_cylinder_s_below_rule_domain_exit_2(self, tmp_path, capsys, s):
+        # the t-integral converges for s > -1, but below -0.9 the exp-sinh
+        # rule drops a head at t=0 its estimate does not see: refused
+        path = tmp_path / "report"
+        code = cli.main(["verify-cylinder", "--m", "2", "--theta", "0.4",
+                         "--omega", "1.3", "--t", "0.25", f"--s={s}",
+                         "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need s > -0.9")
+        assert f"theta=0.4, s={float(s)}, omega=1.3" in err
+        assert not path.exists()
+
 
 class TestVerifyCommands:
     def test_identities_pass(self, capsys):

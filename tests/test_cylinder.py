@@ -102,7 +102,7 @@ class TestModeKernel:
 
     def test_invalid_t(self, monkeypatch):
         # refused before any quadrature
-        monkeypatch.setattr(cy, "_panels", None)
+        monkeypatch.setattr(cy, "panel_rule", None)
         for t in (0.0, -0.1):
             with pytest.raises(ValueError, match="t must be positive"):
                 cy.check_U1_integral(2, 1.0, t)
@@ -196,17 +196,17 @@ class TestQuadratureCount:
         # costs two real quadratures whatever the spinor dimension, and each
         # rule calls its integrand once, on all of its nodes
         rules, evals = [], []
-        panels = cy._panels
+        panel_rule = cy.panel_rule
 
-        def counting(g, t, X):
-            rules.append(X)
+        def counting(g, edges):
+            rules.append(edges)
 
             def counted(x):
                 evals.append(np.size(x))
                 return g(x)
-            return panels(counted, t, X)
+            return panel_rule(counted, edges)
 
-        monkeypatch.setattr(cy, "_panels", counting)
+        monkeypatch.setattr(cy, "panel_rule", counting)
         for check in (lambda: cy.check_U1_integral(m, OMEGA, T)[0],
                       lambda: cy.check_U2_integral(m, OMEGA, THETA, T)[0]):
             rules.clear()
@@ -301,10 +301,11 @@ class TestOracle:
             [(cy._boundary(t, b), _mp_boundary(mp, t, b), b)
              for b in ORACLE_B]
         for piece, exact, b in cases:
-            X = cy._window(b, t)
+            panels = np.minimum(cy.PANEL_EDGES * math.sqrt(t),
+                                cy._window(b, t))
             for g, h in zip(piece, exact):
-                value, estimate = cy._panels(lambda x: g(x, x), t, X)
-                size, _ = cy._panels(lambda x: np.abs(g(x, x)), t, X)
+                value, estimate = cy.panel_rule(lambda x: g(x, x), panels)
+                size, _ = cy.panel_rule(lambda x: np.abs(g(x, x)), panels)
                 with mp.workdps(30):
                     ref = mp.quad(lambda x: h(x, x), edges,
                                   method="gauss-legendre")

@@ -72,29 +72,28 @@ def test_grid_report():
 
 def test_grid_point_shared_by_the_checks(monkeypatch):
     # one constants record per (theta, m), however many checks read it, and
-    # each distinct Euler integral (theta, b) once per report: E+ at m is E-
-    # at m + 2, so 3 thetas at m = 2, 4, 6 take 12 integrals, not 18
-    records, integrals = [], []
+    # one Euler call per theta for every b the requested m read: E+ at m is
+    # E- at m + 2, so m = 2, 4, 6 read b = 1/2, 3/2, 5/2, 7/2
+    records, calls = [], []
 
     def constants(theta, m):
         records.append((theta, m))
         return universal_constants(theta, m)
 
     def euler(b, theta):
-        integrals.append((theta, b))
+        calls.append((theta, b))
         return hyp2f1_euler(b, theta)
     monkeypatch.setattr(idn, "universal_constants", constants)
     monkeypatch.setattr(idn, "hyp2f1_euler", euler)
     thetas, ms = (0.3, -1.1, 2.0), (2, 4, 6)
     idn.grid_report(thetas=thetas, ms=ms)
     assert sorted(records) == sorted((t, m) for t in thetas for m in ms)
-    assert sorted(integrals) == sorted(
-        (t, b) for t in thetas for b in (0.5, 1.5, 2.5, 3.5))
+    assert calls == [(t, [0.5, 1.5, 2.5, 3.5]) for t in thetas]
 
 
 def test_shared_integrals_leave_the_report_unchanged():
-    # the memo lends E+ at m as E- at m + 2, in any order of m; the report
-    # equals the maximum over one-point reports, which share nothing
+    # one Euler call lends E+ at m as E- at m + 2, in any order of m; the
+    # report equals the maximum over one-point reports, which share nothing
     thetas, ms = (0.3, -1.1, 2.0), (6, 2, 4, 2)
     want = {}
     for m in ms:

@@ -3,7 +3,6 @@ import warnings
 
 import pytest
 from scipy import special
-from scipy.integrate import IntegrationWarning
 
 from chiralbag import specialfn as sf
 
@@ -81,7 +80,7 @@ class TestHyp2f1Euler:
     def test_against_mpmath(self, b):
         mp = pytest.importorskip("mpmath")
         with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
+            warnings.simplefilter("error")
             for theta in THETAS:
                 got = sf.hyp2f1_euler(b, theta)
                 with mp.workdps(50):
@@ -91,9 +90,9 @@ class TestHyp2f1Euler:
 
     @pytest.mark.parametrize("b", [k / 2 for k in range(1, 14)])
     def test_tiny_theta_against_mpmath(self, b):
-        # below |theta| = 1e-8 the value is the series 1 - b sinh^2/3, so a
-        # subnormal or tiny interval never reaches quad; the quadrature
-        # just above the cut stays within a few ulp too
+        # below |theta| = EULER_SERIES_THETA the value is the series
+        # 1 - b sinh^2/3, so a subnormal or tiny interval, whose panel
+        # half-widths would underflow, never reaches the panel rule
         mp = pytest.importorskip("mpmath")
         for theta in (5e-324, -5e-324, 1e-320, 1e-310, -1e-310, 2.2e-308,
                       1e-200, 1e-9, 1e-8, 2e-8):
@@ -104,6 +103,30 @@ class TestHyp2f1Euler:
             assert rel <= 5e-16, (b, theta, float(rel))
         for theta in (5e-324, -1e-310, 1e-200):
             assert sf.hyp2f1_euler(b, theta) == 1.0
+
+
+# every b of the closed forms and of the t-integral, 1 + s/2
+EULER_B = [k / 2 for k in range(1, 14)] + \
+    [1 + s / 2 for s in (-0.85, 0.5, 1.5, 3.0)]
+EULER_THETAS = (sf.EULER_SERIES_THETA, 3e-5, 1e-3, 0.05, 0.125, 0.3, 1.0,
+                2.5, 7.0, 20.0, 64.0, 200.0, 511.0, 700.0)
+
+
+class TestEulerOracle:
+    @pytest.mark.parametrize("theta", [s * t for t in EULER_THETAS
+                                       for s in (1, -1)])
+    def test_panel_rule_against_mpmath(self, theta):
+        # one panel_rule call for every b, each value the one-b value bit
+        # for bit and within 1e-15 of 30-digit mpmath
+        mp = pytest.importorskip("mpmath")
+        got = sf.hyp2f1_euler(EULER_B, theta)
+        assert got == [sf.hyp2f1_euler(b, theta) for b in EULER_B]
+        assert all(type(v) is float for v in got)
+        for b, value in zip(EULER_B, got):
+            with mp.workdps(30):
+                want = mp.hyp2f1(0.5, b, 1.5, -mp.sinh(theta) ** 2)
+                rel = abs((value - want) / want)
+            assert rel <= 1e-15, (b, theta, float(rel))
 
 
 def test_hyp2f1_refusal_raised_on_every_call():
