@@ -30,7 +30,13 @@ J. Sci. Comput. 29 (2007) 1420; Segura, SIAM J. Numer. Anal. 48 (2010)
 
 The trace sums, exactly rounded, only the eigenvalues whose terms can reach
 the result: those past a cut, where every later term is below 2^-70 of the
-lowest one, are left out and their bound joins the truncation bound.
+lowest one, are left out and their bound joins the truncation bound.  Nor
+are the roots past that point solved: the solve stops at a cutoff
+mu_c <= mu_max, set at the smallest t from the tail bound and the interior
+term a_0 t^(-m/2), with the brackets and levels of the spectrum to mu_max
+below it, so every root it keeps is the one the full solve gives.  After
+the solve the tail bound past mu_c must lie below 2^-70 of the value at
+every t, or the spectrum is solved again to mu_max.
 """
 
 from __future__ import annotations
@@ -80,15 +86,26 @@ def _level_floor(p, theta: float):
 
 
 @functools.lru_cache(maxsize=1024)
-def _jp_zeros_past(p: int, mu_max: float) -> np.ndarray:
-    """Zeros of J_p up to and one past mu_max."""
-    # McMahon: j_{p,k} ~ (k + p/2 - 1/4) pi
-    nt = max(1, int(mu_max / math.pi - p / 2 + 0.25) + 2)
-    zs = _sp.jn_zeros(p, nt)
-    while zs[-1] <= mu_max:
-        nt += max(4, nt // 2)
+def _zero_table(p: int) -> list:
+    """The zeros of J_p computed so far, as the one item of a list that
+    _jp_zeros_past grows in place: jn_zeros gives the same leading zeros
+    whatever their count, so a table is cut at any cutoff by searchsorted."""
+    return []
+
+
+def _jp_zeros_past(p: int, mu: float) -> np.ndarray:
+    """Zeros of J_p up to and one past mu."""
+    table = _zero_table(p)
+    if not table or table[0][-1] <= mu:
+        # McMahon: j_{p,k} ~ (k + p/2 - 1/4) pi
+        nt = max(1, int(mu / math.pi - p / 2 + 0.25) + 2)
         zs = _sp.jn_zeros(p, nt)
-    return zs[:np.searchsorted(zs, mu_max, side="right") + 1]
+        while zs[-1] <= mu:
+            nt += max(4, nt // 2)
+            zs = _sp.jn_zeros(p, nt)
+        table[:] = [zs]
+    zs = table[0]
+    return zs[:np.searchsorted(zs, mu, side="right") + 1]
 
 
 def _phase(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -180,15 +197,18 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
 
 
 def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
-           mu_max: float) -> tuple:
-    """Level and value of each root in (0, mu_max] of J_{p+1} = r J_p, all
-    levels p and ratios r (|r| >= e^-|theta|).  Brackets end at the zeros
-    of J_p up to one past mu_max; a level p >= mu_max has one, (0, mu_max],
-    which holds a root iff r > 0 and arctan R_p(mu_max) >= arctan r."""
+           mu_max: float, cutoff: float | None = None) -> tuple:
+    """Level and value of each root in (0, cutoff] of J_{p+1} = r J_p, all
+    levels p and ratios r (|r| >= e^-|theta|); the cutoff is mu_max unless
+    given below it.  Brackets end at the zeros of J_p up to one past the
+    cutoff; a level p >= mu_max has one, (0, mu_max], which holds a root iff
+    r > 0 and arctan R_p(mu_max) >= arctan r.  So a bracket is the same at
+    any cutoff, and so is each root it gives."""
     if mu_max <= 0:
         raise ValueError("mu_max must be positive")
+    cutoff = mu_max if cutoff is None else cutoff
     low = levels[levels < mu_max]
-    cuts = [np.concatenate(([0.0], _jp_zeros_past(int(q), mu_max)))
+    cuts = [np.concatenate(([0.0], _jp_zeros_past(int(q), cutoff)))
             for q in low]
     high = levels[levels >= mu_max]
     p = np.concatenate([np.repeat(low, [c.size - 1 for c in cuts]), high])
@@ -206,7 +226,7 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     if shift > ROOT_RTOL:
         raise RuntimeError(f"root solve failed: a correction of "
                            f"{shift:.3e} of the root is left")
-    keep = roots <= mu_max
+    keep = roots <= cutoff
     return p[keep], roots[keep]
 
 
@@ -222,25 +242,47 @@ class AsymptoticFit:
     coeff_errors: np.ndarray
 
 
-def spectrum(theta: float, m: int, mu_max: float) -> tuple:
+def _level_count(theta: float, m: int, mu: float) -> int:
+    """Number of angular levels whose root floor lies below mu, one spare
+    for rounding; more than MAX_LEVELS are refused."""
+    # last level p with _level_floor(p) <= mu
+    n_levels = mu / _level_floor(0, theta) - (m // 2 - 1) + 1
+    if n_levels > MAX_LEVELS:
+        raise ValueError(f"{n_levels:.3g} angular levels below "
+                         f"mu_max={mu}, over {MAX_LEVELS}")
+    return max(int(n_levels), 0)
+
+
+def spectrum(theta: float, m: int, mu_max: float,
+             cutoff: float | None = None) -> tuple:
     """Sorted eigenvalue array and matching degeneracy weights for all four
-    families, every angular level whose root floor lies below mu_max."""
+    families, every angular level whose root floor lies below mu_max, and
+    the number of levels.  A cutoff below mu_max keeps the roots up to it
+    and the levels whose floor lies below it, each solved as in the
+    spectrum to mu_max; the level limit still counts to mu_max."""
     spinor_dimension(m)  # refuses a bad m before the solve
     # r of J_{p+1} = r J_p for (chirality, branch) = (+, pos), (+, neg),
     # (-, pos), (-, neg)
     ratios = (math.exp(theta), -math.exp(theta), -math.exp(-theta),
               math.exp(-theta))
     p0 = m // 2 - 1
-    # last level p with _level_floor(p) <= mu_max, one spare for rounding
-    n_levels = mu_max / _level_floor(0, theta) - p0 + 1
-    if n_levels > MAX_LEVELS:
-        raise ValueError(f"{n_levels:.3g} angular levels below "
-                         f"mu_max={mu_max}, over {MAX_LEVELS}")
-    n_levels = max(int(n_levels), 0)
-    p, mu = _roots(np.arange(p0, p0 + n_levels), ratios, theta, mu_max)
+    cutoff = mu_max if cutoff is None else cutoff
+    _level_count(theta, m, mu_max)  # refuses too many levels
+    n_levels = _level_count(theta, m, cutoff)
+    p, mu = _roots(np.arange(p0, p0 + n_levels), ratios, theta, mu_max,
+                   cutoff)
     deg = np.array([degeneracy(n, m) for n in range(n_levels)], dtype=float)
     order = np.argsort(mu)
     return mu[order], deg[p - p0][order], n_levels  # n = first excluded level
+
+
+def _least(holds, below: int, above: int) -> int:
+    """Bisection: the least n in (below, above] with holds(n), for holds
+    false at below, true at above and monotone between."""
+    while above - below > 1:
+        mid = (below + above) // 2
+        below, above = (below, mid) if holds(mid) else (mid, above)
+    return above
 
 
 def _truncation_bound(theta: float, m: int, t: float, mu_max: float,
@@ -249,23 +291,50 @@ def _truncation_bound(theta: float, m: int, t: float, mu_max: float,
     n < n_excluded and all roots of the later levels: roots of one family
     are at least 2 apart (zeros of J_p are at least pi apart for the
     relevant p), every root exceeds _level_floor at any theta, and the
-    log-concave level terms sum to a geometric tail once they fall."""
+    level terms are log-concave in n, so they rise to a peak, each below
+    it, and fall from there at least geometrically.  The peak is found by
+    bisection; past MAX_LEVELS more levels there is no bound (inf)."""
     spacing = max(1.0 - math.exp(-4.0 * t * mu_max), 1e-300)
 
     def level(n: int) -> float:  # four families, roots above mu_max
         low = max(mu_max, _level_floor(n + m // 2 - 1, theta))
         return 4.0 * degeneracy(n, m) * math.exp(-t * low * low) / spacing
+
+    def falls(n: int) -> bool:  # at or past the peak
+        term = level(n)
+        return term == 0.0 or level(n + 1) < term
     # sum_{n < N} binom(n + m - 2, n) = binom(N + m - 2, m - 1)
     bound = 4.0 * (spinor_dimension(m) // 2) * math.comb(
         n_excluded + m - 2, m - 1) * math.exp(-t * mu_max * mu_max) / spacing
-    n, term = n_excluded, level(n_excluded)
-    while term > 0.0:
-        after = level(n + 1)
-        if after < term:
-            return bound + term / (1.0 - after / term)
-        bound += term
-        n, term = n + 1, after
-    return bound
+    n = n_excluded
+    if not falls(n):
+        if not falls(n + MAX_LEVELS):
+            return math.inf
+        n = _least(falls, n, n + MAX_LEVELS)
+        bound += (n - n_excluded) * level(n)
+    term = level(n)
+    if term == 0.0:
+        return bound
+    return bound + term / (1.0 - level(n + 1) / term)
+
+
+def _solve_cutoff(theta: float, m: int, t: float, mu_max: float) -> float:
+    """The multiple of 1/8, found by bisection, past which the roots'
+    _truncation_bound at t lies below 2^-70 of an estimate of the trace,
+    half its interior term a_0 t^(-m/2); mu_max where mu_max is not
+    enough."""
+    # in logs: t^(-m/2) overflows at t = 1e-300
+    log_target = (math.log(2.0 ** -71 * pinned_a0(m))
+                  - 0.5 * m * math.log(t))
+
+    def enough(mu: float) -> bool:
+        bound = _truncation_bound(theta, m, t, mu,
+                                  _level_count(theta, m, mu))
+        return bound == 0.0 or math.log(bound) <= log_target
+    if not enough(mu_max):
+        return mu_max
+    eighths = _least(lambda k: enough(k / 8.0), 0, math.ceil(8.0 * mu_max))
+    return min(eighths / 8.0, mu_max)
 
 
 def heat_trace(theta: float, m: int, ts: Sequence[float],
@@ -274,32 +343,47 @@ def heat_trace(theta: float, m: int, ts: Sequence[float],
     and the truncation bound of each: deg * exp(-t mu^2) over the four
     families and all angular levels of one spectrum.
 
+    The spectrum is solved only up to a cutoff, mu_c <= mu_max, chosen at
+    the smallest t so that the truncation bound of the roots past it is
+    below 2^-70 of an estimate of the trace.  After the solve that tail
+    bound must lie below 2^-70 of the value at every t; where it does not,
+    the spectrum is solved again to mu_max by the same path.
+
     The first term w_0 exp(-t mu_0^2) is a lower bound on the trace, so the
-    terms at mu >= cut, t cut^2 = ln(sum w / w_0) + 70 ln 2 + t mu_0^2, add
-    up to less than 2^-70 of it.  Only the terms below cut are summed,
-    exactly rounded (math.fsum), and the bound of the rest, sum w
-    exp(-t cut^2), joins the truncation bound.  The value is the exactly
-    rounded sum of every term unless that sum lies within 2^-70 of a
-    rounding boundary, and one ulp from it even then."""
+    solved terms at mu >= cut, t cut^2 = ln(sum w / w_0) + 70 ln 2 + t
+    mu_0^2, add up to less than 2^-70 of it.  Only the terms below cut are
+    summed, exactly rounded (math.fsum), and the bound of the rest, sum w
+    exp(-t cut^2), joins the tail bound in the truncation bound, which is
+    below 2^-69 of the value unless the spectrum to mu_max is not enough.
+    So the value is the exactly rounded sum of every term unless that sum
+    lies within 2^-69 of a rounding boundary, and one ulp from it even
+    then."""
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 0):
-        raise ValueError("t must be positive")
-    mu, w, n_excl = spectrum(theta, m, mu_max)
-    values, bounds = np.empty(ts.shape), np.empty(ts.shape)
-    weight = math.fsum(w)
-    # ln(sum w / w_0) + 70 ln 2 and mu_0; an empty spectrum sums nothing
-    spread, mu0 = ((math.log(weight / w[0]) + 70.0 * math.log(2.0),
-                    float(mu[0])) if mu.size else (0.0, 0.0))
-    for i, t in enumerate(ts.tolist()):
-        cut = math.sqrt(spread / t + mu0 * mu0)
-        k = int(np.searchsorted(mu, cut))
-        values[i] = math.fsum(w[:k] * np.exp(-t * mu[:k] * mu[:k]))
-        bounds[i] = (_truncation_bound(theta, m, t, mu_max, n_excl)
-                     + weight * math.exp(-t * cut * cut))
-        if bounds[i] >= 1e-10 * values[i]:
+    if not np.all(np.isfinite(ts) & (ts > 0)):
+        raise ValueError("t must be positive and finite")
+    values, tails, bounds = (np.empty(ts.shape) for _ in range(3))
+    first = (_solve_cutoff(theta, m, float(ts.min()), mu_max) if ts.size
+             else mu_max)
+    for cutoff in (first, mu_max):
+        mu, w, n_excl = spectrum(theta, m, mu_max, cutoff)
+        weight = math.fsum(w)
+        # ln(sum w / w_0) + 70 ln 2 and mu_0; an empty spectrum sums nothing
+        spread, mu0 = ((math.log(weight / w[0]) + 70.0 * math.log(2.0),
+                        float(mu[0])) if mu.size else (0.0, 0.0))
+        for i, t in enumerate(ts.tolist()):
+            cut = math.sqrt(spread / t + mu0 * mu0)
+            k = int(np.searchsorted(mu, cut))
+            values[i] = math.fsum(w[:k] * np.exp(-t * mu[:k] * mu[:k]))
+            tails[i] = _truncation_bound(theta, m, t, cutoff, n_excl)
+            bounds[i] = tails[i] + weight * math.exp(-t * cut * cut)
+        # the roots past the cutoff cannot move a value
+        if cutoff == mu_max or np.all(tails <= 2.0 ** -70 * values):
+            break
+    for t, value, bound in zip(ts.tolist(), values, bounds):
+        if not bound < 1e-10 * value:
             raise InsufficientCutoffError(
-                f"truncation bound {bounds[i]:.3e} too large for trace "
-                f"{values[i]:.6e} at t={t}; raise mu_max")
+                f"truncation bound {bound:.3e} too large for trace "
+                f"{value:.6e} at t={t}; raise mu_max")
     return values, bounds
 
 

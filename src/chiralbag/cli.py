@@ -19,6 +19,9 @@ verify-ball samples the heat trace at 20 geometric t from 0.02 to 0.3
 pinned.  A row passes when a1 is within 1% of the closed form (A1_RTOL in
 this module; where a1 vanishes, within 3 fit errors of 0) and a2 within
 0.01 (A2_ATOL).  Its one numerical flag is the eigenvalue cutoff --mu-max.
+The spectrum is solved only as far as a root can reach the trace at the
+smallest t (51 to 81 on T_GRID; ball_spectrum.heat_trace), so a --mu-max
+past that costs nothing and changes no byte.
 A verify-cylinder U row has the columns m, omega, theta, t, U1_residual,
 U1_err, U2_residual, U2_err and pass, a t-integral row s, omega, theta,
 t_integral_residual, t_integral_err and pass; each *_err is the quadrature

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -229,6 +230,26 @@ class TestFindRoots:
     def test_spectrum_root_counts(self, theta, m, mu_max, count):
         assert bs.spectrum(theta, m, mu_max)[0].size == count
 
+    def test_zero_table_grows_and_slices(self):
+        # one table per p: a request inside it is a slice, one past its end
+        # grows it, and the zeros it already held keep their bits
+        bs._zero_table.cache_clear()
+        short = bs._jp_zeros_past(7, 20.0)
+        long = bs._jp_zeros_past(7, 80.0)
+        assert short[-2] <= 20.0 < short[-1] and long[-2] <= 80.0 < long[-1]
+        assert np.array_equal(long[:short.size], short)
+        [table] = bs._zero_table(7)
+        assert np.array_equal(table[:long.size], long)
+        assert np.array_equal(bs._jp_zeros_past(7, 20.0), short)
+        assert bs._zero_table(7)[0] is table
+
+    @pytest.mark.parametrize("p", range(0, 100, 9))
+    def test_zeros_alike_at_any_count(self, p):
+        # what the growing table rests on
+        full = sp.jn_zeros(p, 40)
+        for n in (5, 12, 20, 33):
+            assert np.array_equal(sp.jn_zeros(p, n), full[:n])
+
     def test_invalid_mu_max(self):
         with pytest.raises(ValueError):
             roots(0, ratio("plus", "pos", 0.0), 0.0, -1.0)
@@ -289,6 +310,19 @@ def fsum_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The cutoff and result of each spectrum heat_trace solves."""
+    spectrum, calls = bs.spectrum, []
+
+    def spy(theta, m, mu_max, cutoff=None):
+        result = spectrum(theta, m, mu_max, cutoff)
+        calls.append((cutoff, result))
+        return result
+    monkeypatch.setattr(bs, "spectrum", spy)
+    return calls
+
+
 class TestHeatTrace:
     def test_large_t_dominated_by_lowest_modes(self):
         t = 5.0
@@ -334,9 +368,8 @@ class TestHeatTrace:
     def test_equals_fsum_over_every_term(self, theta, m, monkeypatch,
                                          fsum_sizes):
         # the sum over the terms below the cut is the exactly rounded sum of
-        # them all; without the spectrum's own truncation bound, each bound
-        # is that of the terms the cut leaves out, below 2^-70 of the trace
-        monkeypatch.setattr(bs, "_truncation_bound", lambda *args: 0.0)
+        # them all, and each bound, of the roots past the solve cutoff and
+        # of the terms the cut leaves out, is below 2^-69 of the trace
         values, bounds = bs.heat_trace(theta, m, bs.T_GRID, 100.0)
         monkeypatch.undo()
         # the weights, then each t
@@ -348,10 +381,50 @@ class TestHeatTrace:
             assert value == math.fsum(terms)
             assert math.fsum(terms[k:]) <= bound <= 2.0 ** -69 * value
 
+    @pytest.mark.parametrize("m", (2, 8, 12))
+    @pytest.mark.parametrize("theta", (0.5, -1.3, 2.0, 6.0))
+    def test_solves_the_roots_of_the_full_spectrum(self, theta, m, solves):
+        # the roots heat_trace solves are, bit for bit, those of the
+        # spectrum to mu_max at or below its solve cutoff
+        bs.heat_trace(theta, m, bs.T_GRID, 100.0)
+        [(cutoff, (mu, w, n_excl))] = solves
+        assert cutoff < 100.0
+        full, weights, _ = bs.spectrum(theta, m, 100.0)
+        assert np.array_equal(mu, full[full <= cutoff])
+        assert np.array_equal(w, weights[full <= cutoff])
+        assert n_excl == bs._level_count(theta, m, cutoff)
+
+    @pytest.mark.parametrize("theta,m", ((0.5, 2), (-2.0, 8)))
+    def test_mu_max_past_the_cutoff_changes_nothing(self, theta, m):
+        at_100 = bs.heat_trace(theta, m, bs.T_GRID, 100.0)
+        at_1000 = bs.heat_trace(theta, m, bs.T_GRID, 1000.0)
+        assert all(np.array_equal(a, b) for a, b in zip(at_100, at_1000))
+
+    @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
+    def test_no_fallback_on_t_grid(self, m, solves):
+        # one solve per trace, below mu_max, across the declared theta
+        thetas = (-6.0, -3.0, -1.3, 0.0, 0.1, 0.5, 2.0, 4.0, 6.0)
+        for theta in thetas:
+            bs.heat_trace(theta, m, bs.T_GRID, 100.0)
+        assert len(solves) == len(thetas)
+        assert all(cutoff < 100.0 for cutoff, _ in solves)
+
+    def test_large_t_takes_the_fallback(self, solves):
+        # at t = 5 the interior term a_0 / t overshoots the trace: the tail
+        # past the first cutoff is not proved small, so the spectrum to
+        # mu_max is solved, and the value is that of every term
+        value = bs.heat_trace(0.0, 2, [5.0], 100.0)[0][0]
+        assert [cutoff for cutoff, _ in solves] == [
+            bs._solve_cutoff(0.0, 2, 5.0, 100.0), 100.0]
+        mu, w, _ = bs.spectrum(0.0, 2, 100.0)
+        assert value == math.fsum(w * np.exp(-5.0 * mu * mu))
+
     def test_sums_only_the_terms_that_count(self, fsum_sizes):
+        # the solve stops where the cut would: few of the roots to mu_max
+        # are solved, and fewer summed
         bs.heat_trace(1.1, 2, [0.3], 100.0)
-        total, summed = fsum_sizes
-        assert summed < 0.1 * total
+        solved, summed = fsum_sizes
+        assert summed <= solved < 0.1 * bs.spectrum(1.1, 2, 100.0)[0].size
 
     def test_insufficient_cutoff(self):
         with pytest.raises(bs.InsufficientCutoffError):
@@ -360,6 +433,28 @@ class TestHeatTrace:
     def test_invalid_t(self):
         with pytest.raises(ValueError):
             bs.heat_trace(0.0, 2, [-0.1], 50.0)
+
+    @pytest.mark.parametrize("t", (math.nan, math.inf))
+    def test_non_finite_t(self, t):
+        # refused, not passed through as nan or read as a zero trace
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            bs.heat_trace(0.5, 2, [0.1, t], 60.0)
+
+    @pytest.mark.parametrize("m,t,mu_max", ((2, 1e-300, 60.0),
+                                            (8, 1e-12, 100.0),
+                                            (12, 1e-300, 100.0)))
+    def test_tiny_t_fails_at_once(self, m, t, mu_max):
+        # the tail levels rise past MAX_LEVELS, so there is no bound: the
+        # trace is refused, not summed for ever
+        assert bs._truncation_bound(0.5, m, t, mu_max, 10) == math.inf
+        start = time.perf_counter()
+        with pytest.raises(bs.InsufficientCutoffError, match="bound inf"):
+            bs.heat_trace(0.5, m, [t], mu_max)
+        assert time.perf_counter() - start < 1.0
+
+    def test_no_t(self):
+        values, bounds = bs.heat_trace(0.5, 2, [], 100.0)
+        assert values.shape == bounds.shape == (0,)
 
 
 class TestFit:

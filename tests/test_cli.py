@@ -9,6 +9,7 @@ import runpy
 import shlex
 import struct
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -444,14 +445,54 @@ class TestVerifyCommands:
         solved = []
         roots = ball_spectrum._roots
 
-        def spy(levels, ratios, theta, mu_max):
+        def spy(levels, ratios, theta, *cutoffs):
             solved.append(theta)
-            return roots(levels, ratios, theta, mu_max)
+            return roots(levels, ratios, theta, *cutoffs)
         monkeypatch.setattr(ball_spectrum, "_roots", spy)
         code, _ = run(capsys, "verify-ball", "--m", "2",
                       "--theta", "0.5,0.5")
         assert code == 0
         assert solved == [0.5, 0.5]
+
+    def test_ball_solves_only_the_roots_the_trace_reads(self, capsys,
+                                                         monkeypatch):
+        # brackets passed to the solve by one row, against the spectrum to
+        # the default mu_max: the count repeats exactly
+        solve, brackets = ball_spectrum._solve, []
+
+        def spy(p, *args):
+            brackets.append(p.size)
+            return solve(p, *args)
+        monkeypatch.setattr(ball_spectrum, "_solve", spy)
+        assert run(capsys, "verify-ball", "--m", "2", "--theta", "1.3")[0] \
+            == 0
+        row = sum(brackets)
+        brackets.clear()
+        ball_spectrum.spectrum(1.3, 2, 100.0)
+        assert row <= 0.35 * sum(brackets)
+
+    def test_ball_mu_max_past_the_cutoff(self, tmp_path):
+        # nothing past the solve cutoff is solved, so a larger mu_max costs
+        # nothing and changes no byte
+        reports = []
+        for mu_max in ("100", "1000"):
+            path = tmp_path / mu_max
+            start = time.perf_counter()
+            assert cli.main(["verify-ball", "--m", "2", "--theta", "0.5",
+                             "--mu-max", mu_max, "--out", str(path)]) == 0
+            assert time.perf_counter() - start < 1.0
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_ball_insufficient_cutoff_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "report"
+        code = cli.main(["verify-ball", "--m", "2", "--theta", "0.5",
+                         "--mu-max", "30", "--out", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: truncation bound 2.714e-06 too large for trace "
+            "2.562988e+01 at t=0.02; raise mu_max (at theta=0.5, m=2)\n")
+        assert not path.exists()
 
     def test_ball_too_many_levels_exit_2(self, tmp_path, capsys):
         path = tmp_path / "report"
@@ -459,6 +500,17 @@ class TestVerifyCommands:
                          "--out", str(path)])
         assert code == 2
         assert "theta=10.0, m=2" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_ball_mu_max_too_many_levels_exit_2(self, tmp_path, capsys):
+        # the level limit counts to mu_max, not to the solve cutoff
+        path = tmp_path / "report"
+        code = cli.main(["verify-ball", "--m", "2", "--theta", "0.5",
+                         "--mu-max", "1e6", "--out", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: 1.32e+06 angular levels below mu_max=1000000.0, over "
+            "1000000 (at theta=0.5, m=2)\n")
         assert not path.exists()
 
 
