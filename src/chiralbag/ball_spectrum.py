@@ -26,7 +26,9 @@ mu_max, so each root starts from a few RK4 steps of dmu/dpsi = 1 / psi'
 run from there down to arctan r, and converges by Halley steps (the
 phase-function route to special-function roots: Glaser, Liu, Rokhlin, SIAM
 J. Sci. Comput. 29 (2007) 1420; Segura, SIAM J. Numer. Anal. 48 (2010)
-452).
+452).  The check that each returned root is one reads its correction in
+the solve's last step, from the phase at the point that step left, so no
+pass of the continued fraction re-evaluates the roots.
 
 The trace sums, exactly rounded, only the eigenvalues whose terms can reach
 the result: those past a cut, where every later term is below 2^-70 of the
@@ -52,7 +54,8 @@ from scipy import special as _sp
 from .coefficients import ball_volume, spinor_dimension
 
 # largest Newton correction |g / g'| / mu left at a returned root, where
-# g = arctan R_p(mu) - arctan r: the phase residual in units of the root
+# g = arctan R_p(mu) - arctan r: the phase residual in units of the root,
+# bounded by the solve's last step (_solve)
 ROOT_RTOL = 1e-13
 # a spectrum with more angular levels below mu_max is refused
 MAX_LEVELS = 1_000_000
@@ -71,6 +74,7 @@ class IllConditionedFitError(RuntimeError):
     pass
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def degeneracy(n: int, m: int) -> int:
     """Multiplicity of each eigenvalue family at angular level n:
     (d_s / 2) * binom(m + n - 2, n)."""
@@ -85,27 +89,51 @@ def _level_floor(p, theta: float):
     return 2.0 * (p + 1) * rho / (1.0 + rho)
 
 
-@functools.lru_cache(maxsize=1024)
-def _zero_table(p: int) -> list:
+@functools.cache
+def _zero_table() -> list:
     """The zeros of J_p computed so far, as the one item of a list that
-    _jp_zeros_past grows in place: jn_zeros gives the same leading zeros
-    whatever their count, so a table is cut at any cutoff by searchsorted."""
-    return []
+    _brackets replaces as it grows: row p holds them ascending, then +inf,
+    and the last column is +inf in every row.  jn_zeros gives the same
+    leading zeros whatever their count, so a row is cut at any cutoff by
+    comparison and grown by computing it again."""
+    return [np.full((0, 1), np.inf)]
 
 
-def _jp_zeros_past(p: int, mu: float) -> np.ndarray:
-    """Zeros of J_p up to and one past mu."""
-    table = _zero_table(p)
-    if not table or table[0][-1] <= mu:
-        # McMahon: j_{p,k} ~ (k + p/2 - 1/4) pi
-        nt = max(1, int(mu / math.pi - p / 2 + 0.25) + 2)
-        zs = _sp.jn_zeros(p, nt)
-        while zs[-1] <= mu:
-            nt += max(4, nt // 2)
+def _brackets(low: np.ndarray, cutoff: float) -> tuple:
+    """Level, lower and upper end of each bracket of the levels low, up to
+    the first zero of J_p past cutoff: (0, j_{p,1}), (j_{p,1}, j_{p,2}), ...,
+    level by level in the order of low.  A row of the zero table without a
+    zero past cutoff is computed again, from its McMahon count j_{p,k} ~
+    (k + p/2 - 1/4) pi."""
+    holder = _zero_table()
+    zeros = holder[0]
+    rows = np.full((low.size, zeros.shape[1]), np.inf)
+    held = low < len(zeros)
+    rows[held] = zeros[low[held]]
+    count = np.count_nonzero(rows <= cutoff, axis=1)
+    stale = low[np.isinf(rows[np.arange(low.size), count])].tolist()
+    if stale:
+        grown = {}
+        for p in stale:
+            nt = max(1, int(cutoff / math.pi - p / 2 + 0.25) + 2)
             zs = _sp.jn_zeros(p, nt)
-        table[:] = [zs]
-    zs = table[0]
-    return zs[:np.searchsorted(zs, mu, side="right") + 1]
+            while zs[-1] <= cutoff:
+                nt += max(4, nt // 2)
+                zs = _sp.jn_zeros(p, nt)
+            grown[p] = zs
+        table = np.full((max(len(zeros), max(stale) + 1),
+                         max(zeros.shape[1],
+                             1 + max(zs.size for zs in grown.values()))),
+                        np.inf)
+        table[:len(zeros), :zeros.shape[1]] = zeros
+        for p, zs in grown.items():
+            table[p, :zs.size] = zs
+        holder[0] = table
+        return _brackets(low, cutoff)
+    inside = np.arange(rows.shape[1]) <= count[:, None]
+    lo = np.concatenate((np.zeros((low.size, 1)), rows[:, :-1]), axis=1)
+    return (np.broadcast_to(low[:, None], rows.shape)[inside], lo[inside],
+            rows[inside])
 
 
 def _phase(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -134,13 +162,6 @@ def _slope(p: np.ndarray, mu: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return 1.0 - (p + 0.5) * np.sin(2.0 * phase) / mu
 
 
-def _newton(p: np.ndarray, mu: np.ndarray, target: np.ndarray) -> tuple:
-    """g = arctan R_p(mu) - target and the Newton step g / g'."""
-    phase = _phase(p, mu)
-    g = phase - target
-    return g, g / _slope(p, mu, phase)
-
-
 def _start(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
            hi: np.ndarray, top: np.ndarray) -> np.ndarray:
     """mu at psi = target from 4 RK4 steps of dmu/dpsi = 1 / psi', run from
@@ -160,10 +181,18 @@ def _start(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
 
 
 def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
-           hi: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """arctan R_p = target in each bracket [lo, hi], arctan R_p(hi) = top:
-    Halley steps from the start of _start that keep the bracket, bisecting
-    where a step leaves it; a root retires at a step <= 1e-14 mu.
+           hi: np.ndarray, top: np.ndarray) -> tuple:
+    """Each root of arctan R_p = target in its bracket [lo, hi], arctan
+    R_p(hi) = top, and a bound on the Newton correction left at it: Halley
+    steps from the start of _start that keep the bracket, bisecting where
+    a step leaves it; a root retires at a step <= 1e-14 mu.
+
+    The bound is read at the last point mu a root steps from, where the
+    phase is known: the Newton correction |g / psi'| there, with the
+    rounding of g (one ulp of psi and of target), plus the distance
+    |root - mu| the step moved.  To first order in that distance it
+    bounds the correction at the root itself, so no further phase pass is
+    needed to check it.
 
     The Bessel recurrences give R_p' = 1 - (2p + 1) R_p / mu + R_p^2, so
     psi = arctan R_p has psi' = R_p' / (1 + R_p^2) = 1 - (p + 1/2) sin 2psi
@@ -175,7 +204,8 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
     is not: lo is the level floor there, and at mu -> 0 the field 1 / psi'
     is 0/0.  So every start runs down from hi."""
     mu = _start(p, target, lo, hi, top)
-    root, live = np.empty(lo.shape), np.arange(lo.size)
+    root, left = np.empty(lo.shape), np.empty(lo.shape)
+    live = np.arange(lo.size)
     for _ in range(100):
         phase = _phase(p, mu)
         g, slope = phase - target, _slope(p, mu, phase)
@@ -187,13 +217,18 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
         new = mu - step
         # a step onto a bracket end is kept: bisecting it converges linearly
         new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
+        moved = np.abs(new - mu)
+        # the step moved and the Newton step at mu, g up by an ulp of psi
+        # and of target
+        left[live] = moved + (np.abs(g) + 2.0 ** -52 * (
+            np.abs(phase) + np.abs(target))) / np.abs(slope)
         root[live] = new
-        more = np.abs(new - mu) > 1e-14 * mu
+        more = moved > 1e-14 * mu
         if not more.any():
             break
         live, p, target, lo, hi, mu = (
             a[more] for a in (live, p, target, lo, hi, new))
-    return root
+    return root, left
 
 
 def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
@@ -207,22 +242,21 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     if mu_max <= 0:
         raise ValueError("mu_max must be positive")
     cutoff = mu_max if cutoff is None else cutoff
-    low = levels[levels < mu_max]
-    cuts = [np.concatenate(([0.0], _jp_zeros_past(int(q), cutoff)))
-            for q in low]
+    p, lo, hi = _brackets(levels[levels < mu_max], cutoff)
     high = levels[levels >= mu_max]
-    p = np.concatenate([np.repeat(low, [c.size - 1 for c in cuts]), high])
-    lo = np.concatenate([c[:-1] for c in cuts] + [np.zeros(high.size)])
-    hi = np.concatenate([c[1:] for c in cuts] + [np.full(high.size, mu_max)])
+    p = np.concatenate((p, high))
+    lo = np.concatenate((lo, np.zeros(high.size)))
+    hi = np.concatenate((hi, np.full(high.size, mu_max)))
     top = np.full(p.shape, np.pi / 2)  # the limit at a zero of J_p
     top[p >= mu_max] = _phase(p[p >= mu_max], hi[p >= mu_max])
     target = np.repeat(np.arctan(ratios), p.size)
     p, lo, hi, top = (np.tile(a, len(ratios)) for a in (p, lo, hi, top))
     hit = (top >= target) & ((lo > 0.0) | (target > 0.0))
     p, target = p[hit], target[hit]
-    roots = _solve(p, target, np.maximum(lo[hit], _level_floor(p, theta)),
-                   hi[hit], top[hit])
-    shift = np.max(np.abs(_newton(p, roots, target)[1]) / roots, initial=0.0)
+    roots, left = _solve(p, target,
+                         np.maximum(lo[hit], _level_floor(p, theta)),
+                         hi[hit], top[hit])
+    shift = np.max(left / roots, initial=0.0)
     if shift > ROOT_RTOL:
         raise RuntimeError(f"root solve failed: a correction of "
                            f"{shift:.3e} of the root is left")
@@ -357,7 +391,8 @@ def heat_trace(theta: float, m: int, ts: Sequence[float],
     below 2^-69 of the value unless the spectrum to mu_max is not enough.
     So the value is the exactly rounded sum of every term unless that sum
     lies within 2^-69 of a rounding boundary, and one ulp from it even
-    then."""
+    then.  A t at which every term and the bound underflow to 0 is out of
+    range (ValueError), not a cutoff too small."""
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts) & (ts > 0)):
         raise ValueError("t must be positive and finite")
@@ -366,20 +401,25 @@ def heat_trace(theta: float, m: int, ts: Sequence[float],
              else mu_max)
     for cutoff in (first, mu_max):
         mu, w, n_excl = spectrum(theta, m, mu_max, cutoff)
-        weight = math.fsum(w)
+        # fsum walks a list faster than an array's numpy scalars
+        weight = math.fsum(w.tolist())
         # ln(sum w / w_0) + 70 ln 2 and mu_0; an empty spectrum sums nothing
         spread, mu0 = ((math.log(weight / w[0]) + 70.0 * math.log(2.0),
                         float(mu[0])) if mu.size else (0.0, 0.0))
         for i, t in enumerate(ts.tolist()):
             cut = math.sqrt(spread / t + mu0 * mu0)
             k = int(np.searchsorted(mu, cut))
-            values[i] = math.fsum(w[:k] * np.exp(-t * mu[:k] * mu[:k]))
+            values[i] = math.fsum(
+                (w[:k] * np.exp(-t * mu[:k] * mu[:k])).tolist())
             tails[i] = _truncation_bound(theta, m, t, cutoff, n_excl)
             bounds[i] = tails[i] + weight * math.exp(-t * cut * cut)
         # the roots past the cutoff cannot move a value
         if cutoff == mu_max or np.all(tails <= 2.0 ** -70 * values):
             break
     for t, value, bound in zip(ts.tolist(), values, bounds):
+        if value == bound == 0.0:
+            raise ValueError(f"every term of the trace underflows at t={t}: "
+                             f"t is out of range")
         if not bound < 1e-10 * value:
             raise InsufficientCutoffError(
                 f"truncation bound {bound:.3e} too large for trace "

@@ -166,19 +166,19 @@ class TestFindRoots:
             assert abs(found / exact - 1) < 1e-14
 
     @pytest.mark.parametrize("theta,m,per_root", (
-        (0.5, 2, 4.0), (1.0, 2, 4.0), (2.0, 2, 4.0), (3.0, 2, 4.0),
-        (3.0, 12, 4.0), (6.0, 2, 5.0)))
-    def test_phase_work_per_root(self, theta, m, per_root, monkeypatch):
-        # every element the continued fraction evaluates in one spectrum,
-        # the solve's final check included; the count repeats exactly
-        phase, elements = bs._phase, []
-
-        def spy(p, mu):
-            elements.append(mu.size)
-            return phase(p, mu)
-        monkeypatch.setattr(bs, "_phase", spy)
+        (0.5, 2, 3.0), (1.0, 2, 3.0), (2.0, 2, 3.0), (3.0, 2, 3.0),
+        (3.0, 12, 3.0), (6.0, 2, 4.0)))
+    def test_phase_work_per_root(self, theta, m, per_root, phase_sizes):
+        # every element the continued fraction evaluates in one spectrum;
+        # the count repeats exactly
         mu = bs.spectrum(theta, m, 100.0)[0]
-        assert sum(elements) <= per_root * mu.size
+        assert sum(phase_sizes) <= per_root * mu.size
+
+    def test_no_phase_pass_rechecks_the_roots(self, phase_sizes):
+        # one pass for the levels past mu_max and one per Halley round,
+        # five at theta = 1: the roots' check reads the last round
+        bs.spectrum(1.0, 2, 100.0)
+        assert len(phase_sizes) <= 6
 
     @pytest.mark.parametrize("p", (60, 231))
     def test_root_count_against_mpmath(self, p):
@@ -231,17 +231,46 @@ class TestFindRoots:
         assert bs.spectrum(theta, m, mu_max)[0].size == count
 
     def test_zero_table_grows_and_slices(self):
-        # one table per p: a request inside it is a slice, one past its end
-        # grows it, and the zeros it already held keep their bits
+        # one table, a row per p: a request inside it is a slice, one past
+        # a row's end grows it, and the zeros it already held keep their
+        # bits
         bs._zero_table.cache_clear()
-        short = bs._jp_zeros_past(7, 20.0)
-        long = bs._jp_zeros_past(7, 80.0)
+        level = np.array([7])
+        short = bs._brackets(level, 20.0)[2]
+        long = bs._brackets(level, 80.0)[2]
         assert short[-2] <= 20.0 < short[-1] and long[-2] <= 80.0 < long[-1]
         assert np.array_equal(long[:short.size], short)
-        [table] = bs._zero_table(7)
-        assert np.array_equal(table[:long.size], long)
-        assert np.array_equal(bs._jp_zeros_past(7, 20.0), short)
-        assert bs._zero_table(7)[0] is table
+        [table] = bs._zero_table()
+        assert np.array_equal(table[7, :long.size], long)
+        assert np.all(np.isinf(table[:7])) and np.all(np.isinf(table[:, -1]))
+        assert np.array_equal(bs._brackets(level, 20.0)[2], short)
+        assert bs._zero_table()[0] is table
+
+    @pytest.mark.parametrize("cutoff", (0.5, 7.0, 30.0, 95.5))
+    def test_brackets_between_zeros(self, cutoff):
+        # every level at once, level by level in order: from 0 to the first
+        # zero of J_p and on to the first zero past the cutoff
+        levels = np.array([0, 3, 7, 40, 41, 99])
+        p, lo, hi = bs._brackets(levels, cutoff)
+        for q in levels:
+            zs = sp.jn_zeros(int(q), 40)
+            ends = zs[:np.searchsorted(zs, cutoff, side="right") + 1]
+            assert np.array_equal(hi[p == q], ends)
+            assert np.array_equal(lo[p == q], np.append(0.0, ends[:-1]))
+        assert np.array_equal(p, np.sort(p))
+
+    def test_cold_table_computes_no_more_zeros(self, monkeypatch):
+        # the zeros computed for the theta = 6 disc spectrum from an empty
+        # table: 1933, each level's once from its McMahon count
+        bs._zero_table.cache_clear()
+        jn_zeros, counts = sp.jn_zeros, []
+
+        def spy(p, nt):
+            counts.append(nt)
+            return jn_zeros(p, nt)
+        monkeypatch.setattr(bs._sp, "jn_zeros", spy)
+        bs.spectrum(6.0, 2, 100.0)
+        assert 0 < sum(counts) <= 1933
 
     @pytest.mark.parametrize("p", range(0, 100, 9))
     def test_zeros_alike_at_any_count(self, p):
@@ -253,6 +282,34 @@ class TestFindRoots:
     def test_invalid_mu_max(self):
         with pytest.raises(ValueError):
             roots(0, ratio("plus", "pos", 0.0), 0.0, -1.0)
+
+
+class TestRootCheck:
+    @pytest.mark.parametrize("theta,m", ((0.5, 2), (-1.3, 2), (3.0, 12),
+                                         (6.0, 2)))
+    def test_bound_covers_the_correction_at_the_root(self, theta, m,
+                                                     monkeypatch):
+        # the check reads each root's bound from the solve's last round;
+        # the Newton correction re-evaluated at the returned root, by a
+        # phase pass of its own, is never above it
+        solve, solved = bs._solve, []
+
+        def spy(p, target, lo, hi, top):
+            root, left = solve(p, target, lo, hi, top)
+            solved.append((p, target, root, left))
+            return root, left
+        monkeypatch.setattr(bs, "_solve", spy)
+        bs.spectrum(theta, m, 100.0)
+        [(p, target, root, left)] = solved
+        phase = bs._phase(p, root)
+        again = np.abs((phase - target) / bs._slope(p, root, phase)) / root
+        assert np.all(again <= left / root)
+        assert np.max(left / root) <= bs.ROOT_RTOL
+
+    def test_failed_check_raises(self, monkeypatch):
+        monkeypatch.setattr(bs, "ROOT_RTOL", 1e-18)
+        with pytest.raises(RuntimeError, match="root solve failed"):
+            bs.spectrum(0.5, 2, 100.0)
 
 
 def plain_phase(p, mu):
@@ -296,6 +353,18 @@ class TestPhase:
                               for x in mu])
         assert np.abs(phase - exact).max() < 1e-14
         assert np.all(phase[-4:-2] > 1.5) and np.all(phase[-2:] < -1.5)
+
+
+@pytest.fixture
+def phase_sizes(monkeypatch):
+    """The element count of each _phase call, in call order."""
+    phase, sizes = bs._phase, []
+
+    def spy(p, mu):
+        sizes.append(mu.size)
+        return phase(p, mu)
+    monkeypatch.setattr(bs, "_phase", spy)
+    return sizes
 
 
 @pytest.fixture
@@ -429,6 +498,17 @@ class TestHeatTrace:
     def test_insufficient_cutoff(self):
         with pytest.raises(bs.InsufficientCutoffError):
             bs.heat_trace(0.0, 2, [0.01], 15.0)
+
+    @pytest.mark.parametrize("mu_max", (100.0, 0.5))
+    def test_underflowing_t_is_out_of_range(self, mu_max):
+        # every term and the bound underflow: no cutoff can help
+        with pytest.raises(ValueError, match=r"underflows at t=1000000\.0"):
+            bs.heat_trace(0.5, 2, [1e6], mu_max)
+
+    def test_empty_spectrum_asks_for_a_cutoff(self):
+        # no root below mu_max = 0.5: a zero trace whose bound is not zero
+        with pytest.raises(bs.InsufficientCutoffError, match="raise mu_max"):
+            bs.heat_trace(0.0, 2, [1.0], 0.5)
 
     def test_invalid_t(self):
         with pytest.raises(ValueError):

@@ -494,6 +494,28 @@ class TestVerifyCommands:
             "2.562988e+01 at t=0.02; raise mu_max (at theta=0.5, m=2)\n")
         assert not path.exists()
 
+    def test_ball_root_solve_failed_exit_2(self, tmp_path, capsys,
+                                           monkeypatch):
+        path = tmp_path / "report"
+        monkeypatch.setattr(ball_spectrum, "ROOT_RTOL", 1e-18)
+        code = cli.main(["verify-ball", "--m", "2", "--theta", "0.5",
+                         "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "root solve failed" in err and "theta=0.5, m=2" in err
+        assert not path.exists()
+
+    def test_ball_underflowing_t_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "report"
+        monkeypatch.setattr(ball_spectrum, "T_GRID",
+                            np.append(ball_spectrum.T_GRID, 1e6))
+        code = cli.main(["verify-ball", "--m", "2", "--theta", "0.5",
+                         "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "underflows at t=1000000.0" in err and "theta=0.5, m=2" in err
+        assert not path.exists()
+
     def test_ball_too_many_levels_exit_2(self, tmp_path, capsys):
         path = tmp_path / "report"
         code = cli.main(["verify-ball", "--m", "2", "--theta", "10",
