@@ -36,11 +36,11 @@ A --theta range start:stop:step holds at most 10^6 points
 Exit status: 0 all residuals within tolerance, 1 tolerance failure (report
 still written), 2 configuration error (nan or inf in any float flag too),
 overflow, division by zero or other numerical failure (an insufficient
-cutoff, a failed root solve, a closed form that disagrees with its general
-form), or a report that cannot be written to --out; no report is
-written.  A numerical failure is reported at its point: theta and m (with
-omega and t for a U row), or theta, s and omega for the t-integral; an
-overflow or division by zero by its type name, any other after its message.
+cutoff, a failed root solve), or a report that cannot be written to --out;
+no report is written.  A numerical failure is reported at its point: theta
+and m (with omega and t for a U row), or theta, s and omega for the
+t-integral; an overflow or division by zero by its type name, any other
+after its message.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -315,15 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Join flags with values that start with a minus sign (negative thetas,
-    ranges like -2:2:0.25) so argparse does not mistake them for options."""
+    """Join flags with values that start with a minus sign and a digit or
+    a point and a digit (negative thetas, ranges like -2:2:0.25 or
+    -.5:1:.5) so argparse does not mistake them for options."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         if tok.startswith("--") and "=" not in tok and i + 1 < len(argv) \
-                and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1 \
-                and argv[i + 1][1].isdigit():
+                and re.match(r"-\.?\d", argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

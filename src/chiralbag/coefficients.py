@@ -16,12 +16,6 @@ from dataclasses import dataclass
 
 from .specialfn import gamma_fn, hyp2f1
 
-CONSISTENCY_TOL = 1e-12
-
-
-class ConsistencyError(RuntimeError):
-    """A closed form disagrees with its general boundary-invariant route."""
-
 
 def _check_even(m: int) -> None:
     if m % 2 or m < 2:
@@ -52,17 +46,13 @@ class UniversalConstants:
 @functools.cache
 def _factors(m: int) -> tuple:
     """The theta-independent factors of universal_constants at m: d_s,
-    norm = 2^m Gamma(m/2), the a1 and a2 prefactors sqrt(pi) d_s/norm and
-    2 (m-1) d_s/norm, and the prefactors of the general forms of a1, a2
-    and a1_eta.  Each product is in the order the constants apply it, so
-    every value is bit-identical to forming it inline."""
+    norm = 2^m Gamma(m/2), and the a1 and a2 prefactors sqrt(pi) d_s/norm
+    and 2 (m-1) d_s/norm.  Each product is in the order the constants apply
+    it, so every value is bit-identical to forming it inline."""
     d_s = spinor_dimension(m)
     norm = 2 ** m * gamma_fn(m / 2)
     pref = d_s / norm
-    area = sphere_volume(m)
-    return (d_s, norm, math.sqrt(math.pi) * pref, pref * 2 * (m - 1),
-            (4 * math.pi) ** (-(m - 1) / 2) * area * d_s,
-            (4 * math.pi) ** (-m / 2) * area * d_s, 2.0 / norm * d_s)
+    return d_s, norm, math.sqrt(math.pi) * pref, pref * 2 * (m - 1)
 
 
 def universal_constants(theta: float, m: int) -> UniversalConstants:
@@ -79,11 +69,11 @@ def universal_constants(theta: float, m: int) -> UniversalConstants:
     and c7 are built from f_tanh = 2F1(1, (m-1)/2; 3/2; tanh^2 theta), taken
     as its Pfaff image cosh^2 theta 2F1(1, 2-m/2; 3/2; -sinh^2 theta), a
     terminating polynomial for m >= 4, and at m = 2 as artanh(x)/x at
-    x = tanh theta, i.e. theta coth theta.  a1 and a2 are checked against
-    their general boundary-invariant forms with L_aa = m - 1 on the unit
-    sphere, and a1_eta against its d1 route; ConsistencyError on
-    disagreement, OverflowError naming theta and m where either side
-    leaves the float range.
+    x = tanh theta, i.e. theta coth theta.  a1, a2 and a1_eta are their
+    general boundary-invariant forms on the unit sphere (L_aa = m - 1) with
+    |S^(m-1)| = 2 pi^(m/2) / Gamma(m/2) and the powers of 4 pi multiplied
+    into the prefactors.  Past the float range a power raises OverflowError
+    and a product is inf, which the callers refuse.
     """
     _check_even(m)
     sh, ch, th = math.sinh(theta), math.cosh(theta), math.tanh(theta)
@@ -99,35 +89,19 @@ def universal_constants(theta: float, m: int) -> UniversalConstants:
     c2 = ((2 * m - 5) / 3.0 + (2 - m) * f_tanh) / (2.0 * (m - 1))
     d4 = -0.5 * th + 0.5 * (m - 1) * th * ch ** (m - 2) * poly
     c6 = (m - 1) * sh * p_3half
-    d_s, norm, k_a1, k_a2, g_a1, g_a2, g_eta = _factors(m)
-    a1 = k_a1 * (ch ** (m - 1) - 1.0)
-    a2 = k_a2 * c2
-    a1_eta = -sh * d_s * (m - 1) / norm * p_3half
-    for name, value, general in (
-            ("a1", a1, g_a1 * c1),
-            ("a2", a2, g_a2 * c2 * (m - 1)),
-            ("a1_eta", a1_eta, g_eta * (-0.5 * c6))):
-        if not (math.isfinite(value) and math.isfinite(general)):
-            raise OverflowError(f"{name} overflows at theta={theta}, m={m}")
-        if abs(value - general) > CONSISTENCY_TOL * max(1.0, abs(value)):
-            raise ConsistencyError(
-                f"{name} closed form disagrees with its general form")
+    d_s, norm, k_a1, k_a2 = _factors(m)
     return UniversalConstants(
         theta=theta, m=m, c1=c1, c2=c2, c3=-2.0 * d4, c4=0.0,
         c5=ch * p_half, c6=c6, c7=-0.5 * (1.0 - f_tanh),
         d1=-0.5 * (m - 1) * th * ch ** (m - 1) * poly,
         d2=-0.5 / ch - 0.5 * (m - 1) * th * th * ch ** (m - 1) * poly,
-        d3=0.0, d4=d4, a1_ball=a1, a2_ball=a2, a1_eta=a1_eta)
+        d3=0.0, d4=d4, a1_ball=k_a1 * (ch ** (m - 1) - 1.0),
+        a2_ball=k_a2 * c2, a1_eta=-sh * d_s * (m - 1) / norm * p_3half)
 
 
 def spinor_dimension(m: int) -> int:
     _check_even(m)
     return 2 ** (m // 2)
-
-
-def sphere_volume(m: int) -> float:
-    """Volume of the unit sphere S^(m-1) bounding the unit m-ball."""
-    return 2.0 * math.pi ** (m / 2) / gamma_fn(m / 2)
 
 
 def ball_volume(m: int) -> float:

@@ -37,11 +37,6 @@ from .clifford import GammaRep, build_gamma, pi_plus_product
 from .specialfn import ROUNDING, erfc, erfcx, gamma_fn, hyp2f1_euler, \
     panel_rule
 
-FD_TOL = 1e-7
-# point and step of the finite-difference audit of the x-derivatives
-FD_X = 0.4
-FD_STEP = 1e-5
-
 # panel edges of the window rule in units of sqrt(t), clipped at the window
 # end X
 PANEL_EDGES = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
@@ -60,10 +55,6 @@ _DE_WEIGHTS = DE_STEP * 0.5 * math.pi * np.cosh(_TAU)
 # the head below the rule's lowest node, of relative size about
 # e^(-261 (s+1)) (1.7e-6 at s = -0.95), is lost unseen by the estimate
 S_MIN = -0.9
-
-
-class DerivativeMismatchError(RuntimeError):
-    """Analytic x-derivative disagrees with central finite differences."""
 
 
 class TailBoundError(RuntimeError):
@@ -135,20 +126,12 @@ def _integrated(rep: GammaRep, omega: float, t: float, piece: tuple,
     M: (omega S0 gt gm + S1 gm) M / sqrt(4 pi t), S0 and S1 the integrals
     of s and s', and the largest entry of the same product taken over the
     sizes of the matrices and the rule's error estimates of S0 and S1.  t
-    must be positive, a piece not finite at x = x' = 0 (where any overflow
-    shows first) is an OverflowError, and s' is checked by differences."""
+    must be positive, and a piece not finite at x = x' = 0 (where any
+    overflow shows first) is an OverflowError."""
     if t <= 0:
         raise ValueError("t must be positive")
-    scalar, scalar_dx = piece
     if not all(math.isfinite(g(0.0, 0.0)) for g in piece):
         raise OverflowError("kernel piece not finite at x = 0")
-    x, h = FD_X, FD_STEP
-    resid = abs((scalar(x + h, x) - scalar(x - h, x)) / (2.0 * h)
-                - scalar_dx(x, x))
-    if resid > FD_TOL:
-        raise DerivativeMismatchError(
-            f"analytic d/dx vs central differences: residual {resid:.3e} "
-            f"at x={x}")
     edges = np.minimum(PANEL_EDGES * math.sqrt(t), _window(omega, t))
     (s0, e0), (s1, e1) = (panel_rule(lambda x: g(x, x), edges)
                           for g in piece)
@@ -185,13 +168,15 @@ def check_U2_integral(m: int, omega: float, theta: float,
           - omega/(2 cosh^2 theta) gm gt Pi+ Pi+* E.
     """
     rep = build_gamma(m)
-    pp = pi_plus_product(rep, theta)  # checked against its closed form
+    # OverflowError past |theta| ~ 355, before the entries of Pi+ Pi+*,
+    # which grow like cosh^2 theta, overflow in a matrix product
+    ch2 = math.cosh(theta) ** 2
+    pp = pi_plus_product(rep, theta)
     b = omega * math.tanh(theta)
-    lhs, err = _integrated(rep, omega, t, _boundary(t, b),
-                           2.0 / math.cosh(theta) ** 2 * pp)
+    lhs, err = _integrated(rep, omega, t, _boundary(t, b), 2.0 / ch2 * pp)
     E = erfcx(-math.sqrt(t) * b)
     gm, gt = rep.gamma_m, rep.gamma_tilde
-    pref = 0.5 / math.cosh(theta) ** 2
+    pref = 0.5 / ch2
     rhs = -pref * gm @ pp * (1.0 / math.sqrt(math.pi * t) + b * E) \
         - pref * omega * gm @ gt @ pp * E
     return float(np.abs(lhs - rhs).max()), err

@@ -154,7 +154,7 @@ def test_08_mode_integral_closed_forms():
 def test_09_clifford_invariants():
     worst = 0.0
     for m in MS:
-        rep = build_gamma(m)  # raises above 1e-13 internally
+        rep = build_gamma(m)
         eye = np.eye(rep.d_s)
         for i, gi in enumerate(rep.gammas):
             worst = max(worst, np.abs(gi.conj().T + gi).max())

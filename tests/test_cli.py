@@ -76,6 +76,12 @@ class TestParsing:
             ["verify-identities", "--theta", "-2:2:0.25", "--m", "2"])
         assert got == ["verify-identities", "--theta=-2:2:0.25",
                        "--m", "2"]
+        # a value may start with a point after the minus sign
+        for value in ("-.5:1:.5", "-.5,-1"):
+            assert cli._merge_negative_values(["table", "--theta", value]) \
+                == ["table", f"--theta={value}"]
+        assert cli._parse_theta("-.5:1:.5") == [-0.5, 0.0, 0.5, 1.0]
+        assert cli._parse_theta("-.5,-1") == [-0.5, -1.0]
 
 
 class TestCoeffs:
@@ -226,34 +232,16 @@ class TestClosedFormRow:
         assert f"theta={float(theta)}, m={m}" in err
         assert not path.exists()
 
-    def test_consistency_error_exit_2(self, tmp_path, capsys, monkeypatch):
-        # a closed form that disagrees with its general form is a typed
-        # numerical failure: exit 2 naming theta and m, no report
-        monkeypatch.setattr(coefficients, "CONSISTENCY_TOL", -1.0)
-        path = tmp_path / "p"
-        code = cli.main(["table", "--m", "4", "--theta", "0.5",
-                         "--out", str(path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "theta=0.5, m=4" in err
-        assert not path.exists()
-
     @pytest.mark.parametrize("argv,module,name,where", (
         (("verify-ball", "--m", "2", "--theta", "10"), None, None,
          "theta=10.0, m=2"),
         (("verify-ball", "--m", "2", "--theta", "0.5", "--mu-max", "20"),
-         ball_spectrum, "ROOT_RTOL", "theta=0.5, m=2"),
-        (("table", "--m", "4", "--theta", "0.5"), coefficients,
-         "CONSISTENCY_TOL", "theta=0.5, m=4"),
-        (("verify-identities", "--m", "4", "--theta", "0.5"), coefficients,
-         "CONSISTENCY_TOL", "theta=0.5, m=4")),
-        ids=("level-limit", "root-solve", "consistency-table",
-             "consistency-identities"))
+         ball_spectrum, "ROOT_RTOL", "theta=0.5, m=2")),
+        ids=("level-limit", "root-solve"))
     def test_error_names_point_once(self, tmp_path, capsys, monkeypatch,
                                     argv, module, name, where):
-        # the level limit, a root left unconverged and a closed form that
-        # disagrees with its general form: the message names its point once
+        # the level limit and a root left unconverged: the message names
+        # its point once
         if module is not None:
             monkeypatch.setattr(module, name, -1.0)
         path = tmp_path / "report"
@@ -379,8 +367,8 @@ class TestVerifyCommands:
         assert "False" not in out
 
     def test_cylinder_large_theta(self, capsys):
-        # the projector checks scale with cosh^2 theta and the t-integral
-        # closed form takes its 2F1 from Euler's integral
+        # Pi+ Pi+* grows like cosh^2 theta and the t-integral closed form
+        # takes its 2F1 from Euler's integral
         code, out = run(capsys, "verify-cylinder", "--m", "2,4,6,8,10,12",
                         "--theta", "-4.5,4,4.5")
         assert code == 0
@@ -420,6 +408,25 @@ class TestVerifyCommands:
         rows = json.loads(out)
         assert [r["m"] for r in rows if "U1_residual" in r] == [2, 4]
         assert sum("t_integral_residual" in r for r in rows) == 1
+
+    def test_cylinder_large_omega_tanh_theta(self, capsys):
+        # b = omega tanh theta ~ 12: the boundary scalar grows like
+        # e^{t b^2} near x = 0, and every residual is still within bounds
+        code, _ = run(capsys, "verify-cylinder", "--m", "2", "--theta", "3",
+                      "--omega", "12", "--t", "0.1", "--s", "1.5")
+        assert code == 0
+
+    def test_cylinder_u2_tolerance_failure_exit_1(self, tmp_path):
+        # at omega = 16 the U2 residual is above CYLINDER_TOL: a tolerance
+        # failure, with the report written
+        path = tmp_path / "report"
+        code = cli.main(["verify-cylinder", "--m", "2", "--theta", "3",
+                         "--omega", "16", "--t", "0.1", "--s", "1.5",
+                         "--format", "json", "--out", str(path)])
+        assert code == 1
+        u_row, t_row = json.loads(path.read_text())
+        assert u_row["U2_residual"] > cli.CYLINDER_TOL
+        assert u_row["pass"] is False and t_row["pass"] is True
 
     def test_ball_pass(self, capsys, monkeypatch):
         # the flags are the only cutoff settings: the environment is ignored

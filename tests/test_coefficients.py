@@ -11,6 +11,11 @@ MS = (2, 4, 6, 8, 10, 12)
 THETAS = (0.0, 0.3, -0.7, 1.0, 2.0)
 
 
+def sphere_volume(m):
+    """|S^(m-1)|, the volume of the unit sphere bounding the unit m-ball."""
+    return 2.0 * math.pi ** (m / 2) / math.gamma(m / 2)
+
+
 class TestUniversalConstants:
     @pytest.mark.parametrize("m", MS)
     def test_theta_zero_reduction(self, m):
@@ -96,10 +101,9 @@ class TestGeometry:
         assert co.spinor_dimension(12) == 64
 
     def test_volumes(self):
-        assert co.sphere_volume(2) == pytest.approx(2 * math.pi, rel=1e-14)
+        assert sphere_volume(2) == pytest.approx(2 * math.pi, rel=1e-14)
         assert co.ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
-        assert co.sphere_volume(4) == pytest.approx(2 * math.pi ** 2,
-                                                    rel=1e-14)
+        assert sphere_volume(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
         assert co.ball_volume(4) == pytest.approx(math.pi ** 2 / 2,
                                                   rel=1e-14)
 
@@ -122,18 +126,27 @@ class TestBallCoefficients:
         assert co.universal_constants(theta, 2).a1_eta == \
             pytest.approx(-0.5 * math.sinh(theta), rel=1e-13)
 
-    @pytest.mark.parametrize("theta", (0.2, 1.4))
+    @pytest.mark.parametrize("theta", (0.2, 1.4, -0.7, 3.0, -6.0))
     @pytest.mark.parametrize("m", MS)
     def test_internal_cross_checks_pass(self, theta, m):
-        # a1, a2 and a1_eta are validated against their general-form
-        # routes, raising ConsistencyError on disagreement
-        co.universal_constants(theta, m)
+        # the record's a1, a2 and a1_eta against their general
+        # boundary-invariant forms on the unit sphere (L_aa = m - 1), built
+        # from its own c1, c2 and d1 = -c6/2
+        uc = co.universal_constants(theta, m)
+        d_s, area = co.spinor_dimension(m), sphere_volume(m)
+        norm = 2 ** m * math.gamma(m / 2)
+        general = {
+            "a1_ball": (4 * math.pi) ** (-(m - 1) / 2) * area * d_s * uc.c1,
+            "a2_ball": (4 * math.pi) ** (-m / 2) * area * d_s * (m - 1)
+            * uc.c2,
+            "a1_eta": 2 * d_s / norm * (-0.5 * uc.c6)}
+        for name, value in general.items():
+            assert getattr(uc, name) == pytest.approx(value, rel=1e-14), name
 
 
 def _reference_constants(theta, m):
     """universal_constants as it formed every factor inline, before the
-    theta-independent ones were cached per m (consistency checks left
-    out: they change no value)."""
+    theta-independent ones were cached per m."""
     sh, ch, th = math.sinh(theta), math.cosh(theta), math.tanh(theta)
     z = -sh * sh
     if m == 2:

@@ -111,20 +111,23 @@ class TestModeKernel:
 
 
 class TestApplyDirac:
-    def test_fd_audit_passes(self):
-        rep = build_gamma(2)
-        eye = np.eye(rep.d_s)
-        for piece in (free(0.2), cy._image(0.2),
-                      cy._boundary(0.2, 1.1 * math.tanh(0.5))):
-            cy._integrated(rep, 1.1, 0.2, piece, eye)
-
-    def test_fd_audit_catches_wrong_derivative(self):
-        rep = build_gamma(2)
-        scalar, scalar_dx = cy._boundary(T, OMEGA * math.tanh(THETA))
-        with pytest.raises(cy.DerivativeMismatchError):
-            cy._integrated(rep, OMEGA, T,
-                           (scalar, lambda x, xp: 1.01 * scalar_dx(x, xp)),
-                           np.eye(rep.d_s))
+    def test_derivatives_match_central_differences(self):
+        # s' of each piece against central differences of s, relative to
+        # the size of a derivative on the Gaussian's scale, |s'| + |s|/sqrt(t):
+        # the boundary scalar grows like e^{t b^2}, to ~1e26 at
+        # b = 12 tanh 3, t = 0.4
+        h = 1e-6
+        for t in (0.05, 0.1, 0.25, 0.4):
+            pieces = [cy._image(t)] + [
+                cy._boundary(t, b)
+                for b in (-2.0, 0.0, 0.7, 3.0, 12.0 * math.tanh(3.0))]
+            for scalar, scalar_dx in pieces:
+                for x in (0.0, 0.1, 0.4, 1.0):
+                    for xp in (0.0, 0.3, 0.9):
+                        dx = scalar_dx(x, xp)
+                        fd = (scalar(x + h, xp) - scalar(x - h, xp)) / (2 * h)
+                        scale = abs(dx) + abs(scalar(x, xp)) / math.sqrt(t)
+                        assert abs(fd - dx) <= 1e-7 * scale, (t, x, xp)
 
     def test_theta_zero_image_part(self):
         # P applied to the image Gaussian at coincidence:
