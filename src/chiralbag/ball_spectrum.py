@@ -12,9 +12,17 @@ The roots solve arctan R_p(mu) = arctan r, R_p = J_{p+1}/J_p, which rises
 monotonically from -pi/2 to pi/2 between consecutive zeros of J_p and from 0
 to pi/2 on (0, j_{p,1}): one root per bracket and ratio, none in the first
 for r < 0.  R_p is Gautschi's backward continued fraction
-R_k = mu / (2(k+1) - mu R_{k+1}) (SIAM Rev. 9 (1967) 24); started past p and
-mu it is Miller's stable backward recurrence, which cannot underflow.  It has
-R_k <= 1 for mu <= k+1, so every root of level p exceeds 2(p+1) rho/(1+rho),
+R_k = F_k(R_{k+1}), F_k(R) = mu / (2(k+1) - mu R) (SIAM Rev. 9 (1967) 24);
+started past p and mu it is Miller's stable backward recurrence, which
+cannot underflow.  For k+1 >= mu it is bounded by the fixed point
+rho_k = mu / ((k+1) + sqrt((k+1)^2 - mu^2)) = e^-arccosh((k+1)/mu) of F_k:
+F_k is increasing and rho_k decreases in k, so the iterates started from 0
+stay in [0, rho_k], and hence R_k <= rho_k by Pincherle's theorem; and
+|F_k(a) - F_k(b)| <= rho_k^2 |a - b| on [0, rho_k], since its denominator
+is >= mu / rho_k there.  So a pass started from R_N = 0 errs at K >= mu by
+at most rho_N prod_{j=K}^{N-1} rho_j^2, and each pass starts just deep
+enough for that to be below e^-40 at every element (_depth).  And R_k <= 1
+for mu <= k+1, so every root of level p exceeds 2(p+1) rho/(1+rho),
 rho = e^-|theta|.
 
 One safeguarded solve takes every bracket at once, on the phase
@@ -136,15 +144,54 @@ def _brackets(low: np.ndarray, cutoff: float) -> tuple:
             rows[inside])
 
 
+@functools.cache
+def _tail(M: int) -> int:
+    """The least d with rho_N prod_{j=M}^{N-1} rho_j^2 <= e^-40, N = M + d,
+    rho_j = e^-arccosh((j+1)/M): the steps past k = M after which the
+    continued fraction started from R = 0 errs at M by at most e^-40, at
+    mu = M.  It never falls as M grows, since rho_{M+i} at M does not."""
+    total, d = 0.0, 0  # -ln prod_{j=M}^{M+d-1} rho_j^2
+    while total + math.acosh((M + d + 1) / M) < 40.0:
+        total += 2.0 * math.acosh((M + d + 1) / M)
+        d += 1
+    return d
+
+
+@functools.cache
+def _reach_table() -> list:
+    """M + _tail(M) at M = 0, 1, ... as far as computed (0 at M = 0), as
+    the one item of a list that _depth replaces as it grows."""
+    return [np.zeros(1, dtype=np.intp)]
+
+
+def _depth(p: np.ndarray, mu: np.ndarray) -> int:
+    """Steps of one _phase pass over a nonempty mu: the most any element
+    needs, ceil(max(mu - p, 0)) + _tail(M) at M = ceil mu.  For integer p
+    that is max(M + _tail(M) - p, _tail(M)): the first is read from one
+    table, and the second is largest at the largest M."""
+    top = np.ceil(mu).astype(np.intp)
+    most = int(top.max())
+    holder = _reach_table()
+    if holder[0].size <= most:
+        holder[0] = np.array([0] + [M + _tail(M) for M in range(1, most + 1)])
+    return max(int(np.max(holder[0][top] - p)), _tail(most))
+
+
 def _phase(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """arctan R_p(mu) elementwise for integer p >= 0 and mu > 0 from the
-    backward continued fraction, started from R = 0 at d = 21 +
-    floor(sqrt(380.25 + 20 mu)) steps past k = max(p, ceil(mu)), where
-    R_{k+j} < mu/(mu + 2j + 2): that errs by < exp(-2d(d+1)/(mu + 2d)) <=
-    e^-40, and the steps down to p keep it so."""
-    # one depth, the largest any element needs: a deeper start only helps
-    depth = (math.ceil(np.max(mu - p, initial=0.0)) + 21
-             + int(math.sqrt(380.25 + 20.0 * np.max(mu, initial=0.0))))
+    backward continued fraction, started from R = 0 at k = p + _depth(p,
+    mu), one depth for the whole pass: a deeper start only helps.
+
+    So an element with M = ceil mu starts N >= K + _tail(M) at K = max(p,
+    M).  With R_N <= rho_N and the contraction rho_j^2 of each step, its
+    error at K is at most rho_N prod_{j=K}^{N-1} rho_j^2, rho_j taken at
+    this mu.  That is at most the product _tail(M) bounds, below e^-40:
+    rho_j at mu is at most rho_{j-K+M} at M, as (j+1)/mu >= (j-K+M+1)/M,
+    and each further step only lowers it.  The steps down to p keep it so.
+    """
+    if not mu.size:
+        return np.zeros(mu.shape)
+    depth = _depth(p, mu)
     # R = mu / (2(p + j) - mu R) in place: 2(p + j) is an integer, exact in
     # float64 however it is reached, so each step rounds as the plain one
     ratio, denom = np.zeros(mu.shape), np.empty(mu.shape)

@@ -45,14 +45,14 @@ class UniversalConstants:
 
 @functools.cache
 def _factors(m: int) -> tuple:
-    """The theta-independent factors of universal_constants at m: d_s,
+    """The theta-independent factors of universal_constants at m: norm/d_s,
     norm = 2^m Gamma(m/2), and the a1 and a2 prefactors sqrt(pi) d_s/norm
     and 2 (m-1) d_s/norm.  Each product is in the order the constants apply
     it, so every value is bit-identical to forming it inline."""
     d_s = spinor_dimension(m)
     norm = 2 ** m * gamma_fn(m / 2)
     pref = d_s / norm
-    return d_s, norm, math.sqrt(math.pi) * pref, pref * 2 * (m - 1)
+    return norm / d_s, math.sqrt(math.pi) * pref, pref * 2 * (m - 1)
 
 
 def universal_constants(theta: float, m: int) -> UniversalConstants:
@@ -72,8 +72,13 @@ def universal_constants(theta: float, m: int) -> UniversalConstants:
     x = tanh theta, i.e. theta coth theta.  a1, a2 and a1_eta are their
     general boundary-invariant forms on the unit sphere (L_aa = m - 1) with
     |S^(m-1)| = 2 pi^(m/2) / Gamma(m/2) and the powers of 4 pi multiplied
-    into the prefactors.  Past the float range a power raises OverflowError
-    and a product is inf, which the callers refuse.
+    into the prefactors.  a1_eta = -sinh d_s (m-1) / norm P_3half, P_3half
+    = 2F1(1, 1-m/2; 3/2; -sinh^2 theta), is formed as -sinh (m-1) /
+    (norm/d_s) P_3half: d_s is a power of 2, so each step rounds the same
+    real number as in the first order, and gives the same float wherever
+    that order stays finite, while -sinh d_s leaves the float range before
+    a1_eta does.  Past the float range a power raises OverflowError and a
+    product is inf, which the callers refuse.
     """
     _check_even(m)
     sh, ch, th = math.sinh(theta), math.cosh(theta), math.tanh(theta)
@@ -89,14 +94,14 @@ def universal_constants(theta: float, m: int) -> UniversalConstants:
     c2 = ((2 * m - 5) / 3.0 + (2 - m) * f_tanh) / (2.0 * (m - 1))
     d4 = -0.5 * th + 0.5 * (m - 1) * th * ch ** (m - 2) * poly
     c6 = (m - 1) * sh * p_3half
-    d_s, norm, k_a1, k_a2 = _factors(m)
+    eta_norm, k_a1, k_a2 = _factors(m)
     return UniversalConstants(
         theta=theta, m=m, c1=c1, c2=c2, c3=-2.0 * d4, c4=0.0,
         c5=ch * p_half, c6=c6, c7=-0.5 * (1.0 - f_tanh),
         d1=-0.5 * (m - 1) * th * ch ** (m - 1) * poly,
         d2=-0.5 / ch - 0.5 * (m - 1) * th * th * ch ** (m - 1) * poly,
         d3=0.0, d4=d4, a1_ball=k_a1 * (ch ** (m - 1) - 1.0),
-        a2_ball=k_a2 * c2, a1_eta=-sh * d_s * (m - 1) / norm * p_3half)
+        a2_ball=k_a2 * c2, a1_eta=-sh * (m - 1) / eta_norm * p_3half)
 
 
 def spinor_dimension(m: int) -> int:

@@ -314,7 +314,8 @@ class TestRootCheck:
 
 def plain_phase(p, mu):
     """_phase as the plain recurrence R = mu / (2(p + j) - mu R), one new
-    array per operation, from the same depth."""
+    array per operation, started deeper: 21 + floor(sqrt(380.25 + 20 max
+    mu)) steps past max(mu - p, 0), a bound from ln(1+x) >= x/(1+x)."""
     depth = (math.ceil(np.max(mu - p, initial=0.0)) + 21
              + int(math.sqrt(380.25 + 20.0 * np.max(mu, initial=0.0))))
     ratio = np.zeros(mu.shape)
@@ -337,14 +338,31 @@ class TestPhase:
         mu = np.concatenate((mu, np.full(60, 100.0)))
         assert np.array_equal(bs._phase(p, mu), plain_phase(p, mu))
 
+    @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
+    @pytest.mark.parametrize("theta", (0.1, -1.0, 3.0, 6.0))
+    def test_spectrum_passes_bit_identical_to_plain_recurrence(
+            self, theta, m, monkeypatch):
+        # every pass of a whole spectrum's solve gives, from its shallower
+        # start, the bits of the deeper one
+        phase, passes = bs._phase, []
+
+        def spy(p, mu):
+            passes.append((p, mu))
+            return phase(p, mu)
+        monkeypatch.setattr(bs, "_phase", spy)
+        bs.spectrum(theta, m, 100.0)
+        assert passes
+        for p, mu in passes:
+            assert np.array_equal(phase(p, mu), plain_phase(p, mu))
+
     @pytest.mark.parametrize("p", (0, 1, 5, 60, 230, 400))
     def test_against_mpmath(self, p):
-        # mu on both sides of p up to 200, and 1e-9 either side of the first
-        # two zeros of J_p, where the phase jumps from pi/2 to -pi/2
+        # mu on both sides of p up to 1000, and 1e-9 either side of the
+        # first two zeros of J_p, where the phase jumps from pi/2 to -pi/2
         mp = pytest.importorskip("mpmath")
         zeros = sp.jn_zeros(p, 2)
-        near = [q * p for q in (0.5, 0.99, 1.01, 1.5) if 0 < q * p <= 200]
-        mu = np.concatenate((np.geomspace(1e-3, 200.0, 23), near,
+        near = [q * p for q in (0.5, 0.99, 1.01, 1.5) if 0 < q * p <= 1000]
+        mu = np.concatenate((np.geomspace(1e-3, 1000.0, 27), near,
                              zeros - 1e-9, zeros + 1e-9))
         phase = bs._phase(np.full(mu.size, p), mu)
         with mp.workdps(50):
@@ -353,6 +371,60 @@ class TestPhase:
                               for x in mu])
         assert np.abs(phase - exact).max() < 1e-14
         assert np.all(phase[-4:-2] > 1.5) and np.all(phase[-2:] < -1.5)
+
+    @pytest.mark.parametrize("mu", (0.5, 7.3, 51.0, 100.0, 1000.0))
+    def test_ratio_below_fixed_point(self, mu):
+        # R_k = J_{k+1}/J_k <= rho_k from k + 1 = ceil(mu) on, in 50 digits
+        mp = pytest.importorskip("mpmath")
+        first = math.ceil(mu) - 1
+        with mp.workdps(50):
+            x = mp.mpf(mu)
+            bessel = [mp.besselj(k, x) for k in range(first, first + 202)]
+            for k in range(first, first + 201):
+                rho = x / ((k + 1) + mp.sqrt((k + 1) ** 2 - x * x))
+                assert bessel[k - first + 1] / bessel[k - first] <= rho, k
+
+    @pytest.mark.parametrize("tops", (range(1, 2001), (10 ** 4,),
+                                      (10 ** 5,), (10 ** 6,)),
+                             ids=("to-2000", "1e4", "1e5", "1e6"))
+    def test_tail_is_the_least_depth(self, tops):
+        # rho_N prod_{j=M}^{N-1} rho_j^2 <= e^-40 at N = M + _tail(M), and
+        # not at one step less, rho_j = e^-arccosh((j+1)/M)
+        for top in tops:
+            d = bs._tail(top)
+            rho = np.exp(-np.arccosh(np.arange(top + 1, top + d + 2) / top))
+
+            def bound(steps):
+                return rho[steps] * np.prod(rho[:steps] ** 2)
+            assert d >= 1 and bound(d) <= math.exp(-40.0) < bound(d - 1), \
+                top
+
+    def test_empty_pass_returns_at_once(self, depths):
+        phase = bs._phase(np.zeros(0, dtype=int), np.zeros(0))
+        assert phase.shape == (0,) and phase.dtype == float
+        assert depths == []
+
+    def test_heat_trace_steps(self, depths):
+        # the continued fraction's steps in the passes of one heat trace,
+        # summed over the passes and over their elements; an empty pass
+        # takes none.  The counts repeat exactly
+        bs.heat_trace(1.0, 2, bs.T_GRID, 100.0)
+        assert all(size for _, size in depths)
+        assert sum(depth for depth, _ in depths) <= 298
+        assert sum(depth * size for depth, size in depths) <= 272_845
+
+
+@pytest.fixture
+def depths(monkeypatch):
+    """The depth and element count of each _phase pass, in call order."""
+    depth, calls = bs._depth, []
+
+    def spy(p, mu):
+        steps = depth(p, mu)
+        calls.append((steps, mu.size))
+        return steps
+    monkeypatch.setattr(bs, "_depth", spy)
+    return calls
 
 
 @pytest.fixture

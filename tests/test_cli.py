@@ -166,7 +166,7 @@ def _reference_row(theta: float, m: int) -> dict:
 class TestClosedFormRow:
     THETAS = tuple(5.0 * k for k in range(-6, 7))
     # just inside the last |theta| whose row fits the float range
-    EDGES = {2: 709.7, 4: 237.0, 6: 142.4, 8: 101.9, 10: 79.3, 12: 65.0}
+    EDGES = {2: 710.47, 4: 237.0, 6: 142.4, 8: 101.9, 10: 79.3, 12: 65.0}
 
     @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
     def test_against_mpmath(self, m):
@@ -216,6 +216,15 @@ class TestClosedFormRow:
         assert err.startswith("error:")
         assert f"theta={float(theta)}" in err and f"m={m}" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("command", ("table", "coeffs"))
+    @pytest.mark.parametrize("theta", ("710", "-710.47"))
+    def test_disc_row_to_the_float_range(self, capsys, command, theta):
+        # at m = 2 every constant is finite until sinh leaves the float
+        # range, near |theta| = 710.4758: a1_eta = -sinh(theta)/2 too
+        code, out = run(capsys, command, "--m", "2", "--theta", theta)
+        assert code == 0
+        assert f"{-0.5 * math.sinh(float(theta)):.12g}" in out
 
     @pytest.mark.parametrize("command,m,theta", (
         pytest.param("verify-cylinder", "2", "400", id="2-400"),

@@ -185,3 +185,26 @@ def test_bit_identical_to_inline_factors(m):
         for field in dataclasses.fields(got):
             assert repr(getattr(got, field.name)) == \
                 repr(getattr(want, field.name)), (theta, m, field.name)
+
+
+@pytest.mark.parametrize("m", MS)
+def test_a1_eta_bit_identical_to_the_float_range(m):
+    # a1_eta is formed as -sinh (m-1) / (norm/d_s) P_3half: the inline
+    # order's float wherever that is finite, and at m = 2 -sinh(theta)/2
+    # until sinh itself overflows, where the inline -sinh d_s did first
+    thetas = [float(k) for k in range(700)] + [
+        700.0 + 10.47 * k / 400 for k in range(401)]
+    for theta in thetas + [-x for x in thetas]:
+        try:
+            want = _reference_constants(theta, m)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                co.universal_constants(theta, m)
+            continue
+        got = co.universal_constants(theta, m)
+        for field in dataclasses.fields(got):
+            if math.isfinite(getattr(want, field.name)):
+                assert repr(getattr(got, field.name)) == \
+                    repr(getattr(want, field.name)), (theta, m, field.name)
+        if m == 2:
+            assert got.a1_eta == -0.5 * math.sinh(theta), theta
