@@ -12,6 +12,19 @@ form.  Any fixed left factor f of an identity multiplies both its sides, so
 f = 1 checks it whole.  The tests build the whole kernel from these scalars
 and check its boundary condition and the heat equation.
 
+Every matrix of the identities is a product of gt, gm and Pi+ Pi+* =
+cosh(theta)/2 (cosh(theta) + sinh(theta) gt - gt gm), in the algebra fixed
+by gt^2 = 1, gm^2 = -1 and gt gm = -gm gt at every even m.  In the
+Pauli/Kronecker representation of size d_s = 2^(m/2), gt is a real +-1
+diagonal and gm a real signed permutation pairing each +1 index i of gt
+with a -1 index j(i) as the block [[0, 1], [-1, 0]].  In the order
+i1, j(i1), i2, j(i2), ... each such matrix is d_s/2 copies of its m = 2
+value, so a largest-entry residual is the 2x2 one: the checks take no m
+and use the real m = 2 pair GAMMA_TILDE, GAMMA_M.  A spinor trace is d_s/2
+times the 2x2 one (tr(2 Pi+ Pi+* / cosh^2 theta) = d_s).  A U residual and
+its estimate are divided by max(1, largest entry of the right side): the
+boundary term grows like e^{t b^2}, b = omega tanh theta.
+
 Every check integrates by one of two fixed rules, which evaluate their
 integrand once, on a whole array of nodes, and return a value and an error
 estimate.  The x-integrals over the tail-bounded window [0, X] use
@@ -33,9 +46,12 @@ import math
 
 import numpy as np
 
-from .clifford import GammaRep, build_gamma, pi_plus_product
 from .specialfn import ROUNDING, erfc, erfcx, gamma_fn, hyp2f1_euler, \
     panel_rule
+
+# the m = 2 chirality matrix and gamma matrix along the inward normal
+GAMMA_TILDE = np.diag([1.0, -1.0])
+GAMMA_M = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # panel edges of the window rule in units of sqrt(t), clipped at the window
 # end X
@@ -119,7 +135,21 @@ def _exp_sinh(F) -> tuple[float, float]:
                               + ROUNDING * np.abs(f).sum())
 
 
-def _integrated(rep: GammaRep, omega: float, t: float, piece: tuple,
+def _projector_product(theta: float) -> np.ndarray:
+    """Pi_+ Pi_+^* of the chiral bag projector Pi_+ = (1 - exp(theta gt)
+    gt gm)/2, in its closed form; its entries grow like cosh^2 theta."""
+    c, s = math.cosh(theta), math.sinh(theta)
+    return 0.5 * c * (c * np.eye(2) + s * GAMMA_TILDE - GAMMA_TILDE @ GAMMA_M)
+
+
+def _residual(lhs: np.ndarray, rhs: np.ndarray,
+              err: float) -> tuple[float, float]:
+    """Largest |lhs - rhs| and err, divided by max(1, largest |rhs|)."""
+    scale = max(1.0, float(np.abs(rhs).max()))
+    return float(np.abs(lhs - rhs).max()) / scale, err / scale
+
+
+def _integrated(omega: float, t: float, piece: tuple,
                 matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """int_0^X [P_x (s M)] dx / sqrt(4 pi t) at x = x' over the tail-bounded
     window [0, X] for a piece (s, s') = _image or _boundary with fixed matrix
@@ -135,7 +165,7 @@ def _integrated(rep: GammaRep, omega: float, t: float, piece: tuple,
     edges = np.minimum(PANEL_EDGES * math.sqrt(t), _window(omega, t))
     (s0, e0), (s1, e1) = (panel_rule(lambda x: g(x, x), edges)
                           for g in piece)
-    gtgm, gm = rep.gamma_tilde @ rep.gamma_m, rep.gamma_m
+    gtgm, gm = GAMMA_TILDE @ GAMMA_M, GAMMA_M
     norm = math.sqrt(4.0 * math.pi * t)
     lhs = (omega * s0 * gtgm + s1 * gm) @ matrix / norm
     err = (abs(omega) * e0 * np.abs(gtgm) + e1 * np.abs(gm)) @ \
@@ -143,43 +173,40 @@ def _integrated(rep: GammaRep, omega: float, t: float, piece: tuple,
     return lhs, float(err.max())
 
 
-def check_U1_integral(m: int, omega: float, t: float) -> tuple[float, float]:
-    """Residual of the integrated image-part identity in dimension m, and
-    the quadrature's error estimate on it: with the mode weight
+def check_U1_integral(omega: float, t: float) -> tuple[float, float]:
+    """Scaled residual of the integrated image-part identity, and the
+    quadrature's error estimate on it: with the mode weight
     1/sqrt(4 pi t) restored,
 
       int_0^inf [P_x U_image] dx = 1/sqrt(4 pi t) * 1/2 gm + 1/4 omega gm gt.
     """
-    rep = build_gamma(m)
-    lhs, err = _integrated(rep, omega, t, _image(t), np.eye(rep.d_s))
-    gm, gt = rep.gamma_m, rep.gamma_tilde
-    rhs = 0.5 / math.sqrt(4.0 * math.pi * t) * gm + 0.25 * omega * gm @ gt
-    return float(np.abs(lhs - rhs).max()), err
+    lhs, err = _integrated(omega, t, _image(t), np.eye(2))
+    rhs = 0.5 / math.sqrt(4.0 * math.pi * t) * GAMMA_M \
+        + 0.25 * omega * GAMMA_M @ GAMMA_TILDE
+    return _residual(lhs, rhs, err)
 
 
-def check_U2_integral(m: int, omega: float, theta: float,
+def check_U2_integral(omega: float, theta: float,
                       t: float) -> tuple[float, float]:
-    """Residual of the integrated boundary-part identity in dimension m, and
-    the quadrature's error estimate on it: with the weight restored,
+    """Scaled residual of the integrated boundary-part identity, and the
+    quadrature's error estimate on it: with the weight restored,
     b = omega tanh theta, E = e^{t b^2} erfc(-sqrt(t) b),
 
       int_0^inf [P_x U_boundary] dx
         = -1/(2 cosh^2 theta) gm Pi+ Pi+* [1/sqrt(pi t) + b E]
           - omega/(2 cosh^2 theta) gm gt Pi+ Pi+* E.
     """
-    rep = build_gamma(m)
     # OverflowError past |theta| ~ 355, before the entries of Pi+ Pi+*,
     # which grow like cosh^2 theta, overflow in a matrix product
     ch2 = math.cosh(theta) ** 2
-    pp = pi_plus_product(rep, theta)
+    pp = _projector_product(theta)
     b = omega * math.tanh(theta)
-    lhs, err = _integrated(rep, omega, t, _boundary(t, b), 2.0 / ch2 * pp)
+    lhs, err = _integrated(omega, t, _boundary(t, b), 2.0 / ch2 * pp)
     E = erfcx(-math.sqrt(t) * b)
-    gm, gt = rep.gamma_m, rep.gamma_tilde
     pref = 0.5 / ch2
-    rhs = -pref * gm @ pp * (1.0 / math.sqrt(math.pi * t) + b * E) \
-        - pref * omega * gm @ gt @ pp * E
-    return float(np.abs(lhs - rhs).max()), err
+    rhs = -pref * GAMMA_M @ pp * (1.0 / math.sqrt(math.pi * t) + b * E) \
+        - pref * omega * GAMMA_M @ GAMMA_TILDE @ pp * E
+    return _residual(lhs, rhs, err)
 
 
 def _t_integral(s: float, omega: float,

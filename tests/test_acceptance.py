@@ -7,18 +7,15 @@ agreement is eps times the magnitude of the values, which reaches ~1e6 at
 m=12, |theta|=2.
 """
 
-import math
-
 import numpy as np
 
 from chiralbag import ball_spectrum as bs
 from chiralbag import cylinder as cy
 from chiralbag import identities as idn
-from chiralbag.clifford import build_gamma, pi_plus_product
 from chiralbag.coefficients import universal_constants
 from test_ball_spectrum import FAMILIES, mode_integral_residuals, ratio, \
     roots
-from test_clifford import projectors
+from test_clifford import build_gamma, copies, pi_plus_product
 
 MS = (2, 4, 6, 8, 10, 12)
 THETA_GRID = [round(-2.0 + 0.1 * k, 10) for k in range(41)]
@@ -119,8 +116,8 @@ def test_06_cylinder_checks():
     for omega in (0.5, 1.3, 2.0):
         for theta in (0.0, 0.4, 0.7, 1.2):
             for t in (0.1, 0.25):
-                worst = max(worst, cy.check_U1_integral(2, omega, t)[0],
-                            cy.check_U2_integral(2, omega, theta, t)[0])
+                worst = max(worst, cy.check_U1_integral(omega, t)[0],
+                            cy.check_U2_integral(omega, theta, t)[0])
             for s in (1.5, 2.5):
                 worst = max(worst, cy.check_t_integral(s, omega, theta)[0])
     _report(6, "cylinder integrated identities + t-integral",
@@ -152,26 +149,19 @@ def test_08_mode_integral_closed_forms():
 
 
 def test_09_clifford_invariants():
-    worst = 0.0
+    # the package's 2x2 pair generates the algebra gt^2 = 1, gm^2 = -1,
+    # gt gm = -gm gt; at every m the reference gt, a real +-1 diagonal, and
+    # gm, a real signed permutation pairing each +1 index of gt with a -1
+    # one, are exactly d_s/2 copies of that pair, and Pi+ Pi+* is too
+    gt, gm, eye = cy.GAMMA_TILDE, cy.GAMMA_M, np.eye(2)
+    worst = max(np.abs(gt @ gt - eye).max(), np.abs(gm @ gm + eye).max(),
+                np.abs(gt @ gm + gm @ gt).max())
     for m in MS:
         rep = build_gamma(m)
-        eye = np.eye(rep.d_s)
-        for i, gi in enumerate(rep.gammas):
-            worst = max(worst, np.abs(gi.conj().T + gi).max())
-            for j, gj in enumerate(rep.gammas):
-                target = -2.0 * eye if i == j else 0.0
-                worst = max(worst,
-                            np.abs(gi @ gj + gj @ gi - target).max())
-        gt = rep.gamma_tilde
-        worst = max(worst, np.abs(gt @ gt - eye).max(),
-                    abs(np.trace(gt)))
+        worst = max(worst, np.abs(rep.gamma_tilde - copies(rep, gt)).max(),
+                    np.abs(rep.gamma_m - copies(rep, gm)).max())
         for theta in (0.0, 0.8, -1.5):
-            pi_plus, pi_minus = projectors(rep, theta)
-            worst = max(worst, np.abs(pi_plus @ pi_plus - pi_plus).max(),
-                        np.abs(pi_plus + pi_minus - eye).max())
-            prod = pi_plus_product(rep, theta)
-            c, s = math.cosh(theta), math.sinh(theta)
-            closed = 0.5 * c * (c * eye + s * gt - gt @ rep.gamma_m)
-            worst = max(worst, np.abs(prod - closed).max())
+            worst = max(worst, np.abs(pi_plus_product(rep, theta) - copies(
+                rep, cy._projector_product(theta))).max())
     _report(9, "Clifford and projector invariants", worst < 1e-13,
             f"max residual = {worst:.3e}")

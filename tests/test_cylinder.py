@@ -1,13 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from chiralbag import cli
 from chiralbag import cylinder as cy
-from chiralbag.clifford import build_gamma, pi_plus_product
 from chiralbag.specialfn import erfc, erfcx
-from test_clifford import projectors
+from test_clifford import build_gamma, pi_plus_product, projectors
 
 
 ALL_M = [2, 4, 6, 8, 10, 12]
@@ -73,9 +74,6 @@ class TestModeKernel:
                 pytest.approx(math.exp(-eta * eta / (4 * 0.25)), rel=1e-13)
 
     def test_boundary_condition(self):
-        for xp in (0.05, 0.3, 1.1):
-            assert boundary_condition_residual(2, OMEGA, THETA, T, xp) \
-                < 1e-10
         for m in ALL_M:
             for theta, omega in KERNEL_GRID:
                 for xp in (0.05, 0.3, 1.1):
@@ -87,7 +85,6 @@ class TestModeKernel:
 
     @pytest.mark.parametrize("x,xp", [(0.4, 0.7), (0.2, 0.2), (1.3, 0.5)])
     def test_heat_equation(self, x, xp):
-        assert heat_equation_residual(2, OMEGA, THETA, T, x, xp) < 1e-6
         for m in ALL_M:
             for theta, omega in KERNEL_GRID:
                 assert heat_equation_residual(m, omega, theta, T, x, xp) \
@@ -105,9 +102,9 @@ class TestModeKernel:
         monkeypatch.setattr(cy, "panel_rule", None)
         for t in (0.0, -0.1):
             with pytest.raises(ValueError, match="t must be positive"):
-                cy.check_U1_integral(2, 1.0, t)
+                cy.check_U1_integral(1.0, t)
             with pytest.raises(ValueError, match="t must be positive"):
-                cy.check_U2_integral(2, 1.0, 0.0, t)
+                cy.check_U2_integral(1.0, 0.0, t)
 
 
 class TestApplyDirac:
@@ -132,12 +129,11 @@ class TestApplyDirac:
     def test_theta_zero_image_part(self):
         # P applied to the image Gaussian at coincidence:
         # -gt gm w e^{-x^2/t} + gm (x/t) e^{-x^2/t}
-        rep = build_gamma(2)
         omega, t = 1.3, 0.25
         scalar, scalar_dx = cy._image(t)
         x = 0.6
         g = math.exp(-x * x / t)
-        gm, gt = rep.gamma_m, rep.gamma_tilde
+        gm, gt = cy.GAMMA_M, cy.GAMMA_TILDE
         applied = omega * scalar(x, x) * gt @ gm + scalar_dx(x, x) * gm
         expect = -omega * gt @ gm * g + gm * (x / t) * g
         assert np.abs(applied - expect).max() < 1e-13
@@ -145,18 +141,18 @@ class TestApplyDirac:
 
 class TestU1Integral:
     def test_reference_point(self):
-        assert cy.check_U1_integral(2, OMEGA, T)[0] < 1e-8
+        assert cy.check_U1_integral(OMEGA, T)[0] < 1e-8
 
     def test_omega_zero(self):
-        assert cy.check_U1_integral(2, 0.0, T)[0] < 1e-10
+        assert cy.check_U1_integral(0.0, T)[0] < 1e-10
 
 
 class TestU2Integral:
     def test_reference_point(self):
-        assert cy.check_U2_integral(2, OMEGA, THETA, T)[0] < 1e-8
+        assert cy.check_U2_integral(OMEGA, THETA, T)[0] < 1e-8
 
     def test_theta_zero_reduction(self):
-        assert cy.check_U2_integral(2, OMEGA, 0.0, T)[0] < 1e-9
+        assert cy.check_U2_integral(OMEGA, 0.0, T)[0] < 1e-9
 
     def test_erf_and_erfc_paths_agree(self):
         # E = e^{t b^2} erfc(-sqrt(t) b) of the U2 closed form, as the
@@ -171,22 +167,26 @@ class TestU2Integral:
                 pytest.approx(1.0 + math.erf(math.sqrt(t) * b), rel=1e-15)
 
     def test_reflection_symmetry(self):
-        a = cy.check_U2_integral(2, 1.3, 0.7, T)[0]
-        b = cy.check_U2_integral(2, -1.3, -0.7, T)[0]
+        a = cy.check_U2_integral(1.3, 0.7, T)[0]
+        b = cy.check_U2_integral(-1.3, -0.7, T)[0]
         assert a < 1e-8 and b < 1e-8
 
     @pytest.mark.parametrize("m", ALL_M)
-    def test_every_m(self, m):
-        assert cy.check_U2_integral(m, 0.9, 1.2, 0.1)[0] < 1e-13
+    def test_every_m(self, m, monkeypatch):
+        # the check run in the reference representation of dimension m
+        rep = build_gamma(m)
+        monkeypatch.setattr(cy, "GAMMA_TILDE", rep.gamma_tilde)
+        monkeypatch.setattr(cy, "GAMMA_M", rep.gamma_m)
+        monkeypatch.setattr(cy, "_projector_product",
+                            functools.partial(pi_plus_product, rep))
+        assert cy.check_U2_integral(0.9, 1.2, 0.1)[0] < 1e-13
 
     def test_theta_zero_explicit_rhs(self):
         # at theta=0 the closed form collapses to
         # -1/2 gm Pi+Pi+* / sqrt(pi t) - omega/2 gm gt Pi+Pi+*
-        rep = build_gamma(2)
-        pp = pi_plus_product(rep, 0.0)
-        lhs, _ = cy._integrated(rep, OMEGA, T, cy._boundary(T, 0.0),
-                                2.0 * pp)
-        gm, gt = rep.gamma_m, rep.gamma_tilde
+        pp = cy._projector_product(0.0)
+        lhs, _ = cy._integrated(OMEGA, T, cy._boundary(T, 0.0), 2.0 * pp)
+        gm, gt = cy.GAMMA_M, cy.GAMMA_TILDE
         rhs = -0.5 / math.sqrt(math.pi * T) * gm @ pp \
             - 0.5 * OMEGA * gm @ gt @ pp
         assert np.abs(lhs - rhs).max() < 1e-9
@@ -195,9 +195,10 @@ class TestU2Integral:
 class TestQuadratureCount:
     @pytest.mark.parametrize("m", [2, 12])
     def test_two_scalar_quads_per_check(self, m, monkeypatch):
-        # the Clifford matrices factor out of the integrands, so each check
-        # costs two real quadratures whatever the spinor dimension, and each
-        # rule calls its integrand once, on all of its nodes
+        # the Clifford matrices factor out of the integrands, so a U row
+        # costs two real quadratures per check whatever the spinor
+        # dimension, and each rule calls its integrand once, on all of its
+        # nodes
         rules, evals = [], []
         panel_rule = cy.panel_rule
 
@@ -210,13 +211,10 @@ class TestQuadratureCount:
             return panel_rule(counted, edges)
 
         monkeypatch.setattr(cy, "panel_rule", counting)
-        for check in (lambda: cy.check_U1_integral(m, OMEGA, T)[0],
-                      lambda: cy.check_U2_integral(m, OMEGA, THETA, T)[0]):
-            rules.clear()
-            evals.clear()
-            assert check() < 1e-13
-            assert len(rules) == 2
-            assert len(evals) == 2 and min(evals) > 1
+        assert cli.main(f"verify-cylinder --m {m} --omega {OMEGA} --theta "
+                        f"{THETA} --t {T} --s 2.5".split()) == 0
+        assert len(rules) == 4
+        assert len(evals) == 4 and min(evals) > 1
 
     def test_one_exp_sinh_call_per_t_check(self, monkeypatch):
         calls = []
@@ -237,14 +235,15 @@ def test_one_pi_plus_product_per_U_row(monkeypatch):
     # the image part needs no Pi+ Pi+*; U2 builds it once for its boundary
     # part and reuses it on the right side
     built = []
+    projector_product = cy._projector_product
 
-    def spy(rep, theta):
+    def spy(theta):
         built.append(theta)
-        return pi_plus_product(rep, theta)
-    monkeypatch.setattr(cy, "pi_plus_product", spy)
-    assert cy.check_U1_integral(4, OMEGA, T)[0] < 1e-13
+        return projector_product(theta)
+    monkeypatch.setattr(cy, "_projector_product", spy)
+    assert cy.check_U1_integral(OMEGA, T)[0] < 1e-13
     assert built == []
-    assert cy.check_U2_integral(4, OMEGA, THETA, T)[0] < 1e-13
+    assert cy.check_U2_integral(OMEGA, THETA, T)[0] < 1e-13
     assert built == [THETA]
 
 

@@ -2,7 +2,7 @@
 top-level function, class and assignment of a package module (dunder names
 aside) is read somewhere in the package, as a name or as an attribute, and
 every exception class a package module defines is raised somewhere in the
-package."""
+package, and every parameter of a package function is read in its body."""
 
 import ast
 import builtins
@@ -80,6 +80,22 @@ def unraised_exceptions(sources: dict[str, str]) -> list[str]:
                   for name in exception_classes(tree) - used)
 
 
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """'module:function:parameter' for each parameter of a function or
+    lambda ('<lambda>') of sources that the function never reads."""
+    found = []
+    for module, text in sources.items():
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                a, name = fn.args, getattr(fn, "name", "<lambda>")
+                loads = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Load)}
+                found += [f"{module}:{name}:{p.arg}" for p in (
+                    *a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                    if p is not None and p.arg not in loads]
+    return sorted(found)
+
+
 def test_checker_finds_an_unread_name():
     sources = {"a": "X = 1\nY: int = 2\n__all__ = []\n"
                     "def f():\n    return X\n"
@@ -107,3 +123,15 @@ def test_checker_finds_an_unraised_exception():
 def test_every_package_exception_is_raised():
     assert unraised_exceptions({p.stem: p.read_text()
                                 for p in PACKAGE}) == []
+
+
+def test_checker_finds_an_unread_parameter():
+    sources = {"a": "def f(x, y, *args, z=1, **kw):\n    return x + z + kw\n"
+                    "def g(u):\n    def h(v):\n        return u\n"
+                    "    return h\nk = lambda p, q: q\n"}
+    assert unread_parameters(sources) == ["a:<lambda>:p", "a:f:args",
+                                          "a:f:y", "a:h:v"]
+
+
+def test_every_package_parameter_is_read():
+    assert unread_parameters({p.stem: p.read_text() for p in PACKAGE}) == []
