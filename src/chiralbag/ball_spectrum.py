@@ -28,15 +28,31 @@ rho = e^-|theta|.
 One safeguarded solve takes every bracket at once, on the phase
 psi = arctan R_p, which obeys the first-order ODE psi' = 1 - (p + 1/2)
 sin 2psi / mu; with psi'' = (p + 1/2)(sin 2psi / mu - 2 cos 2psi psi') / mu
-both derivatives cost nothing once psi is known.  psi is known at the upper
-end of every bracket, pi/2 at a zero of J_p and arctan R_p(mu_max) at
-mu_max, so each root starts from a few RK4 steps of dmu/dpsi = 1 / psi'
-run from there down to arctan r, and converges by Halley steps (the
-phase-function route to special-function roots: Glaser, Liu, Rokhlin, SIAM
-J. Sci. Comput. 29 (2007) 1420; Segura, SIAM J. Numer. Anal. 48 (2010)
-452).  The check that each returned root is one reads its correction in
-the solve's last step, from the phase at the point that step left, so no
-pass of the continued fraction re-evaluates the roots.
+both derivatives cost nothing once psi is known.  Each root starts close
+to itself and converges by Halley steps (the phase-function route to
+special-function roots: Glaser, Liu, Rokhlin, SIAM J. Sci. Comput. 29
+(2007) 1420; Segura, SIAM J. Numer. Anal. 48 (2010) 452).  The check that
+each returned root is one reads its correction in the solve's last step,
+from the phase at the point that step left, so no pass of the continued
+fraction re-evaluates the roots.
+
+The starts come from what does not depend on theta.  psi of a bracket
+below mu_max runs from 0 (at mu = 0) or -pi/2 (at a zero of J_p) to pi/2
+at its upper zero whatever theta is; only the target arctan r moves.  So a
+node table, built once per process beside the zero table and grown with
+it, holds the roots at SEGMENTS - 1 = 14 phases spaced evenly over each
+bracket's range, solved from RK4 steps of dmu/dpsi = 1 / psi' run down
+from the upper zero, with dmu/dpsi at each; a root starts at the cubic
+Hermite interpolant of mu(psi) between the two nodes around its target,
+within 1.3e-5 of itself, relative, over 0.5 <= |theta| <= 6 at m = 2 and
+12.  A level p >= mu_max has one bracket, (0, mu_max], below its turning
+point, and its root starts at the fixed point 2(p+1) r/(1+r^2) of the
+continued fraction: within 1.5e-3 of the root at |theta| = 1, 5.1e-4 at
+1.5, 1.8e-4 at 2 and 6e-8 at 6.  The floor is two passes of the continued
+fraction per root, one to step and one to confirm; at the cutoff of a heat
+trace on T_GRID a warm solve evaluates 2.2-2.42 elements per kept root at
+m = 2 and 12 for 0.5 <= |theta| <= 3 and 2.9 at |theta| = 6, in at most 4
+passes.
 
 The trace sums, exactly rounded, only the eigenvalues whose terms can reach
 the result: those past a cut, where every later term is below 2^-70 of the
@@ -110,9 +126,10 @@ def _zero_table() -> list:
 def _brackets(low: np.ndarray, cutoff: float) -> tuple:
     """Level, lower and upper end of each bracket of the levels low, up to
     the first zero of J_p past cutoff: (0, j_{p,1}), (j_{p,1}, j_{p,2}), ...,
-    level by level in the order of low.  A row of the zero table without a
-    zero past cutoff is computed again, from its McMahon count j_{p,k} ~
-    (k + p/2 - 1/4) pi."""
+    level by level in the order of low, and the flat index of its upper end
+    in the zero table.  A row of the zero table without a zero past cutoff
+    is computed again, from its McMahon count j_{p,k} ~ (k + p/2 - 1/4)
+    pi."""
     holder = _zero_table()
     zeros = holder[0]
     rows = np.full((low.size, zeros.shape[1]), np.inf)
@@ -140,8 +157,81 @@ def _brackets(low: np.ndarray, cutoff: float) -> tuple:
         return _brackets(low, cutoff)
     inside = np.arange(rows.shape[1]) <= count[:, None]
     lo = np.concatenate((np.zeros((low.size, 1)), rows[:, :-1]), axis=1)
+    at = low[:, None] * rows.shape[1] + np.arange(rows.shape[1])
     return (np.broadcast_to(low[:, None], rows.shape)[inside], lo[inside],
-            rows[inside])
+            rows[inside], at[inside])
+
+
+# the node table cuts the phase range of every bracket into SEGMENTS equal
+# parts; an odd count puts no node of a bracket between zeros at psi = 0,
+# a zero of J_{p+1}, where the continued fraction divides by zero
+SEGMENTS = 15
+
+
+@functools.cache
+def _node_table() -> list:
+    """The zero table the nodes were solved for, and the nodes of each of
+    its brackets, as the two items of a list that _nodes replaces as the
+    zero table grows.  The nodes of a bracket are mu and dmu/dpsi at the
+    SEGMENTS + 1 phases spaced evenly from its low phase (0 at mu = 0 in a
+    first bracket, -pi/2 at a zero of J_p above one) to pi/2 at its upper
+    end; they sit at the bracket's place in the zero table, NaN where it
+    holds no zero."""
+    return [np.full((0, 1), np.inf), np.empty((0, 1, SEGMENTS + 1, 2))]
+
+
+def _node_phases(first: np.ndarray) -> tuple:
+    """Low phase and node spacing of brackets that are (first) or are not
+    the first of their level."""
+    low = np.where(first, 0.0, -0.5 * np.pi)
+    return low, (0.5 * np.pi - low) / SEGMENTS
+
+
+def _nodes(zeros: np.ndarray) -> np.ndarray:
+    """The nodes of every bracket of the zero table zeros, one row per entry
+    of it.  The brackets the node table holds keep their bits and the rest
+    are solved in one _solve_nodes: a bracket's nodes are the same whichever
+    others are solved with them, since each element of a solve is computed
+    alone."""
+    holder = _node_table()
+    if holder[0] is not zeros:
+        old, held_nodes = holder
+        nodes = np.full(zeros.shape + (SEGMENTS + 1, 2), np.nan)
+        # an equal zero is the same bracket: jn_zeros keeps leading zeros
+        a, b = (min(x, y) for x, y in zip(old.shape, zeros.shape))
+        held = np.zeros(zeros.shape, dtype=bool)
+        held[:a, :b] = np.isfinite(zeros[:a, :b]) & (old[:a, :b]
+                                                     == zeros[:a, :b])
+        nodes[held] = held_nodes[:a, :b][held[:a, :b]]
+        p, k = np.nonzero(np.isfinite(zeros) & ~held)
+        nodes[p, k] = _solve_nodes(p, np.where(k > 0, zeros[p, k - 1], 0.0),
+                                   zeros[p, k])
+        holder[:] = [zeros, nodes]
+    return holder[1].reshape(-1, SEGMENTS + 1, 2)
+
+
+def _solve_nodes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The nodes of the brackets (lo, hi] of the levels p, lo = 0 for a first
+    bracket.  The inner ones are roots of arctan R_p = psi, each solved in
+    (lo, hi] above the level floor of r = tan psi from an RK4 start
+    (_start), with dmu/dpsi = 1 / psi'; dmu/dpsi is 1 at a zero of J_p and
+    2(p + 1) at mu = 0, where psi ~ mu / (2(p + 1))."""
+    first = lo == 0.0
+    low, step = _node_phases(first)
+    psi = low[:, None] + step[:, None] * np.arange(1, SEGMENTS)
+    # a first bracket's floor 2(p+1) rho/(1+rho), rho = min(r, 1/r), of
+    # _level_floor; above a zero, lo > 0 is the floor
+    rho = np.minimum(np.tan(psi), 1.0 / np.tan(psi))
+    floor = np.where(first[:, None],
+                     2.0 * (p[:, None] + 1) * rho / (1.0 + rho), lo[:, None])
+    q, target, floor, upper = (np.broadcast_to(a, psi.shape).ravel()
+                               for a in (p[:, None], psi, floor, hi[:, None]))
+    start = _start(q, target, upper, np.full(psi.size, 0.5 * np.pi))
+    root = _solve(q, target, floor, upper, start)[0].reshape(psi.shape)
+    return np.stack((np.column_stack((lo, root, hi)),
+                     np.column_stack((np.where(first, 2.0 * (p + 1), 1.0),
+                                      1.0 / _slope(p[:, None], root, psi),
+                                      np.ones(p.size)))), axis=-1)
 
 
 @functools.cache
@@ -209,11 +299,10 @@ def _slope(p: np.ndarray, mu: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return 1.0 - (p + 0.5) * np.sin(2.0 * phase) / mu
 
 
-def _start(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
-           hi: np.ndarray, top: np.ndarray) -> np.ndarray:
+def _start(p: np.ndarray, target: np.ndarray, hi: np.ndarray,
+           top: np.ndarray) -> np.ndarray:
     """mu at psi = target from 4 RK4 steps of dmu/dpsi = 1 / psi', run from
-    (hi, top) down to target; the midpoint where that is not finite or not
-    inside (lo, hi)."""
+    (hi, top) down to target: the start of each node's solve."""
     h = 0.25 * (target - top)
     mu, psi = hi, top
     # the field has a pole where psi' = 0 off the phase curve itself
@@ -224,15 +313,16 @@ def _start(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
             k3 = h / _slope(p, mu + 0.5 * k2, psi + 0.5 * h)
             k4 = h / _slope(p, mu + k3, psi + h)
             mu, psi = mu + (k1 + 2.0 * (k2 + k3) + k4) / 6.0, psi + h
-    return np.where((mu > lo) & (mu < hi), mu, 0.5 * (lo + hi))
+    return mu
 
 
 def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
-           hi: np.ndarray, top: np.ndarray) -> tuple:
-    """Each root of arctan R_p = target in its bracket [lo, hi], arctan
-    R_p(hi) = top, and a bound on the Newton correction left at it: Halley
-    steps from the start of _start that keep the bracket, bisecting where
-    a step leaves it; a root retires at a step <= 1e-14 mu.
+           hi: np.ndarray, mu: np.ndarray) -> tuple:
+    """Each root of arctan R_p = target in its bracket [lo, hi], and a bound
+    on the Newton correction left at it: Halley steps from the start mu
+    (the midpoint where mu is not finite or not inside (lo, hi)) that keep
+    the bracket, bisecting where a step leaves it; a root retires at a step
+    <= 1e-14 mu.
 
     The bound is read at the last point mu a root steps from, where the
     phase is known: the Newton correction |g / psi'| there, with the
@@ -245,12 +335,18 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
     psi = arctan R_p has psi' = R_p' / (1 + R_p^2) = 1 - (p + 1/2) sin 2psi
     / mu and psi'' = (p + 1/2)(sin 2psi / mu - 2 cos 2psi psi') / mu: the
     one phase a step evaluates gives g = psi - target, psi' and psi'', and
-    the Halley step (g / psi') / (1 - g psi'' / (2 psi'^2)).  psi is known
-    at the upper end of every bracket, pi/2 at a zero of J_p (its limit
-    from below) and top at mu_max.  At the lower end of a first bracket it
-    is not: lo is the level floor there, and at mu -> 0 the field 1 / psi'
-    is 0/0.  So every start runs down from hi."""
-    mu = _start(p, target, lo, hi, top)
+    the Halley step (g / psi') / (1 - g psi'' / (2 psi'^2)).
+
+    A spectrum's roots start where _roots puts them: in a bracket below
+    mu_max by cubic Hermite interpolation of mu(psi) between the two nodes
+    of the node table around target, within 1.3e-5 of the root (relative),
+    and in the one bracket (0, mu_max] of a level p >= mu_max at the fixed
+    point 2(p+1) r/(1+r^2), within 1.8e-4 at |theta| = 2 and 6e-8 at 6.
+    Two phase passes, one to step and one to confirm, are the fewest a root
+    can take; from these starts no root of a heat trace on T_GRID takes
+    more than three, at m = 2..12 and |theta| <= 6.  The nodes themselves
+    start from _start."""
+    mu = np.where((mu > lo) & (mu < hi), mu, 0.5 * (lo + hi))
     root, left = np.empty(lo.shape), np.empty(lo.shape)
     live = np.arange(lo.size)
     for _ in range(100):
@@ -278,6 +374,24 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
     return root, left
 
 
+def _hermite(target: np.ndarray, first: np.ndarray, at: np.ndarray,
+             nodes: np.ndarray) -> np.ndarray:
+    """mu at psi = target in the brackets at the flat indices at of the zero
+    table, first or not the first of their level, a row for each target of
+    a column: the cubic Hermite interpolant of their nodes (_nodes) on the
+    segment around target, found by its index, not by a search."""
+    low, step = _node_phases(first)
+    x = (target - low) / step
+    k = np.clip(np.floor(x), 0, SEGMENTS - 1).astype(np.intp)
+    u = x - k
+    v = 1.0 - u
+    # mu and dmu/dpsi at the segment's ends are 4 floats in a row
+    mu0, rate0, mu1, rate1 = np.moveaxis(nodes.reshape(-1)[
+        (2 * ((SEGMENTS + 1) * at + k))[..., None] + np.arange(4)], -1, 0)
+    return (v * v * ((1.0 + 2.0 * u) * mu0 + step * u * rate0)
+            + u * u * ((3.0 - 2.0 * u) * mu1 - step * v * rate1))
+
+
 def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
            mu_max: float, cutoff: float | None = None) -> tuple:
     """Level and value of each root in (0, cutoff] of J_{p+1} = r J_p, all
@@ -285,24 +399,38 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     given below it.  Brackets end at the zeros of J_p up to one past the
     cutoff; a level p >= mu_max has one, (0, mu_max], which holds a root iff
     r > 0 and arctan R_p(mu_max) >= arctan r.  So a bracket is the same at
-    any cutoff, and so is each root it gives."""
+    any cutoff, and so is each root it gives.
+
+    A root in a bracket between zeros, or in a first bracket below mu_max,
+    starts from the node table (_hermite).  A first bracket lies below the
+    turning point mu ~ p where mu <= mu_max <= p, and there R_p is near
+    its fixed point tan psi = mu / ((p+1) + sqrt((p+1)^2 - mu^2)), whose
+    inverse mu = 2(p+1) r/(1+r^2) starts the root of a level p >=
+    mu_max."""
     if mu_max <= 0:
         raise ValueError("mu_max must be positive")
     cutoff = mu_max if cutoff is None else cutoff
-    p, lo, hi = _brackets(levels[levels < mu_max], cutoff)
+    low, lo, hi, at = _brackets(levels[levels < mu_max], cutoff)
     high = levels[levels >= mu_max]
-    p = np.concatenate((p, high))
-    lo = np.concatenate((lo, np.zeros(high.size)))
-    hi = np.concatenate((hi, np.full(high.size, mu_max)))
-    top = np.full(p.shape, np.pi / 2)  # the limit at a zero of J_p
-    top[p >= mu_max] = _phase(p[p >= mu_max], hi[p >= mu_max])
-    target = np.repeat(np.arctan(ratios), p.size)
-    p, lo, hi, top = (np.tile(a, len(ratios)) for a in (p, lo, hi, top))
+    top = _phase(high, np.full(high.size, float(mu_max)))
+    r = np.array(ratios, dtype=float)[:, None]
+    target = np.arctan(r)
+
+    def rows(below, above):
+        """A row per ratio: the brackets below mu_max, then those above."""
+        return np.concatenate((np.broadcast_to(below, (r.size, low.size)),
+                               np.broadcast_to(above, (r.size, high.size))),
+                              axis=1)
+    start = rows(_hermite(target, lo == 0.0, at, _nodes(_zero_table()[0])),
+                 2.0 * (high + 1) * r / (1.0 + r * r))
+    p, lo, hi, top = (rows(low, high), rows(lo, 0.0), rows(hi, mu_max),
+                      rows(np.pi / 2, top))
+    target = np.broadcast_to(target, p.shape)
     hit = (top >= target) & ((lo > 0.0) | (target > 0.0))
     p, target = p[hit], target[hit]
     roots, left = _solve(p, target,
                          np.maximum(lo[hit], _level_floor(p, theta)),
-                         hi[hit], top[hit])
+                         hi[hit], start[hit])
     shift = np.max(left / roots, initial=0.0)
     if shift > ROOT_RTOL:
         raise RuntimeError(f"root solve failed: a correction of "
@@ -480,6 +608,29 @@ def pinned_a0(m: int) -> float:
     return (4 * math.pi) ** (-m / 2) * ball_volume(m) * spinor_dimension(m)
 
 
+@functools.lru_cache(maxsize=64)
+def _fit_basis(ts: tuple, m: int, depth: int) -> tuple:
+    """What a fit of a_1..a_depth at ts takes from the basis alone, whatever
+    the values: the design t^((n-m)/2), n = 1..depth, with unit columns,
+    their norms, its condition number and, within a condition number of
+    1e10, its pseudo-inverse V S^-1 U^T as the two factors V S^-1 and U^T
+    of its thin SVD (None past it)."""
+    t = np.array(ts)
+    design = np.stack([t ** ((n - m) / 2) for n in range(1, depth + 1)],
+                      axis=1)
+    scale = np.linalg.norm(design, axis=0)
+    design /= scale
+    cond = float(np.linalg.cond(design))
+    pinv = None
+    if not cond > 1e10:
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        pinv = (vt.T / s, u.T)
+        for a in pinv:
+            a.flags.writeable = False
+    design.flags.writeable = scale.flags.writeable = False
+    return design, scale, cond, pinv
+
+
 def fit_heat_coefficients(ts: Sequence[float], values: Sequence[float],
                           m: int) -> AsymptoticFit:
     """Least-squares extraction of a_1..a_K, K = FIT_DEPTH, from heat-trace
@@ -487,7 +638,9 @@ def fit_heat_coefficients(ts: Sequence[float], values: Sequence[float],
     interior value.
 
     K = 5 lets the upper coefficients absorb higher-order contamination;
-    the returned residual is the rms misfit.
+    the returned residual is the rms misfit.  The basis at each (ts, m,
+    depth) is set up once (_fit_basis), so a fit is two products with the
+    factors of its pseudo-inverse.
     """
     K = FIT_DEPTH
     t, y = np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
@@ -495,20 +648,18 @@ def fit_heat_coefficients(ts: Sequence[float], values: Sequence[float],
         raise ValueError(f"need at least K+3 = {K + 3} samples")
     a0 = pinned_a0(m)
     y = y - a0 * t ** (-m / 2)
+    key = tuple(t.tolist())
 
     def solve(depth):
-        powers = [(n - m) / 2 for n in range(1, depth + 1)]
-        design = np.stack([t ** q for q in powers], axis=1)
-        scale = np.linalg.norm(design, axis=0)
-        design_s = design / scale
-        cond = np.linalg.cond(design_s)
-        if cond > 1e10:
+        design, scale, cond, pinv = _fit_basis(key, m, depth)
+        if pinv is None:
             raise IllConditionedFitError(
                 f"fit condition estimate {cond:.3e}")
-        coef_s, _, _, _ = np.linalg.lstsq(design_s, y, rcond=None)
-        coef = coef_s / scale
+        # U^T first: the product V S^-1 U^T itself would round its
+        # cancelling entries
+        coef = pinv[0] @ (pinv[1] @ y)
         resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-        return coef, resid, float(cond)
+        return coef / scale, resid, cond
 
     coef, resid, cond = solve(K)
     errors = np.full(K, resid)

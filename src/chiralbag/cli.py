@@ -27,10 +27,11 @@ U1_err, U2_residual, U2_err and pass, a t-integral row s, omega, theta,
 t_integral_residual, t_integral_err and pass; each *_err is the quadrature
 rule's error estimate, carried through the same factors as its residual,
 and is reported only.  U residuals are scaled by max(1, largest entry of
-the right side), and a U row is the same at every m (cylinder).  A
-verify-cylinder row passes when its residuals are below CYLINDER_TOL
-(1e-8), a verify-identities row when its largest residual is below
-IDENTITY_TOL (1e-11); no flag changes these bounds.
+the right side), and a U row is the same at every m (cylinder), so it is
+checked once, at the first m, and written under each.  A verify-cylinder
+row passes when its residuals are below CYLINDER_TOL (1e-8), a
+verify-identities row when its largest residual is below IDENTITY_TOL
+(1e-11); no flag changes these bounds.
 
 A --theta range start:stop:step holds at most 10^6 points
 (MAX_THETA_POINTS); a longer one is a configuration error naming its count.
@@ -211,14 +212,17 @@ def cmd_verify_ball(args) -> list[dict]:
 
 
 def cmd_verify_cylinder(args) -> list[dict]:
-    u_points = [{"theta": theta, "m": m, "omega": omega, "t": t}
-                for m in args.m for omega in args.omega
-                for theta in args.theta for t in args.t]
+    # a U row is the same at every m but for its m column: each is checked
+    # at the first m and written under every m
+    u_rows = _each([{"theta": theta, "m": args.m[0], "omega": omega, "t": t}
+                    for omega in args.omega for theta in args.theta
+                    for t in args.t], _u_row)
     # the t-integral does not depend on m
     t_points = [{"theta": theta, "s": s, "omega": omega}
                 for s in args.s for omega in args.omega
                 for theta in args.theta]
-    return _each(u_points, _u_row) + _each(t_points, _t_row)
+    return ([{**row, "m": m} for m in args.m for row in u_rows]
+            + _each(t_points, _t_row))
 
 
 def cmd_verify_identities(args) -> list[dict]:

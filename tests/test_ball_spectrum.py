@@ -165,20 +165,51 @@ class TestFindRoots:
                 mp.mpf(found))
             assert abs(found / exact - 1) < 1e-14
 
-    @pytest.mark.parametrize("theta,m,per_root", (
-        (0.5, 2, 3.0), (1.0, 2, 3.0), (2.0, 2, 3.0), (3.0, 2, 3.0),
-        (3.0, 12, 3.0), (6.0, 2, 4.0)))
-    def test_phase_work_per_root(self, theta, m, per_root, phase_sizes):
-        # every element the continued fraction evaluates in one spectrum;
-        # the count repeats exactly
+    @pytest.mark.parametrize("theta,m", ((0.5, 2), (1.0, 2), (2.0, 2),
+                                         (3.0, 2), (3.0, 12), (6.0, 2)))
+    def test_phase_work_per_root(self, theta, m, phase_sizes):
+        # every element the continued fraction evaluates in one spectrum
+        # once the node table holds its brackets; the count repeats exactly
+        warm(theta, m, phase_sizes)
         mu = bs.spectrum(theta, m, 100.0)[0]
+        per_root = 2.85 if theta == 6.0 else 2.3
         assert sum(phase_sizes) <= per_root * mu.size
 
     def test_no_phase_pass_rechecks_the_roots(self, phase_sizes):
         # one pass for the levels past mu_max and one per Halley round,
-        # five at theta = 1: the roots' check reads the last round
+        # three at theta = 1: the roots' check reads the last round
+        warm(1.0, 2, phase_sizes)
         bs.spectrum(1.0, 2, 100.0)
-        assert len(phase_sizes) <= 6
+        assert len(phase_sizes) <= 4
+
+    @pytest.mark.parametrize("m", (2, 12))
+    @pytest.mark.parametrize("theta,per_root", (
+        (0.5, 2.5), (1.0, 2.5), (1.5, 2.5), (2.0, 2.5), (3.0, 2.5),
+        (6.0, 3.0)))
+    def test_warm_solve_at_the_floor(self, theta, m, per_root, phase_sizes):
+        # at the cutoff of heat_trace on T_GRID nearly every root takes the
+        # two passes of the floor, one to step and one to confirm: with the
+        # pass for the levels past mu_max, at most four passes in all
+        cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0], 100.0)
+        bs.spectrum(theta, m, 100.0, cutoff)
+        phase_sizes.clear()
+        mu = bs.spectrum(theta, m, 100.0, cutoff)[0]
+        assert sum(phase_sizes) <= per_root * mu.size
+        assert len(phase_sizes) <= 4
+
+    @pytest.mark.parametrize("theta,m,build", ((1.0, 2, 50_500),
+                                               (3.0, 12, 46_000)))
+    def test_node_table_build_from_empty(self, theta, m, build, phase_sizes):
+        # the elements the continued fraction evaluates to solve the nodes
+        # of every bracket of spectrum(theta, m, 100) from empty tables:
+        # what a cold spectrum evaluates past a warm one
+        bs._zero_table.cache_clear()
+        bs._node_table.cache_clear()
+        bs.spectrum(theta, m, 100.0)
+        cold = sum(phase_sizes)
+        phase_sizes.clear()
+        bs.spectrum(theta, m, 100.0)
+        assert 0 < cold - sum(phase_sizes) <= build
 
     @pytest.mark.parametrize("p", (60, 231))
     def test_root_count_against_mpmath(self, p):
@@ -251,7 +282,8 @@ class TestFindRoots:
         # every level at once, level by level in order: from 0 to the first
         # zero of J_p and on to the first zero past the cutoff
         levels = np.array([0, 3, 7, 40, 41, 99])
-        p, lo, hi = bs._brackets(levels, cutoff)
+        p, lo, hi, at = bs._brackets(levels, cutoff)
+        assert np.array_equal(bs._zero_table()[0].flat[at], hi)
         for q in levels:
             zs = sp.jn_zeros(int(q), 40)
             ends = zs[:np.searchsorted(zs, cutoff, side="right") + 1]
@@ -294,10 +326,11 @@ class TestRootCheck:
         # phase pass of its own, is never above it
         solve, solved = bs._solve, []
 
-        def spy(p, target, lo, hi, top):
-            root, left = solve(p, target, lo, hi, top)
+        def spy(p, target, lo, hi, start):
+            root, left = solve(p, target, lo, hi, start)
             solved.append((p, target, root, left))
             return root, left
+        bs.spectrum(theta, m, 100.0)  # the node table holds its brackets
         monkeypatch.setattr(bs, "_solve", spy)
         bs.spectrum(theta, m, 100.0)
         [(p, target, root, left)] = solved
@@ -310,6 +343,65 @@ class TestRootCheck:
         monkeypatch.setattr(bs, "ROOT_RTOL", 1e-18)
         with pytest.raises(RuntimeError, match="root solve failed"):
             bs.spectrum(0.5, 2, 100.0)
+
+
+def warm(theta, m, phase_sizes):
+    """Empty the node table, fill it with the brackets of spectrum(theta,
+    m, 100) and forget the passes that took."""
+    bs._node_table.cache_clear()
+    bs.spectrum(theta, m, 100.0)
+    phase_sizes.clear()
+
+
+class TestNodeTable:
+    def test_cache_clear_empties_the_table(self):
+        bs.spectrum(0.5, 2, 100.0)
+        zeros, nodes = bs._node_table()
+        assert zeros is bs._zero_table()[0] and np.isfinite(nodes).any()
+        bs._node_table.cache_clear()
+        zeros, nodes = bs._node_table()
+        assert zeros.size == 0 and nodes.size == 0
+
+    def test_node_bit_identical_alone_or_in_batch(self):
+        # the nodes of level 7 solved alone, and with every level below
+        # 100 as the table grows from cutoff 20 to 60: the same bits
+        def nodes_of_level_7(cutoff):
+            at = bs._brackets(np.array([7]), cutoff)[3]
+            return bs._nodes(bs._zero_table()[0])[at]
+        bs._zero_table.cache_clear()
+        bs._node_table.cache_clear()
+        alone = nodes_of_level_7(60.0)
+        bs._zero_table.cache_clear()
+        bs._node_table.cache_clear()
+        bs._brackets(np.arange(100), 20.0)
+        bs._nodes(bs._zero_table()[0])
+        bs._brackets(np.arange(100), 60.0)
+        batch = nodes_of_level_7(60.0)
+        assert np.all(np.isfinite(alone)) and alone.shape[0] > 10
+        assert np.array_equal(alone, batch)
+
+    @pytest.mark.parametrize("p", (0, 7, 60, 99))
+    def test_nodes_are_the_roots_at_their_phases(self, p):
+        # each inner node mu_i solves arctan R_p = psi_i, and its slope is
+        # 1 / psi'; the ends are the bracket's ends, a zero of J_p with
+        # slope 1 or mu = 0 with slope 2(p + 1)
+        _, lo, hi, at = bs._brackets(np.array([p]), 60.0)
+        nodes = bs._nodes(bs._zero_table()[0])[at]
+        low = np.where(lo == 0.0, 0.0, -np.pi / 2)
+        psi = low[:, None] + (np.pi / 2 - low[:, None]) * np.linspace(
+            0.0, 1.0, bs.SEGMENTS + 1)
+        mu, rate = nodes[..., 0], nodes[..., 1]
+        assert np.array_equal(mu[:, 0], lo) and np.array_equal(mu[:, -1], hi)
+        assert np.all(rate[:, -1] == 1.0)
+        assert np.array_equal(rate[:, 0], np.where(lo == 0.0, 2.0 * (p + 1),
+                                                    1.0))
+        inner = mu[:, 1:-1]
+        phase = bs._phase(np.full(inner.size, p), inner.ravel()).reshape(
+            inner.shape)
+        assert np.abs(phase - psi[:, 1:-1]).max() < 1e-13
+        assert np.all(np.diff(mu, axis=1) > 0)
+        slope = bs._slope(p, inner, phase)
+        assert np.allclose(rate[:, 1:-1], 1.0 / slope, rtol=1e-12)
 
 
 def plain_phase(p, mu):
@@ -609,6 +701,25 @@ class TestHeatTrace:
         assert values.shape == bounds.shape == (0,)
 
 
+def lstsq_fit(ts, values, m):
+    """a_1..a_5, the rms misfit and a_1..a_6 (None past a condition number
+    of 1e10) of the fit with a_0 pinned, by np.linalg.lstsq on the design
+    with unit columns."""
+    t = np.asarray(ts, dtype=float)
+    y = np.asarray(values, dtype=float) - bs.pinned_a0(m) * t ** (-m / 2)
+
+    def solve(depth):
+        design = np.stack([t ** ((n - m) / 2) for n in range(1, depth + 1)],
+                          axis=1)
+        scale = np.linalg.norm(design, axis=0)
+        if np.linalg.cond(design / scale) > 1e10:
+            return None, None
+        coef = np.linalg.lstsq(design / scale, y, rcond=None)[0] / scale
+        return coef, float(np.sqrt(np.mean((design @ coef - y) ** 2)))
+    coef, resid = solve(5)
+    return coef, resid, solve(6)[0]
+
+
 class TestFit:
     def test_recovers_synthetic_series(self):
         coeffs = (0.5, 0.2, -1.0 / 6.0, 0.03, 0.0, 0.0)
@@ -627,6 +738,43 @@ class TestFit:
         ts = 0.1 + 1e-9 * np.arange(10)
         with pytest.raises(bs.IllConditionedFitError):
             bs.fit_heat_coefficients(ts, np.ones(10), 2)
+
+    def test_ill_conditioned_again_from_the_cache(self):
+        # the basis is set up once, and its condition number refuses the
+        # fit every time
+        ts = 0.1 + 1e-9 * np.arange(10)
+        bs._fit_basis.cache_clear()
+        for values in (np.ones(10), np.arange(10.0)):
+            with pytest.raises(bs.IllConditionedFitError,
+                               match="condition estimate"):
+                bs.fit_heat_coefficients(ts, values, 2)
+        assert bs._fit_basis.cache_info().currsize == 1
+
+    def test_deeper_fit_falls_back_to_the_residual(self):
+        # depth 5 is within bounds on these ts and depth 6 is not: every
+        # error estimate is the rms misfit, as in the lstsq fit
+        ts = np.linspace(0.1, 0.11, 10)
+        values = 0.5 / ts + 0.2 / np.sqrt(ts) + 0.01 * ts ** 3
+        fit = bs.fit_heat_coefficients(ts, values, 2)
+        ref = lstsq_fit(ts, values, 2)
+        assert ref[2] is None
+        assert np.all(fit.coeff_errors[1:] == fit.residual)
+        assert fit.condition_estimate < 1e10
+
+    @pytest.mark.parametrize("theta,m", (
+        (0.5, 2), (-1.3, 2), (2.0, 2), (6.0, 2), (3.0, 4), (0.5, 8),
+        (-1.3, 8), (0.5, 12), (-1.3, 12)))
+    def test_cached_fit_matches_lstsq(self, theta, m):
+        # the pseudo-inverse of the cached basis against np.linalg.lstsq on
+        # the heat traces of passing verify-ball rows
+        values, _ = bs.heat_trace(theta, m, bs.T_GRID, 100.0)
+        fit = bs.fit_heat_coefficients(bs.T_GRID, values, m)
+        coef, resid, deeper = lstsq_fit(bs.T_GRID, values, m)
+        assert fit.coeffs[1] == pytest.approx(coef[0], rel=1e-12, abs=0.0)
+        assert fit.coeffs[2] == pytest.approx(coef[1], rel=1e-10, abs=0.0)
+        assert fit.residual == pytest.approx(resid, rel=1e-6)
+        assert np.allclose(fit.coeff_errors[1:], np.abs(deeper[:5] - coef),
+                           rtol=1e-6, atol=1e-12)
 
     def test_disc_fit_against_closed_forms(self):
         theta = 0.5

@@ -420,6 +420,45 @@ class TestVerifyCommands:
         assert rows[:72] == rows[:12] * 6
         assert sum("t_integral_residual" in r for r in rows) == 12
 
+    def test_cylinder_checks_each_u_row_once(self, capsys, monkeypatch):
+        # 12 distinct (omega, theta, t), each checked once and written
+        # under all six m
+        calls = {"U1": 0, "U2": 0}
+
+        def counted(name, check):
+            def spy(*args):
+                calls[name] += 1
+                return check(*args)
+            return spy
+        monkeypatch.setattr(cylinder, "check_U1_integral",
+                            counted("U1", cylinder.check_U1_integral))
+        monkeypatch.setattr(cylinder, "check_U2_integral",
+                            counted("U2", cylinder.check_U2_integral))
+        code, out = run(capsys, "verify-cylinder", "--m", "2,4,6,8,10,12",
+                        "--theta", "-1.2,0.7", "--format", "json")
+        assert code == 0
+        assert calls == {"U1": 12, "U2": 12}
+        assert len(json.loads(out)) == 72 + 12
+
+    def test_ball_report_alike_cold_or_warm(self, tmp_path):
+        # the tables ball_spectrum keeps across requests change no byte:
+        # theta = 0.5 alone from empty caches, and after theta = 2
+        def clear():
+            for value in vars(ball_spectrum).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+        def report(theta):
+            path = tmp_path / f"{theta}.json"
+            assert cli.main(["verify-ball", "--m", "2", "--theta", theta,
+                             "--format", "json", "--out", str(path)]) == 0
+            return path.read_bytes()
+        clear()
+        cold = report("0.5")
+        clear()
+        report("2")
+        assert report("0.5") == cold
+
     def test_cylinder_large_omega_tanh_theta(self, capsys):
         # b = omega tanh theta up to ~30: the boundary scalar grows like
         # e^{t b^2} near x = 0, to ~1e26, and each U residual, scaled by its
