@@ -27,14 +27,14 @@ rho = e^-|theta|.
 
 One safeguarded solve takes every bracket at once, on the phase
 psi = arctan R_p, which obeys the first-order ODE psi' = 1 - (p + 1/2)
-sin 2psi / mu; with psi'' = (p + 1/2)(sin 2psi / mu - 2 cos 2psi psi') / mu
-both derivatives cost nothing once psi is known.  Each root starts close
-to itself and converges by Halley steps (the phase-function route to
+sin 2psi / mu exactly.  So one pass of the continued fraction at mu gives a
+point (mu, psi) of the phase curve, and one RK4 step of dmu/dpsi = 1 / psi'
+from it to psi = arctan r lands on the root (the phase-function route to
 special-function roots: Glaser, Liu, Rokhlin, SIAM J. Sci. Comput. 29
-(2007) 1420; Segura, SIAM J. Numer. Anal. 48 (2010) 452).  The check that
-each returned root is one reads its correction in the solve's last step,
-from the phase at the point that step left, so no pass of the continued
-fraction re-evaluates the roots.
+(2007) 1420; Segura, SIAM J. Numer. Anal. 48 (2010) 452).  The step's error
+estimate and the phase at its start bound the Newton correction left at the
+root, so no pass of the continued fraction re-evaluates the roots to check
+them.
 
 The starts come from what does not depend on theta.  psi of a bracket
 below mu_max runs from 0 (at mu = 0) or -pi/2 (at a zero of J_p) to pi/2
@@ -48,11 +48,10 @@ within 1.3e-5 of itself, relative, over 0.5 <= |theta| <= 6 at m = 2 and
 12.  A level p >= mu_max has one bracket, (0, mu_max], below its turning
 point, and its root starts at the fixed point 2(p+1) r/(1+r^2) of the
 continued fraction: within 1.5e-3 of the root at |theta| = 1, 5.1e-4 at
-1.5, 1.8e-4 at 2 and 6e-8 at 6.  The floor is two passes of the continued
-fraction per root, one to step and one to confirm; at the cutoff of a heat
-trace on T_GRID a warm solve evaluates 2.2-2.42 elements per kept root at
-m = 2 and 12 for 0.5 <= |theta| <= 3 and 2.9 at |theta| = 6, in at most 4
-passes.
+1.5, 1.8e-4 at 2 and 6e-8 at 6.  The floor is one pass of the continued
+fraction per root; at the cutoff of a heat trace on T_GRID a warm solve
+evaluates 1.08-1.33 elements per kept root at m = 2 and 12 for
+0.5 <= |theta| <= 3 and 1.87-1.9 at |theta| = 6, in at most 3 passes.
 
 The trace sums, exactly rounded, only the eigenvalues whose terms can reach
 the result: those past a cut, where every later term is below 2^-70 of the
@@ -213,9 +212,9 @@ def _nodes(zeros: np.ndarray) -> np.ndarray:
 def _solve_nodes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The nodes of the brackets (lo, hi] of the levels p, lo = 0 for a first
     bracket.  The inner ones are roots of arctan R_p = psi, each solved in
-    (lo, hi] above the level floor of r = tan psi from an RK4 start
-    (_start), with dmu/dpsi = 1 / psi'; dmu/dpsi is 1 at a zero of J_p and
-    2(p + 1) at mu = 0, where psi ~ mu / (2(p + 1))."""
+    (lo, hi] above the level floor of r = tan psi from 4 RK4 steps run
+    down from (hi, pi/2), with dmu/dpsi = 1 / psi'; dmu/dpsi is 1 at a zero
+    of J_p and 2(p + 1) at mu = 0, where psi ~ mu / (2(p + 1))."""
     first = lo == 0.0
     low, step = _node_phases(first)
     psi = low[:, None] + step[:, None] * np.arange(1, SEGMENTS)
@@ -226,7 +225,8 @@ def _solve_nodes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
                      2.0 * (p[:, None] + 1) * rho / (1.0 + rho), lo[:, None])
     q, target, floor, upper = (np.broadcast_to(a, psi.shape).ravel()
                                for a in (p[:, None], psi, floor, hi[:, None]))
-    start = _start(q, target, upper, np.full(psi.size, 0.5 * np.pi))
+    start = _rk4(q, upper, np.full(psi.size, 0.5 * np.pi),
+                 target - 0.5 * np.pi, 4)[0]
     root = _solve(q, target, floor, upper, start)[0].reshape(psi.shape)
     return np.stack((np.column_stack((lo, root, hi)),
                      np.column_stack((np.where(first, 2.0 * (p + 1), 1.0),
@@ -299,74 +299,87 @@ def _slope(p: np.ndarray, mu: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return 1.0 - (p + 0.5) * np.sin(2.0 * phase) / mu
 
 
-def _start(p: np.ndarray, target: np.ndarray, hi: np.ndarray,
-           top: np.ndarray) -> np.ndarray:
-    """mu at psi = target from 4 RK4 steps of dmu/dpsi = 1 / psi', run from
-    (hi, top) down to target: the start of each node's solve."""
-    h = 0.25 * (target - top)
-    mu, psi = hi, top
+def _rk4(p: np.ndarray, mu: np.ndarray, psi: np.ndarray, span: np.ndarray,
+         steps: int) -> tuple:
+    """mu after steps equal RK4 steps of dmu/dpsi = 1 / psi' from (mu, psi)
+    over the phase span, and the last stage's increment k4."""
+    h = span / steps
     # the field has a pole where psi' = 0 off the phase curve itself
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(4):
+        for _ in range(steps):
             k1 = h / _slope(p, mu, psi)
             k2 = h / _slope(p, mu + 0.5 * k1, psi + 0.5 * h)
             k3 = h / _slope(p, mu + 0.5 * k2, psi + 0.5 * h)
             k4 = h / _slope(p, mu + k3, psi + h)
             mu, psi = mu + (k1 + 2.0 * (k2 + k3) + k4) / 6.0, psi + h
-    return mu
+    return mu, k4
 
 
 def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
            hi: np.ndarray, mu: np.ndarray) -> tuple:
     """Each root of arctan R_p = target in its bracket [lo, hi], and a bound
-    on the Newton correction left at it: Halley steps from the start mu
-    (the midpoint where mu is not finite or not inside (lo, hi)) that keep
-    the bracket, bisecting where a step leaves it; a root retires at a step
-    <= 1e-14 mu.
-
-    The bound is read at the last point mu a root steps from, where the
-    phase is known: the Newton correction |g / psi'| there, with the
-    rounding of g (one ulp of psi and of target), plus the distance
-    |root - mu| the step moved.  To first order in that distance it
-    bounds the correction at the root itself, so no further phase pass is
-    needed to check it.
+    on the Newton correction left at it.  From the start mu (the midpoint
+    where mu is not finite or not inside (lo, hi)) a round takes one phase
+    pass at mu, which gives psi there and narrows the bracket, and one RK4
+    step of dmu/dpsi = 1 / psi' (_rk4) from (mu, psi) to psi = target.  A
+    root retires when the step's error estimate is below 1e-15 mu; a step
+    that leaves the closed bracket, or is not finite, bisects it instead.
 
     The Bessel recurrences give R_p' = 1 - (2p + 1) R_p / mu + R_p^2, so
     psi = arctan R_p has psi' = R_p' / (1 + R_p^2) = 1 - (p + 1/2) sin 2psi
-    / mu and psi'' = (p + 1/2)(sin 2psi / mu - 2 cos 2psi psi') / mu: the
-    one phase a step evaluates gives g = psi - target, psi' and psi'', and
-    the Halley step (g / psi') / (1 - g psi'' / (2 psi'^2)).
+    / mu: the field of the step is exact, and its only error is the step's.
+
+    The bound on the Newton correction |g / psi'|, g = psi - target, that a
+    pass at the returned root mu_1 would read is the sum of three terms:
+    - The step's error.  Its estimate is the gap to the embedded third-order
+      step that takes dmu/dpsi at the step's end, (mu_1, target), in place
+      of its last stage: |k5 - k4| / 6, k5 = h / psi'(mu_1, target).  That
+      gap is the local error of the third-order step, of order h^4, and so
+      above the RK4 step's own, of order h^5, once the step is small.
+    - The phase error at mu over |psi'|.  The step runs on the solution of
+      the ODE through the point the pass gave, which lies e / |psi'| in mu
+      from the phase curve, e the pass's rounding of psi, and keeps that
+      distance to first order over the short step; the pass at mu_1 would
+      read g with a rounding of the same size.  They are taken as an ulp
+      each of psi and of target, 2^-52 (|psi| + |target|), over
+      |psi'(mu_1, target)|.  Far into the oscillating range a pass errs by
+      up to ~6 2^-52 absolute, more than this at small |psi|; there psi'
+      is near 1 and mu large, and the third term covers it.
+    - The rounding of mu: the step's sum and the float mu_1 each round by
+      at most 2^-53 mu_1.
+    TestRootCheck re-evaluates the correction at every root of four
+    spectra; at m = 2..12 and ten theta in [-6, 9] it stays below 0.79 of
+    the bound.
 
     A spectrum's roots start where _roots puts them: in a bracket below
     mu_max by cubic Hermite interpolation of mu(psi) between the two nodes
     of the node table around target, within 1.3e-5 of the root (relative),
     and in the one bracket (0, mu_max] of a level p >= mu_max at the fixed
     point 2(p+1) r/(1+r^2), within 1.8e-4 at |theta| = 2 and 6e-8 at 6.
-    Two phase passes, one to step and one to confirm, are the fewest a root
-    can take; from these starts no root of a heat trace on T_GRID takes
-    more than three, at m = 2..12 and |theta| <= 6.  The nodes themselves
-    start from _start."""
+    From these starts the first step retires nearly every root, and no
+    root of a heat trace on T_GRID takes more than two passes, at m =
+    2..12 and |theta| <= 6.  The nodes themselves start from 4 RK4 steps
+    run down from their bracket's upper end (_solve_nodes)."""
     mu = np.where((mu > lo) & (mu < hi), mu, 0.5 * (lo + hi))
     root, left = np.empty(lo.shape), np.empty(lo.shape)
     live = np.arange(lo.size)
     for _ in range(100):
         phase = _phase(p, mu)
-        g, slope = phase - target, _slope(p, mu, phase)
-        bend = (p + 0.5) * (np.sin(2.0 * phase) / mu
-                            - 2.0 * np.cos(2.0 * phase) * slope) / mu
-        step = g / slope
-        step = step / (1.0 - 0.5 * step * bend / slope)
+        g = phase - target
         lo, hi = np.where(g < 0.0, mu, lo), np.where(g > 0.0, mu, hi)
-        new = mu - step
-        # a step onto a bracket end is kept: bisecting it converges linearly
-        new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
-        moved = np.abs(new - mu)
-        # the step moved and the Newton step at mu, g up by an ulp of psi
-        # and of target
-        left[live] = moved + (np.abs(g) + 2.0 ** -52 * (
-            np.abs(phase) + np.abs(target))) / np.abs(slope)
+        new, k4 = _rk4(p, mu, phase, -g, 1)
+        # the gap |k5 - k4| / 6 to the embedded third-order step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = _slope(p, new, target)
+            error = np.abs(-g / slope - k4) / 6.0
+        # a step off the closed bracket, or not finite, bisects it
+        off = ~((new >= lo) & (new <= hi))
+        new = np.where(off, 0.5 * (lo + hi), new)
+        error[off] = np.inf
+        left[live] = error + 2.0 ** -52 * (
+            (np.abs(phase) + np.abs(target)) / np.abs(slope) + np.abs(new))
         root[live] = new
-        more = moved > 1e-14 * mu
+        more = ~(error <= 1e-15 * new)
         if not more.any():
             break
         live, p, target, lo, hi, mu = (
@@ -576,8 +589,8 @@ def heat_trace(theta: float, m: int, ts: Sequence[float],
              else mu_max)
     for cutoff in (first, mu_max):
         mu, w, n_excl = spectrum(theta, m, mu_max, cutoff)
-        # fsum walks a list faster than an array's numpy scalars
-        weight = math.fsum(w.tolist())
+        # fsum walks a memoryview's floats faster than a list or an array
+        weight = math.fsum(memoryview(w))
         # ln(sum w / w_0) + 70 ln 2 and mu_0; an empty spectrum sums nothing
         spread, mu0 = ((math.log(weight / w[0]) + 70.0 * math.log(2.0),
                         float(mu[0])) if mu.size else (0.0, 0.0))
@@ -585,7 +598,7 @@ def heat_trace(theta: float, m: int, ts: Sequence[float],
             cut = math.sqrt(spread / t + mu0 * mu0)
             k = int(np.searchsorted(mu, cut))
             values[i] = math.fsum(
-                (w[:k] * np.exp(-t * mu[:k] * mu[:k])).tolist())
+                memoryview(w[:k] * np.exp(-t * mu[:k] * mu[:k])))
             tails[i] = _truncation_bound(theta, m, t, cutoff, n_excl)
             bounds[i] = tails[i] + weight * math.exp(-t * cut * cut)
         # the roots past the cutoff cannot move a value

@@ -163,8 +163,11 @@ def _integrated(omega: float, t: float, piece: tuple,
     if not all(math.isfinite(g(0.0, 0.0)) for g in piece):
         raise OverflowError("kernel piece not finite at x = 0")
     edges = np.minimum(PANEL_EDGES * math.sqrt(t), _window(omega, t))
-    (s0, e0), (s1, e1) = (panel_rule(lambda x: g(x, x), edges)
-                          for g in piece)
+    # eta^2 overflows far out in a wide window, where e^{-eta^2/4t} = 0 is
+    # the value
+    with np.errstate(over="ignore"):
+        (s0, e0), (s1, e1) = [panel_rule(lambda x: g(x, x), edges)
+                              for g in piece]
     gtgm, gm = GAMMA_TILDE @ GAMMA_M, GAMMA_M
     norm = math.sqrt(4.0 * math.pi * t)
     lhs = (omega * s0 * gtgm + s1 * gm) @ matrix / norm

@@ -172,33 +172,37 @@ class TestFindRoots:
         # once the node table holds its brackets; the count repeats exactly
         warm(theta, m, phase_sizes)
         mu = bs.spectrum(theta, m, 100.0)[0]
-        per_root = 2.85 if theta == 6.0 else 2.3
+        per_root = 1.95 if theta == 6.0 else 1.4
         assert sum(phase_sizes) <= per_root * mu.size
 
     def test_no_phase_pass_rechecks_the_roots(self, phase_sizes):
-        # one pass for the levels past mu_max and one per Halley round,
+        # one pass for the levels past mu_max and one per RK4 round,
         # three at theta = 1: the roots' check reads the last round
         warm(1.0, 2, phase_sizes)
         bs.spectrum(1.0, 2, 100.0)
-        assert len(phase_sizes) <= 4
+        assert len(phase_sizes) <= 3
 
     @pytest.mark.parametrize("m", (2, 12))
-    @pytest.mark.parametrize("theta,per_root", (
+    @pytest.mark.parametrize("theta,two_passes", (
         (0.5, 2.5), (1.0, 2.5), (1.5, 2.5), (2.0, 2.5), (3.0, 2.5),
         (6.0, 3.0)))
-    def test_warm_solve_at_the_floor(self, theta, m, per_root, phase_sizes):
-        # at the cutoff of heat_trace on T_GRID nearly every root takes the
-        # two passes of the floor, one to step and one to confirm: with the
-        # pass for the levels past mu_max, at most four passes in all
+    def test_warm_solve_at_the_floor(self, theta, m, two_passes,
+                                     phase_sizes):
+        # at the cutoff of heat_trace on T_GRID, two passes per root, one
+        # to step and one to confirm, take up to two_passes elements per
+        # kept root; the RK4 step from the first pass lands on nearly every
+        # root, which retires there: a whole pass per root fewer, and with
+        # the pass for the levels past mu_max at most three passes in all
         cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0], 100.0)
         bs.spectrum(theta, m, 100.0, cutoff)
         phase_sizes.clear()
         mu = bs.spectrum(theta, m, 100.0, cutoff)[0]
-        assert sum(phase_sizes) <= per_root * mu.size
-        assert len(phase_sizes) <= 4
+        assert sum(phase_sizes) <= (two_passes - 1.0) * mu.size
+        assert len(phase_sizes) <= 3
 
-    @pytest.mark.parametrize("theta,m,build", ((1.0, 2, 50_500),
-                                               (3.0, 12, 46_000)))
+    @pytest.mark.parametrize("theta,m,build", (
+        pytest.param(1.0, 2, 27_000, id="1.0-2"),
+        pytest.param(3.0, 12, 25_000, id="3.0-12")))
     def test_node_table_build_from_empty(self, theta, m, build, phase_sizes):
         # the elements the continued fraction evaluates to solve the nodes
         # of every bracket of spectrum(theta, m, 100) from empty tables:

@@ -10,6 +10,7 @@ import shlex
 import struct
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,24 @@ class TestClosedFormRow:
         assert code == 2
         assert capsys.readouterr().err == f"error: OverflowError at {where}\n"
         assert not path.exists()
+
+    @pytest.mark.parametrize("flags,code,err", (
+        (("--m", "2,8", "--theta", "800", "--omega", "1e200"), 2,
+         "error: OverflowError at theta=800.0, m=2, omega=1e+200, t=0.1\n"),
+        (("--t", "1e300"), 0, "")), ids=("omega-1e200", "t-1e300"))
+    def test_cylinder_wide_window_warns_nothing(self, tmp_path, capsys,
+                                                flags, code, err):
+        # far out in a window of width 2 |omega| t, eta^2 overflows and
+        # e^{-eta^2/4t} is 0: no warning is issued, whether the boundary
+        # term then overflows (exit 2) or every check runs
+        path = tmp_path / "report"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["verify-cylinder", *flags,
+                             "--out", str(path)]) == code
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == err
+        assert path.exists() == (code == 0)
 
     def test_identities_overflow_before_table(self, capsys):
         # the d2 identity multiplies sinh^2 cosh^(m-1), which leaves the
