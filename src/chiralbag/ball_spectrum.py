@@ -46,12 +46,15 @@ from the upper zero, with dmu/dpsi at each; a root starts at the cubic
 Hermite interpolant of mu(psi) between the two nodes around its target,
 within 1.3e-5 of itself, relative, over 0.5 <= |theta| <= 6 at m = 2 and
 12.  A level p >= mu_max has one bracket, (0, mu_max], below its turning
-point, and its root starts at the fixed point 2(p+1) r/(1+r^2) of the
-continued fraction: within 1.5e-3 of the root at |theta| = 1, 5.1e-4 at
-1.5, 1.8e-4 at 2 and 6e-8 at 6.  The floor is one pass of the continued
-fraction per root; at the cutoff of a heat trace on T_GRID a warm solve
-evaluates 1.08-1.33 elements per kept root at m = 2 and 12 for
-0.5 <= |theta| <= 3 and 1.87-1.9 at |theta| = 6, in at most 3 passes.
+point.  Four steps of the continued fraction from 0 and from rho_{p+4}
+bound R_p(mu_max) from below and above and decide whether the bracket
+holds a root; a pass at mu_max decides only the levels where some ratio
+lies between the bounds.  The root starts where R_p = F_p(R_{p+1}) = r,
+with R_{p+1} from three steps down from rho_{p+4}: within 4.9e-6 of the
+root at |theta| = 1, 6.7e-8 at 1.5, 1.1e-9 at 2 and 4.4e-16 at 6.  The
+floor is one pass of the continued fraction per root, and a warm heat
+trace on T_GRID is at it: one pass, 1.08-1.12 elements per kept root at
+m = 2 and 12 for 0.5 <= |theta| <= 3 and 1.01 at |theta| = 6.
 
 The trace sums, exactly rounded, only the eigenvalues whose terms can reach
 the result: those past a cut, where every later term is below 2^-70 of the
@@ -354,12 +357,13 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
     A spectrum's roots start where _roots puts them: in a bracket below
     mu_max by cubic Hermite interpolation of mu(psi) between the two nodes
     of the node table around target, within 1.3e-5 of the root (relative),
-    and in the one bracket (0, mu_max] of a level p >= mu_max at the fixed
-    point 2(p+1) r/(1+r^2), within 1.8e-4 at |theta| = 2 and 6e-8 at 6.
-    From these starts the first step retires nearly every root, and no
-    root of a heat trace on T_GRID takes more than two passes, at m =
-    2..12 and |theta| <= 6.  The nodes themselves start from 4 RK4 steps
-    run down from their bracket's upper end (_solve_nodes)."""
+    and in the one bracket (0, mu_max] of a level p >= mu_max where R_p = r
+    with R_{p+1} from the continued fraction run down from rho_{p+4}
+    (_high_start), within 2e-6 at |theta| = 1.1 and 1.1e-9 at 2.  From
+    these starts the first step retires every root of a heat trace on
+    T_GRID, at m = 2..12 and |theta| <= 6: its solve is one pass.  The
+    nodes themselves start from 4 RK4 steps run down from their bracket's
+    upper end (_solve_nodes)."""
     mu = np.where((mu > lo) & (mu < hi), mu, 0.5 * (lo + hi))
     root, left = np.empty(lo.shape), np.empty(lo.shape)
     live = np.arange(lo.size)
@@ -405,27 +409,88 @@ def _hermite(target: np.ndarray, first: np.ndarray, at: np.ndarray,
             + u * u * ((3.0 - 2.0 * u) * mu1 - step * v * rate1))
 
 
+def _rho(k, mu):
+    """rho_k = mu / ((k+1) + sqrt((k+1)^2 - mu^2)), the fixed point of F_k,
+    for mu <= k + 1."""
+    return mu / ((k + 1) + np.sqrt((k + 1) * (k + 1) - mu * mu))
+
+
+def _fraction(p, mu, ratio, steps: int):
+    """R_p from steps of the continued fraction, F_p(F_{p+1}(... F_{p+steps-1}(
+    ratio))), ratio standing for R_{p+steps}."""
+    for k in range(steps - 1, -1, -1):
+        ratio = mu / (2.0 * (p + k + 1) - mu * ratio)
+    return ratio
+
+
+def _high_bounds(high: np.ndarray, mu_max: float) -> tuple:
+    """Lower and upper bounds on R_p(mu_max) for the levels p >= mu_max:
+    the continued fraction's first four steps, F_p(F_{p+1}(F_{p+2}(F_{p+3}(
+    R)))), from R = 0 and from R = rho_{p+4}.  Below j_{p+4,1} > mu_max,
+    0 <= R_{p+4} <= rho_{p+4} (Pincherle), and each F_k is increasing, so
+    the two enclose R_p; they lie within rho_{p+4} prod_k rho_k^2 of each
+    other."""
+    mu = float(mu_max)
+    return (_fraction(high, mu, 0.0, 4),
+            _fraction(high, mu, _rho(high + 4, mu), 4))
+
+
+def _high_hits(high: np.ndarray, r: np.ndarray, mu_max: float) -> np.ndarray:
+    """Whether the one bracket (0, mu_max] of each level p >= mu_max
+    (columns) holds a root for each ratio r (rows): iff r > 0 and
+    arctan R_p(mu_max) >= arctan r.  A positive r up to the lower bound of
+    _high_bounds has a root and one past its upper bound none, each with a
+    margin of 1e-12 for rounding; only the levels where some r lies
+    between the two take a pass of the continued fraction at mu_max."""
+    lower, upper = _high_bounds(high, mu_max)
+    hit = (r > 0.0) & (r <= (1.0 - 1e-12) * lower)
+    undecided = (r > 0.0) & ~hit & (r <= (1.0 + 1e-12) * upper)
+    cols = undecided.any(axis=0)
+    if cols.any():
+        top = _phase(high[cols], np.full(np.count_nonzero(cols),
+                                          float(mu_max)))
+        hit[:, cols] = (r > 0.0) & (top >= np.arctan(r))
+    return hit
+
+
+def _high_start(p: np.ndarray, r: np.ndarray, mu_max: float) -> np.ndarray:
+    """The start of the root of R_p = r, 0 < r < 1, in the bracket (0,
+    mu_max] of a level p >= mu_max, below its turning point.  The root of
+    R_p = F_p(rho_{p+1}), with rho_{p+1} = mu / (2(p+2) - mu rho_{p+1}),
+    is mu = r (p + sqrt(p^2 + 4(p+1)(1+r^2))) / (1+r^2).  Two fixed-point
+    steps of mu = 2(p+1) r / (1 + r R_{p+1}(mu)), which is R_p = r, refine
+    it, with R_{p+1} from three steps of the continued fraction down from
+    rho_{p+4}.  Near the turning point these steps can overshoot, so each
+    starts from mu cut to the bracket, where rho_{p+4} is real."""
+    mu = r * (p + np.sqrt(p * p + 4.0 * (p + 1) * (1.0 + r * r))) / (
+        1.0 + r * r)
+    for _ in range(2):
+        mu = np.minimum(mu, mu_max)
+        ratio = _fraction(p + 1, mu, _rho(p + 4, mu), 3)
+        mu = 2.0 * (p + 1) * r / (1.0 + r * ratio)
+    return mu
+
+
 def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
            mu_max: float, cutoff: float | None = None) -> tuple:
     """Level and value of each root in (0, cutoff] of J_{p+1} = r J_p, all
     levels p and ratios r (|r| >= e^-|theta|); the cutoff is mu_max unless
     given below it.  Brackets end at the zeros of J_p up to one past the
     cutoff; a level p >= mu_max has one, (0, mu_max], which holds a root iff
-    r > 0 and arctan R_p(mu_max) >= arctan r.  So a bracket is the same at
+    r > 0 and arctan R_p(mu_max) >= arctan r, decided by bounds on
+    R_p(mu_max) where they can (_high_hits).  So a bracket is the same at
     any cutoff, and so is each root it gives.
 
     A root in a bracket between zeros, or in a first bracket below mu_max,
     starts from the node table (_hermite).  A first bracket lies below the
-    turning point mu ~ p where mu <= mu_max <= p, and there R_p is near
-    its fixed point tan psi = mu / ((p+1) + sqrt((p+1)^2 - mu^2)), whose
-    inverse mu = 2(p+1) r/(1+r^2) starts the root of a level p >=
-    mu_max."""
+    turning point mu ~ p where mu <= mu_max <= p, and there R_p is near its
+    fixed point; the root of a level p >= mu_max starts where R_p, with
+    R_{p+1} taken from the fixed point rho_{p+4}, equals r (_high_start)."""
     if mu_max <= 0:
         raise ValueError("mu_max must be positive")
     cutoff = mu_max if cutoff is None else cutoff
     low, lo, hi, at = _brackets(levels[levels < mu_max], cutoff)
     high = levels[levels >= mu_max]
-    top = _phase(high, np.full(high.size, float(mu_max)))
     r = np.array(ratios, dtype=float)[:, None]
     target = np.arctan(r)
 
@@ -434,12 +499,15 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
         return np.concatenate((np.broadcast_to(below, (r.size, low.size)),
                                np.broadcast_to(above, (r.size, high.size))),
                               axis=1)
+    hit = rows((lo > 0.0) | (target > 0.0), _high_hits(high, r, mu_max))
     start = rows(_hermite(target, lo == 0.0, at, _nodes(_zero_table()[0])),
-                 2.0 * (high + 1) * r / (1.0 + r * r))
-    p, lo, hi, top = (rows(low, high), rows(lo, 0.0), rows(hi, mu_max),
-                      rows(np.pi / 2, top))
-    target = np.broadcast_to(target, p.shape)
-    hit = (top >= target) & ((lo > 0.0) | (target > 0.0))
+                 np.nan)
+    p, lo, hi = rows(low, high), rows(lo, 0.0), rows(hi, mu_max)
+    ratio, target = np.broadcast_to(r, p.shape), np.broadcast_to(target,
+                                                                 p.shape)
+    above = hit.copy()
+    above[:, :low.size] = False
+    start[above] = _high_start(p[above], ratio[above], mu_max)
     p, target = p[hit], target[hit]
     roots, left = _solve(p, target,
                          np.maximum(lo[hit], _level_floor(p, theta)),

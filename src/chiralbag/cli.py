@@ -10,9 +10,11 @@ Subcommands:
 Each command returns its report rows; main writes them (CSV, JSON, or the
 coeffs text block) and sets the exit code.  The JSON report is the bytes
 of json.dumps(rows, indent=2) with every float rounded to 12 significant
-digits, written without the pure-Python indenting encoder: the C encoder
-writes each row with its items already on their own lines, and the rows
-are joined into the list's layout.
+digits, written row by row: each value's text fills a template of its
+row's keys, cached per key tuple.  A float's text is its 12-digit text
+itself wherever that is repr's text of the float it parses to; only a few
+kinds (integral, nan, inf, and the exponents repr writes otherwise) are
+rewritten, and no float is parsed back but those of the last kind.
 
 verify-ball samples the heat trace at 20 geometric t from 0.02 to 0.3
 (ball_spectrum.T_GRID) and fits a_1..a_5 (ball_spectrum.FIT_DEPTH) with a_0
@@ -231,19 +233,48 @@ def cmd_verify_identities(args) -> list[dict]:
             for k, v in report.items()]
 
 
-# one row as a JSON object by the C encoder (it runs in C because indent is
-# None), its items already on the lines of json.dumps(indent=2)
-_encode_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+# a float is written as its 12-digit text f"{v:.12g}" (_fmt), which is
+# repr's text of the float that text parses to except where it has no point
+# (zero, integral, nan, inf) or an exponent repr writes otherwise:
+# positionally from 1e12 to 1e16, and with fewer digits for a subnormal
+_NO_POINT = {"0": "0.0", "-0": "0.0", "nan": "NaN", "inf": "Infinity",
+             "-inf": "-Infinity"}
+_REWRITTEN = frozenset([f"e+{k}" for k in range(12, 16)]
+                       + [f"e-{k}" for k in range(308, 325)])
+_FLOATS = (float, np.floating)
+
+
+def _json_value(v) -> str:
+    """v as json.dumps writes it, a float rounded to 12 significant digits
+    like _fmt: json.dumps(float(_fmt(v))) from the 12-digit text alone, of
+    which only an exponent of _REWRITTEN is parsed back.  An int is written
+    by int's repr, as json writes it."""
+    if isinstance(v, _FLOATS):
+        text = f"{v:.12g}"
+        if "e" not in text:
+            if "." in text:
+                return text
+            return _NO_POINT.get(text) or text + ".0"
+        if text[text.index("e"):] in _REWRITTEN:
+            return repr(float(text))
+        return text
+    return repr(v) if type(v) is int else json.dumps(v)
+
+
+@functools.lru_cache(maxsize=32)
+def _row_template(keys: tuple) -> str:
+    """A row with these str keys as json.dumps(indent=2) writes it inside a
+    list, with a %s for each value."""
+    if not keys:
+        return "{}"
+    return "{\n    " + ",\n    ".join(
+        json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + "\n  }"
 
 
 def _json_row(row: dict) -> str:
     """The row as json.dumps(indent=2) writes it inside a list, floats
-    rounded to 12 significant digits like _fmt; + 0.0 turns -0.0 into
-    0.0."""
-    text = _encode_row({k: (float(f"{v:.12g}") + 0.0
-                            if isinstance(v, (float, np.floating)) else v)
-                        for k, v in row.items()})
-    return "{\n    " + text[1:-1] + "\n  }" if row else text
+    rounded to 12 significant digits like _fmt (_json_value)."""
+    return _row_template(tuple(row)) % tuple(map(_json_value, row.values()))
 
 
 def _report_text(rows: list[dict], fmt: str) -> str:

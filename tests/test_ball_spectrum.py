@@ -172,15 +172,16 @@ class TestFindRoots:
         # once the node table holds its brackets; the count repeats exactly
         warm(theta, m, phase_sizes)
         mu = bs.spectrum(theta, m, 100.0)[0]
-        per_root = 1.95 if theta == 6.0 else 1.4
+        per_root = 1.01 if theta == 6.0 else 1.4
         assert sum(phase_sizes) <= per_root * mu.size
 
     def test_no_phase_pass_rechecks_the_roots(self, phase_sizes):
-        # one pass for the levels past mu_max and one per RK4 round,
-        # three at theta = 1: the roots' check reads the last round
+        # bounds decide every level past mu_max at theta = 1, and each root
+        # retires in its first RK4 round: one pass, and the roots' check
+        # reads it
         warm(1.0, 2, phase_sizes)
         bs.spectrum(1.0, 2, 100.0)
-        assert len(phase_sizes) <= 3
+        assert len(phase_sizes) == 1
 
     @pytest.mark.parametrize("m", (2, 12))
     @pytest.mark.parametrize("theta,two_passes", (
@@ -190,15 +191,59 @@ class TestFindRoots:
                                      phase_sizes):
         # at the cutoff of heat_trace on T_GRID, two passes per root, one
         # to step and one to confirm, take up to two_passes elements per
-        # kept root; the RK4 step from the first pass lands on nearly every
-        # root, which retires there: a whole pass per root fewer, and with
-        # the pass for the levels past mu_max at most three passes in all
+        # kept root; the RK4 step from the first pass lands on every root,
+        # which retires there: a whole pass per root fewer, and with the
+        # levels past mu_max decided by bounds one pass in all
         cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0], 100.0)
         bs.spectrum(theta, m, 100.0, cutoff)
         phase_sizes.clear()
         mu = bs.spectrum(theta, m, 100.0, cutoff)[0]
         assert sum(phase_sizes) <= (two_passes - 1.0) * mu.size
-        assert len(phase_sizes) <= 3
+        assert len(phase_sizes) == 1
+
+    @pytest.mark.parametrize("mu_max", (20.0, 100.0))
+    def test_levels_past_mu_max_decided_by_bounds(self, mu_max,
+                                                  phase_sizes):
+        # a level p >= mu_max holds a root iff r > 0 and arctan R_p(mu_max)
+        # >= arctan r; its bounds decide that without a pass wherever r is
+        # outside them, and a pass at mu_max decides the levels where some
+        # r falls between them.  r sits inside the bounds of level 7
+        high = np.arange(int(mu_max), int(mu_max) + 300)
+        lower, upper = bs._high_bounds(high, mu_max)
+        inside = 0.5 * (lower[7] + upper[7])
+        assert lower[7] < inside <= upper[7]
+        top = plain_phase(high, np.full(high.size, mu_max))
+        assert np.all((np.tan(top) >= lower) & (np.tan(top) <= upper))
+        # just below and just above R_p(mu_max) of every 37th level
+        cols = np.arange(0, high.size, 37)
+        near = np.tan(top[cols]) * (1.0 + np.array([[-1e-9], [1e-9]]))
+        r = np.concatenate(([-math.e, -0.3, 0.0, math.exp(-6.0), 0.05,
+                             math.exp(-1.0), 0.9, 1.0, math.e, inside],
+                            near.ravel()))[:, None]
+        hit = bs._high_hits(high, r, mu_max)
+        assert np.array_equal(hit, (r > 0.0) & (top >= np.arctan(r)))
+        assert hit[3].all() and not hit[[0, 1, 2, 7, 8]].any()
+        k = np.arange(cols.size)
+        assert hit[10 + k, cols].all() and not hit[10 + cols.size + k,
+                                                  cols].any()
+        # one pass, at most over level 7 and the levels of near
+        assert len(phase_sizes) == 1
+        assert 1 <= phase_sizes[0] <= 1 + near.shape[1]
+        # ratios outside every bound take no pass
+        phase_sizes.clear()
+        r = np.array([[-1.0], [math.exp(-6.0)], [1.0]])
+        hit = bs._high_hits(high, r, mu_max)
+        assert np.array_equal(hit, (r > 0.0) & (top >= np.arctan(r)))
+        assert phase_sizes == []
+
+    @pytest.mark.parametrize("mu_max", (3.0, 100.0, 1000.0))
+    def test_start_past_mu_max_at_the_turning_point(self, mu_max):
+        # a ratio at the bounds of the levels just past mu_max puts the
+        # root near the turning point, where the start's fixed-point steps
+        # overshoot: the start stays finite, without a warning
+        high = np.arange(int(mu_max), int(mu_max) + 50)
+        for r in bs._high_bounds(high, mu_max):
+            assert np.all(np.isfinite(bs._high_start(high, r, mu_max)))
 
     @pytest.mark.parametrize("theta,m,build", (
         pytest.param(1.0, 2, 27_000, id="1.0-2"),

@@ -682,6 +682,22 @@ class TestJsonWriter:
                 for i in range(0, len(values), 16)]
         assert cli._report_text(rows, "json") == _reference_json(rows)
 
+    @pytest.mark.parametrize("argv", [
+        # c1 runs through 1e12..1.5e15, where repr writes positionally
+        ("table", "--m", "12", "--theta", "3.2:4:0.01"),
+        ("verify-identities",),
+        ("verify-ball", "--m", "2", "--theta", "0.7"),
+    ], ids=lambda argv: argv[0])
+    def test_whole_report(self, capsys, argv):
+        args = cli.build_parser().parse_args([*argv, "--format", "json"])
+        rows = args.func(args)
+        code, text = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert text == _reference_json(rows)
+        if argv[0] == "table":
+            c1 = [r["c1"] for r in rows]
+            assert min(c1) < 1e12 and 1e15 < max(c1) < 1e16
+
 
 # a cheap command line for each subcommand
 COMMANDS = {
