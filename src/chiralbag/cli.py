@@ -30,10 +30,11 @@ t_integral_residual, t_integral_err and pass; each *_err is the quadrature
 rule's error estimate, carried through the same factors as its residual,
 and is reported only.  U residuals are scaled by max(1, largest entry of
 the right side), and a U row is the same at every m (cylinder), so it is
-checked once, at the first m, and written under each.  A verify-cylinder
-row passes when its residuals are below CYLINDER_TOL (1e-8), a
-verify-identities row when its largest residual is below IDENTITY_TOL
-(1e-11); no flag changes these bounds.
+checked once, at the first m, by one stacked quadrature of both
+identities, and written under each; its t must lie in [1e-300, 1e300]
+(cylinder.T_MIN, T_MAX).  A verify-cylinder row passes when its residuals
+are below CYLINDER_TOL (1e-8), a verify-identities row when its largest
+residual is below IDENTITY_TOL (1e-11); no flag changes these bounds.
 
 A --theta range start:stop:step holds at most 10^6 points
 (MAX_THETA_POINTS); a longer one is a configuration error naming its count.
@@ -169,8 +170,7 @@ def _ball_row(theta: float, m: int, mu_max: float) -> dict:
 
 
 def _u_row(theta: float, m: int, omega: float, t: float) -> dict:
-    r1, e1 = cylinder.check_U1_integral(omega, t)
-    r2, e2 = cylinder.check_U2_integral(omega, theta, t)
+    (r1, e1), (r2, e2) = cylinder.check_U_integrals(omega, theta, t)
     return {"m": m, "omega": omega, "theta": theta, "t": t,
             "U1_residual": r1, "U1_err": e1, "U2_residual": r2, "U2_err": e2,
             "pass": r1 < CYLINDER_TOL and r2 < CYLINDER_TOL}

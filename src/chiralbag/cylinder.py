@@ -4,13 +4,14 @@ route to the eta-type boundary constants.
 For one transverse mode of frequency omega the kernel splits into a free
 Gaussian, an image Gaussian and a boundary term proportional to
 2 Pi+ Pi+* / cosh^2(theta) times a scalar involving exp(u^2) erfc(u).  This
-module evaluates the image and boundary scalars stably (scaled erfc
-throughout, as ufuncs of x and x'), applies the per-mode operator
-P = gt gm omega + gm d/dx, and checks by quadrature what verify-cylinder
-reports: the integrated identities at one mode and the t-integral closed
-form.  Any fixed left factor f of an identity multiplies both its sides, so
-f = 1 checks it whole.  The tests build the whole kernel from these scalars
-and check its boundary condition and the heat equation.
+module evaluates the image and boundary scalars and their x-derivatives
+stably, stacked as one ufunc of x and x' that shares its Gaussian and its
+scaled erfc, applies the per-mode operator P = gt gm omega + gm d/dx, and
+checks by quadrature what verify-cylinder reports: the integrated
+identities at one mode and the t-integral closed form.  Any fixed left
+factor f of an identity multiplies both its sides, so f = 1 checks it
+whole.  The tests build the whole kernel from these scalars and check its
+boundary condition and the heat equation.
 
 Every matrix of the identities is a product of gt, gm and Pi+ Pi+* =
 cosh(theta)/2 (cosh(theta) + sinh(theta) gt - gt gm), in the algebra fixed
@@ -27,9 +28,10 @@ boundary term grows like e^{t b^2}, b = omega tanh theta.
 
 Every check integrates by one of two fixed rules, which evaluate their
 integrand once, on a whole array of nodes, and return a value and an error
-estimate.  The x-integrals over the tail-bounded window [0, X] use
-specialfn.panel_rule, the rule of Euler's integral too, on panels graded in
-units of sqrt(t), the scale of every piece's Gaussian.  The t-integral is
+estimate.  The x-integrals of both U identities are one
+specialfn.panel_rule call, the rule of Euler's integral too, on the four
+stacked scalars over the tail-bounded window [0, X], on panels graded in
+units of sqrt(t), the scale of every scalar's Gaussian.  The t-integral is
 taken on the scale tau = t omega^2 / cosh^2(theta): with t = L v,
 L = cosh^2(theta) / omega^2, its numeric side is L^((s+1)/2) times the
 unit-scale integral
@@ -52,6 +54,14 @@ from .specialfn import ROUNDING, erfc, erfcx, gamma_fn, hyp2f1_euler, \
 # the m = 2 chirality matrix and gamma matrix along the inward normal
 GAMMA_TILDE = np.diag([1.0, -1.0])
 GAMMA_M = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# the products of the pair in the U identities, and the entry sizes the
+# error estimates are carried through
+GTGM, GMGT = GAMMA_TILDE @ GAMMA_M, GAMMA_M @ GAMMA_TILDE
+ABS_GTGM, ABS_GM = np.abs(GTGM), np.abs(GAMMA_M)
+# the t of the U checks: below T_MIN, t and eta^2 ~ t leave the normal
+# range and lose bits; past T_MAX, eta^2 = 576 t at the window's Gaussian
+# edge x = x' = 12 sqrt(t) nears overflow (at t ~ 3e305)
+T_MIN, T_MAX = 1e-300, 1e300
 
 # panel edges of the window rule in units of sqrt(t), clipped at the window
 # end X
@@ -77,45 +87,34 @@ class TailBoundError(RuntimeError):
     """Gaussian tail beyond the quadrature window is not negligible."""
 
 
-def _image(t: float) -> tuple:
-    """The image Gaussian -e^{-eta^2/4t}, eta = x + x', of the mode kernel
-    with its weight exp(-omega^2 t)/sqrt(4 pi t) stripped, and its
-    x-derivative at fixed x', as functions of (x, x'), scalars or arrays."""
-    def scalar(x, xp):
+def _kernel(t: float, b: float):
+    """The image and boundary scalars of the mode kernel, with its weight
+    exp(-omega^2 t)/sqrt(4 pi t) stripped, and their x-derivatives at fixed
+    x', stacked on a leading axis as functions of (x, x'), scalars or
+    arrays: the image Gaussian -e^{-eta^2/4t}, eta = x + x', and the scalar
+    [1 + sqrt(pi t) b e^{u^2} erfc(u)] e^{-eta^2/4t} of the boundary term,
+    whose matrix is 2 Pi+ Pi+* / cosh^2(theta), b = omega tanh(theta),
+    u = eta/sqrt(4t) - sqrt(t) b, whose x-derivative is
+    -e^{-eta^2/4t} [eta/2t + b + sqrt(pi t) b^2 e^{u^2} erfc(u)].  All four
+    share one Gaussian and one erfcx(u) = e^{u^2} erfc(u), which keeps the
+    exponentials from overflowing; the erfcx parts, the only parts that
+    can, are largest in size at x = x' = 0."""
+    def scalars(x, xp):
         eta = x + xp
-        return -np.exp(-eta * eta / (4.0 * t))
-
-    def scalar_dx(x, xp):
-        return -(x + xp) / (2.0 * t) * scalar(x, xp)
-    return scalar, scalar_dx
-
-
-def _boundary(t: float, b: float) -> tuple:
-    """The scalar of the boundary term, whose matrix is
-    2 Pi+ Pi+* / cosh^2(theta), and its x-derivative at fixed x':
-    [1 + sqrt(pi t) b e^{u^2} erfc(u)] e^{-eta^2/4t}, b = omega tanh(theta),
-    u = eta/sqrt(4t) - sqrt(t) b, evaluated with erfcx(u) = e^{u^2} erfc(u)
-    so the exponentials never overflow.  Both take scalars or arrays; their
-    erfcx parts, the only parts that can overflow, are largest in size at
-    x = x' = 0."""
-    def scalar(x, xp):
-        eta = x + xp
-        u = eta / math.sqrt(4.0 * t) - math.sqrt(t) * b
-        return np.exp(-eta * eta / (4.0 * t)) * \
-            (1.0 + math.sqrt(math.pi * t) * b * erfcx(u))
-
-    def scalar_dx(x, xp):
-        """-e^{-eta^2/4t} [eta/2t + b + sqrt(pi t) b^2 erfcx(u)]."""
-        eta = x + xp
-        u = eta / math.sqrt(4.0 * t) - math.sqrt(t) * b
-        return -np.exp(-eta * eta / (4.0 * t)) * \
-            (eta / (2.0 * t) + b + math.sqrt(math.pi * t) * b * b * erfcx(u))
-    return scalar, scalar_dx
+        image = -np.exp(-eta * eta / (4.0 * t))
+        scaled = erfcx(eta / math.sqrt(4.0 * t) - math.sqrt(t) * b)
+        d = eta / (2.0 * t)
+        return np.array([
+            image, -d * image,
+            -image * (1.0 + math.sqrt(math.pi * t) * b * scaled),
+            image * (d + b + math.sqrt(math.pi * t) * b * b * scaled)])
+    return scalars
 
 
 def _window(omega: float, t: float) -> float:
     X = 12.0 * math.sqrt(t) + 2.0 * abs(omega) * t
-    if not math.isfinite(X):
+    # the rule's nodes reach eta = x + x' = 2X
+    if not math.isfinite(2.0 * X):
         raise OverflowError(f"quadrature window X={X}")
     # all integrand pieces decay at least like exp(-x^2/t) up to bounded
     # prefactors; demand a negligible tail at the cut
@@ -139,77 +138,71 @@ def _projector_product(theta: float) -> np.ndarray:
     """Pi_+ Pi_+^* of the chiral bag projector Pi_+ = (1 - exp(theta gt)
     gt gm)/2, in its closed form; its entries grow like cosh^2 theta."""
     c, s = math.cosh(theta), math.sinh(theta)
-    return 0.5 * c * (c * np.eye(2) + s * GAMMA_TILDE - GAMMA_TILDE @ GAMMA_M)
+    return 0.5 * c * (c * np.eye(2) + s * GAMMA_TILDE - GTGM)
 
 
 def _residual(lhs: np.ndarray, rhs: np.ndarray,
-              err: float) -> tuple[float, float]:
-    """Largest |lhs - rhs| and err, divided by max(1, largest |rhs|)."""
+              err: np.ndarray) -> tuple[float, float]:
+    """Largest |lhs - rhs| and largest err, divided by max(1, largest
+    |rhs|)."""
     scale = max(1.0, float(np.abs(rhs).max()))
-    return float(np.abs(lhs - rhs).max()) / scale, err / scale
+    return (float(np.abs(lhs - rhs).max()) / scale,
+            float(err.max()) / scale)
 
 
-def _integrated(omega: float, t: float, piece: tuple,
-                matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """int_0^X [P_x (s M)] dx / sqrt(4 pi t) at x = x' over the tail-bounded
-    window [0, X] for a piece (s, s') = _image or _boundary with fixed matrix
-    M: (omega S0 gt gm + S1 gm) M / sqrt(4 pi t), S0 and S1 the integrals
-    of s and s', and the largest entry of the same product taken over the
-    sizes of the matrices and the rule's error estimates of S0 and S1.  t
-    must be positive, and a piece not finite at x = x' = 0 (where any
-    overflow shows first) is an OverflowError."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if not all(math.isfinite(g(0.0, 0.0)) for g in piece):
-        raise OverflowError("kernel piece not finite at x = 0")
-    edges = np.minimum(PANEL_EDGES * math.sqrt(t), _window(omega, t))
-    # eta^2 overflows far out in a wide window, where e^{-eta^2/4t} = 0 is
-    # the value
-    with np.errstate(over="ignore"):
-        (s0, e0), (s1, e1) = [panel_rule(lambda x: g(x, x), edges)
-                              for g in piece]
-    gtgm, gm = GAMMA_TILDE @ GAMMA_M, GAMMA_M
-    norm = math.sqrt(4.0 * math.pi * t)
-    lhs = (omega * s0 * gtgm + s1 * gm) @ matrix / norm
-    err = (abs(omega) * e0 * np.abs(gtgm) + e1 * np.abs(gm)) @ \
-        np.abs(matrix) / norm
-    return lhs, float(err.max())
+def check_U_integrals(omega: float, theta: float, t: float) -> tuple:
+    """Scaled residuals of the integrated image- and boundary-part
+    identities, each with the quadrature's error estimate on it:
+    ((U1, err), (U2, err)).  With the mode weight 1/sqrt(4 pi t) restored,
+    b = omega tanh theta and E = e^{t b^2} erfc(-sqrt(t) b),
 
-
-def check_U1_integral(omega: float, t: float) -> tuple[float, float]:
-    """Scaled residual of the integrated image-part identity, and the
-    quadrature's error estimate on it: with the mode weight
-    1/sqrt(4 pi t) restored,
-
-      int_0^inf [P_x U_image] dx = 1/sqrt(4 pi t) * 1/2 gm + 1/4 omega gm gt.
-    """
-    lhs, err = _integrated(omega, t, _image(t), np.eye(2))
-    rhs = 0.5 / math.sqrt(4.0 * math.pi * t) * GAMMA_M \
-        + 0.25 * omega * GAMMA_M @ GAMMA_TILDE
-    return _residual(lhs, rhs, err)
-
-
-def check_U2_integral(omega: float, theta: float,
-                      t: float) -> tuple[float, float]:
-    """Scaled residual of the integrated boundary-part identity, and the
-    quadrature's error estimate on it: with the weight restored,
-    b = omega tanh theta, E = e^{t b^2} erfc(-sqrt(t) b),
-
+      int_0^inf [P_x U_image] dx = 1/sqrt(4 pi t) * 1/2 gm + 1/4 omega gm gt,
       int_0^inf [P_x U_boundary] dx
         = -1/(2 cosh^2 theta) gm Pi+ Pi+* [1/sqrt(pi t) + b E]
           - omega/(2 cosh^2 theta) gm gt Pi+ Pi+* E.
-    """
+
+    At x = x' a part with scalar s and fixed matrix M (1 for the image,
+    2 Pi+ Pi+* / cosh^2 theta for the boundary) has
+    P_x U = (omega s gt gm + s' gm) M / sqrt(4 pi t), s' the x-derivative.
+    One panel_rule call integrates the four scalars of _kernel over the
+    tail-bounded window [0, X]; each estimate is the same product taken
+    over the sizes of the matrices and the rule's estimates.  t outside
+    [T_MIN, T_MAX] is a ValueError, and a scalar not finite at x = x' = 0
+    (where any overflow shows first) an OverflowError."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if not T_MIN <= t <= T_MAX:
+        raise ValueError(f"t must be in [{T_MIN:g}, {T_MAX:g}]")
+    X = _window(omega, t)
     # OverflowError past |theta| ~ 355, before the entries of Pi+ Pi+*,
     # which grow like cosh^2 theta, overflow in a matrix product
     ch2 = math.cosh(theta) ** 2
     pp = _projector_product(theta)
     b = omega * math.tanh(theta)
-    lhs, err = _integrated(omega, t, _boundary(t, b), 2.0 / ch2 * pp)
+    kernel = _kernel(t, b)
+    # eta^2 overflows far out in a wide window, where e^{-eta^2/4t} = 0 is
+    # the value
+    with np.errstate(over="ignore"):
+        if not np.isfinite(kernel(0.0, 0.0)).all():
+            raise OverflowError("kernel piece not finite at x = 0")
+        (i0, i1, s0, s1), (ie0, ie1, se0, se1) = panel_rule(
+            lambda x: kernel(x, x),
+            np.minimum(PANEL_EDGES * math.sqrt(t), X))
+    norm = math.sqrt(4.0 * math.pi * t)
+    image = _residual(
+        (omega * i0 * GTGM + i1 * GAMMA_M) / norm,
+        0.5 / norm * GAMMA_M + 0.25 * omega * GMGT,
+        (abs(omega) * ie0 * ABS_GTGM + ie1 * ABS_GM) / norm)
+    matrix = 2.0 / ch2 * pp
     E = erfcx(-math.sqrt(t) * b)
     pref = 0.5 / ch2
-    rhs = -pref * GAMMA_M @ pp * (1.0 / math.sqrt(math.pi * t) + b * E) \
-        - pref * omega * GAMMA_M @ GAMMA_TILDE @ pp * E
-    return _residual(lhs, rhs, err)
+    boundary = _residual(
+        (omega * s0 * GTGM + s1 * GAMMA_M) @ matrix / norm,
+        -pref * GAMMA_M @ pp * (1.0 / math.sqrt(math.pi * t) + b * E)
+        - pref * omega * GMGT @ pp * E,
+        (abs(omega) * se0 * ABS_GTGM + se1 * ABS_GM) @ np.abs(matrix)
+        / norm)
+    return image, boundary
 
 
 def _t_integral(s: float, omega: float,

@@ -116,8 +116,8 @@ def test_06_cylinder_checks():
     for omega in (0.5, 1.3, 2.0):
         for theta in (0.0, 0.4, 0.7, 1.2):
             for t in (0.1, 0.25):
-                worst = max(worst, cy.check_U1_integral(omega, t)[0],
-                            cy.check_U2_integral(omega, theta, t)[0])
+                (r1, _), (r2, _) = cy.check_U_integrals(omega, theta, t)
+                worst = max(worst, r1, r2)
             for s in (1.5, 2.5):
                 worst = max(worst, cy.check_t_integral(s, omega, theta)[0])
     _report(6, "cylinder integrated identities + t-integral",

@@ -287,13 +287,16 @@ class TestClosedFormRow:
         (("--theta", "30", "--omega", "1000", "--t", "0.1"),
          "theta=30.0, m=2, omega=1000.0, t=0.1"),
         (("--theta", "0.3", "--omega", "1e307", "--t", "100"),
-         "theta=0.3, m=2, omega=1e+307, t=100.0")),
-        ids=("boundary-term", "window"))
+         "theta=0.3, m=2, omega=1e+307, t=100.0"),
+        (("--theta", "0", "--omega", "5e307", "--t", "1"),
+         "theta=0.0, m=2, omega=5e+307, t=1.0")),
+        ids=("boundary-term", "window", "window-nodes"))
     def test_cylinder_U_overflow_names_point(self, tmp_path, capsys, flags,
                                              where):
         # e^{t b^2} of the boundary term, b = omega tanh theta, or the
-        # window 12 sqrt(t) + 2 |omega| t past the float range: an
-        # OverflowError before any node is evaluated, with no warning
+        # window X = 12 sqrt(t) + 2 |omega| t, or its nodes' x + x' up to
+        # 2X, past the float range: an OverflowError before any node is
+        # evaluated, with no warning
         path = tmp_path / "report"
         code = cli.main(["verify-cylinder", "--m", "2", *flags,
                          "--out", str(path)])
@@ -318,6 +321,28 @@ class TestClosedFormRow:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == err
         assert path.exists() == (code == 0)
+
+    @pytest.mark.parametrize("flags,where", (
+        (("--theta", "0", "--t", "1e307"), "omega=0.5, t=1e+307"),
+        (("--t", "3e306"), "omega=0.5, t=3e+306"),
+        (("--omega", "100", "--t", "5e305"), "omega=100.0, t=5e+305"),
+        (("--t", "5e-324"), "omega=0.5, t=5e-324")),
+        ids=("1e307", "3e306", "omega-100-5e305", "subnormal"))
+    def test_cylinder_t_outside_range_exit_2(self, tmp_path, capsys, flags,
+                                             where):
+        # a t outside [1e-300, 1e300] would give wrong U residuals (eta^2
+        # overflows inside the window, or t and eta^2 ~ t lose bits): it
+        # is refused with one error line and no warning
+        path = tmp_path / "report"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["verify-cylinder", "--m", "2", *flags,
+                             "--out", str(path)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "error: t must be in [1e-300, 1e+300] (at theta=0.0, m=2, "
+            f"{where})\n")
+        assert not path.exists()
 
     def test_identities_overflow_before_table(self, capsys):
         # the d2 identity multiplies sinh^2 cosh^(m-1), which leaves the
@@ -442,21 +467,17 @@ class TestVerifyCommands:
     def test_cylinder_checks_each_u_row_once(self, capsys, monkeypatch):
         # 12 distinct (omega, theta, t), each checked once and written
         # under all six m
-        calls = {"U1": 0, "U2": 0}
+        calls = []
+        check = cylinder.check_U_integrals
 
-        def counted(name, check):
-            def spy(*args):
-                calls[name] += 1
-                return check(*args)
-            return spy
-        monkeypatch.setattr(cylinder, "check_U1_integral",
-                            counted("U1", cylinder.check_U1_integral))
-        monkeypatch.setattr(cylinder, "check_U2_integral",
-                            counted("U2", cylinder.check_U2_integral))
+        def spy(*args):
+            calls.append(args)
+            return check(*args)
+        monkeypatch.setattr(cylinder, "check_U_integrals", spy)
         code, out = run(capsys, "verify-cylinder", "--m", "2,4,6,8,10,12",
                         "--theta", "-1.2,0.7", "--format", "json")
         assert code == 0
-        assert calls == {"U1": 12, "U2": 12}
+        assert len(calls) == len(set(calls)) == 12
         assert len(json.loads(out)) == 72 + 12
 
     def test_ball_report_alike_cold_or_warm(self, tmp_path):
@@ -907,7 +928,7 @@ class TestContract:
         ("table", cli, "universal_constants", "theta=0.5, m=4"),
         ("coeffs", cli, "universal_constants", "theta=0.5, m=4"),
         ("verify-ball", ball_spectrum, "heat_trace", "theta=0.5, m=4"),
-        ("verify-cylinder", cylinder, "check_U1_integral", "theta=0.5, m=4"),
+        ("verify-cylinder", cylinder, "check_U_integrals", "theta=0.5, m=4"),
         ("verify-cylinder", cylinder, "check_t_integral",
          "theta=0.5, s=2.5")), ids=("table", "coeffs", "verify-ball",
                                     "verify-cylinder-U", "verify-cylinder-t"))
