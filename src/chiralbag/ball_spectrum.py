@@ -75,9 +75,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special as _sp
 
 from .coefficients import ball_volume, spinor_dimension
+from .specialfn import jn_zeros
 
 # largest Newton correction |g / g'| / mu left at a returned root, where
 # g = arctan R_p(mu) - arctan r: the phase residual in units of the root,
@@ -143,10 +143,10 @@ def _brackets(low: np.ndarray, cutoff: float) -> tuple:
         grown = {}
         for p in stale:
             nt = max(1, int(cutoff / math.pi - p / 2 + 0.25) + 2)
-            zs = _sp.jn_zeros(p, nt)
+            zs = jn_zeros(p, nt)
             while zs[-1] <= cutoff:
                 nt += max(4, nt // 2)
-                zs = _sp.jn_zeros(p, nt)
+                zs = jn_zeros(p, nt)
             grown[p] = zs
         table = np.full((max(len(zeros), max(stale) + 1),
                          max(zeros.shape[1],

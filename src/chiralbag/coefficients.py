@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .specialfn import gamma_fn, hyp2f1
+from .specialfn import hyp2f1
 
 
 def _check_even(m: int) -> None:
@@ -47,10 +47,11 @@ class UniversalConstants:
 def _factors(m: int) -> tuple:
     """The theta-independent factors of universal_constants at m: norm/d_s,
     norm = 2^m Gamma(m/2), and the a1 and a2 prefactors sqrt(pi) d_s/norm
-    and 2 (m-1) d_s/norm.  Each product is in the order the constants apply
-    it, so every value is bit-identical to forming it inline."""
+    and 2 (m-1) d_s/norm.  m is even, so Gamma(m/2) = (m/2 - 1)! exactly.
+    Each product is in the order the constants apply it, so every value is
+    bit-identical to forming it inline."""
     d_s = spinor_dimension(m)
-    norm = 2 ** m * gamma_fn(m / 2)
+    norm = 2 ** m * math.factorial(m // 2 - 1)
     pref = d_s / norm
     return norm / d_s, math.sqrt(math.pi) * pref, pref * 2 * (m - 1)
 
@@ -110,4 +111,6 @@ def spinor_dimension(m: int) -> int:
 
 
 def ball_volume(m: int) -> float:
-    return math.pi ** (m / 2) / gamma_fn(m / 2 + 1)
+    """pi^(m/2) / Gamma(m/2 + 1), with Gamma(m/2 + 1) = (m/2)! for even m."""
+    _check_even(m)
+    return math.pi ** (m / 2) / math.factorial(m // 2)

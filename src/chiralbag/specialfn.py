@@ -1,12 +1,16 @@
-"""Special-function core: Gamma, erfc/erfcx, Gauss 2F1 and the package's
-one finite-interval quadrature.
+"""Special-function core: Gauss 2F1, the package's one finite-interval
+quadrature, and the scipy functions the spectral and cylinder checks take.
 
-Gamma and the error functions are thin wrappers over scipy; gamma_fn
-refuses its poles.  The ball spectrum needs no Bessel values: it works on a
-continued fraction for J_{p+1}/J_p between scipy's zeros of J_p.  hyp2f1
-sums the finite 2F1 polynomials of the closed forms; hyp2f1_euler
-evaluates the non-terminating 2F1 that the checks compare them with by
-panel_rule, the Gauss-Legendre panel rule of the cylinder checks.
+hyp2f1 sums the finite 2F1 polynomials of the closed forms, so the
+constants need only math and numpy; hyp2f1_euler evaluates the
+non-terminating 2F1 that the checks compare them with by panel_rule, the
+Gauss-Legendre panel rule of the cylinder checks.  This is the one module
+that reaches scipy, and it imports scipy.special on the first call of
+gamma_fn, erfc, erfcx or jn_zeros, not before: a process that only
+tabulates the constants never loads it.  gamma_fn (the cylinder
+t-integral) refuses its poles.  The ball spectrum needs no Bessel values:
+it works on a continued fraction for J_{p+1}/J_p between the zeros of J_p
+that jn_zeros gives.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 
 class PoleArgumentError(ValueError):
@@ -38,20 +41,32 @@ def _nonpos_int(x):
     return None
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on the first call that needs it."""
+    from scipy import special
+    return special
+
+
 def gamma_fn(x: float) -> float:
     """Euler gamma function for real x off the non-positive integers."""
     if _nonpos_int(x) is not None:
         raise PoleArgumentError(f"gamma_fn pole at x={x}")
-    return float(_sp.gamma(x))
+    return float(_special().gamma(x))
 
 
 def erfc(x):
-    return _sp.erfc(x)
+    return _special().erfc(x)
 
 
 def erfcx(x):
     """Scaled complementary error function exp(x^2) erfc(x)."""
-    return _sp.erfcx(x)
+    return _special().erfcx(x)
+
+
+def jn_zeros(p: int, count: int) -> np.ndarray:
+    """The first count positive zeros of J_p, ascending."""
+    return _special().jn_zeros(p, count)
 
 
 @functools.lru_cache(maxsize=256)

@@ -349,7 +349,7 @@ class TestFindRoots:
         def spy(p, nt):
             counts.append(nt)
             return jn_zeros(p, nt)
-        monkeypatch.setattr(bs._sp, "jn_zeros", spy)
+        monkeypatch.setattr(bs, "jn_zeros", spy)
         bs.spectrum(6.0, 2, 100.0)
         assert 0 < sum(counts) <= 1933
 

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from scipy import special
 
 from chiralbag import coefficients as co
 from chiralbag.specialfn import gamma_fn, hyp2f1
@@ -106,6 +107,23 @@ class TestGeometry:
         assert sphere_volume(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
         assert co.ball_volume(4) == pytest.approx(math.pi ** 2 / 2,
                                                   rel=1e-14)
+
+    @pytest.mark.parametrize("m", MS)
+    def test_factorials_bit_identical_to_scipy_gamma(self, m):
+        # Gamma(m/2) and Gamma(m/2 + 1) are taken as factorials, which
+        # changes no bit of the forms built on scipy's gamma
+        d_s = co.spinor_dimension(m)
+        norm = 2 ** m * float(special.gamma(m / 2))
+        pref = d_s / norm
+        want = (norm / d_s, math.sqrt(math.pi) * pref, pref * 2 * (m - 1),
+                math.pi ** (m / 2) / float(special.gamma(m / 2 + 1)))
+        got = co._factors(m) + (co.ball_volume(m),)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("m", (0, 3, 5))
+    def test_ball_volume_refuses_bad_m(self, m):
+        with pytest.raises(ValueError):
+            co.ball_volume(m)
 
 
 class TestBallCoefficients:
