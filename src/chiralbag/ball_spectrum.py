@@ -62,7 +62,10 @@ lowest one, are left out and their bound joins the truncation bound.  Nor
 are the roots past that point solved: the solve stops at a cutoff
 mu_c <= mu_max, set at the smallest t from the tail bound and the interior
 term a_0 t^(-m/2), with the brackets and levels of the spectrum to mu_max
-below it, so every root it keeps is the one the full solve gives.  After
+below it, and leaves unsolved the roots that bounds put past mu_c.  So
+every root it keeps is the one the full solve gives, but for the last bit
+where a shallower pass rounds otherwise (_depth follows a pass's largest
+mu).  After
 the solve the tail bound past mu_c must lie below 2^-70 of the value at
 every t, or the spectrum is solved again to mu_max.
 """
@@ -396,7 +399,8 @@ def _hermite(target: np.ndarray, first: np.ndarray, at: np.ndarray,
     """mu at psi = target in the brackets at the flat indices at of the zero
     table, first or not the first of their level, a row for each target of
     a column: the cubic Hermite interpolant of their nodes (_nodes) on the
-    segment around target, found by its index, not by a search."""
+    segment around target, found by its index, not by a search; and the
+    node at the segment's low end, at or below target."""
     low, step = _node_phases(first)
     x = (target - low) / step
     k = np.clip(np.floor(x), 0, SEGMENTS - 1).astype(np.intp)
@@ -406,7 +410,7 @@ def _hermite(target: np.ndarray, first: np.ndarray, at: np.ndarray,
     mu0, rate0, mu1, rate1 = np.moveaxis(nodes.reshape(-1)[
         (2 * ((SEGMENTS + 1) * at + k))[..., None] + np.arange(4)], -1, 0)
     return (v * v * ((1.0 + 2.0 * u) * mu0 + step * u * rate0)
-            + u * u * ((3.0 - 2.0 * u) * mu1 - step * v * rate1))
+            + u * u * ((3.0 - 2.0 * u) * mu1 - step * v * rate1)), mu0
 
 
 def _rho(k, mu):
@@ -485,7 +489,17 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     starts from the node table (_hermite).  A first bracket lies below the
     turning point mu ~ p where mu <= mu_max <= p, and there R_p is near its
     fixed point; the root of a level p >= mu_max starts where R_p, with
-    R_{p+1} taken from the fixed point rho_{p+4}, equals r (_high_start)."""
+    R_{p+1} taken from the fixed point rho_{p+4}, equals r (_high_start).
+
+    Below mu_max a cutoff leaves unsolved every root that lies past it by
+    either of two bounds, each with a margin of 1e-12 for the nodes' own
+    solve and rounding.  mu rises with psi along a bracket, so a root lies
+    above the node at or below its phase.  And every root exceeds 2(p + 1)
+    |r| / (1 + r^2): for mu <= p + 1, 0 <= R_p(mu) <= rho_p(mu) in a first
+    bracket, so R_p = r needs rho_p(mu) >= |r|, and the bound is at most
+    p + 1.  The spectrum to mu_max solves every bracket: a pass takes its
+    depth from its largest mu (_depth), and the roots past mu_max keep each
+    pass as deep as it was."""
     if mu_max <= 0:
         raise ValueError("mu_max must be positive")
     cutoff = mu_max if cutoff is None else cutoff
@@ -499,10 +513,14 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
         return np.concatenate((np.broadcast_to(below, (r.size, low.size)),
                                np.broadcast_to(above, (r.size, high.size))),
                               axis=1)
+    start, node = _hermite(target, lo == 0.0, at, _nodes(_zero_table()[0]))
     hit = rows((lo > 0.0) | (target > 0.0), _high_hits(high, r, mu_max))
-    start = rows(_hermite(target, lo == 0.0, at, _nodes(_zero_table()[0])),
-                 np.nan)
+    start = rows(start, np.nan)
     p, lo, hi = rows(low, high), rows(lo, 0.0), rows(hi, mu_max)
+    if cutoff < mu_max:
+        margin = cutoff * (1.0 + 1e-12)
+        hit &= ~((rows(node, 0.0) > margin)
+                 | (2.0 * (p + 1) * np.abs(r) / (1.0 + r * r) > margin))
     ratio, target = np.broadcast_to(r, p.shape), np.broadcast_to(target,
                                                                  p.shape)
     above = hit.copy()

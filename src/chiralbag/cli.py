@@ -8,13 +8,17 @@ Subcommands:
   verify-identities  hypergeometric consistency web
 
 Each command returns its report rows; main writes them (CSV, JSON, or the
-coeffs text block) and sets the exit code.  The JSON report is the bytes
-of json.dumps(rows, indent=2) with every float rounded to 12 significant
-digits, written row by row: each value's text fills a template of its
-row's keys, cached per key tuple.  A float's text is its 12-digit text
-itself wherever that is repr's text of the float it parses to; only a few
-kinds (integral, nan, inf, and the exponents repr writes otherwise) are
-rewritten, and no float is parsed back but those of the last kind.
+coeffs text block) and sets the exit code.  The module imports only the
+closed forms: a command imports the numeric module it runs (identities,
+ball_spectrum, cylinder) when it runs, and calls it through the module, so
+importing cli, building the parser and running coeffs or table load no
+numpy.  The JSON report is the bytes of json.dumps(rows, indent=2) with
+every float rounded to 12 significant digits, written row by row: each
+value's text fills a template of its row's keys, cached per key tuple.  A
+float's text is its 12-digit text itself wherever that is repr's text of
+the float it parses to; only a few kinds (integral, nan, inf, and the
+exponents repr writes otherwise) are rewritten, and no float is parsed back
+but those of the last kind.
 
 verify-ball samples the heat trace at 20 geometric t from 0.02 to 0.3
 (ball_spectrum.T_GRID) and fits a_1..a_5 (ball_spectrum.FIT_DEPTH) with a_0
@@ -60,9 +64,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
-from . import ball_spectrum, cylinder, identities
 from .coefficients import universal_constants
 
 # verify-ball pass bounds on the fitted a1 (relative) and a2 (absolute)
@@ -154,6 +155,7 @@ def _constants(theta: float, m: int) -> dict:
 
 
 def _ball_row(theta: float, m: int, mu_max: float) -> dict:
+    from . import ball_spectrum
     values, _ = ball_spectrum.heat_trace(theta, m, ball_spectrum.T_GRID,
                                          mu_max)
     fit = ball_spectrum.fit_heat_coefficients(ball_spectrum.T_GRID, values, m)
@@ -170,6 +172,7 @@ def _ball_row(theta: float, m: int, mu_max: float) -> dict:
 
 
 def _u_row(theta: float, m: int, omega: float, t: float) -> dict:
+    from . import cylinder
     (r1, e1), (r2, e2) = cylinder.check_U_integrals(omega, theta, t)
     return {"m": m, "omega": omega, "theta": theta, "t": t,
             "U1_residual": r1, "U1_err": e1, "U2_residual": r2, "U2_err": e2,
@@ -177,6 +180,7 @@ def _u_row(theta: float, m: int, omega: float, t: float) -> dict:
 
 
 def _t_row(theta: float, s: float, omega: float) -> dict:
+    from . import cylinder
     rt, et = cylinder.check_t_integral(s, omega, theta)
     return {"s": s, "omega": omega, "theta": theta,
             "t_integral_residual": rt, "t_integral_err": et,
@@ -228,6 +232,7 @@ def cmd_verify_cylinder(args) -> list[dict]:
 
 
 def cmd_verify_identities(args) -> list[dict]:
+    from . import identities
     report = identities.grid_report(thetas=args.theta, ms=tuple(args.m))
     return [{"identity": k, "max_residual": v, "pass": v < IDENTITY_TOL}
             for k, v in report.items()]
@@ -241,15 +246,15 @@ _NO_POINT = {"0": "0.0", "-0": "0.0", "nan": "NaN", "inf": "Infinity",
              "-inf": "-Infinity"}
 _REWRITTEN = frozenset([f"e+{k}" for k in range(12, 16)]
                        + [f"e-{k}" for k in range(308, 325)])
-_FLOATS = (float, np.floating)
 
 
 def _json_value(v) -> str:
     """v as json.dumps writes it, a float rounded to 12 significant digits
     like _fmt: json.dumps(float(_fmt(v))) from the 12-digit text alone, of
     which only an exponent of _REWRITTEN is parsed back.  An int is written
-    by int's repr, as json writes it."""
-    if isinstance(v, _FLOATS):
+    by int's repr, as json writes it.  np.float64, the one numpy scalar a
+    row holds, is a float."""
+    if isinstance(v, float):
         text = f"{v:.12g}"
         if "e" not in text:
             if "." in text:
@@ -304,8 +309,8 @@ def _report_text(rows: list[dict], fmt: str) -> str:
         k for r in rows for k in r)), restval="", lineterminator="\n")
     w.writeheader()
     for r in rows:
-        w.writerow({k: (_fmt(v) if isinstance(v, (float, np.floating))
-                        else v) for k, v in r.items()})
+        w.writerow({k: (_fmt(v) if isinstance(v, float) else v)
+                    for k, v in r.items()})
     return buf.getvalue()
 
 

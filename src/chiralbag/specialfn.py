@@ -2,15 +2,16 @@
 quadrature, and the scipy functions the spectral and cylinder checks take.
 
 hyp2f1 sums the finite 2F1 polynomials of the closed forms, so the
-constants need only math and numpy; hyp2f1_euler evaluates the
-non-terminating 2F1 that the checks compare them with by panel_rule, the
-Gauss-Legendre panel rule of the cylinder checks.  This is the one module
-that reaches scipy, and it imports scipy.special on the first call of
-gamma_fn, erfc, erfcx or jn_zeros, not before: a process that only
-tabulates the constants never loads it.  gamma_fn (the cylinder
-t-integral) refuses its poles.  The ball spectrum needs no Bessel values:
-it works on a continued fraction for J_{p+1}/J_p between the zeros of J_p
-that jn_zeros gives.
+constants need only math: the module body imports neither numpy nor scipy,
+and a process that only tabulates the constants loads neither.
+hyp2f1_euler evaluates the non-terminating 2F1 that the checks compare them
+with by panel_rule, the Gauss-Legendre panel rule of the cylinder checks;
+both import numpy when called, and panel_rule builds its node tables on its
+first call.  This is the one module that reaches scipy, and it imports
+scipy.special on the first call of gamma_fn, erfc, erfcx or jn_zeros, not
+before.  gamma_fn (the cylinder t-integral) refuses its poles.  The ball
+spectrum needs no Bessel values: it works on a continued fraction for
+J_{p+1}/J_p between the zeros of J_p that jn_zeros gives.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-
-import numpy as np
 
 
 class PoleArgumentError(ValueError):
@@ -92,15 +91,22 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     return total
 
 
-# the Gauss-Legendre nodes of both orders of panel_rule as offsets from a
-# panel's left end in units of its half-width, and their weights as the two
-# columns of one matrix
-_LOW, _HIGH = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
-_NODES = 1.0 + np.concatenate([_LOW[0], _HIGH[0]])
-_WEIGHTS = np.column_stack([np.r_[_LOW[1], np.zeros(20)],
-                            np.r_[np.zeros(10), _HIGH[1]]])
-# rounding floor of the package's error estimates, per unit of sum |w f|
-ROUNDING = 20.0 * np.finfo(float).eps
+# rounding floor of the package's error estimates, per unit of sum |w f|:
+# 20 ulp of 1
+ROUNDING = 20.0 * 2.0 ** -52
+
+
+@functools.cache
+def _rule() -> tuple:
+    """The Gauss-Legendre nodes of both orders of panel_rule as offsets from
+    a panel's left end in units of its half-width, and their weights as the
+    two columns of one matrix; built on the first call."""
+    import numpy as np
+    low, high = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
+    nodes = 1.0 + np.concatenate([low[0], high[0]])
+    weights = np.column_stack([np.r_[low[1], np.zeros(20)],
+                               np.r_[np.zeros(10), high[1]]])
+    return nodes, weights
 
 
 def panel_rule(g, edges: np.ndarray) -> tuple:
@@ -108,13 +114,15 @@ def panel_rule(g, edges: np.ndarray) -> tuple:
     edges at 20 nodes, and its error estimate: the difference from 10 nodes
     plus the rounding floor.  g is called once, on the (panels, nodes)
     array, and may add a leading axis of integrands."""
+    import numpy as np
+    nodes, weights = _rule()
     half = 0.5 * (edges[1:] - edges[:-1])
-    x = edges[:-1, None] + half[:, None] * _NODES
+    x = edges[:-1, None] + half[:, None] * nodes
     with np.errstate(under="ignore"):
         f = g(x)
-    low, high = (half @ (f @ _WEIGHTS)).T
+    low, high = (half @ (f @ weights)).T
     return high, abs(high - low) + ROUNDING * (
-        np.abs(f) @ _WEIGHTS[:, 1] @ half)
+        np.abs(f) @ weights[:, 1] @ half)
 
 
 # below this |theta| hyp2f1_euler is its series 1 - b sinh^2(theta)/3, whose
@@ -131,6 +139,7 @@ def hyp2f1_euler(b, theta: float):
     (1/|sinh theta|) int_0^|theta| cosh(y)^(1-2b) dy, smooth and bounded
     for b >= 1/2, or its series below EULER_SERIES_THETA.  A list of b
     gives the list of one-b values from one panel_rule call."""
+    import numpy as np
     sh = math.sinh(theta)
     a = abs(theta)
     if a < EULER_SERIES_THETA:

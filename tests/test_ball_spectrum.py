@@ -676,6 +676,29 @@ class TestHeatTrace:
         assert np.array_equal(w, weights[full <= cutoff])
         assert n_excl == bs._level_count(theta, m, cutoff)
 
+    @pytest.mark.parametrize("m", (2, 4, 8, 12))
+    @pytest.mark.parametrize("theta", (0.5, 1.0, -1.7, 2.0, 3.0, 6.0))
+    def test_solves_few_roots_past_the_cutoff(self, theta, m, monkeypatch):
+        # bounds keep the roots past heat_trace's solve cutoff out of the
+        # solve: at most 1% of the solved roots lie past it (8-11% when
+        # every bracket was solved), and each kept root is that of the full
+        # solve to within an ulp
+        cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0], 100.0)
+        full = bs.spectrum(theta, m, 100.0)[0]  # and fills the tables
+        solve, solved = bs._solve, []
+
+        def spy(*args):
+            result = solve(*args)
+            solved.append(result[0])
+            return result
+        monkeypatch.setattr(bs, "_solve", spy)
+        mu = bs.spectrum(theta, m, 100.0, cutoff)[0]
+        [roots] = solved
+        assert np.count_nonzero(roots > cutoff) <= 0.01 * roots.size
+        expected = full[full <= cutoff]
+        assert mu.shape == expected.shape
+        assert np.all(np.abs(mu - expected) <= np.spacing(expected))
+
     @pytest.mark.parametrize("theta,m", ((0.5, 2), (-2.0, 8)))
     def test_mu_max_past_the_cutoff_changes_nothing(self, theta, m):
         at_100 = bs.heat_trace(theta, m, bs.T_GRID, 100.0)

@@ -685,6 +685,20 @@ class TestJsonWriter:
     def test_empty(self):
         assert cli._report_text([], "json") == _reference_json([]) == "[]\n"
 
+    def test_numpy_floats_write_as_floats(self):
+        # np.float64 is a float: a row of them writes the bytes of the same
+        # row of Python floats, in both formats
+        values = [0.0, -0.0, 7.0, math.nan, math.inf, -math.inf, 1.5e12,
+                  -2.5e13, 3.5e14, 4.5e15, 5e-324, 1 / 3]
+        floats = {"m": 2, **{f"v{k}": v for k, v in enumerate(values)}}
+        numpy = {k: np.float64(v) if k != "m" else v
+                 for k, v in floats.items()}
+        assert all(type(v) is np.float64 for k, v in numpy.items()
+                   if k != "m")
+        for fmt in ("json", "csv"):
+            assert cli._report_text([numpy], fmt) == cli._report_text(
+                [floats], fmt)
+
     def test_cylinder_rows_with_mixed_keys(self):
         args = cli.build_parser().parse_args(
             ["verify-cylinder", "--m", "2,4", "--theta", "0,-0.4",

@@ -1,7 +1,10 @@
-"""The command-line module loads no routine it does not run: importing
-chiralbag.cli and building its parser loads no scipy module and builds none
-of the tables ball_spectrum fills on its first solve or fit.  The
-closed-form commands never load scipy; verify-ball and verify-cylinder load
+"""The package loads no routine it does not run, each check in a fresh
+interpreter.  Importing chiralbag, or chiralbag.cli and building its parser,
+loads no numpy and no scipy module and builds none of the tables
+ball_spectrum fills on its first solve or fit.  coeffs and table, the
+closed forms alone, never load numpy; verify-identities, verify-ball and
+verify-cylinder load it on first use.  The closed-form commands, with
+verify-identities, never load scipy; verify-ball and verify-cylinder load
 scipy.special on first use."""
 
 import json
@@ -10,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from test_cli import _readme_commands
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY_COMMANDS = ("verify-ball", "verify-cylinder")
+NUMPY_FREE_COMMANDS = ("coeffs", "table")
 # run each argv of the JSON list in argv[1] through cli.main in this one
-# interpreter, then print the exit codes and every scipy module loaded
+# interpreter, then print the exit codes and every module loaded whose name
+# starts with argv[2]
 RUN_COMMANDS = (
     "import contextlib, io, json, sys\n"
     "from chiralbag import cli\n"
@@ -24,7 +30,7 @@ RUN_COMMANDS = (
     "    with contextlib.redirect_stdout(io.StringIO()):\n"
     "        codes.append(cli.main(argv))\n"
     "print(json.dumps([codes, sorted(\n"
-    "    m for m in sys.modules if m.startswith('scipy'))]))\n")
+    "    m for m in sys.modules if m.startswith(sys.argv[2]))]))\n")
 
 
 def _fresh(code: str, *args: str) -> str:
@@ -62,7 +68,8 @@ def test_cli_import_builds_no_table():
 def test_closed_form_commands_load_no_scipy():
     lines = [a for a in _readme_commands() if a[0] not in SCIPY_COMMANDS]
     assert [a[0] for a in lines] == ["coeffs", "table", "verify-identities"]
-    codes, loaded = json.loads(_fresh(RUN_COMMANDS, json.dumps(lines)))
+    codes, loaded = json.loads(_fresh(RUN_COMMANDS, json.dumps(lines),
+                                      "scipy"))
     assert codes == [0, 0, 0]
     assert loaded == []
 
@@ -70,6 +77,41 @@ def test_closed_form_commands_load_no_scipy():
 def test_scipy_commands_load_it_on_first_use():
     lines = [a for a in _readme_commands() if a[0] in SCIPY_COMMANDS]
     assert [a[0] for a in lines] == list(SCIPY_COMMANDS)
-    codes, loaded = json.loads(_fresh(RUN_COMMANDS, json.dumps(lines)))
+    codes, loaded = json.loads(_fresh(RUN_COMMANDS, json.dumps(lines),
+                                      "scipy"))
     assert codes == [0, 0]
     assert "scipy.special" in loaded
+
+
+def test_package_import_loads_no_numpy():
+    code = ("import sys\n"
+            "import chiralbag\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy')))\n")
+    assert _fresh(code) == "[]\n"
+
+
+def test_cli_import_loads_no_numpy():
+    code = ("import sys\n"
+            "from chiralbag import cli\n"
+            "cli.build_parser()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy')))\n")
+    assert _fresh(code) == "[]\n"
+
+
+def test_constant_commands_load_no_numpy():
+    lines = [a for a in _readme_commands() if a[0] in NUMPY_FREE_COMMANDS]
+    assert [a[0] for a in lines] == list(NUMPY_FREE_COMMANDS)
+    codes, loaded = json.loads(_fresh(RUN_COMMANDS, json.dumps(lines),
+                                      "numpy"))
+    assert codes == [0, 0]
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in _readme_commands() if a[0] not in NUMPY_FREE_COMMANDS],
+    ids=lambda a: a[0])
+def test_numeric_commands_load_numpy_on_first_use(argv):
+    codes, loaded = json.loads(_fresh(RUN_COMMANDS, json.dumps([argv]),
+                                      "numpy"))
+    assert codes == [0]
+    assert "numpy" in loaded
