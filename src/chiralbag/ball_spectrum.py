@@ -112,6 +112,16 @@ def degeneracy(n: int, m: int) -> int:
     return (spinor_dimension(m) // 2) * math.comb(m + n - 2, n)
 
 
+@functools.cache
+def _weights(m: int, size: int) -> np.ndarray:
+    """degeneracy(n, m) for n < size, each its int as a float, read-only."""
+    half = spinor_dimension(m) // 2
+    weights = np.array([half * math.comb(m + n - 2, n) for n in range(size)],
+                       dtype=float)
+    weights.flags.writeable = False
+    return weights
+
+
 def _level_floor(p, theta: float):
     """2(p+1) rho/(1+rho), rho = e^-|theta|, below every root of level p."""
     rho = math.exp(-abs(theta))
@@ -132,9 +142,11 @@ def _brackets(low: np.ndarray, cutoff: float) -> tuple:
     """Level, lower and upper end of each bracket of the levels low, up to
     the first zero of J_p past cutoff: (0, j_{p,1}), (j_{p,1}, j_{p,2}), ...,
     level by level in the order of low, and the flat index of its upper end
-    in the zero table.  A row of the zero table without a zero past cutoff
-    is computed again, from its McMahon count j_{p,k} ~ (k + p/2 - 1/4)
-    pi."""
+    in the zero table.  A row without a zero past cutoff is computed again
+    from floor((cutoff - p)/pi) + 3 zeros, which reach past it (j_{p,1} > p
+    and zeros of J_p lie over pi apart for p >= 1; j_{0,k} > (k - 1/4) pi),
+    and keeps them up to the first past it: the node table solves every
+    bracket the zero table holds."""
     holder = _zero_table()
     zeros = holder[0]
     rows = np.full((low.size, zeros.shape[1]), np.inf)
@@ -145,12 +157,10 @@ def _brackets(low: np.ndarray, cutoff: float) -> tuple:
     if stale:
         grown = {}
         for p in stale:
-            nt = max(1, int(cutoff / math.pi - p / 2 + 0.25) + 2)
-            zs = jn_zeros(p, nt)
-            while zs[-1] <= cutoff:
-                nt += max(4, nt // 2)
-                zs = jn_zeros(p, nt)
-            grown[p] = zs
+            zs = jn_zeros(p, max(1, math.floor((cutoff - p) / math.pi) + 3))
+            if zs[-1] <= cutoff:
+                raise RuntimeError(f"zeros of J_{p} end below {cutoff}")
+            grown[p] = zs[:np.searchsorted(zs, cutoff, side="right") + 1]
         table = np.full((max(len(zeros), max(stale) + 1),
                          max(zeros.shape[1],
                              1 + max(zs.size for zs in grown.values()))),
@@ -579,7 +589,8 @@ def spectrum(theta: float, m: int, mu_max: float,
     n_levels = _level_count(theta, m, cutoff)
     p, mu = _roots(np.arange(p0, p0 + n_levels), ratios, theta, mu_max,
                    cutoff)
-    deg = np.array([degeneracy(n, m) for n in range(n_levels)], dtype=float)
+    # sizes are powers of 2: a few arrays per m serve every level count
+    deg = _weights(m, 1 << n_levels.bit_length())
     order = np.argsort(mu)
     return mu[order], deg[p - p0][order], n_levels  # n = first excluded level
 

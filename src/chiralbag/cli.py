@@ -7,9 +7,11 @@ Subcommands:
   verify-cylinder    integrated kernel identities and the t-integral
   verify-identities  hypergeometric consistency web
 
-Each command returns its report rows; main writes them (CSV, JSON, or the
-coeffs text block) and sets the exit code.  The module imports only the
-closed forms: a command imports the numeric module it runs (identities,
+main parses a command's flags with that command's parser alone (the whole
+parser parses a line that does not start with one, and reports leftovers as
+its parse_args does), runs it for its report rows, writes them (CSV, JSON,
+or the coeffs text block) and sets the exit code.  The module imports only
+the closed forms: a command imports the numeric module it runs (identities,
 ball_spectrum, cylinder) when it runs, and calls it through the module, so
 importing cli, building the parser and running coeffs or table load no
 numpy.  The JSON report is the bytes of json.dumps(rows, indent=2) with
@@ -147,8 +149,7 @@ def _parse_m(text: str) -> list[int]:
 
 def _constants(theta: float, m: int) -> dict:
     """Every constant at (theta, m); OverflowError past the float range."""
-    uc = universal_constants(theta, m)
-    row = dict(vars(uc))
+    row = universal_constants(theta, m)._asdict()
     if not all(map(math.isfinite, row.values())):
         raise OverflowError
     return row
@@ -354,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--s", type=_finite_list, default=(1.5, 2.5))
 
     command("verify-identities", cmd_verify_identities, "consistency web")
+    ap.commands = sub.choices
     return ap
 
 
@@ -379,8 +381,16 @@ def main(argv=None) -> int:
     ap = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    argv = _merge_negative_values(list(argv))
     try:
-        args = ap.parse_args(_merge_negative_values(list(argv)))
+        # a command's arguments go straight to its own parser, and the whole
+        # parser reports what that one leaves, as its parse_args does
+        if argv and argv[0] in ap.commands:
+            args, extra = ap.commands[argv[0]].parse_known_args(argv[1:])
+        else:  # no command, an unknown one or a leading option
+            args, extra = ap.parse_known_args(argv)
+        if extra:
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -5,14 +5,15 @@ Conventions: c1..c7 multiply, in order, f (in the t^(1-m)/2 coefficient) and
 L_aa f, f psi gt gm, f psi gm, f psi gt, f psi, f_;m (in the t^(2-m)/2
 coefficient); d1..d4 multiply f, f gt, f gm, f gt gm in the leading odd
 (eta-type) boundary coefficient.  All are functions of the chiral angle theta
-and the even dimension m.
+and the even dimension m.  Their record at one (theta, m) is a named tuple
+in the key order of a table row, as cheap to build as a tuple.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
-from dataclasses import dataclass
 
 from .specialfn import hyp2f1
 
@@ -22,25 +23,9 @@ def _check_even(m: int) -> None:
         raise ValueError(f"dimension m must be even and >= 2, got {m}")
 
 
-@dataclass(frozen=True)
-class UniversalConstants:
-    """Every constant at one (theta, m), in the key order of a table row."""
-    theta: float
-    m: int
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    c5: float
-    c6: float
-    c7: float
-    d1: float
-    d2: float
-    d3: float
-    d4: float
-    a1_ball: float
-    a2_ball: float
-    a1_eta: float
+UniversalConstants = collections.namedtuple("UniversalConstants", (
+    "theta", "m", "c1", "c2", "c3", "c4", "c5", "c6", "c7",
+    "d1", "d2", "d3", "d4", "a1_ball", "a2_ball", "a1_eta"))
 
 
 @functools.cache

@@ -11,29 +11,26 @@ takes for all m at a theta from one hyp2f1_euler call.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 
-from .coefficients import UniversalConstants, universal_constants
+from .coefficients import universal_constants
 from .specialfn import hyp2f1, hyp2f1_euler
 
 
-def _scaled(diff: float, *values: float) -> float:
-    """Residual normalized by max(1, magnitudes).  The identities are exact,
+def _scaled(diff: float, value: float) -> float:
+    """Residual normalized by max(1, |value|).  The identities are exact,
     so the attainable absolute agreement degrades linearly with the size of
     the compared values (which reach ~1e6 at m=12, |theta|=2); scaling keeps
     a single tolerance meaningful across the whole grid."""
-    return diff / max(1.0, *(abs(v) for v in values))
+    return diff / max(1.0, abs(value))
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """What the checks share at one (theta, m): the constants record and
-    the only two Euler integrals they use, E+ = 2F1(1/2, (m+1)/2; 3/2;
-    -sinh^2 theta) and E- = 2F1(1/2, (m-1)/2; 3/2; -sinh^2 theta)."""
-    constants: UniversalConstants
-    euler_plus: float
-    euler_minus: float
+# what the checks share at one (theta, m): the constants record and the
+# only two Euler integrals they use, E+ = 2F1(1/2, (m+1)/2; 3/2;
+# -sinh^2 theta) and E- = 2F1(1/2, (m-1)/2; 3/2; -sinh^2 theta)
+GridPoint = collections.namedtuple(
+    "GridPoint", ("constants", "euler_plus", "euler_minus"))
 
 
 def grid_point(theta: float, m: int, euler=None) -> GridPoint:

@@ -3,7 +3,8 @@ quadrature, and the scipy functions the spectral and cylinder checks take.
 
 hyp2f1 sums the finite 2F1 polynomials of the closed forms, so the
 constants need only math: the module body imports neither numpy nor scipy,
-and a process that only tabulates the constants loads neither.
+and a process that only tabulates the constants loads neither.  Their term
+ratios do not depend on z, so they are tabulated once per (a, b, c).
 hyp2f1_euler evaluates the non-terminating 2F1 that the checks compare them
 with by panel_rule, the Gauss-Legendre panel rule of the cylinder checks;
 both import numpy when called, and panel_rule builds its node tables on its
@@ -69,24 +70,28 @@ def jn_zeros(p: int, count: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _degree(a: float, b: float, c: float) -> int:
-    """The degree of the 2F1 polynomial at (a, b, c); ParameterError, which
-    is not cached, for a pole in c or a series that does not terminate."""
+def _steps(a: float, b: float, c: float) -> tuple:
+    """The steps ((a+n)(b+n)/(c+n), n+1) of the 2F1 polynomial's terms at
+    (a, b, c), n below its degree; ParameterError, which is not cached,
+    for a pole in c or a series that does not terminate."""
     if _nonpos_int(c) is not None:
         raise ParameterError(f"2F1 undefined for c={c}")
     degrees = [-v for v in (_nonpos_int(a), _nonpos_int(b)) if v is not None]
     if not degrees:
         raise ParameterError(f"2F1 does not terminate: a={a}, b={b}, c={c}")
-    return min(degrees)
+    return tuple(((a + n) * (b + n) / (c + n), float(n + 1))
+                 for n in range(min(degrees)))
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss 2F1(a, b; c; z) for a or b a non-positive integer: a finite
-    polynomial in any real z.  ParameterError otherwise (see hyp2f1_euler)."""
+    polynomial in any real z.  ParameterError otherwise (see hyp2f1_euler).
+    Each step (q, k) multiplies the term by q z / k in the order of the
+    plain recurrence, so every sum is that recurrence's float."""
     total = 1.0
     term = 1.0
-    for n in range(_degree(a, b, c)):
-        term *= (a + n) * (b + n) / (c + n) * z / (n + 1)
+    for q, k in _steps(a, b, c):
+        term *= q * z / k
         total += term
     return total
 

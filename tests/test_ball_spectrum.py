@@ -59,6 +59,27 @@ class TestDegeneracy:
         with pytest.raises(ValueError):
             bs.degeneracy(-1, 2)
 
+    @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
+    def test_weights_bit_identical(self, m):
+        # the weights array, past the 65,536 entries of degeneracy's cache,
+        # holds each degeneracy as a float
+        want = np.array([bs.degeneracy(n, m) for n in range(1 << 17)],
+                        dtype=float)
+        got = bs._weights.__wrapped__(m, 1 << 17)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    def test_spectrum_weights_are_the_degeneracies(self):
+        theta, m, mu_max = 1.0, 6, 40.0
+        mu, deg, n_levels = bs.spectrum(theta, m, mu_max)
+        ratios = [ratio(c, s, theta) for c, s in FAMILIES]
+        p, roots = bs._roots(np.arange(2, 2 + n_levels), ratios, theta,
+                             mu_max, mu_max)
+        order = np.argsort(roots)
+        assert np.array_equal(mu, roots[order])
+        assert np.array_equal(deg, [bs.degeneracy(n, m)
+                                    for n in p[order] - 2])
+
 
 class TestFamilies:
     """The spectrum is the four families' roots at Bessel order
@@ -342,16 +363,28 @@ class TestFindRoots:
 
     def test_cold_table_computes_no_more_zeros(self, monkeypatch):
         # the zeros computed for the theta = 6 disc spectrum from an empty
-        # table: 1933, each level's once from its McMahon count
+        # table: 1858, in one call per level of floor((100 - p)/pi) + 3
         bs._zero_table.cache_clear()
-        jn_zeros, counts = sp.jn_zeros, []
+        jn_zeros, calls = sp.jn_zeros, []
 
         def spy(p, nt):
-            counts.append(nt)
+            calls.append((p, nt))
             return jn_zeros(p, nt)
         monkeypatch.setattr(bs, "jn_zeros", spy)
         bs.spectrum(6.0, 2, 100.0)
-        assert 0 < sum(counts) <= 1933
+        levels = [p for p, _ in calls]
+        assert len(levels) == len(set(levels)) == 100
+        assert 0 < sum(nt for _, nt in calls) <= 1858
+
+    def test_short_zero_row_refused(self, monkeypatch):
+        # a row that does not reach past the cutoff is an error, not a
+        # bracket lost
+        bs._zero_table.cache_clear()
+        monkeypatch.setattr(bs, "jn_zeros",
+                            lambda p, nt: sp.jn_zeros(p, max(1, nt - 3)))
+        with pytest.raises(RuntimeError, match="zeros of J_0"):
+            bs._brackets(np.array([0]), 30.0)
+        bs._zero_table.cache_clear()
 
     @pytest.mark.parametrize("p", range(0, 100, 9))
     def test_zeros_alike_at_any_count(self, p):

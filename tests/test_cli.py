@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -773,8 +774,10 @@ class TestFlags:
         args = cli.build_parser().parse_args(argv)
         flags = set(vars(args)) - {"command", "func"}
         log = _ReadLog(**vars(args))
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
-                            lambda self, argv: log)
+        # parse_args parses by parse_known_args, and main calls the latter
+        # on the command's own parser
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, argv, namespace=None: (log, []))
         assert cli.main(argv) == 0
         assert flags <= log._read, flags - log._read
 
@@ -807,6 +810,52 @@ class TestFlags:
         err = capsys.readouterr().err
         assert f"argument {flag}: invalid" in err and value in err
         assert not path.exists()
+
+
+# a bad value of each flag's type, each given to every command: a command
+# without the flag reports it as unrecognized
+BAD_FLAGS = (("--m", "3"), ("--theta", "0:1"), ("--format", "xml"),
+             ("--mu-max", "abc"), ("--omega", "1,abc"), ("--t", "nan"),
+             ("--s", "x"), ("--out",))
+
+
+def _parsed_by_reference(argv) -> tuple:
+    """Exit code, stdout and stderr of the parser's own parse_args on argv,
+    None for the code where it parses."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.build_parser().parse_args(list(argv))
+        except SystemExit as exc:
+            code = 0 if exc.code in (0, None) else 2
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """main parses a command's arguments with that command's parser alone;
+    every message and exit code is the one parse_args of the whole parser
+    gives."""
+
+    @pytest.mark.parametrize("argv", (
+        pytest.param((), id="no-command"),
+        pytest.param(("frobnicate", "--m", "2"), id="unknown-command"),
+        pytest.param(("--help",), id="help"),
+        pytest.param(("--m", "2", "table"), id="leading-option")))
+    def test_without_a_command(self, capsys, argv):
+        want = _parsed_by_reference(argv)
+        assert want[0] is not None
+        assert (cli.main(list(argv)), *capsys.readouterr()) == want
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("extra", (
+        ("--help",), ("unexpected",), ("--m", "2", "x", "--y=1"),
+        *BAD_FLAGS), ids=" ".join)
+    def test_command(self, capsys, command, extra):
+        argv = (command, *COMMANDS[command], *extra)
+        want = _parsed_by_reference(argv)
+        assert want[0] is not None
+        assert (cli.main(list(argv)), *capsys.readouterr()) == want
 
 
 class TestParserCache:

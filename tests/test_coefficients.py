@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -200,9 +199,9 @@ def test_bit_identical_to_inline_factors(m):
     for theta in [0.0] + [rng.uniform(-60.0, 60.0) for _ in range(300)]:
         got = co.universal_constants(theta, m)
         want = _reference_constants(theta, m)
-        for field in dataclasses.fields(got):
-            assert repr(getattr(got, field.name)) == \
-                repr(getattr(want, field.name)), (theta, m, field.name)
+        for field in got._fields:
+            assert repr(getattr(got, field)) == \
+                repr(getattr(want, field)), (theta, m, field)
 
 
 @pytest.mark.parametrize("m", MS)
@@ -220,9 +219,9 @@ def test_a1_eta_bit_identical_to_the_float_range(m):
                 co.universal_constants(theta, m)
             continue
         got = co.universal_constants(theta, m)
-        for field in dataclasses.fields(got):
-            if math.isfinite(getattr(want, field.name)):
-                assert repr(getattr(got, field.name)) == \
-                    repr(getattr(want, field.name)), (theta, m, field.name)
+        for field in got._fields:
+            if math.isfinite(getattr(want, field)):
+                assert repr(getattr(got, field)) == \
+                    repr(getattr(want, field)), (theta, m, field)
         if m == 2:
             assert got.a1_eta == -0.5 * math.sinh(theta), theta

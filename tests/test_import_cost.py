@@ -2,7 +2,8 @@
 interpreter.  Importing chiralbag, or chiralbag.cli and building its parser,
 loads no numpy and no scipy module and builds none of the tables
 ball_spectrum fills on its first solve or fit.  coeffs and table, the
-closed forms alone, never load numpy; verify-identities, verify-ball and
+closed forms alone, never load numpy, nor dataclasses and inspect: their
+records are named tuples.  verify-identities, verify-ball and
 verify-cylinder load it on first use.  The closed-form commands, with
 verify-identities, never load scipy; verify-ball and verify-cylinder load
 scipy.special on first use."""
@@ -61,8 +62,9 @@ def test_cli_import_builds_no_table():
             "cli.build_parser()\n"
             "print([f.cache_info().currsize for f in (\n"
             "    ball_spectrum._zero_table, ball_spectrum._node_table,\n"
-            "    ball_spectrum._reach_table, ball_spectrum._fit_basis)])\n")
-    assert _fresh(code) == "[0, 0, 0, 0]\n"
+            "    ball_spectrum._reach_table, ball_spectrum._fit_basis,\n"
+            "    ball_spectrum._weights)])\n")
+    assert _fresh(code) == "[0, 0, 0, 0, 0]\n"
 
 
 def test_closed_form_commands_load_no_scipy():
@@ -103,6 +105,15 @@ def test_constant_commands_load_no_numpy():
     assert [a[0] for a in lines] == list(NUMPY_FREE_COMMANDS)
     codes, loaded = json.loads(_fresh(RUN_COMMANDS, json.dumps(lines),
                                       "numpy"))
+    assert codes == [0, 0]
+    assert loaded == []
+
+
+@pytest.mark.parametrize("module", ("dataclasses", "inspect"))
+def test_constant_commands_load_no_record_machinery(module):
+    lines = [a for a in _readme_commands() if a[0] in NUMPY_FREE_COMMANDS]
+    codes, loaded = json.loads(_fresh(RUN_COMMANDS, json.dumps(lines),
+                                      module))
     assert codes == [0, 0]
     assert loaded == []
 

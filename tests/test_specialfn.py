@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import pytest
@@ -129,8 +130,48 @@ class TestEulerOracle:
             assert rel <= 1e-15, (b, theta, float(rel))
 
 
+def _plain_2f1(a, b, c, z):
+    """The oracle: the term recurrence of the 2F1 polynomial, each step
+    computed afresh."""
+    degree = min(-round(v) for v in (a, b) if v <= 0 and v == round(v))
+    total = term = 1.0
+    for n in range(degree):
+        term *= (a + n) * (b + n) / (c + n) * z / (n + 1)
+        total += term
+    return total
+
+
+def _package_parameters():
+    """Every (a, b, c) that coefficients and identities pass to hyp2f1 at
+    m = 2..12."""
+    from chiralbag import coefficients, identities
+    seen = set()
+
+    def spy(a, b, c, z):
+        seen.add((a, b, c))
+        return sf.hyp2f1(a, b, c, z)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (coefficients, identities):
+            mp.setattr(module, "hyp2f1", spy)
+        identities.grid_report(thetas=(0.7,), ms=tuple(range(2, 13, 2)))
+    return sorted(seen)
+
+
+def test_hyp2f1_bit_identical_to_the_term_recurrence():
+    params = _package_parameters()
+    # 3 per m: (1, 2 - m/2, 3/2) is (1, 1 - m/2, 3/2) at m - 2
+    assert len(params) == 18
+    rng = random.Random("hyp2f1-steps")
+    zs = [s * 10.0 ** k for k in range(-300, 301) for s in (1.0, -1.0)]
+    zs += [-math.sinh(rng.uniform(-8.0, 8.0)) ** 2 for _ in range(1000)]
+    for a, b, c in params:
+        for z in zs:
+            assert repr(sf.hyp2f1(a, b, c, z)) == \
+                repr(_plain_2f1(a, b, c, z)), (a, b, c, z)
+
+
 def test_hyp2f1_refusal_raised_on_every_call():
-    # the per-(a, b, c) degree is cached, a refusal is not
+    # the per-(a, b, c) step table is cached, a refusal is not
     for a, b, c in ((1.0, -2.0, -3.0), (1.0, 5.5, 1.5)):
         for _ in range(2):
             with pytest.raises(sf.ParameterError):
