@@ -36,38 +36,20 @@ estimate and the phase at its start bound the Newton correction left at the
 root, so no pass of the continued fraction re-evaluates the roots to check
 them.
 
-The starts come from what does not depend on theta.  psi of a bracket
-below mu_max runs from 0 (at mu = 0) or -pi/2 (at a zero of J_p) to pi/2
-at its upper zero whatever theta is; only the target arctan r moves.  So a
-node table, built once per process beside the zero table and grown with
-it, holds the roots at SEGMENTS - 1 = 14 phases spaced evenly over each
-bracket's range, solved from RK4 steps of dmu/dpsi = 1 / psi' run down
-from the upper zero, with dmu/dpsi at each; a root starts at the cubic
-Hermite interpolant of mu(psi) between the two nodes around its target,
-within 1.3e-5 of itself, relative, over 0.5 <= |theta| <= 6 at m = 2 and
-12.  A level p >= mu_max has one bracket, (0, mu_max], below its turning
-point.  Four steps of the continued fraction from 0 and from rho_{p+4}
-bound R_p(mu_max) from below and above and decide whether the bracket
-holds a root; a pass at mu_max decides only the levels where some ratio
-lies between the bounds.  The root starts where R_p = F_p(R_{p+1}) = r,
-with R_{p+1} from three steps down from rho_{p+4}: within 4.9e-6 of the
-root at |theta| = 1, 6.7e-8 at 1.5, 1.1e-9 at 2 and 4.4e-16 at 6.  The
-floor is one pass of the continued fraction per root, and a warm heat
-trace on T_GRID is at it: one pass, 1.08-1.12 elements per kept root at
-m = 2 and 12 for 0.5 <= |theta| <= 3 and 1.01 at |theta| = 6.
+Each spectrum has one bound mu_max.  psi of a bracket below it runs from 0
+(at mu = 0) or -pi/2 (at a zero of J_p) to pi/2 at its upper zero whatever
+theta is; only the target arctan r moves.  So a node table, built once per
+process beside the zero table and grown with it, holds the roots at
+SEGMENTS - 1 = 14 phases spaced evenly over each bracket's range, and a
+root starts at the cubic Hermite interpolant of mu(psi) between the two
+nodes around its target.  A level p >= mu_max has one bracket, (0,
+mu_max], below its turning point (_high_hits, _high_start).  The roots
+that bounds put past mu_max are not solved.  A warm heat trace on T_GRID
+solves its roots in one pass of the continued fraction, 1.08-1.12 elements
+per kept root at m = 2 and 12 for 0.5 <= |theta| <= 3, 1.01 at 6.
 
-The trace sums, exactly rounded, only the eigenvalues whose terms can reach
-the result: those past a cut, where every later term is below 2^-70 of the
-lowest one, are left out and their bound joins the truncation bound.  Nor
-are the roots past that point solved: the solve stops at a cutoff
-mu_c <= mu_max, set at the smallest t from the tail bound and the interior
-term a_0 t^(-m/2), with the brackets and levels of the spectrum to mu_max
-below it, and leaves unsolved the roots that bounds put past mu_c.  So
-every root it keeps is the one the full solve gives, but for the last bit
-where a shallower pass rounds otherwise (_depth follows a pass's largest
-mu).  After
-the solve the tail bound past mu_c must lie below 2^-70 of the value at
-every t, or the spectrum is solved again to mu_max.
+The heat trace sums, exactly rounded, only the terms that can reach it,
+from one spectrum solved only as far as its smallest t needs (heat_trace).
 """
 
 from __future__ import annotations
@@ -86,6 +68,10 @@ from .specialfn import jn_zeros
 # g = arctan R_p(mu) - arctan r: the phase residual in units of the root,
 # bounded by the solve's last step (_solve)
 ROOT_RTOL = 1e-13
+# a step retires no root that it moves by more than STEP_RTOL of it, nor
+# one where the step times d(dmu/dpsi)/dmu exceeds STEP_STIFFNESS (_solve)
+STEP_RTOL = 2e-5
+STEP_STIFFNESS = 1e-2
 # a spectrum with more angular levels below mu_max is refused
 MAX_LEVELS = 1_000_000
 # the heat-trace samples of verify-ball, smallest t first, and the number
@@ -115,9 +101,7 @@ def degeneracy(n: int, m: int) -> int:
 @functools.cache
 def _weights(m: int, size: int) -> np.ndarray:
     """degeneracy(n, m) for n < size, each its int as a float, read-only."""
-    half = spinor_dimension(m) // 2
-    weights = np.array([half * math.comb(m + n - 2, n) for n in range(size)],
-                       dtype=float)
+    weights = np.array([degeneracy(n, m) for n in range(size)], dtype=float)
     weights.flags.writeable = False
     return weights
 
@@ -270,44 +254,58 @@ def _reach_table() -> list:
     return [np.zeros(1, dtype=np.intp)]
 
 
-def _depth(p: np.ndarray, mu: np.ndarray) -> int:
-    """Steps of one _phase pass over a nonempty mu: the most any element
-    needs, ceil(max(mu - p, 0)) + _tail(M) at M = ceil mu.  For integer p
-    that is max(M + _tail(M) - p, _tail(M)): the first is read from one
-    table, and the second is largest at the largest M."""
+def _depth(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Steps of the continued fraction each element of a nonempty _phase
+    pass needs: ceil(max(mu - p, 0)) + _tail(M) at M = ceil mu.  For
+    integer p that is max(M + _tail(M) - p, _tail(M)), both read from one
+    table of M + _tail(M)."""
     top = np.ceil(mu).astype(np.intp)
     most = int(top.max())
     holder = _reach_table()
     if holder[0].size <= most:
         holder[0] = np.array([0] + [M + _tail(M) for M in range(1, most + 1)])
-    return max(int(np.max(holder[0][top] - p)), _tail(most))
+    reach = holder[0][top]
+    return np.maximum(reach - p, reach - top)
 
 
 def _phase(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """arctan R_p(mu) elementwise for integer p >= 0 and mu > 0 from the
-    backward continued fraction, started from R = 0 at k = p + _depth(p,
-    mu), one depth for the whole pass: a deeper start only helps.
+    backward continued fraction, each element started from R = 0 at k = p
+    + d, d its own _depth: its value depends on (p, mu) alone, not on the
+    elements that share its pass.
 
-    So an element with M = ceil mu starts N >= K + _tail(M) at K = max(p,
+    So an element with M = ceil mu starts N = K + _tail(M) at K = max(p,
     M).  With R_N <= rho_N and the contraction rho_j^2 of each step, its
     error at K is at most rho_N prod_{j=K}^{N-1} rho_j^2, rho_j taken at
     this mu.  That is at most the product _tail(M) bounds, below e^-40:
-    rho_j at mu is at most rho_{j-K+M} at M, as (j+1)/mu >= (j-K+M+1)/M,
-    and each further step only lowers it.  The steps down to p keep it so.
+    rho_j at mu is at most rho_{j-K+M} at M, as (j+1)/mu >= (j-K+M+1)/M.
+    The steps down to p keep it so.
     """
     if not mu.size:
         return np.zeros(mu.shape)
     depth = _depth(p, mu)
-    # R = mu / (2(p + j) - mu R) in place: 2(p + j) is an integer, exact in
-    # float64 however it is reached, so each step rounds as the plain one
-    ratio, denom = np.zeros(mu.shape), np.empty(mu.shape)
-    twice = 2.0 * (p + depth)
-    for _ in range(depth):
-        np.multiply(mu, ratio, out=denom)
-        np.subtract(twice, denom, out=denom)
-        np.divide(mu, denom, out=ratio)
-        twice -= 2.0
-    return np.arctan(ratio)
+    # deepest first: the elements a step takes are a prefix
+    order = np.argsort(-depth)
+    steps = depth[order]
+    x = mu[order]
+    # R = x / (2(p + j) - x R) in place, 2(p + j) from 2(p + d) less 2 per
+    # step taken: an integer, exact in float64, so each step rounds as the
+    # plain one
+    twice = 2.0 * (p[order] + steps)
+    ratio, denom = np.zeros(x.shape), np.empty(x.shape)
+    last = 0
+    for n in np.searchsorted(-steps, -np.arange(int(steps[0]), 0, -1),
+                             side="right").tolist():
+        if n != last:
+            xs, rs, ds, ts = x[:n], ratio[:n], denom[:n], twice[:n]
+            last = n
+        np.multiply(xs, rs, out=ds)
+        np.subtract(ts, ds, out=ds)
+        np.divide(xs, ds, out=rs)
+        ts -= 2.0
+    phase = np.empty(mu.shape)
+    phase[order] = np.arctan(ratio)
+    return phase
 
 
 def _slope(p: np.ndarray, mu: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -338,8 +336,7 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
     where mu is not finite or not inside (lo, hi)) a round takes one phase
     pass at mu, which gives psi there and narrows the bracket, and one RK4
     step of dmu/dpsi = 1 / psi' (_rk4) from (mu, psi) to psi = target.  A
-    root retires when the step's error estimate is below 1e-15 mu; a step
-    that leaves the closed bracket, or is not finite, bisects it instead.
+    step that leaves the closed bracket, or is not finite, bisects it.
 
     The Bessel recurrences give R_p' = 1 - (2p + 1) R_p / mu + R_p^2, so
     psi = arctan R_p has psi' = R_p' / (1 + R_p^2) = 1 - (p + 1/2) sin 2psi
@@ -347,11 +344,19 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
 
     The bound on the Newton correction |g / psi'|, g = psi - target, that a
     pass at the returned root mu_1 would read is the sum of three terms:
-    - The step's error.  Its estimate is the gap to the embedded third-order
-      step that takes dmu/dpsi at the step's end, (mu_1, target), in place
-      of its last stage: |k5 - k4| / 6, k5 = h / psi'(mu_1, target).  That
-      gap is the local error of the third-order step, of order h^4, and so
-      above the RK4 step's own, of order h^5, once the step is small.
+    - The step's error, estimated by the gap to the embedded third-order
+      step that takes dmu/dpsi at (mu_1, target) in place of its last
+      stage: |k5 - k4| / 6, k5 = h / psi'(mu_1, target).  Both stages sit
+      on psi = target, where the field's change with mu vanishes with
+      sin 2 target, so the gap stands for the error only of a step short
+      against the field's scales.  A root retires only after a step whose
+      gap is below 1e-15 mu_1, which moved it by at most STEP_RTOL of it,
+      and whose phase span times |d(dmu/dpsi)/dmu| = |1 - psi'| / (mu
+      psi'^2) is at most STEP_STIFFNESS.  Started at the midpoint of every
+      bracket of the heat-trace spectra at theta in {+-2, +-4, 6, 9}, m in
+      {2, 12}, every root then lands within 5.8e-16 of, and within both
+      bounds of, the one the production starts give (without the last two
+      conditions, up to 5.2e-10 off and past its bound).
     - The phase error at mu over |psi'|.  The step runs on the solution of
       the ODE through the point the pass gave, which lies e / |psi'| in mu
       from the phase curve, e the pass's rounding of psi, and keeps that
@@ -363,20 +368,13 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
       is near 1 and mu large, and the third term covers it.
     - The rounding of mu: the step's sum and the float mu_1 each round by
       at most 2^-53 mu_1.
-    TestRootCheck re-evaluates the correction at every root of four
-    spectra; at m = 2..12 and ten theta in [-6, 9] it stays below 0.79 of
-    the bound.
+    At every root of m = 2..12 and ten theta in [-6, 9] a pass re-reads a
+    correction below 0.79 of the bound (TestRootCheck).
 
-    A spectrum's roots start where _roots puts them: in a bracket below
-    mu_max by cubic Hermite interpolation of mu(psi) between the two nodes
-    of the node table around target, within 1.3e-5 of the root (relative),
-    and in the one bracket (0, mu_max] of a level p >= mu_max where R_p = r
-    with R_{p+1} from the continued fraction run down from rho_{p+4}
-    (_high_start), within 2e-6 at |theta| = 1.1 and 1.1e-9 at 2.  From
-    these starts the first step retires every root of a heat trace on
-    T_GRID, at m = 2..12 and |theta| <= 6: its solve is one pass.  The
-    nodes themselves start from 4 RK4 steps run down from their bracket's
-    upper end (_solve_nodes)."""
+    From the starts of _roots, within 1.3e-5 of the root for 0.5 <= |theta|
+    <= 9, the first step retires every root of a heat trace on T_GRID: one
+    pass.  For |theta| < 0.5, 28-55 node-table starts per trace are up to
+    6.8e-5 off, and those roots take a second round."""
     mu = np.where((mu > lo) & (mu < hi), mu, 0.5 * (lo + hi))
     root, left = np.empty(lo.shape), np.empty(lo.shape)
     live = np.arange(lo.size)
@@ -385,6 +383,7 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
         g = phase - target
         lo, hi = np.where(g < 0.0, mu, lo), np.where(g > 0.0, mu, hi)
         new, k4 = _rk4(p, mu, phase, -g, 1)
+        step = np.abs(new - mu)
         # the gap |k5 - k4| / 6 to the embedded third-order step
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = _slope(p, new, target)
@@ -396,7 +395,9 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
         left[live] = error + 2.0 ** -52 * (
             (np.abs(phase) + np.abs(target)) / np.abs(slope) + np.abs(new))
         root[live] = new
-        more = ~(error <= 1e-15 * new)
+        more = ~((error <= 1e-15 * new) & (step <= STEP_RTOL * new)
+                 & (step * np.abs(1.0 - slope)
+                    <= STEP_STIFFNESS * new * np.abs(slope)))
         if not more.any():
             break
         live, p, target, lo, hi, mu = (
@@ -474,46 +475,50 @@ def _high_start(p: np.ndarray, r: np.ndarray, mu_max: float) -> np.ndarray:
     is mu = r (p + sqrt(p^2 + 4(p+1)(1+r^2))) / (1+r^2).  Two fixed-point
     steps of mu = 2(p+1) r / (1 + r R_{p+1}(mu)), which is R_p = r, refine
     it, with R_{p+1} from three steps of the continued fraction down from
-    rho_{p+4}.  Near the turning point these steps can overshoot, so each
-    starts from mu cut to the bracket, where rho_{p+4} is real."""
+    rho_{p+4}.  Near the turning point they converge slowly.  The start
+    is off by at most 0.55 of the second step's move (0.3 <= |theta| <=
+    1.5, m = 2 and 12), so where that move is over STEP_RTOL of mu one
+    Newton step on R_p = r follows, with R_p from six steps down from
+    rho_{p+6} and R_p' = 1 - (2p+1) R_p / mu + R_p^2: within 2.4e-6 of the
+    root at |theta| = 0.5 against 8.5e-4 without.  These steps can
+    overshoot, so each starts from mu cut to the bracket, where rho is
+    real."""
     mu = r * (p + np.sqrt(p * p + 4.0 * (p + 1) * (1.0 + r * r))) / (
         1.0 + r * r)
     for _ in range(2):
-        mu = np.minimum(mu, mu_max)
-        ratio = _fraction(p + 1, mu, _rho(p + 4, mu), 3)
-        mu = 2.0 * (p + 1) * r / (1.0 + r * ratio)
+        last = np.minimum(mu, mu_max)
+        mu = 2.0 * (p + 1) * r / (1.0 + r * _fraction(
+            p + 1, last, _rho(p + 4, last), 3))
+    slow = np.abs(mu - last) > STEP_RTOL * mu
+    if slow.any():
+        q, x, y = p[slow], np.minimum(mu[slow], mu_max), r[slow]
+        ratio = _fraction(q, x, _rho(q + 6, x), 6)
+        mu[slow] = x - (ratio - y) / (1.0 - (2 * q + 1) * ratio / x
+                                      + ratio * ratio)
     return mu
 
 
 def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
-           mu_max: float, cutoff: float | None = None) -> tuple:
-    """Level and value of each root in (0, cutoff] of J_{p+1} = r J_p, all
-    levels p and ratios r (|r| >= e^-|theta|); the cutoff is mu_max unless
-    given below it.  Brackets end at the zeros of J_p up to one past the
-    cutoff; a level p >= mu_max has one, (0, mu_max], which holds a root iff
-    r > 0 and arctan R_p(mu_max) >= arctan r, decided by bounds on
-    R_p(mu_max) where they can (_high_hits).  So a bracket is the same at
-    any cutoff, and so is each root it gives.
+           mu_max: float) -> tuple:
+    """Level and value of each root in (0, mu_max] of J_{p+1} = r J_p, all
+    levels p and ratios r (|r| >= e^-|theta|).  Brackets end at the zeros
+    of J_p up to one past mu_max; a level p >= mu_max has one, (0, mu_max],
+    which holds a root iff r > 0 and arctan R_p(mu_max) >= arctan r,
+    decided by bounds on R_p(mu_max) where they can (_high_hits).
 
-    A root in a bracket between zeros, or in a first bracket below mu_max,
-    starts from the node table (_hermite).  A first bracket lies below the
-    turning point mu ~ p where mu <= mu_max <= p, and there R_p is near its
-    fixed point; the root of a level p >= mu_max starts where R_p, with
-    R_{p+1} taken from the fixed point rho_{p+4}, equals r (_high_start).
-
-    Below mu_max a cutoff leaves unsolved every root that lies past it by
-    either of two bounds, each with a margin of 1e-12 for the nodes' own
+    A root in a bracket below mu_max starts from the node table (_hermite),
+    and one of a level p >= mu_max, below its turning point, at
+    _high_start.  Every root that lies past mu_max by either of two bounds
+    is left unsolved, each bound with a margin of 1e-12 for the nodes' own
     solve and rounding.  mu rises with psi along a bracket, so a root lies
     above the node at or below its phase.  And every root exceeds 2(p + 1)
     |r| / (1 + r^2): for mu <= p + 1, 0 <= R_p(mu) <= rho_p(mu) in a first
     bracket, so R_p = r needs rho_p(mu) >= |r|, and the bound is at most
-    p + 1.  The spectrum to mu_max solves every bracket: a pass takes its
-    depth from its largest mu (_depth), and the roots past mu_max keep each
-    pass as deep as it was."""
+    p + 1.  Each element of a phase pass is computed alone (_phase), so the
+    roots left out move no root that is solved."""
     if mu_max <= 0:
         raise ValueError("mu_max must be positive")
-    cutoff = mu_max if cutoff is None else cutoff
-    low, lo, hi, at = _brackets(levels[levels < mu_max], cutoff)
+    low, lo, hi, at = _brackets(levels[levels < mu_max], mu_max)
     high = levels[levels >= mu_max]
     r = np.array(ratios, dtype=float)[:, None]
     target = np.arctan(r)
@@ -527,16 +532,13 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     hit = rows((lo > 0.0) | (target > 0.0), _high_hits(high, r, mu_max))
     start = rows(start, np.nan)
     p, lo, hi = rows(low, high), rows(lo, 0.0), rows(hi, mu_max)
-    if cutoff < mu_max:
-        margin = cutoff * (1.0 + 1e-12)
-        hit &= ~((rows(node, 0.0) > margin)
-                 | (2.0 * (p + 1) * np.abs(r) / (1.0 + r * r) > margin))
-    ratio, target = np.broadcast_to(r, p.shape), np.broadcast_to(target,
-                                                                 p.shape)
-    above = hit.copy()
-    above[:, :low.size] = False
-    start[above] = _high_start(p[above], ratio[above], mu_max)
-    p, target = p[hit], target[hit]
+    margin = mu_max * (1.0 + 1e-12)
+    hit &= ~((rows(node, 0.0) > margin)
+             | (2.0 * (p + 1) * np.abs(r) / (1.0 + r * r) > margin))
+    above = hit & (p >= mu_max)
+    start[above] = _high_start(p[above], np.broadcast_to(r, p.shape)[above],
+                               mu_max)
+    p, target = p[hit], np.broadcast_to(target, p.shape)[hit]
     roots, left = _solve(p, target,
                          np.maximum(lo[hit], _level_floor(p, theta)),
                          hi[hit], start[hit])
@@ -544,7 +546,7 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     if shift > ROOT_RTOL:
         raise RuntimeError(f"root solve failed: a correction of "
                            f"{shift:.3e} of the root is left")
-    keep = roots <= cutoff
+    keep = roots <= mu_max
     return p[keep], roots[keep]
 
 
@@ -562,33 +564,27 @@ class AsymptoticFit:
 
 def _level_count(theta: float, m: int, mu: float) -> int:
     """Number of angular levels whose root floor lies below mu, one spare
-    for rounding; more than MAX_LEVELS are refused."""
+    for rounding."""
     # last level p with _level_floor(p) <= mu
-    n_levels = mu / _level_floor(0, theta) - (m // 2 - 1) + 1
-    if n_levels > MAX_LEVELS:
-        raise ValueError(f"{n_levels:.3g} angular levels below "
-                         f"mu_max={mu}, over {MAX_LEVELS}")
-    return max(int(n_levels), 0)
+    return max(int(mu / _level_floor(0, theta) - (m // 2 - 1) + 1), 0)
 
 
-def spectrum(theta: float, m: int, mu_max: float,
-             cutoff: float | None = None) -> tuple:
-    """Sorted eigenvalue array and matching degeneracy weights for all four
-    families, every angular level whose root floor lies below mu_max, and
-    the number of levels.  A cutoff below mu_max keeps the roots up to it
-    and the levels whose floor lies below it, each solved as in the
-    spectrum to mu_max; the level limit still counts to mu_max."""
+def spectrum(theta: float, m: int, mu_max: float) -> tuple:
+    """Sorted eigenvalue array in (0, mu_max] and matching degeneracy
+    weights for all four families, every angular level whose root floor
+    lies below mu_max, and the number of levels; more than MAX_LEVELS
+    levels are refused."""
     spinor_dimension(m)  # refuses a bad m before the solve
     # r of J_{p+1} = r J_p for (chirality, branch) = (+, pos), (+, neg),
     # (-, pos), (-, neg)
     ratios = (math.exp(theta), -math.exp(theta), -math.exp(-theta),
               math.exp(-theta))
     p0 = m // 2 - 1
-    cutoff = mu_max if cutoff is None else cutoff
-    _level_count(theta, m, mu_max)  # refuses too many levels
-    n_levels = _level_count(theta, m, cutoff)
-    p, mu = _roots(np.arange(p0, p0 + n_levels), ratios, theta, mu_max,
-                   cutoff)
+    n_levels = _level_count(theta, m, mu_max)
+    if n_levels > MAX_LEVELS:
+        raise ValueError(f"{n_levels:.3g} angular levels below "
+                         f"mu_max={mu_max}, over {MAX_LEVELS}")
+    p, mu = _roots(np.arange(p0, p0 + n_levels), ratios, theta, mu_max)
     # sizes are powers of 2: a few arrays per m serve every level count
     deg = _weights(m, 1 << n_levels.bit_length())
     order = np.argsort(mu)
@@ -637,55 +633,64 @@ def _truncation_bound(theta: float, m: int, t: float, mu_max: float,
     return bound + term / (1.0 - level(n + 1) / term)
 
 
-def _solve_cutoff(theta: float, m: int, t: float, mu_max: float) -> float:
-    """The multiple of 1/8, found by bisection, past which the roots'
-    _truncation_bound at t lies below 2^-70 of an estimate of the trace,
-    half its interior term a_0 t^(-m/2); mu_max where mu_max is not
-    enough."""
+def _solve_cutoff(theta: float, m: int, t: float) -> float:
+    """The least multiple of 1/8 past which the roots' _truncation_bound at
+    t lies below 2^-70 of an estimate of the trace, half its interior term
+    a_0 t^(-m/2): found by bisection below the first of 8, 16, 32, ...
+    that is enough.  A cutoff on the way with no bound (inf: the tail's
+    level terms still rise MAX_LEVELS levels on) or past MAX_LEVELS levels
+    ends the search: no spectrum within the level limit gives the trace
+    (InsufficientCutoffError)."""
     # in logs: t^(-m/2) overflows at t = 1e-300
     log_target = (math.log(2.0 ** -71 * pinned_a0(m))
                   - 0.5 * m * math.log(t))
 
-    def enough(mu: float) -> bool:
-        bound = _truncation_bound(theta, m, t, mu,
-                                  _level_count(theta, m, mu))
+    def tail(mu: float) -> float:
+        return _truncation_bound(theta, m, t, mu, _level_count(theta, m, mu))
+
+    def enough(bound: float) -> bool:
         return bound == 0.0 or math.log(bound) <= log_target
-    if not enough(mu_max):
-        return mu_max
-    eighths = _least(lambda k: enough(k / 8.0), 0, math.ceil(8.0 * mu_max))
-    return min(eighths / 8.0, mu_max)
+    top = 8.0
+    while not enough(bound := tail(top)):
+        if bound == math.inf or _level_count(theta, m, top) > MAX_LEVELS:
+            raise InsufficientCutoffError(
+                f"truncation bound {bound:.3e} at t={t} too large at every "
+                f"cutoff within {MAX_LEVELS} angular levels")
+        top *= 2.0
+    return _least(lambda k: enough(tail(k / 8.0)), 0, int(8.0 * top)) / 8.0
 
 
-def heat_trace(theta: float, m: int, ts: Sequence[float],
-               mu_max: float) -> tuple[np.ndarray, np.ndarray]:
+def heat_trace(theta: float, m: int,
+               ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Truncated trace of exp(-t P^2) on the unit m-ball at each t of ts,
     and the truncation bound of each: deg * exp(-t mu^2) over the four
     families and all angular levels of one spectrum.
 
-    The spectrum is solved only up to a cutoff, mu_c <= mu_max, chosen at
-    the smallest t so that the truncation bound of the roots past it is
-    below 2^-70 of an estimate of the trace.  After the solve that tail
-    bound must lie below 2^-70 of the value at every t; where it does not,
-    the spectrum is solved again to mu_max by the same path.
+    The spectrum is solved to the cutoff mu_c of the smallest t
+    (_solve_cutoff).  After the solve the tail bound past mu_c must lie
+    below 2^-70 of the value at every t; while it does not, the spectrum is
+    solved again to twice the cutoff, until the level limit refuses it.
 
     The first term w_0 exp(-t mu_0^2) is a lower bound on the trace, so the
     solved terms at mu >= cut, t cut^2 = ln(sum w / w_0) + 70 ln 2 + t
     mu_0^2, add up to less than 2^-70 of it.  Only the terms below cut are
     summed, exactly rounded (math.fsum), and the bound of the rest, sum w
     exp(-t cut^2), joins the tail bound in the truncation bound, which is
-    below 2^-69 of the value unless the spectrum to mu_max is not enough.
-    So the value is the exactly rounded sum of every term unless that sum
-    lies within 2^-69 of a rounding boundary, and one ulp from it even
-    then.  A t at which every term and the bound underflow to 0 is out of
-    range (ValueError), not a cutoff too small."""
+    then below 2^-69 of the value; one not below 1e-10 of it (one that is
+    not a number) is refused (InsufficientCutoffError).  So the value is
+    the exactly rounded sum of every term unless that sum lies within
+    2^-69 of a rounding boundary, and one ulp from it even then.  A t at
+    which every term and the bound underflow to 0 is out of range
+    (ValueError)."""
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts) & (ts > 0)):
         raise ValueError("t must be positive and finite")
     values, tails, bounds = (np.empty(ts.shape) for _ in range(3))
-    first = (_solve_cutoff(theta, m, float(ts.min()), mu_max) if ts.size
-             else mu_max)
-    for cutoff in (first, mu_max):
-        mu, w, n_excl = spectrum(theta, m, mu_max, cutoff)
+    if not ts.size:
+        return values, bounds
+    cutoff = _solve_cutoff(theta, m, float(ts.min()))
+    while True:
+        mu, w, n_excl = spectrum(theta, m, cutoff)
         # fsum walks a memoryview's floats faster than a list or an array
         weight = math.fsum(memoryview(w))
         # ln(sum w / w_0) + 70 ln 2 and mu_0; an empty spectrum sums nothing
@@ -698,9 +703,11 @@ def heat_trace(theta: float, m: int, ts: Sequence[float],
                 memoryview(w[:k] * np.exp(-t * mu[:k] * mu[:k])))
             tails[i] = _truncation_bound(theta, m, t, cutoff, n_excl)
             bounds[i] = tails[i] + weight * math.exp(-t * cut * cut)
-        # the roots past the cutoff cannot move a value
-        if cutoff == mu_max or np.all(tails <= 2.0 ** -70 * values):
+        # the roots past the cutoff cannot move a value; a tail bound that
+        # is not a number ends the loop too, and is refused below
+        if not np.any(tails > 2.0 ** -70 * values):
             break
+        cutoff *= 2.0
     for t, value, bound in zip(ts.tolist(), values, bounds):
         if value == bound == 0.0:
             raise ValueError(f"every term of the trace underflows at t={t}: "
@@ -708,7 +715,7 @@ def heat_trace(theta: float, m: int, ts: Sequence[float],
         if not bound < 1e-10 * value:
             raise InsufficientCutoffError(
                 f"truncation bound {bound:.3e} too large for trace "
-                f"{value:.6e} at t={t}; raise mu_max")
+                f"{value:.6e} at t={t}")
     return values, bounds
 
 

@@ -26,10 +26,11 @@ verify-ball samples the heat trace at 20 geometric t from 0.02 to 0.3
 (ball_spectrum.T_GRID) and fits a_1..a_5 (ball_spectrum.FIT_DEPTH) with a_0
 pinned.  A row passes when a1 is within 1% of the closed form (A1_RTOL in
 this module; where a1 vanishes, within 3 fit errors of 0) and a2 within
-0.01 (A2_ATOL).  Its one numerical flag is the eigenvalue cutoff --mu-max.
-The spectrum is solved only as far as a root can reach the trace at the
-smallest t (51 to 81 on T_GRID; ball_spectrum.heat_trace), so a --mu-max
-past that costs nothing and changes no byte.
+0.01 (A2_ATOL).  It has no numerical flag: the spectrum is solved as far
+as a root can reach the trace at the smallest t (51 to 81 on T_GRID;
+ball_spectrum.heat_trace).  Its fit_residual, the rms misfit, is written
+to the 3 significant digits it holds: a last-bit change of one root moves
+its 6th digit.
 A verify-cylinder U row has the columns m, omega, theta, t, U1_residual,
 U1_err, U2_residual, U2_err and pass, a t-integral row s, omega, theta,
 t_integral_residual, t_integral_err and pass; each *_err is the quadrature
@@ -48,11 +49,11 @@ A --theta range start:stop:step holds at most 10^6 points
 Exit status: 0 all residuals within tolerance, 1 tolerance failure (report
 still written), 2 configuration error (nan or inf in any float flag too),
 overflow, division by zero or other numerical failure (an insufficient
-cutoff, a failed root solve), or a report that cannot be written to --out;
-no report is written.  A numerical failure is reported at its point: theta
-and m (with omega and t for a U row), or theta, s and omega for the
-t-integral; an overflow or division by zero by its type name, any other
-after its message.
+cutoff or too many angular levels, a failed root solve), or a report that
+cannot be written to --out; no report is written.  A numerical failure is
+reported at its point: theta and m (with omega and t for a U row), or
+theta, s and omega for the t-integral; an overflow or division by zero by
+its type name, any other after its message.
 """
 
 from __future__ import annotations
@@ -155,10 +156,9 @@ def _constants(theta: float, m: int) -> dict:
     return row
 
 
-def _ball_row(theta: float, m: int, mu_max: float) -> dict:
+def _ball_row(theta: float, m: int) -> dict:
     from . import ball_spectrum
-    values, _ = ball_spectrum.heat_trace(theta, m, ball_spectrum.T_GRID,
-                                         mu_max)
+    values, _ = ball_spectrum.heat_trace(theta, m, ball_spectrum.T_GRID)
     fit = ball_spectrum.fit_heat_coefficients(ball_spectrum.T_GRID, values, m)
     uc = universal_constants(theta, m)
     a1, a2 = fit.coeffs[1], fit.coeffs[2]
@@ -168,7 +168,7 @@ def _ball_row(theta: float, m: int, mu_max: float) -> dict:
         a1_ok = abs(a1) < 3.0 * max(fit.coeff_errors[1], 1e-12)
     return {"theta": theta, "m": m, "a1_fit": a1, "a1_closed": uc.a1_ball,
             "a2_fit": a2, "a2_closed": uc.a2_ball,
-            "fit_residual": fit.residual,
+            "fit_residual": float(f"{fit.residual:.3g}"),
             "pass": bool(a1_ok and abs(a2 - uc.a2_ball) < A2_ATOL)}
 
 
@@ -214,8 +214,7 @@ def cmd_table(args) -> list[dict]:
 
 
 def cmd_verify_ball(args) -> list[dict]:
-    return _each(_grid(args), functools.partial(_ball_row,
-                                                mu_max=args.mu_max))
+    return _each(_grid(args), _ball_row)
 
 
 def cmd_verify_cylinder(args) -> list[dict]:
@@ -344,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("coeffs", cmd_table, "print all constants", text_block=True)
     command("table", cmd_table, "write the coefficient grid")
 
-    vb = command("verify-ball", cmd_verify_ball,
-                 "spectral fit vs closed forms")
-    vb.add_argument("--mu-max", type=_finite, default=100.0)
+    command("verify-ball", cmd_verify_ball, "spectral fit vs closed forms")
 
     vc = command("verify-cylinder", cmd_verify_cylinder,
                  "kernel identity checks")

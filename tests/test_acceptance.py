@@ -85,7 +85,7 @@ def test_05_disc_spectral_fit():
     ok = True
     details = []
     for theta in (0.0, 0.5, 1.0):
-        values, _ = bs.heat_trace(theta, 2, bs.T_GRID, 100.0)
+        values, _ = bs.heat_trace(theta, 2, bs.T_GRID)
         fit = bs.fit_heat_coefficients(bs.T_GRID, values, 2)
         target = universal_constants(theta, 2)
         a1, a2 = fit.coeffs[1], fit.coeffs[2]

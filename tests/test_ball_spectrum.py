@@ -74,7 +74,7 @@ class TestDegeneracy:
         mu, deg, n_levels = bs.spectrum(theta, m, mu_max)
         ratios = [ratio(c, s, theta) for c, s in FAMILIES]
         p, roots = bs._roots(np.arange(2, 2 + n_levels), ratios, theta,
-                             mu_max, mu_max)
+                             mu_max)
         order = np.argsort(roots)
         assert np.array_equal(mu, roots[order])
         assert np.array_equal(deg, [bs.degeneracy(n, m)
@@ -213,14 +213,17 @@ class TestFindRoots:
         # at the cutoff of heat_trace on T_GRID, two passes per root, one
         # to step and one to confirm, take up to two_passes elements per
         # kept root; the RK4 step from the first pass lands on every root,
-        # which retires there: a whole pass per root fewer, and with the
-        # levels past mu_max decided by bounds one pass in all
-        cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0], 100.0)
-        bs.spectrum(theta, m, 100.0, cutoff)
+        # which retires there: a whole pass per root fewer.  The levels
+        # past the cutoff are decided by bounds, but for those where a ratio
+        # falls between them, near the turning point: one more pass over
+        # at most two levels decides them (_high_hits)
+        cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0])
+        bs.spectrum(theta, m, cutoff)
         phase_sizes.clear()
-        mu = bs.spectrum(theta, m, 100.0, cutoff)[0]
+        mu = bs.spectrum(theta, m, cutoff)[0]
         assert sum(phase_sizes) <= (two_passes - 1.0) * mu.size
-        assert len(phase_sizes) == 1
+        assert len(phase_sizes) == 1 or (len(phase_sizes) == 2
+                                         and phase_sizes[0] <= 2)
 
     @pytest.mark.parametrize("mu_max", (20.0, 100.0))
     def test_levels_past_mu_max_decided_by_bounds(self, mu_max,
@@ -324,6 +327,22 @@ class TestFindRoots:
                 scale = np.abs(jp1) + np.abs(r * jp)
                 assert np.all(np.abs(jp1 - r * jp) <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("theta,m", ((0.5, 2), (0.1, 6), (2.0, 12)))
+    def test_few_roots_solved_past_the_bound(self, theta, m, monkeypatch):
+        # bounds keep the roots past mu_max out of the solve of every
+        # spectrum: at most 1% of the solved roots lie past it
+        bs.spectrum(theta, m, 100.0)
+        solve, roots = bs._solve, []
+
+        def spy(*args):
+            result = solve(*args)
+            roots.append(result[0])
+            return result
+        monkeypatch.setattr(bs, "_solve", spy)
+        bs.spectrum(theta, m, 100.0)
+        [roots] = roots
+        assert np.count_nonzero(roots > 100.0) <= 0.01 * roots.size
+
     @pytest.mark.parametrize("theta,m,mu_max,count", (
         (0.5, 2, 100.0, 5013), (2.0, 2, 100.0, 5277), (3.0, 2, 100.0, 5910),
         (4.0, 2, 100.0, 7636), (6.0, 2, 100.0, 25083), (0.0, 4, 40.0, 748),
@@ -421,6 +440,25 @@ class TestRootCheck:
         assert np.all(again <= left / root)
         assert np.max(left / root) <= bs.ROOT_RTOL
 
+    @pytest.mark.parametrize("m", (2, 12))
+    @pytest.mark.parametrize("theta", (2.0, -2.0, 4.0, -4.0, 6.0, 9.0))
+    def test_bound_holds_from_midpoint_starts(self, theta, m, monkeypatch):
+        # every root of the heat trace's spectrum solved again from the
+        # midpoint of its bracket lands within its returned bound, and
+        # within 1e-15 of it, of the root the production starts give
+        solve, calls = bs._solve, []
+
+        def spy(*args):
+            calls.append((args, solve(*args)))
+            return calls[-1][1]
+        cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0])
+        bs.spectrum(theta, m, cutoff)  # the node table holds its brackets
+        monkeypatch.setattr(bs, "_solve", spy)
+        bs.spectrum(theta, m, cutoff)
+        [((p, target, lo, hi, _), (root, _))] = calls
+        again, left = solve(p, target, lo, hi, np.full(p.size, np.nan))
+        assert np.all(np.abs(again - root) <= left + 1e-15 * root)
+
     def test_failed_check_raises(self, monkeypatch):
         monkeypatch.setattr(bs, "ROOT_RTOL", 1e-18)
         with pytest.raises(RuntimeError, match="root solve failed"):
@@ -488,14 +526,19 @@ class TestNodeTable:
 
 def plain_phase(p, mu):
     """_phase as the plain recurrence R = mu / (2(p + j) - mu R), one new
-    array per operation, started deeper: 21 + floor(sqrt(380.25 + 20 max
-    mu)) steps past max(mu - p, 0), a bound from ln(1+x) >= x/(1+x)."""
-    depth = (math.ceil(np.max(mu - p, initial=0.0)) + 21
-             + int(math.sqrt(380.25 + 20.0 * np.max(mu, initial=0.0))))
-    ratio = np.zeros(mu.shape)
-    for j in range(depth, 0, -1):
-        ratio = mu / (2.0 * (p + j) - mu * ratio)
-    return np.arctan(ratio)
+    array per operation, each element started from R = 0 at its own depth
+    max(M - p, 0) + _tail(M), M = ceil mu."""
+    p = np.broadcast_to(p, mu.shape)
+    depth = np.array([max(M - q, 0) + bs._tail(M) for q, M in zip(
+        p.tolist(), np.ceil(mu).astype(int).tolist())], dtype=int)
+    phase = np.empty(mu.shape)
+    for d in np.unique(depth).tolist():
+        at = depth == d
+        q, x, ratio = p[at], mu[at], np.zeros(np.count_nonzero(at))
+        for j in range(d, 0, -1):
+            ratio = x / (2.0 * (q + j) - x * ratio)
+        phase[at] = np.arctan(ratio)
+    return phase
 
 
 class TestPhase:
@@ -516,8 +559,8 @@ class TestPhase:
     @pytest.mark.parametrize("theta", (0.1, -1.0, 3.0, 6.0))
     def test_spectrum_passes_bit_identical_to_plain_recurrence(
             self, theta, m, monkeypatch):
-        # every pass of a whole spectrum's solve gives, from its shallower
-        # start, the bits of the deeper one
+        # every pass of a whole spectrum's solve gives each element the bits
+        # of the plain recurrence at its own depth, whatever shares the pass
         phase, passes = bs._phase, []
 
         def spy(p, mu):
@@ -528,6 +571,19 @@ class TestPhase:
         assert passes
         for p, mu in passes:
             assert np.array_equal(phase(p, mu), plain_phase(p, mu))
+
+    def test_element_alone_or_in_any_pass(self):
+        # each element's bits depend on (p, mu) alone: the pass of every
+        # element, of a shallow half and of each element on its own agree
+        rng = np.random.default_rng(3)
+        p = rng.integers(0, 200, 300)
+        mu = rng.uniform(1e-3, 150.0, 300)
+        whole = bs._phase(p, mu)
+        shallow = mu < 40.0
+        assert np.array_equal(bs._phase(p[shallow], mu[shallow]),
+                              whole[shallow])
+        assert np.array_equal([bs._phase(p[i:i + 1], mu[i:i + 1])[0]
+                               for i in range(p.size)], whole)
 
     @pytest.mark.parametrize("p", (0, 1, 5, 60, 230, 400))
     def test_against_mpmath(self, p):
@@ -582,20 +638,21 @@ class TestPhase:
         # the continued fraction's steps in the passes of one heat trace,
         # summed over the passes and over their elements; an empty pass
         # takes none.  The counts repeat exactly
-        bs.heat_trace(1.0, 2, bs.T_GRID, 100.0)
-        assert all(size for _, size in depths)
+        bs.heat_trace(1.0, 2, bs.T_GRID)
+        assert all(total for _, total in depths)
         assert sum(depth for depth, _ in depths) <= 298
-        assert sum(depth * size for depth, size in depths) <= 272_845
+        assert sum(total for _, total in depths) <= 272_845
 
 
 @pytest.fixture
 def depths(monkeypatch):
-    """The depth and element count of each _phase pass, in call order."""
+    """The steps of each _phase pass, the most any of its elements takes,
+    and the steps its elements take in all, in call order."""
     depth, calls = bs._depth, []
 
     def spy(p, mu):
         steps = depth(p, mu)
-        calls.append((steps, mu.size))
+        calls.append((int(steps.max()), int(steps.sum())))
         return steps
     monkeypatch.setattr(bs, "_depth", spy)
     return calls
@@ -627,12 +684,12 @@ def fsum_sizes(monkeypatch):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The cutoff and result of each spectrum heat_trace solves."""
+    """The bound and result of each spectrum heat_trace solves."""
     spectrum, calls = bs.spectrum, []
 
-    def spy(theta, m, mu_max, cutoff=None):
-        result = spectrum(theta, m, mu_max, cutoff)
-        calls.append((cutoff, result))
+    def spy(theta, m, mu_max):
+        result = spectrum(theta, m, mu_max)
+        calls.append((mu_max, result))
         return result
     monkeypatch.setattr(bs, "spectrum", spy)
     return calls
@@ -641,7 +698,7 @@ def solves(monkeypatch):
 class TestHeatTrace:
     def test_large_t_dominated_by_lowest_modes(self):
         t = 5.0
-        value = bs.heat_trace(0.0, 2, [t], 60.0)[0][0]
+        value = bs.heat_trace(0.0, 2, [t])[0][0]
         # explicit few-term oracle: smallest eigenvalues from all families,
         # all levels whose first root is small enough to matter
         total = 0.0
@@ -653,12 +710,12 @@ class TestHeatTrace:
         assert value == pytest.approx(total, rel=1e-10)
 
     def test_monotone_in_t(self):
-        v1, v2 = bs.heat_trace(0.3, 2, [0.05, 0.1], 100.0)[0]
+        v1, v2 = bs.heat_trace(0.3, 2, [0.05, 0.1])[0]
         assert v1 > v2 > 0
 
     def test_even_in_theta(self):
-        a = bs.heat_trace(0.6, 2, [0.2], 80.0)[0][0]
-        b = bs.heat_trace(-0.6, 2, [0.2], 80.0)[0][0]
+        a = bs.heat_trace(0.6, 2, [0.2])[0][0]
+        b = bs.heat_trace(-0.6, 2, [0.2])[0][0]
         assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize("theta,m", ((3.0, 2), (4.0, 2), (4.0, 4)))
@@ -667,7 +724,7 @@ class TestHeatTrace:
         # at 30 leaves out (the rest is below e^-200); the trace to 100
         # itself follows the closed-form a0, a1, a2 of the ball
         t = 0.02
-        full = bs.heat_trace(theta, m, [t], 100.0)[0][0]
+        full = bs.heat_trace(theta, m, [t])[0][0]
         ball = universal_constants(theta, m)
         assert full == pytest.approx(sum(
             a * t ** ((n - m) / 2) for n, a in
@@ -685,29 +742,37 @@ class TestHeatTrace:
         # the sum over the terms below the cut is the exactly rounded sum of
         # them all, and each bound, of the roots past the solve cutoff and
         # of the terms the cut leaves out, is below 2^-69 of the trace
-        values, bounds = bs.heat_trace(theta, m, bs.T_GRID, 100.0)
+        values, bounds = bs.heat_trace(theta, m, bs.T_GRID)
         monkeypatch.undo()
         # the weights, then each t
         assert len(fsum_sizes) == 1 + bs.T_GRID.size
-        mu, w, _ = bs.spectrum(theta, m, 100.0)
+        cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0])
+        mu, w, _ = bs.spectrum(theta, m, cutoff)
+        full, weights, _ = bs.spectrum(theta, m, 100.0)
+        past = full > cutoff
         for t, value, bound, k in zip(bs.T_GRID, values, bounds,
                                       fsum_sizes[1:]):
             terms = w * np.exp(-t * mu * mu)
             assert value == math.fsum(terms)
-            assert math.fsum(terms[k:]) <= bound <= 2.0 ** -69 * value
+            assert math.fsum(np.append(terms[k:], weights[past] * np.exp(
+                -t * full[past] ** 2))) <= bound <= 2.0 ** -69 * value
 
     @pytest.mark.parametrize("m", (2, 8, 12))
     @pytest.mark.parametrize("theta", (0.5, -1.3, 2.0, 6.0))
     def test_solves_the_roots_of_the_full_spectrum(self, theta, m, solves):
-        # the roots heat_trace solves are, bit for bit, those of the
-        # spectrum to mu_max at or below its solve cutoff
-        bs.heat_trace(theta, m, bs.T_GRID, 100.0)
+        # the roots heat_trace solves are those of the spectrum to 100 at or
+        # below its solve cutoff: bit for bit in the levels below the
+        # cutoff, and within the two solves' bounds in the levels past it,
+        # whose roots start otherwise
+        bs.heat_trace(theta, m, bs.T_GRID)
         [(cutoff, (mu, w, n_excl))] = solves
-        assert cutoff < 100.0
+        assert cutoff == bs._solve_cutoff(theta, m, bs.T_GRID[0]) < 100.0
         full, weights, _ = bs.spectrum(theta, m, 100.0)
-        assert np.array_equal(mu, full[full <= cutoff])
         assert np.array_equal(w, weights[full <= cutoff])
         assert n_excl == bs._level_count(theta, m, cutoff)
+        assert_same_roots(solved(theta, m, cutoff), solved(theta, m, 100.0),
+                          cutoff)
+        assert np.array_equal(mu, solved(theta, m, cutoff)[1])
 
     @pytest.mark.parametrize("m", (2, 4, 8, 12))
     @pytest.mark.parametrize("theta", (0.5, 1.0, -1.7, 2.0, 3.0, 6.0))
@@ -715,79 +780,126 @@ class TestHeatTrace:
         # bounds keep the roots past heat_trace's solve cutoff out of the
         # solve: at most 1% of the solved roots lie past it (8-11% when
         # every bracket was solved), and each kept root is that of the full
-        # solve to within an ulp
-        cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0], 100.0)
-        full = bs.spectrum(theta, m, 100.0)[0]  # and fills the tables
-        solve, solved = bs._solve, []
+        # solve (assert_same_roots)
+        cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0])
+        full = solved(theta, m, 100.0)  # and fills the tables
+        solve, roots = bs._solve, []
 
         def spy(*args):
             result = solve(*args)
-            solved.append(result[0])
+            roots.append(result[0])
             return result
         monkeypatch.setattr(bs, "_solve", spy)
-        mu = bs.spectrum(theta, m, 100.0, cutoff)[0]
-        [roots] = solved
+        bs.spectrum(theta, m, cutoff)
+        monkeypatch.undo()
+        [roots] = roots
         assert np.count_nonzero(roots > cutoff) <= 0.01 * roots.size
-        expected = full[full <= cutoff]
-        assert mu.shape == expected.shape
-        assert np.all(np.abs(mu - expected) <= np.spacing(expected))
+        assert_same_roots(solved(theta, m, cutoff), full, cutoff)
 
     @pytest.mark.parametrize("theta,m", ((0.5, 2), (-2.0, 8)))
     def test_mu_max_past_the_cutoff_changes_nothing(self, theta, m):
-        at_100 = bs.heat_trace(theta, m, bs.T_GRID, 100.0)
-        at_1000 = bs.heat_trace(theta, m, bs.T_GRID, 1000.0)
-        assert all(np.array_equal(a, b) for a, b in zip(at_100, at_1000))
+        # a spectrum to 100 or to 200 holds, at or below the solve cutoff,
+        # the roots the trace solves (assert_same_roots), and those past it
+        # add less to the trace than its truncation bound
+        cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0])
+        roots = solved(theta, m, cutoff)
+        bounds = bs.heat_trace(theta, m, bs.T_GRID)[1]
+        for mu_max in (100.0, 200.0):
+            assert_same_roots(roots, solved(theta, m, mu_max), cutoff)
+            mu, w, _ = bs.spectrum(theta, m, mu_max)
+            past = mu > cutoff
+            assert all(math.fsum(w[past] * np.exp(-t * mu[past] ** 2))
+                       <= bound for t, bound in zip(bs.T_GRID, bounds))
 
     @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
     def test_no_fallback_on_t_grid(self, m, solves):
-        # one solve per trace, below mu_max, across the declared theta
+        # one solve per trace, at its solve cutoff, below 100, across the
+        # declared theta
         thetas = (-6.0, -3.0, -1.3, 0.0, 0.1, 0.5, 2.0, 4.0, 6.0)
         for theta in thetas:
-            bs.heat_trace(theta, m, bs.T_GRID, 100.0)
-        assert len(solves) == len(thetas)
+            bs.heat_trace(theta, m, bs.T_GRID)
+        assert [cutoff for cutoff, _ in solves] == [
+            bs._solve_cutoff(theta, m, bs.T_GRID[0]) for theta in thetas]
         assert all(cutoff < 100.0 for cutoff, _ in solves)
 
     def test_large_t_takes_the_fallback(self, solves):
-        # at t = 5 the interior term a_0 / t overshoots the trace: the tail
-        # past the first cutoff is not proved small, so the spectrum to
-        # mu_max is solved, and the value is that of every term
-        value = bs.heat_trace(0.0, 2, [5.0], 100.0)[0][0]
-        assert [cutoff for cutoff, _ in solves] == [
-            bs._solve_cutoff(0.0, 2, 5.0, 100.0), 100.0]
-        mu, w, _ = bs.spectrum(0.0, 2, 100.0)
-        assert value == math.fsum(w * np.exp(-5.0 * mu * mu))
+        # at large t the interior term a_0 t^(-m/2) overshoots the trace:
+        # the tail past the first cutoff is not proved small, so the
+        # spectrum is solved again to twice the cutoff until it is, and the
+        # value is that of every term of the spectrum to 100
+        for m, theta, t in ((12, 0.0, 0.3), (12, 0.0, 2.0), (2, 0.0, 5.0)):
+            solves.clear()
+            value = bs.heat_trace(theta, m, [t])[0][0]
+            first = bs._solve_cutoff(theta, m, t)
+            assert len(solves) >= 2
+            assert [cutoff for cutoff, _ in solves] == [
+                first * 2.0 ** k for k in range(len(solves))]
+            mu, w, _ = bs.spectrum(theta, m, 100.0)
+            assert value == math.fsum(w * np.exp(-t * mu * mu))
+
+    @pytest.mark.parametrize("theta,m,t", ((0.5, 2, 0.02), (-3.0, 12, 0.02),
+                                           (6.0, 8, 0.005), (0.0, 12, 2.0)))
+    def test_solve_cutoff_is_the_least_enough(self, theta, m, t):
+        # the bisection below the first of 8, 16, 32, ... that is enough
+        # finds the least multiple of 1/8 whose tail bound is below 2^-71
+        # of the interior term a_0 t^(-m/2)
+        cutoff = bs._solve_cutoff(theta, m, t)
+        target = 2.0 ** -71 * bs.pinned_a0(m) * t ** (-m / 2)
+
+        def tail(mu):
+            return bs._truncation_bound(theta, m, t, mu,
+                                        bs._level_count(theta, m, mu))
+        assert cutoff % 0.125 == 0.0
+        assert tail(cutoff) <= target < tail(cutoff - 0.125)
 
     def test_sums_only_the_terms_that_count(self, fsum_sizes):
         # the solve stops where the cut would: few of the roots to mu_max
         # are solved, and fewer summed
-        bs.heat_trace(1.1, 2, [0.3], 100.0)
+        bs.heat_trace(1.1, 2, [0.3])
         solved, summed = fsum_sizes
         assert summed <= solved < 0.1 * bs.spectrum(1.1, 2, 100.0)[0].size
 
-    def test_insufficient_cutoff(self):
-        with pytest.raises(bs.InsufficientCutoffError):
-            bs.heat_trace(0.0, 2, [0.01], 15.0)
+    def test_insufficient_cutoff(self, monkeypatch):
+        # a truncation bound not below 1e-10 of the trace is refused.  Only
+        # one that is not a number gets there: the solve doubles its
+        # cutoff while a tail bound lies above 2^-70 of the trace
+        bound = bs._truncation_bound
+        monkeypatch.setattr(bs, "_truncation_bound",
+                            lambda theta, m, t, mu, n: math.nan if t == 0.3
+                            else bound(theta, m, t, mu, n))
+        with pytest.raises(bs.InsufficientCutoffError,
+                           match=r"bound nan too large for trace .* t=0\.3$"):
+            bs.heat_trace(0.0, 2, [0.01, 0.3])
 
-    @pytest.mark.parametrize("mu_max", (100.0, 0.5))
-    def test_underflowing_t_is_out_of_range(self, mu_max):
-        # every term and the bound underflow: no cutoff can help
+    @pytest.mark.parametrize("cutoff", (100.0, 0.5))
+    def test_underflowing_t_is_out_of_range(self, cutoff, monkeypatch):
+        # every term and the bound underflow: no cutoff can help, whichever
+        # the solve starts from
+        monkeypatch.setattr(bs, "_solve_cutoff", lambda theta, m, t: cutoff)
         with pytest.raises(ValueError, match=r"underflows at t=1000000\.0"):
-            bs.heat_trace(0.5, 2, [1e6], mu_max)
+            bs.heat_trace(0.5, 2, [1e6])
 
-    def test_empty_spectrum_asks_for_a_cutoff(self):
-        # no root below mu_max = 0.5: a zero trace whose bound is not zero
-        with pytest.raises(bs.InsufficientCutoffError, match="raise mu_max"):
-            bs.heat_trace(0.0, 2, [1.0], 0.5)
+    def test_empty_spectrum_asks_for_a_cutoff(self, monkeypatch, solves):
+        # no root below a first cutoff of 0.5: a zero trace whose tail bound
+        # is not zero, so the spectrum is solved again to twice the cutoff
+        # until the tail is small, and the value is that of every term
+        monkeypatch.setattr(bs, "_solve_cutoff", lambda theta, m, t: 0.5)
+        value = bs.heat_trace(0.0, 2, [1.0])[0][0]
+        assert solves[0][1][0].size == 0
+        assert [cutoff for cutoff, _ in solves] == [
+            0.5 * 2.0 ** k for k in range(len(solves))]
+        mu, w, _ = bs.spectrum(0.0, 2, 100.0)
+        assert value == math.fsum(w * np.exp(-mu * mu))
 
     def test_invalid_t(self):
         with pytest.raises(ValueError):
-            bs.heat_trace(0.0, 2, [-0.1], 50.0)
+            bs.heat_trace(0.0, 2, [-0.1])
 
     @pytest.mark.parametrize("t", (math.nan, math.inf))
     def test_non_finite_t(self, t):
         # refused, not passed through as nan or read as a zero trace
         with pytest.raises(ValueError, match="t must be positive and finite"):
-            bs.heat_trace(0.5, 2, [0.1, t], 60.0)
+            bs.heat_trace(0.5, 2, [0.1, t])
 
     @pytest.mark.parametrize("m,t,mu_max", ((2, 1e-300, 60.0),
                                             (8, 1e-12, 100.0),
@@ -798,12 +910,46 @@ class TestHeatTrace:
         assert bs._truncation_bound(0.5, m, t, mu_max, 10) == math.inf
         start = time.perf_counter()
         with pytest.raises(bs.InsufficientCutoffError, match="bound inf"):
-            bs.heat_trace(0.5, m, [t], mu_max)
+            bs.heat_trace(0.5, m, [t])
         assert time.perf_counter() - start < 1.0
 
     def test_no_t(self):
-        values, bounds = bs.heat_trace(0.5, 2, [], 100.0)
+        values, bounds = bs.heat_trace(0.5, 2, [])
         assert values.shape == bounds.shape == (0,)
+
+
+def solved(theta, m, mu_max):
+    """Level, value and returned bound of each root of spectrum(theta, m,
+    mu_max), ordered as its eigenvalues."""
+    solve, out = bs._solve, []
+
+    def spy(p, *args):
+        out.append((p, *solve(p, *args)))
+        return out[-1][1:]
+    bs._solve = spy
+    try:
+        mu = bs.spectrum(theta, m, mu_max)[0]
+    finally:
+        bs._solve = solve
+    p, root, left = (a[out[-1][1] <= mu_max] for a in out[-1])
+    order = np.lexsort((p, root))
+    assert np.array_equal(root[order], mu)
+    return p[order], root[order], left[order]
+
+
+def assert_same_roots(kept, full, cutoff):
+    """The roots solved to a bound past cutoff (full), at or below it, are
+    those solved to cutoff (kept): bit for bit in the levels below cutoff,
+    where both take the same brackets and starts, and within the two
+    returned bounds in the levels at or past it, whose one bracket (0,
+    cutoff] starts its root otherwise (_high_start)."""
+    p, root, left = kept
+    below = full[1] <= cutoff
+    q, other, other_left = (a[below] for a in full)
+    assert np.array_equal(p, q)
+    low = p < cutoff
+    assert np.array_equal(root[low], other[low])
+    assert np.all(np.abs(root - other) <= left + other_left)
 
 
 def lstsq_fit(ts, values, m):
@@ -872,7 +1018,7 @@ class TestFit:
     def test_cached_fit_matches_lstsq(self, theta, m):
         # the pseudo-inverse of the cached basis against np.linalg.lstsq on
         # the heat traces of passing verify-ball rows
-        values, _ = bs.heat_trace(theta, m, bs.T_GRID, 100.0)
+        values, _ = bs.heat_trace(theta, m, bs.T_GRID)
         fit = bs.fit_heat_coefficients(bs.T_GRID, values, m)
         coef, resid, deeper = lstsq_fit(bs.T_GRID, values, m)
         assert fit.coeffs[1] == pytest.approx(coef[0], rel=1e-12, abs=0.0)
@@ -883,7 +1029,7 @@ class TestFit:
 
     def test_disc_fit_against_closed_forms(self):
         theta = 0.5
-        values, _ = bs.heat_trace(theta, 2, bs.T_GRID, 100.0)
+        values, _ = bs.heat_trace(theta, 2, bs.T_GRID)
         fit = bs.fit_heat_coefficients(bs.T_GRID, values, 2)
         a1_target = math.sqrt(math.pi) / 2 * (math.cosh(theta) - 1.0)
         assert abs(fit.coeffs[1] - a1_target) / a1_target < 0.01

@@ -10,7 +10,6 @@ import runpy
 import shlex
 import struct
 import sys
-import time
 import warnings
 from pathlib import Path
 
@@ -244,9 +243,9 @@ class TestClosedFormRow:
         assert not path.exists()
 
     @pytest.mark.parametrize("argv,module,name,where", (
-        (("verify-ball", "--m", "2", "--theta", "10"), None, None,
-         "theta=10.0, m=2"),
-        (("verify-ball", "--m", "2", "--theta", "0.5", "--mu-max", "20"),
+        (("verify-ball", "--m", "2", "--theta", "11"), None, None,
+         "theta=11.0, m=2"),
+        (("verify-ball", "--m", "2", "--theta", "0.5"),
          ball_spectrum, "ROOT_RTOL", "theta=0.5, m=2")),
         ids=("level-limit", "root-solve"))
     def test_error_names_point_once(self, tmp_path, capsys, monkeypatch,
@@ -527,6 +526,19 @@ class TestVerifyCommands:
         assert code == 0
         assert "0.113105566753" in out  # closed-form a1 at 12 digits
 
+    def test_ball_fit_residual_to_three_digits(self, capsys):
+        # the rms misfit is written to the 3 significant digits it holds
+        # (m = 8, theta = 3 fails its a2 check: exit 1, report written)
+        code, out = run(capsys, "verify-ball", "--m", "2,8", "--theta",
+                        "0.5,3", "--format", "json")
+        assert code == 1
+        for row in json.loads(out):
+            values, _ = ball_spectrum.heat_trace(row["theta"], row["m"],
+                                                 ball_spectrum.T_GRID)
+            fit = ball_spectrum.fit_heat_coefficients(ball_spectrum.T_GRID,
+                                                      values, row["m"])
+            assert row["fit_residual"] == float(f"{fit.residual:.3g}")
+
     def test_ball_large_theta(self, capsys):
         # the small-ratio family has roots near 2(p+1)e^-|theta|, far below
         # p, in thousands of angular levels
@@ -569,27 +581,32 @@ class TestVerifyCommands:
         ball_spectrum.spectrum(1.3, 2, 100.0)
         assert row <= 0.35 * sum(brackets)
 
-    def test_ball_mu_max_past_the_cutoff(self, tmp_path):
-        # nothing past the solve cutoff is solved, so a larger mu_max costs
-        # nothing and changes no byte
-        reports = []
+    def test_ball_mu_max_past_the_cutoff(self, tmp_path, capsys):
+        # the solve bound comes from the t-grid alone: a --mu-max, past the
+        # solve cutoff or not, is an unrecognized argument
         for mu_max in ("100", "1000"):
             path = tmp_path / mu_max
-            start = time.perf_counter()
             assert cli.main(["verify-ball", "--m", "2", "--theta", "0.5",
-                             "--mu-max", mu_max, "--out", str(path)]) == 0
-            assert time.perf_counter() - start < 1.0
-            reports.append(path.read_bytes())
-        assert reports[0] == reports[1]
+                             "--mu-max", mu_max, "--out", str(path)]) == 2
+            assert (f"unrecognized arguments: --mu-max {mu_max}"
+                    in capsys.readouterr().err)
+            assert not path.exists()
 
-    def test_ball_insufficient_cutoff_exit_2(self, tmp_path, capsys):
+    def test_ball_insufficient_cutoff_exit_2(self, tmp_path, capsys,
+                                             monkeypatch):
+        # a truncation bound that is not a number ends the solve and fails
+        # the final check at its t
+        bound = ball_spectrum._truncation_bound
+        monkeypatch.setattr(ball_spectrum, "_truncation_bound",
+                            lambda theta, m, t, mu, n: math.nan if t == 0.3
+                            else bound(theta, m, t, mu, n))
         path = tmp_path / "report"
         code = cli.main(["verify-ball", "--m", "2", "--theta", "0.5",
-                         "--mu-max", "30", "--out", str(path)])
+                         "--out", str(path)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: truncation bound 2.714e-06 too large for trace "
-            "2.562988e+01 at t=0.02; raise mu_max (at theta=0.5, m=2)\n")
+            "error: truncation bound nan too large for trace "
+            "1.689980e+00 at t=0.3 (at theta=0.5, m=2)\n")
         assert not path.exists()
 
     def test_ball_root_solve_failed_exit_2(self, tmp_path, capsys,
@@ -615,22 +632,27 @@ class TestVerifyCommands:
         assert not path.exists()
 
     def test_ball_too_many_levels_exit_2(self, tmp_path, capsys):
+        # past |theta| ~ 10.5 at m = 2 (~10.0 at m = 12) a spectrum to the
+        # solve cutoff has more than MAX_LEVELS levels; at 12 no cutoff
+        # within that many is enough
         path = tmp_path / "report"
-        code = cli.main(["verify-ball", "--m", "2", "--theta", "10",
-                         "--out", str(path)])
-        assert code == 2
-        assert "theta=10.0, m=2" in capsys.readouterr().err
-        assert not path.exists()
+        for theta in ("11", "-11", "12"):
+            code = cli.main(["verify-ball", "--m", "2", "--theta", theta,
+                             "--out", str(path)])
+            assert code == 2
+            assert f"theta={float(theta)}, m=2" in capsys.readouterr().err
+            assert not path.exists()
 
     def test_ball_mu_max_too_many_levels_exit_2(self, tmp_path, capsys):
-        # the level limit counts to mu_max, not to the solve cutoff
+        # the level limit counts the levels below the solve cutoff, the
+        # spectrum's mu_max
         path = tmp_path / "report"
-        code = cli.main(["verify-ball", "--m", "2", "--theta", "0.5",
-                         "--mu-max", "1e6", "--out", str(path)])
+        code = cli.main(["verify-ball", "--m", "2", "--theta", "11",
+                         "--out", str(path)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: 1.32e+06 angular levels below mu_max=1000000.0, over "
-            "1000000 (at theta=0.5, m=2)\n")
+            "error: 1.67e+06 angular levels below mu_max=55.625, over "
+            "1000000 (at theta=11.0, m=2)\n")
         assert not path.exists()
 
 
@@ -784,7 +806,7 @@ class TestFlags:
     def test_verify_ball_flags(self):
         args = cli.build_parser().parse_args(["verify-ball"])
         assert set(vars(args)) - {"command", "func"} == {
-            "m", "theta", "format", "out", "mu_max"}
+            "m", "theta", "format", "out"}
 
     def test_coeffs_has_no_format(self, capsys):
         assert cli.main(["coeffs", "--format", "json"]) == 2
@@ -796,7 +818,6 @@ class TestFlags:
         ("table", "--theta", "0:{}:1"),
         ("table", "--theta", "0:1:{}"),
         ("verify-ball", "--theta", "{}"),
-        ("verify-ball", "--mu-max", "{}"),
         ("verify-cylinder", "--theta", "{}"),
         ("verify-cylinder", "--omega", "1,{}"),
         ("verify-cylinder", "--t", "{}"),
