@@ -43,10 +43,9 @@ process beside the zero table and grown with it, holds the roots at
 SEGMENTS - 1 = 14 phases spaced evenly over each bracket's range, and a
 root starts at the cubic Hermite interpolant of mu(psi) between the two
 nodes around its target.  A level p >= mu_max has one bracket, (0,
-mu_max], below its turning point (_high_hits, _high_start).  The roots
-that bounds put past mu_max are not solved.  A warm heat trace on T_GRID
-solves its roots in one pass of the continued fraction, 1.08-1.12 elements
-per kept root at m = 2 and 12 for 0.5 <= |theta| <= 3, 1.01 at 6.
+mu_max], below its turning point (_high_hits, _high_start); the roots that
+bounds put past mu_max are not solved.  A warm heat trace on T_GRID is one
+pass of the continued fraction, 1.000-1.010 elements per kept root.
 
 The heat trace sums, exactly rounded, only the terms that can reach it,
 from one spectrum solved only as far as its smallest t needs (heat_trace).
@@ -68,8 +67,9 @@ from .specialfn import jn_zeros
 # g = arctan R_p(mu) - arctan r: the phase residual in units of the root,
 # bounded by the solve's last step (_solve)
 ROOT_RTOL = 1e-13
-# a step retires no root that it moves by more than STEP_RTOL of it, nor
-# one where the step times d(dmu/dpsi)/dmu exceeds STEP_STIFFNESS (_solve)
+# a step retires no root that it moves by more than STEP_RTOL of it over
+# cos^2 2 target, nor one where the step times d(dmu/dpsi)/dmu exceeds
+# STEP_STIFFNESS (_solve)
 STEP_RTOL = 2e-5
 STEP_STIFFNESS = 1e-2
 # a spectrum with more angular levels below mu_max is refused
@@ -348,15 +348,14 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
       step that takes dmu/dpsi at (mu_1, target) in place of its last
       stage: |k5 - k4| / 6, k5 = h / psi'(mu_1, target).  Both stages sit
       on psi = target, where the field's change with mu vanishes with
-      sin 2 target, so the gap stands for the error only of a step short
-      against the field's scales.  A root retires only after a step whose
-      gap is below 1e-15 mu_1, which moved it by at most STEP_RTOL of it,
-      and whose phase span times |d(dmu/dpsi)/dmu| = |1 - psi'| / (mu
-      psi'^2) is at most STEP_STIFFNESS.  Started at the midpoint of every
-      bracket of the heat-trace spectra at theta in {+-2, +-4, 6, 9}, m in
-      {2, 12}, every root then lands within 5.8e-16 of, and within both
-      bounds of, the one the production starts give (without the last two
-      conditions, up to 5.2e-10 off and past its bound).
+      sin 2 target; the terms the gap misses come with cos 2 target.  A
+      root retires only after a step whose gap is below 1e-15 mu_1, which
+      moved it by at most STEP_RTOL / cos^2 2 target of it, and whose
+      phase span times |d(dmu/dpsi)/dmu| = |1 - psi'| / (mu psi'^2) is at
+      most STEP_STIFFNESS.  From the midpoint of every bracket of the
+      heat-trace spectra at 21 theta in [-9, 9], m in {2, 6, 12}, every
+      root then lies within 0.35 of its bound from the production one
+      (without the last two conditions, up to 5.2e-10 off, past its bound).
     - The phase error at mu over |psi'|.  The step runs on the solution of
       the ODE through the point the pass gave, which lies e / |psi'| in mu
       from the phase curve, e the pass's rounding of psi, and keeps that
@@ -371,13 +370,12 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
     At every root of m = 2..12 and ten theta in [-6, 9] a pass re-reads a
     correction below 0.79 of the bound (TestRootCheck).
 
-    From the starts of _roots, within 1.3e-5 of the root for 0.5 <= |theta|
-    <= 9, the first step retires every root of a heat trace on T_GRID: one
-    pass.  For |theta| < 0.5, 28-55 node-table starts per trace are up to
-    6.8e-5 off, and those roots take a second round."""
+    From the starts of _roots one step retires every root of a T_GRID heat
+    trace, m = 2..12, |theta| <= 9, but one at |theta| = 0.28-0.33."""
     mu = np.where((mu > lo) & (mu < hi), mu, 0.5 * (lo + hi))
     root, left = np.empty(lo.shape), np.empty(lo.shape)
     live = np.arange(lo.size)
+    blind = np.cos(2.0 * target) ** 2
     for _ in range(100):
         phase = _phase(p, mu)
         g = phase - target
@@ -395,13 +393,13 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
         left[live] = error + 2.0 ** -52 * (
             (np.abs(phase) + np.abs(target)) / np.abs(slope) + np.abs(new))
         root[live] = new
-        more = ~((error <= 1e-15 * new) & (step <= STEP_RTOL * new)
+        more = ~((error <= 1e-15 * new) & (step * blind <= STEP_RTOL * new)
                  & (step * np.abs(1.0 - slope)
                     <= STEP_STIFFNESS * new * np.abs(slope)))
         if not more.any():
             break
-        live, p, target, lo, hi, mu = (
-            a[more] for a in (live, p, target, lo, hi, new))
+        live, p, target, blind, lo, hi, mu = (
+            a[more] for a in (live, p, target, blind, lo, hi, new))
     return root, left
 
 
@@ -438,16 +436,15 @@ def _fraction(p, mu, ratio, steps: int):
     return ratio
 
 
-def _high_bounds(high: np.ndarray, mu_max: float) -> tuple:
+def _high_bounds(high: np.ndarray, mu_max: float, steps: int = 4) -> tuple:
     """Lower and upper bounds on R_p(mu_max) for the levels p >= mu_max:
-    the continued fraction's first four steps, F_p(F_{p+1}(F_{p+2}(F_{p+3}(
-    R)))), from R = 0 and from R = rho_{p+4}.  Below j_{p+4,1} > mu_max,
-    0 <= R_{p+4} <= rho_{p+4} (Pincherle), and each F_k is increasing, so
-    the two enclose R_p; they lie within rho_{p+4} prod_k rho_k^2 of each
-    other."""
+    the continued fraction's first s = steps steps, F_p(... F_{p+s-1}(R)),
+    from R = 0 and from R = rho_{p+s}.  Below j_{p+s,1} > mu_max, 0 <=
+    R_{p+s} <= rho_{p+s} (Pincherle), and each F_k is increasing, so the two
+    enclose R_p; they lie within rho_{p+s} prod_k rho_k^2 of each other."""
     mu = float(mu_max)
-    return (_fraction(high, mu, 0.0, 4),
-            _fraction(high, mu, _rho(high + 4, mu), 4))
+    return (_fraction(high, mu, 0.0, steps),
+            _fraction(high, mu, _rho(high + steps, mu), steps))
 
 
 def _high_hits(high: np.ndarray, r: np.ndarray, mu_max: float) -> np.ndarray:
@@ -455,34 +452,37 @@ def _high_hits(high: np.ndarray, r: np.ndarray, mu_max: float) -> np.ndarray:
     (columns) holds a root for each ratio r (rows): iff r > 0 and
     arctan R_p(mu_max) >= arctan r.  A positive r up to the lower bound of
     _high_bounds has a root and one past its upper bound none, each with a
-    margin of 1e-12 for rounding; only the levels where some r lies
-    between the two take a pass of the continued fraction at mu_max."""
-    lower, upper = _high_bounds(high, mu_max)
-    hit = (r > 0.0) & (r <= (1.0 - 1e-12) * lower)
-    undecided = (r > 0.0) & ~hit & (r <= (1.0 + 1e-12) * upper)
-    cols = undecided.any(axis=0)
-    if cols.any():
-        top = _phase(high[cols], np.full(np.count_nonzero(cols),
-                                          float(mu_max)))
-        hit[:, cols] = (r > 0.0) & (top >= np.arctan(r))
+    margin of 1e-12 for rounding.  The levels where some r lies between
+    four-step bounds take eight-step ones, which decide nearly all that
+    four leave open at the T_GRID cutoffs, near the turning point; only
+    the levels still open take a pass of the continued fraction there."""
+    hit = np.zeros((r.size, high.size), dtype=bool)
+    cols = np.arange(high.size)
+    for steps in (4, 8):
+        lower, upper = _high_bounds(high[cols], mu_max, steps)
+        hit[:, cols] = (r > 0.0) & (r <= (1.0 - 1e-12) * lower)
+        cols = cols[((r > 0.0) & ~hit[:, cols]
+                     & (r <= (1.0 + 1e-12) * upper)).any(axis=0)]
+        if not cols.size:
+            return hit
+    top = _phase(high[cols], np.full(cols.size, float(mu_max)))
+    hit[:, cols] = (r > 0.0) & (top >= np.arctan(r))
     return hit
 
 
 def _high_start(p: np.ndarray, r: np.ndarray, mu_max: float) -> np.ndarray:
     """The start of the root of R_p = r, 0 < r < 1, in the bracket (0,
-    mu_max] of a level p >= mu_max, below its turning point.  The root of
-    R_p = F_p(rho_{p+1}), with rho_{p+1} = mu / (2(p+2) - mu rho_{p+1}),
-    is mu = r (p + sqrt(p^2 + 4(p+1)(1+r^2))) / (1+r^2).  Two fixed-point
-    steps of mu = 2(p+1) r / (1 + r R_{p+1}(mu)), which is R_p = r, refine
-    it, with R_{p+1} from three steps of the continued fraction down from
-    rho_{p+4}.  Near the turning point they converge slowly.  The start
-    is off by at most 0.55 of the second step's move (0.3 <= |theta| <=
-    1.5, m = 2 and 12), so where that move is over STEP_RTOL of mu one
-    Newton step on R_p = r follows, with R_p from six steps down from
-    rho_{p+6} and R_p' = 1 - (2p+1) R_p / mu + R_p^2: within 2.4e-6 of the
-    root at |theta| = 0.5 against 8.5e-4 without.  These steps can
-    overshoot, so each starts from mu cut to the bracket, where rho is
-    real."""
+    mu_max] of a level p >= mu_max, below its turning point: mu = r (p +
+    sqrt(p^2 + 4(p+1)(1+r^2))) / (1+r^2), the root of R_p = F_p(rho_{p+1}),
+    then two fixed-point steps of mu = 2(p+1) r / (1 + r R_{p+1}(mu)),
+    R_{p+1} from three steps of the continued fraction down from rho_{p+4}.
+    Near the turning point they converge slowly: the start is off by at
+    most 0.55 of the second step's move (0.3 <= |theta| <= 1.5, m = 2 and
+    12), so where that is over STEP_RTOL of mu one Newton step on R_p = r
+    follows, R_p from six steps down from rho_{p+6} and R_p' = 1 - (2p+1)
+    R_p / mu + R_p^2: within 2.4e-6 of the root at |theta| = 0.5 against
+    8.5e-4 without.  The steps can overshoot, so each starts from mu cut
+    to the bracket, where rho is real."""
     mu = r * (p + np.sqrt(p * p + 4.0 * (p + 1) * (1.0 + r * r))) / (
         1.0 + r * r)
     for _ in range(2):
@@ -503,19 +503,18 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     """Level and value of each root in (0, mu_max] of J_{p+1} = r J_p, all
     levels p and ratios r (|r| >= e^-|theta|).  Brackets end at the zeros
     of J_p up to one past mu_max; a level p >= mu_max has one, (0, mu_max],
-    which holds a root iff r > 0 and arctan R_p(mu_max) >= arctan r,
-    decided by bounds on R_p(mu_max) where they can (_high_hits).
+    which holds a root iff r > 0 and arctan R_p(mu_max) >= arctan r
+    (_high_hits), started at _high_start; the others start from the node
+    table (_hermite).
 
-    A root in a bracket below mu_max starts from the node table (_hermite),
-    and one of a level p >= mu_max, below its turning point, at
-    _high_start.  Every root that lies past mu_max by either of two bounds
-    is left unsolved, each bound with a margin of 1e-12 for the nodes' own
-    solve and rounding.  mu rises with psi along a bracket, so a root lies
-    above the node at or below its phase.  And every root exceeds 2(p + 1)
-    |r| / (1 + r^2): for mu <= p + 1, 0 <= R_p(mu) <= rho_p(mu) in a first
-    bracket, so R_p = r needs rho_p(mu) >= |r|, and the bound is at most
-    p + 1.  Each element of a phase pass is computed alone (_phase), so the
-    roots left out move no root that is solved."""
+    Every root that lies past mu_max by either of two bounds is left
+    unsolved, each with a margin of 1e-12 for the nodes' own solve and
+    rounding.  mu rises with psi along a bracket, so a root lies above the
+    node at or below its phase.  And every root exceeds 2(p + 1) |r| / (1 +
+    r^2): for mu <= p + 1, 0 <= R_p(mu) <= rho_p(mu) in a first bracket, so
+    R_p = r needs rho_p(mu) >= |r|, and the bound is at most p + 1.  Each
+    element of a phase pass is computed alone (_phase), so the roots left
+    out move no root that is solved."""
     if mu_max <= 0:
         raise ValueError("mu_max must be positive")
     low, lo, hi, at = _brackets(levels[levels < mu_max], mu_max)
@@ -657,7 +656,9 @@ def _solve_cutoff(theta: float, m: int, t: float) -> float:
                 f"truncation bound {bound:.3e} at t={t} too large at every "
                 f"cutoff within {MAX_LEVELS} angular levels")
         top *= 2.0
-    return _least(lambda k: enough(tail(k / 8.0)), 0, int(8.0 * top)) / 8.0
+    # past 8, half of top was not enough
+    return _least(lambda k: enough(tail(k / 8.0)),
+                  0 if top == 8.0 else int(4.0 * top), int(8.0 * top)) / 8.0
 
 
 def heat_trace(theta: float, m: int,
