@@ -130,7 +130,9 @@ def _brackets(low: np.ndarray, cutoff: float) -> tuple:
     from floor((cutoff - p)/pi) + 3 zeros, which reach past it (j_{p,1} > p
     and zeros of J_p lie over pi apart for p >= 1; j_{0,k} > (k - 1/4) pi),
     and keeps them up to the first past it: the node table solves every
-    bracket the zero table holds."""
+    bracket the zero table holds.  Nothing here depends on theta, so the
+    spectra take their brackets through _level_brackets, which keeps
+    them."""
     holder = _zero_table()
     zeros = holder[0]
     rows = np.full((low.size, zeros.shape[1]), np.inf)
@@ -159,6 +161,36 @@ def _brackets(low: np.ndarray, cutoff: float) -> tuple:
     at = low[:, None] * rows.shape[1] + np.arange(rows.shape[1])
     return (np.broadcast_to(low[:, None], rows.shape)[inside], lo[inside],
             rows[inside], at[inside])
+
+
+@functools.cache
+def _bracket_cache() -> list:
+    """The zero table the kept brackets of _level_brackets index, and those
+    brackets by (first level, count, cutoff), oldest first, as the two
+    items of a list that _level_brackets replaces as the zero table
+    grows."""
+    return [None, {}]
+
+
+def _level_brackets(first: int, count: int, cutoff: float) -> tuple:
+    """_brackets of the count levels from first up to cutoff, read-only.
+    They do not depend on theta, so the last 32 are kept for the zero table
+    they index, and dropped when it grows: the T_GRID cutoffs of one m and
+    a short range of |theta| take a few values (5 over m = 2, |theta| in
+    [0.5, 2]), though hundreds over m = 2..12, |theta| <= 6."""
+    holder = _bracket_cache()
+    key = (first, count, cutoff)
+    if holder[0] is _zero_table()[0] and key in holder[1]:
+        return holder[1][key]
+    brackets = _brackets(np.arange(first, first + count), cutoff)
+    for a in brackets:
+        a.flags.writeable = False
+    if holder[0] is not _zero_table()[0]:
+        holder[:] = [_zero_table()[0], {}]
+    elif len(holder[1]) == 32:
+        del holder[1][next(iter(holder[1]))]
+    holder[1][key] = brackets
+    return brackets
 
 
 # the node table cuts the phase range of every bracket into SEGMENTS equal
@@ -322,8 +354,10 @@ def _rk4(p: np.ndarray, mu: np.ndarray, psi: np.ndarray, span: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(steps):
             k1 = h / _slope(p, mu, psi)
-            k2 = h / _slope(p, mu + 0.5 * k1, psi + 0.5 * h)
-            k3 = h / _slope(p, mu + 0.5 * k2, psi + 0.5 * h)
+            # _slope's (p + 1/2) sin 2psi at the midpoint, for both stages
+            mid = (p + 0.5) * np.sin(2.0 * (psi + 0.5 * h))
+            k2 = h / (1.0 - mid / (mu + 0.5 * k1))
+            k3 = h / (1.0 - mid / (mu + 0.5 * k2))
             k4 = h / _slope(p, mu + k3, psi + h)
             mu, psi = mu + (k1 + 2.0 * (k2 + k3) + k4) / 6.0, psi + h
     return mu, k4
@@ -430,9 +464,13 @@ def _rho(k, mu):
 
 def _fraction(p, mu, ratio, steps: int):
     """R_p from steps of the continued fraction, F_p(F_{p+1}(... F_{p+steps-1}(
-    ratio))), ratio standing for R_{p+steps}."""
-    for k in range(steps - 1, -1, -1):
-        ratio = mu / (2.0 * (p + k + 1) - mu * ratio)
+    ratio))), ratio standing for R_{p+steps}.  2(k+1) runs down from 2(p +
+    steps) by 2 a step: an integer, exact in float64, so each step rounds as
+    the plain one."""
+    twice = 2.0 * (p + steps)
+    for _ in range(steps):
+        ratio = mu / (twice - mu * ratio)
+        twice = twice - 2.0
     return ratio
 
 
@@ -501,11 +539,12 @@ def _high_start(p: np.ndarray, r: np.ndarray, mu_max: float) -> np.ndarray:
 def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
            mu_max: float) -> tuple:
     """Level and value of each root in (0, mu_max] of J_{p+1} = r J_p, all
-    levels p and ratios r (|r| >= e^-|theta|).  Brackets end at the zeros
-    of J_p up to one past mu_max; a level p >= mu_max has one, (0, mu_max],
-    which holds a root iff r > 0 and arctan R_p(mu_max) >= arctan r
-    (_high_hits), started at _high_start; the others start from the node
-    table (_hermite).
+    levels p, consecutive and ascending, and ratios r (|r| >= e^-|theta|).
+    Brackets end at the zeros of J_p up to one past mu_max
+    (_level_brackets); a level p >= mu_max has one, (0, mu_max], which
+    holds a root iff r > 0 and arctan R_p(mu_max) >= arctan r (_high_hits),
+    started at _high_start; the others start from the node table
+    (_hermite).
 
     Every root that lies past mu_max by either of two bounds is left
     unsolved, each with a margin of 1e-12 for the nodes' own solve and
@@ -517,16 +556,19 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     out move no root that is solved."""
     if mu_max <= 0:
         raise ValueError("mu_max must be positive")
-    low, lo, hi, at = _brackets(levels[levels < mu_max], mu_max)
-    high = levels[levels >= mu_max]
+    count = int(np.searchsorted(levels, mu_max))  # the levels below mu_max
+    low, lo, hi, at = _level_brackets(int(levels[0]) if count else 0, count,
+                                      mu_max)
+    high = levels[count:]
     r = np.array(ratios, dtype=float)[:, None]
     target = np.arctan(r)
 
     def rows(below, above):
         """A row per ratio: the brackets below mu_max, then those above."""
-        return np.concatenate((np.broadcast_to(below, (r.size, low.size)),
-                               np.broadcast_to(above, (r.size, high.size))),
-                              axis=1)
+        out = np.empty((r.size, low.size + high.size),
+                       np.result_type(below, above))
+        out[:, :low.size], out[:, low.size:] = below, above
+        return out
     start, node = _hermite(target, lo == 0.0, at, _nodes(_zero_table()[0]))
     hit = rows((lo > 0.0) | (target > 0.0), _high_hits(high, r, mu_max))
     start = rows(start, np.nan)
@@ -535,9 +577,8 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     hit &= ~((rows(node, 0.0) > margin)
              | (2.0 * (p + 1) * np.abs(r) / (1.0 + r * r) > margin))
     above = hit & (p >= mu_max)
-    start[above] = _high_start(p[above], np.broadcast_to(r, p.shape)[above],
-                               mu_max)
-    p, target = p[hit], np.broadcast_to(target, p.shape)[hit]
+    start[above] = _high_start(p[above], rows(r, r)[above], mu_max)
+    p, target = p[hit], rows(target, target)[hit]
     roots, left = _solve(p, target,
                          np.maximum(lo[hit], _level_floor(p, theta)),
                          hi[hit], start[hit])
@@ -590,75 +631,156 @@ def spectrum(theta: float, m: int, mu_max: float) -> tuple:
     return mu[order], deg[p - p0][order], n_levels  # n = first excluded level
 
 
-def _least(holds, below: int, above: int) -> int:
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp at each element of the float array x.  Bounds take it, not
+    np.exp, which is an ulp off it at ~5% of arguments: where consecutive
+    level terms of _truncation_bound nearly tie, its factor 1 / (1 - q), q
+    their ratio, turns an ulp of q into 2.5e-7 of the bound (m = 4, theta
+    = 9, cutoff 8, t = 0.005)."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
+def _least(holds, below, above):
     """Bisection: the least n in (below, above] with holds(n), for holds
-    false at below, true at above and monotone between."""
-    while above - below > 1:
+    false at below, true at above and monotone between; elementwise for
+    arrays below and above that hold one width."""
+    while np.any(above - below > 1):
         mid = (below + above) // 2
-        below, above = (below, mid) if holds(mid) else (mid, above)
+        hold = holds(mid)
+        below, above = np.where(hold, below, mid), np.where(hold, mid, above)
     return above
 
 
-def _truncation_bound(theta: float, m: int, t: float, mu_max: float,
-                      n_excluded: int) -> float:
-    """Gaussian tail bound for the roots above mu_max of the levels
-    n < n_excluded and all roots of the later levels: roots of one family
-    are at least 2 apart (zeros of J_p are at least pi apart for the
-    relevant p), every root exceeds _level_floor at any theta, and the
-    level terms are log-concave in n, so they rise to a peak, each below
-    it, and fall from there at least geometrically.  The peak is found by
-    bisection; past MAX_LEVELS more levels there is no bound (inf)."""
-    spacing = max(1.0 - math.exp(-4.0 * t * mu_max), 1e-300)
+def _truncation_bound(theta: float, m: int, t, mu_max,
+                      n_excluded) -> np.ndarray:
+    """Gaussian tail bound, elementwise over t and over mu_max and
+    n_excluded, which are alike in shape (numbers or arrays that broadcast
+    with t), for the roots above mu_max of the levels n < n_excluded and
+    all roots of the later levels: roots of one family are at least 2 apart
+    (zeros of J_p are at least pi apart for the relevant p), every root
+    exceeds _level_floor at any theta, and the level terms are log-concave
+    in n, so they rise to a peak, each below it, and fall from there at
+    least geometrically.  The peak is n_excluded where the terms fall from
+    there, as on T_GRID; where they rise it is found by one bisection over
+    those elements, and where they still rise MAX_LEVELS levels on there is
+    no bound (inf)."""
+    shape = np.broadcast(t, mu_max).shape
+    t, mu_max = (np.asarray(a, dtype=float).ravel() for a in (t, mu_max))
+    n_excluded = np.ravel(n_excluded)
+    p0 = m // 2 - 1
 
-    def level(n: int) -> float:  # four families, roots above mu_max
-        low = max(mu_max, _level_floor(n + m // 2 - 1, theta))
-        return 4.0 * degeneracy(n, m) * math.exp(-t * low * low) / spacing
+    def terms(n, mu, t, spacing):
+        """The level terms at n and n + 1, for the elements of n and mu, which
+        are alike in shape: four families, roots above mu."""
+        low, scale = np.array([
+            (max(x, _level_floor(k + j + p0, theta)),
+             4.0 * degeneracy(k + j, m))
+            for j in (0, 1) for k, x in zip(n.tolist(), mu.tolist())
+        ]).T.reshape(2, 2, -1)
+        return scale * _exp(-t * low * low) / spacing
 
-    def falls(n: int) -> bool:  # at or past the peak
-        term = level(n)
-        return term == 0.0 or level(n + 1) < term
-    # sum_{n < N} binom(n + m - 2, n) = binom(N + m - 2, m - 1)
-    bound = 4.0 * (spinor_dimension(m) // 2) * math.comb(
-        n_excluded + m - 2, m - 1) * math.exp(-t * mu_max * mu_max) / spacing
-    n = n_excluded
-    if not falls(n):
-        if not falls(n + MAX_LEVELS):
-            return math.inf
-        n = _least(falls, n, n + MAX_LEVELS)
-        bound += (n - n_excluded) * level(n)
-    term = level(n)
-    if term == 0.0:
-        return bound
-    return bound + term / (1.0 - level(n + 1) / term)
+    def falls(pair):  # at or past the peak
+        return (pair[0] == 0.0) | (pair[1] < pair[0])
+    # a term past the float range is inf, and a term 0 makes the ratio of
+    # the next to it not a number: np.where keeps neither
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        spacing = np.maximum(1.0 - _exp(-4.0 * t * mu_max), 1e-300)
+        # sum_{n < N} binom(n + m - 2, n) = binom(N + m - 2, m - 1)
+        bound = 4.0 * (spinor_dimension(m) // 2) * np.array(
+            [math.comb(n + m - 2, m - 1) for n in n_excluded.tolist()],
+            dtype=float) * _exp(-t * mu_max * mu_max) / spacing
+        pair = terms(n_excluded, mu_max, t, spacing)
+        # where the terms still rise at n_excluded, on to the peak
+        rise = np.flatnonzero(~falls(pair))
+        if rise.size:
+            first, top, at, gap = (np.broadcast_to(a, bound.shape)[rise] for a
+                                   in (n_excluded, mu_max, t, spacing))
+            unbounded = rise[~falls(terms(first + MAX_LEVELS, top, at, gap))]
+            peak = _least(lambda n: falls(terms(n, top, at, gap)), first,
+                          first + MAX_LEVELS)
+            pair[:, rise] = terms(peak, top, at, gap)
+            bound[rise] += (peak - first) * pair[0, rise]
+        term, after = pair
+        bound = np.where(term == 0.0, bound,
+                         bound + term / (1.0 - after / term))
+    if rise.size:
+        bound[unbounded] = math.inf
+    return bound.reshape(shape)
+
+
+def _cutoff_estimate(theta: float, m: int, t: float,
+                     log_target: float) -> float:
+    """Three fixed-point steps of mu = sqrt((ln L - ln target) / t) on the
+    leading term L e^(-t mu^2) of _truncation_bound, L = 4 (d_s/2) binom(n
+    + m - 2, m - 1) / (1 - e^(-4 t mu)) at the level count n of mu, from
+    sqrt(-ln target / t): within 0.18 below the cutoff of _solve_cutoff at
+    m = 2..12, 25 theta in [-6, 6] and t = 0.005, 0.02 and 0.3.  Each step
+    starts no further than the floor of level MAX_LEVELS."""
+    top = _level_floor(MAX_LEVELS + m // 2 - 2, theta)
+    mu = math.sqrt(max(-log_target, 1.0) / t)
+    for _ in range(3):
+        mu = min(mu, top)
+        lead = math.log(4 * (spinor_dimension(m) // 2) * max(math.comb(
+            _level_count(theta, m, mu) + m - 2, m - 1), 1)) - math.log(
+                max(1.0 - math.exp(-4.0 * t * mu), 1e-300))
+        mu = math.sqrt(max(lead - log_target, 0.0) / t)
+    return min(mu, top)
 
 
 def _solve_cutoff(theta: float, m: int, t: float) -> float:
     """The least multiple of 1/8 past which the roots' _truncation_bound at
     t lies below 2^-70 of an estimate of the trace, half its interior term
-    a_0 t^(-m/2): found by bisection below the first of 8, 16, 32, ...
-    that is enough.  A cutoff on the way with no bound (inf: the tail's
-    level terms still rise MAX_LEVELS levels on) or past MAX_LEVELS levels
-    ends the search: no spectrum within the level limit gives the trace
-    (InsufficientCutoffError)."""
+    a_0 t^(-m/2).
+
+    The multiple k/8 at or above _cutoff_estimate and its two neighbours,
+    in one bound, hold the least cutoff that is enough next to one that is
+    not at m = 2..12, 25 theta in [-6, 6] and t = 0.005, 0.02, 0.3, 0.5, 1
+    and 2.  Where they do not (at t = 1e-4 they mostly do not), the search
+    steps on from them by 1/8, 2/8, 4/8, ... to a cutoff on the other
+    side, and bisects between the two.  Below the floor of the first level
+    no level is counted, the bound has no leading term and falls with mu;
+    where its first level term alone could be small enough (at large t),
+    that range is searched first, so the least cutoff there is not passed
+    over.  A cutoff tried that has no bound (inf: the tail's level terms
+    still rise MAX_LEVELS levels on, or not a number) ends the search
+    (InsufficientCutoffError); one past the level limit is spectrum's to
+    refuse."""
     # in logs: t^(-m/2) overflows at t = 1e-300
     log_target = (math.log(2.0 ** -71 * pinned_a0(m))
                   - 0.5 * m * math.log(t))
 
-    def tail(mu: float) -> float:
-        return _truncation_bound(theta, m, t, mu, _level_count(theta, m, mu))
+    def enough(ks) -> list:  # at the cutoffs k/8 of the ints ks
+        mu = [int(k) / 8.0 for k in ks]
+        bounds = _truncation_bound(theta, m, t, mu, [
+            _level_count(theta, m, x) for x in mu]).tolist()
+        for bound in bounds:
+            if not bound < math.inf:
+                raise InsufficientCutoffError(
+                    f"truncation bound {bound:.3e} at t={t}: no cutoff "
+                    f"within {MAX_LEVELS} angular levels bounds the tail")
+        return [bound == 0.0 or math.log(bound) <= log_target
+                for bound in bounds]
 
-    def enough(bound: float) -> bool:
-        return bound == 0.0 or math.log(bound) <= log_target
-    top = 8.0
-    while not enough(bound := tail(top)):
-        if bound == math.inf or _level_count(theta, m, top) > MAX_LEVELS:
-            raise InsufficientCutoffError(
-                f"truncation bound {bound:.3e} at t={t} too large at every "
-                f"cutoff within {MAX_LEVELS} angular levels")
-        top *= 2.0
-    # past 8, half of top was not enough
-    return _least(lambda k: enough(tail(k / 8.0)),
-                  0 if top == 8.0 else int(4.0 * top), int(8.0 * top)) / 8.0
+    def holds(k) -> bool:
+        return enough((k,))[0]
+    p0 = m // 2 - 1
+    floor = _level_floor(p0, theta)
+    k = math.ceil(8.0 * _level_floor(p0 - 1, theta)) - 1  # levels from p0
+    if (k > 0 and _level_count(theta, m, k / 8.0) == 0
+            and math.log(4.0 * degeneracy(0, m)) - t * floor * floor
+            <= log_target and holds(k)):
+        return float(_least(holds, 0, k)) / 8.0
+    k = max(math.ceil(8.0 * _cutoff_estimate(theta, m, t, log_target)), 2)
+    window = enough(range(k - 1, k + 2))
+    if not window[0] and any(window):
+        return (k - 1 + window.index(True)) / 8.0
+    # on from the window's edge, down if it is all enough and up if none
+    # is, to a cutoff on the other side (or to 0, never enough)
+    edge, step = (k - 1, -1) if window[0] else (k + 1, 1)
+    while (far := max(edge + step, 0)) and holds(far) == window[0]:
+        edge, step = far, 2 * step
+    return float(_least(holds, *sorted((edge, far)))) / 8.0
 
 
 def heat_trace(theta: float, m: int,
@@ -668,27 +790,28 @@ def heat_trace(theta: float, m: int,
     families and all angular levels of one spectrum.
 
     The spectrum is solved to the cutoff mu_c of the smallest t
-    (_solve_cutoff).  After the solve the tail bound past mu_c must lie
-    below 2^-70 of the value at every t; while it does not, the spectrum is
-    solved again to twice the cutoff, until the level limit refuses it.
+    (_solve_cutoff).  After the solve the tail bound past mu_c, one
+    _truncation_bound over every t, must lie below 2^-70 of the value at
+    every t; while it does not, the spectrum is solved again to twice the
+    cutoff, until the level limit refuses it.
 
     The first term w_0 exp(-t mu_0^2) is a lower bound on the trace, so the
     solved terms at mu >= cut, t cut^2 = ln(sum w / w_0) + 70 ln 2 + t
-    mu_0^2, add up to less than 2^-70 of it.  Only the terms below cut are
-    summed, exactly rounded (math.fsum), and the bound of the rest, sum w
-    exp(-t cut^2), joins the tail bound in the truncation bound, which is
-    then below 2^-69 of the value; one not below 1e-10 of it (one that is
-    not a number) is refused (InsufficientCutoffError).  So the value is
-    the exactly rounded sum of every term unless that sum lies within
-    2^-69 of a rounding boundary, and one ulp from it even then.  A t at
-    which every term and the bound underflow to 0 is out of range
+    mu_0^2, add up to less than 2^-70 of it.  The cuts of every t and their
+    places in the spectrum are found at once; only the terms below each cut
+    are summed, exactly rounded (one math.fsum per t), and the bound of the
+    rest, sum w exp(-t cut^2), joins the tail bound in the truncation bound,
+    which is then below 2^-69 of the value; one not below 1e-10 of it (one
+    that is not a number) is refused (InsufficientCutoffError).  So the
+    value is the exactly rounded sum of every term unless that sum lies
+    within 2^-69 of a rounding boundary, and one ulp from it even then.  A
+    t at which every term and the bound underflow to 0 is out of range
     (ValueError)."""
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts) & (ts > 0)):
         raise ValueError("t must be positive and finite")
-    values, tails, bounds = (np.empty(ts.shape) for _ in range(3))
     if not ts.size:
-        return values, bounds
+        return np.empty(ts.shape), np.empty(ts.shape)
     cutoff = _solve_cutoff(theta, m, float(ts.min()))
     while True:
         mu, w, n_excl = spectrum(theta, m, cutoff)
@@ -697,18 +820,17 @@ def heat_trace(theta: float, m: int,
         # ln(sum w / w_0) + 70 ln 2 and mu_0; an empty spectrum sums nothing
         spread, mu0 = ((math.log(weight / w[0]) + 70.0 * math.log(2.0),
                         float(mu[0])) if mu.size else (0.0, 0.0))
-        for i, t in enumerate(ts.tolist()):
-            cut = math.sqrt(spread / t + mu0 * mu0)
-            k = int(np.searchsorted(mu, cut))
-            values[i] = math.fsum(
-                memoryview(w[:k] * np.exp(-t * mu[:k] * mu[:k])))
-            tails[i] = _truncation_bound(theta, m, t, cutoff, n_excl)
-            bounds[i] = tails[i] + weight * math.exp(-t * cut * cut)
+        cuts = np.sqrt(spread / ts + mu0 * mu0)
+        values = np.array([
+            math.fsum(memoryview(w[:k] * np.exp(-t * mu[:k] * mu[:k])))
+            for t, k in zip(ts.tolist(), np.searchsorted(mu, cuts).tolist())])
+        tails = _truncation_bound(theta, m, ts, cutoff, n_excl)
         # the roots past the cutoff cannot move a value; a tail bound that
         # is not a number ends the loop too, and is refused below
         if not np.any(tails > 2.0 ** -70 * values):
             break
         cutoff *= 2.0
+    bounds = tails + weight * _exp(-ts * cuts * cuts)
     for t, value, bound in zip(ts.tolist(), values, bounds):
         if value == bound == 0.0:
             raise ValueError(f"every term of the trace underflows at t={t}: "

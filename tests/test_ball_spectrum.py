@@ -1,5 +1,12 @@
+import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -643,6 +650,60 @@ class TestPhase:
         assert sum(total for _, total in depths) <= 272_845
 
 
+def plain_fraction(p, mu, ratio, steps):
+    """_fraction as the plain loop: R = mu / (2(p + k + 1) - mu R) for k =
+    steps - 1 down to 0."""
+    for k in range(steps - 1, -1, -1):
+        ratio = mu / (2.0 * (p + k + 1) - mu * ratio)
+    return ratio
+
+
+def plain_rk4(p, mu, psi, span, steps):
+    """_rk4 with every stage's slope from _slope, and its last k4."""
+    h = span / steps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(steps):
+            k1 = h / bs._slope(p, mu, psi)
+            k2 = h / bs._slope(p, mu + 0.5 * k1, psi + 0.5 * h)
+            k3 = h / bs._slope(p, mu + 0.5 * k2, psi + 0.5 * h)
+            k4 = h / bs._slope(p, mu + k3, psi + h)
+            mu, psi = mu + (k1 + 2.0 * (k2 + k3) + k4) / 6.0, psi + h
+    return mu, k4
+
+
+class TestInnerSteps:
+    @pytest.mark.parametrize("steps", (1, 3, 4, 6, 8))
+    def test_fraction_bit_identical_to_plain_loop(self, steps):
+        # 2(p + k + 1) carried down by 2 a step rounds as the plain form,
+        # from R = 0 and from rho, at one mu (_high_bounds) or one per level
+        # (_high_start)
+        rng = np.random.default_rng(steps)
+        p = rng.integers(0, 20000, 500)
+        mu = rng.uniform(1e-3, 1.0, 500) * p + 1e-3
+        for x in (mu, float(mu[0])):
+            for start in (0.0, bs._rho(p + steps, np.minimum(x, p))):
+                assert np.array_equal(bs._fraction(p, x, start, steps),
+                                      plain_fraction(p, x, start, steps))
+
+    @pytest.mark.parametrize("steps", (1, 4))
+    def test_rk4_bit_identical_to_plain_stages(self, steps):
+        # one (p + 1/2) sin 2psi at the midpoint for stages 2 and 3 rounds
+        # as a _slope each; near the field's poles both give the same inf
+        # and NaN
+        rng = np.random.default_rng(10 + steps)
+        # and three starts on a pole, psi' = 0 at mu = (p + 1/2) sin 2psi
+        p = np.append(rng.integers(0, 200, 2000), (3, 40, 0))
+        mu = np.append(rng.uniform(1e-2, 250.0, 2000), (3.5, 40.5, 0.5))
+        psi = np.append(rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 2000),
+                        np.full(3, 0.25 * np.pi))
+        span = np.append(rng.uniform(-1.0, 1.0, 2000), (0.1, -0.2, 0.3))
+        got, want = (f(p, mu, psi, span, steps)
+                     for f in (bs._rk4, plain_rk4))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert not np.all(np.isfinite(got[0]))
+
+
 @pytest.fixture
 def depths(monkeypatch):
     """The steps of each _phase pass, the most any of its elements takes,
@@ -694,7 +755,226 @@ def solves(monkeypatch):
     return calls
 
 
+def scalar_least(holds, below, above):
+    """The scalar bisection of the reference bound and cutoff."""
+    while above - below > 1:
+        mid = (below + above) // 2
+        below, above = (below, mid) if holds(mid) else (mid, above)
+    return above
+
+
+def scalar_truncation_bound(theta, m, t, mu_max, n_excluded, path=None):
+    """_truncation_bound at one t as a scalar formula with math.exp, level
+    by level; the cases it takes go into the set path: the level terms
+    "fall" at n_excluded or "rise" to a peak, the peak term is "zero" or
+    "nonzero", or there is no bound ("inf")."""
+    path = set() if path is None else path
+    spacing = max(1.0 - math.exp(-4.0 * t * mu_max), 1e-300)
+
+    def level(n):  # four families, roots above mu_max
+        low = max(mu_max, bs._level_floor(n + m // 2 - 1, theta))
+        return 4.0 * bs.degeneracy(n, m) * math.exp(-t * low * low) / spacing
+
+    def falls(n):  # at or past the peak
+        term = level(n)
+        return term == 0.0 or level(n + 1) < term
+    bound = 4.0 * (bs.spinor_dimension(m) // 2) * math.comb(
+        n_excluded + m - 2, m - 1) * math.exp(-t * mu_max * mu_max) / spacing
+    n = n_excluded
+    if falls(n):
+        path.add("fall")
+    else:
+        if not falls(n + bs.MAX_LEVELS):
+            path.add("inf")
+            return math.inf
+        path.add("rise")
+        n = scalar_least(falls, n, n + bs.MAX_LEVELS)
+        bound += (n - n_excluded) * level(n)
+    term = level(n)
+    if term == 0.0:
+        path.add("zero")
+        return bound
+    path.add("nonzero")
+    return bound + term / (1.0 - level(n + 1) / term)
+
+
+def doubling_cutoff(theta, m, t):
+    """_solve_cutoff as a bisection below the first of 8, 16, 32, ... that
+    is enough, and the number of tail bounds it takes."""
+    log_target = (math.log(2.0 ** -71 * bs.pinned_a0(m))
+                  - 0.5 * m * math.log(t))
+    tails = []
+
+    def enough(mu):
+        tails.append(mu)
+        bound = float(bs._truncation_bound(theta, m, t, mu,
+                                           bs._level_count(theta, m, mu)))
+        return bound == 0.0 or math.log(bound) <= log_target
+    top = 8.0
+    while not enough(top):
+        top *= 2.0
+    cutoff = scalar_least(lambda k: enough(k / 8.0),
+                          0 if top == 8.0 else int(4.0 * top),
+                          int(8.0 * top)) / 8.0
+    return cutoff, len(tails)
+
+
 class TestHeatTrace:
+    def test_truncation_bound_equals_scalar_formula(self):
+        # one call over every t is the scalar formula at each, bit for bit:
+        # both take math.exp, and the same operations in the same order.
+        # The grid reaches level terms that fall at n_excluded, terms that
+        # rise to a peak (the bisection, m >= 4), a peak term that
+        # underflows at some t and not at others, and no bound (inf, at
+        # t = 1e-12)
+        ts = np.concatenate((bs.T_GRID, [0.005, 0.3, 2.0, 5.0, 1e-12]))
+        cases, mixed = set(), False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, theta in itertools.product(
+                    (2, 4, 6, 8, 10, 12),
+                    (0.0, 0.5, -0.5, 2.0, -3.0, 6.0, 9.0)):
+                for cutoff in (8.0, 30.0, 100.0,
+                               bs._solve_cutoff(theta, m, bs.T_GRID[0])):
+                    n = bs._level_count(theta, m, cutoff)
+                    paths = [set() for _ in ts]
+                    want = [scalar_truncation_bound(theta, m, t, cutoff, n,
+                                                    path)
+                            for t, path in zip(ts.tolist(), paths)]
+                    got = bs._truncation_bound(theta, m, ts, cutoff, n)
+                    assert got.tolist() == want, (theta, cutoff)
+                    assert all(float(bs._truncation_bound(
+                        theta, m, t, cutoff, n)) == bound
+                        for t, bound in zip(ts.tolist(), want))
+                    cases.update(*paths)
+                    zero = ["zero" in path for path in paths]
+                    mixed |= any(zero) and not all(zero)
+        assert cases == {"fall", "rise", "zero", "nonzero", "inf"}
+        assert mixed
+
+    @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
+    def test_seeded_cutoff_equals_doubling_bisection(self, m, monkeypatch):
+        # the search from the estimate finds the cutoff of the bisection
+        # below 8, 16, 32, ..., which took 7 to 16 bounds (more at 1e-4):
+        # in one bound of three cutoffs at t in [0.005, 2], but below the
+        # first level's floor at t = 2 (six bounds); at t = 1e-4 the
+        # estimate falls short of the three, and the search steps up (at
+        # most six bounds)
+        bound, calls = bs._truncation_bound, []
+
+        def spy(theta, m, t, mu, n):
+            calls.append(np.size(mu))
+            return bound(theta, m, t, mu, n)
+        for theta in np.linspace(-6.0, 6.0, 25).tolist():
+            for t in (0.005, 0.02, 0.3, 2.0, 1e-4):
+                want, tails = doubling_cutoff(theta, m, t)
+                assert 7 <= tails <= 16 or t == 1e-4
+                calls.clear()
+                monkeypatch.setattr(bs, "_truncation_bound", spy)
+                assert bs._solve_cutoff(theta, m, t) == want, (theta, t)
+                monkeypatch.undo()
+                assert len(calls) <= 6
+                assert calls == [3] or t in (2.0, 1e-4), (theta, t, calls)
+                assert calls[0] == 3 or (t == 2.0 and m >= 4 and theta == 0)
+
+    @pytest.mark.parametrize("m", (2, 6, 12))
+    def test_cutoff_estimate_just_below(self, m):
+        # the estimate lies within 0.18 below the cutoff, so the multiple of
+        # 1/8 at or above it is the cutoff or one below
+        for theta in np.linspace(-6.0, 6.0, 25).tolist():
+            for t in (0.005, 0.02, 0.3):
+                cutoff = bs._solve_cutoff(theta, m, t)
+                log_target = (math.log(2.0 ** -71 * bs.pinned_a0(m))
+                              - 0.5 * m * math.log(t))
+                estimate = bs._cutoff_estimate(theta, m, t, log_target)
+                assert 0.0 < cutoff - estimate <= 0.18, (theta, t)
+
+    @pytest.mark.parametrize("shift", (-40.0, -3.0, -0.25, 0.25, 3.0, 40.0))
+    def test_cutoff_from_any_estimate(self, shift, monkeypatch):
+        # an estimate off by shift, below or above the cutoff, steps down or
+        # up to the same cutoff
+        estimate = bs._cutoff_estimate
+        monkeypatch.setattr(bs, "_cutoff_estimate",
+                            lambda *args: max(estimate(*args) + shift, 0.0))
+        for m in (2, 8, 12):
+            for theta in (-6.0, -1.3, 0.0, 0.5, 2.0, 6.0):
+                for t in (0.005, 0.02, 0.3):
+                    assert (bs._solve_cutoff(theta, m, t)
+                            == doubling_cutoff(theta, m, t)[0])
+
+    def test_results_do_not_depend_on_earlier_requests(self, tmp_path):
+        # verify-ball rows and T_GRID traces, in a fresh interpreter, then
+        # again after spectra that grow the zero table in rows and columns
+        # (and so the node table and the bracket cache go stale), and here,
+        # after every test before this one: the same bits
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from chiralbag import ball_spectrum as bs, cli\n"
+            "def run():\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        cli.main(['verify-ball', '--m', '2,8,12', '--theta',\n"
+            "                  '0.5,-1.3,2,6', '--format', 'json'])\n"
+            "    traces = [[x.hex() for a in bs.heat_trace(th, m, bs.T_GRID)\n"
+            "               for x in a.tolist()]\n"
+            "              for m in (2, 8, 12) for th in (0.5, -1.3, 2.0, 6.0)]\n"
+            "    return [out.getvalue(), traces]\n"
+            "fresh = run()\n"
+            "bs.spectrum(6.0, 12, 200.0)\n"
+            "bs.spectrum(0.5, 4, 150.0)\n"
+            "print(json.dumps([fresh, run()]))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(bs.__file__).parents[1])}
+        fresh, grown = json.loads(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True).stdout)
+        assert fresh == grown
+        traces = [[x.hex() for a in bs.heat_trace(theta, m, bs.T_GRID)
+                   for x in a.tolist()]
+                  for m in (2, 8, 12) for theta in (0.5, -1.3, 2.0, 6.0)]
+        assert traces == fresh[1]
+
+    def test_bracket_cache_bounded_and_reused(self, monkeypatch):
+        # the T_GRID cutoffs of m = 2, |theta| in [0.5, 2] take 5 values, so
+        # a second pass over them cuts no bracket table; over every m and
+        # |theta| <= 6 they take hundreds, and the cache keeps 32.  A zero
+        # table that grows empties it
+        thetas = np.linspace(0.5, 2.0, 13).tolist()
+        assert {bs._solve_cutoff(sign * theta, 2, bs.T_GRID[0])
+                for theta in thetas for sign in (1, -1)} == {
+            50.875, 51.0, 51.125, 51.25, 51.375}
+        brackets, cut = bs._brackets, []
+
+        def spy(low, cutoff):
+            cut.append(cutoff)
+            return brackets(low, cutoff)
+        for theta in thetas + thetas:  # the zero table grows in the first
+            bs.heat_trace(theta, 2, bs.T_GRID)
+        monkeypatch.setattr(bs, "_brackets", spy)
+        for theta in thetas:
+            bs.heat_trace(-theta, 2, bs.T_GRID)
+        assert cut == []
+        monkeypatch.undo()
+        grid = list(itertools.product((2, 4, 6, 8, 10, 12),
+                                      np.linspace(0.0, 6.0, 9).tolist()))
+        for m, theta in grid + grid:  # the zero table grows in the first
+            bs.heat_trace(theta, m, bs.T_GRID)
+            zeros, kept = bs._bracket_cache()
+            assert zeros is bs._zero_table()[0] and len(kept) <= 32
+        assert len(kept) == 32
+        bs.spectrum(0.5, 2, 1.5 * bs._zero_table()[0].shape[0])
+        zeros, kept = bs._bracket_cache()
+        assert zeros is bs._zero_table()[0] and len(kept) == 1
+        # a table grown in columns by _brackets alone leaves no entry that
+        # indexes the old one
+        before = bs.heat_trace(0.5, 2, bs.T_GRID)
+        bs._brackets(np.array([0]), 4.0 * np.pi * zeros.shape[1])
+        assert bs._zero_table()[0].shape[1] > zeros.shape[1]
+        cut.clear()
+        monkeypatch.setattr(bs, "_brackets", spy)
+        after = bs.heat_trace(0.5, 2, bs.T_GRID)
+        assert cut == [bs._solve_cutoff(0.5, 2, bs.T_GRID[0])]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
     def test_large_t_dominated_by_lowest_modes(self):
         t = 5.0
         value = bs.heat_trace(0.0, 2, [t])[0][0]
@@ -861,11 +1141,13 @@ class TestHeatTrace:
     def test_insufficient_cutoff(self, monkeypatch):
         # a truncation bound not below 1e-10 of the trace is refused.  Only
         # one that is not a number gets there: the solve doubles its
-        # cutoff while a tail bound lies above 2^-70 of the trace
+        # cutoff while a tail bound lies above 2^-70 of the trace.  The
+        # bound is one call over every t, NaN at t = 0.3 alone
         bound = bs._truncation_bound
         monkeypatch.setattr(bs, "_truncation_bound",
-                            lambda theta, m, t, mu, n: math.nan if t == 0.3
-                            else bound(theta, m, t, mu, n))
+                            lambda theta, m, t, mu, n: np.where(
+                                np.asarray(t) == 0.3, math.nan,
+                                bound(theta, m, t, mu, n)))
         with pytest.raises(bs.InsufficientCutoffError,
                            match=r"bound nan too large for trace .* t=0\.3$"):
             bs.heat_trace(0.0, 2, [0.01, 0.3])

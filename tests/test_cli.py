@@ -595,11 +595,12 @@ class TestVerifyCommands:
     def test_ball_insufficient_cutoff_exit_2(self, tmp_path, capsys,
                                              monkeypatch):
         # a truncation bound that is not a number ends the solve and fails
-        # the final check at its t
+        # the final check at its t, in one bound over every t
         bound = ball_spectrum._truncation_bound
         monkeypatch.setattr(ball_spectrum, "_truncation_bound",
-                            lambda theta, m, t, mu, n: math.nan if t == 0.3
-                            else bound(theta, m, t, mu, n))
+                            lambda theta, m, t, mu, n: np.where(
+                                np.asarray(t) == 0.3, math.nan,
+                                bound(theta, m, t, mu, n)))
         path = tmp_path / "report"
         code = cli.main(["verify-ball", "--m", "2", "--theta", "0.5",
                          "--out", str(path)])
