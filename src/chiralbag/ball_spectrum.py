@@ -38,14 +38,15 @@ them.
 
 Each spectrum has one bound mu_max.  psi of a bracket below it runs from 0
 (at mu = 0) or -pi/2 (at a zero of J_p) to pi/2 at its upper zero whatever
-theta is; only the target arctan r moves.  So a node table, built once per
-process beside the zero table and grown with it, holds the roots at
-SEGMENTS - 1 = 14 phases spaced evenly over each bracket's range, and a
-root starts at the cubic Hermite interpolant of mu(psi) between the two
-nodes around its target.  A level p >= mu_max has one bracket, (0,
-mu_max], below its turning point (_high_hits, _high_start); the roots that
-bounds put past mu_max are not solved.  A warm heat trace on T_GRID is one
-pass of the continued fraction, 1.000-1.010 elements per kept root.
+theta is; only the target arctan r moves.  So one table per process
+(_table), grown level by level as cutoffs rise, holds every bracket between
+zeros of J_p and the roots at SEGMENTS - 1 = 14 phases spaced evenly over
+its range, and a root starts at the cubic Hermite interpolant of mu(psi)
+between the two nodes around its target.  A level p >= mu_max has one
+bracket, (0, mu_max], below its turning point (_high_hits, _high_start);
+the roots that bounds put past mu_max are not solved.  A warm heat trace
+on T_GRID is one pass of the continued fraction, 1.000-1.010 elements per
+kept root.
 
 The heat trace sums, exactly rounded, only the terms that can reach it,
 from one spectrum solved only as far as its smallest t needs (heat_trace).
@@ -56,6 +57,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -112,103 +114,70 @@ def _level_floor(p, theta: float):
     return 2.0 * (p + 1) * rho / (1.0 + rho)
 
 
-@functools.cache
-def _zero_table() -> list:
-    """The zeros of J_p computed so far, as the one item of a list that
-    _brackets replaces as it grows: row p holds them ascending, then +inf,
-    and the last column is +inf in every row.  jn_zeros gives the same
-    leading zeros whatever their count, so a row is cut at any cutoff by
-    comparison and grown by computing it again."""
-    return [np.full((0, 1), np.inf)]
-
-
-def _brackets(low: np.ndarray, cutoff: float) -> tuple:
-    """Level, lower and upper end of each bracket of the levels low, up to
-    the first zero of J_p past cutoff: (0, j_{p,1}), (j_{p,1}, j_{p,2}), ...,
-    level by level in the order of low, and the flat index of its upper end
-    in the zero table.  A row without a zero past cutoff is computed again
-    from floor((cutoff - p)/pi) + 3 zeros, which reach past it (j_{p,1} > p
-    and zeros of J_p lie over pi apart for p >= 1; j_{0,k} > (k - 1/4) pi),
-    and keeps them up to the first past it: the node table solves every
-    bracket the zero table holds.  Nothing here depends on theta, so the
-    spectra take their brackets through _level_brackets, which keeps
-    them."""
-    holder = _zero_table()
-    zeros = holder[0]
-    rows = np.full((low.size, zeros.shape[1]), np.inf)
-    held = low < len(zeros)
-    rows[held] = zeros[low[held]]
-    count = np.count_nonzero(rows <= cutoff, axis=1)
-    stale = low[np.isinf(rows[np.arange(low.size), count])].tolist()
-    if stale:
-        grown = {}
-        for p in stale:
-            zs = jn_zeros(p, max(1, math.floor((cutoff - p) / math.pi) + 3))
-            if zs[-1] <= cutoff:
-                raise RuntimeError(f"zeros of J_{p} end below {cutoff}")
-            grown[p] = zs[:np.searchsorted(zs, cutoff, side="right") + 1]
-        table = np.full((max(len(zeros), max(stale) + 1),
-                         max(zeros.shape[1],
-                             1 + max(zs.size for zs in grown.values()))),
-                        np.inf)
-        table[:len(zeros), :zeros.shape[1]] = zeros
-        for p, zs in grown.items():
-            table[p, :zs.size] = zs
-        holder[0] = table
-        return _brackets(low, cutoff)
-    inside = np.arange(rows.shape[1]) <= count[:, None]
-    lo = np.concatenate((np.zeros((low.size, 1)), rows[:, :-1]), axis=1)
-    at = low[:, None] * rows.shape[1] + np.arange(rows.shape[1])
-    return (np.broadcast_to(low[:, None], rows.shape)[inside], lo[inside],
-            rows[inside], at[inside])
-
-
-@functools.cache
-def _bracket_cache() -> list:
-    """The zero table the kept brackets of _level_brackets index, and those
-    brackets by (first level, count, cutoff), oldest first, as the two
-    items of a list that _level_brackets replaces as the zero table
-    grows."""
-    return [None, {}]
-
-
-def _level_brackets(first: int, count: int, cutoff: float) -> tuple:
-    """_brackets of the count levels from first up to cutoff, read-only.
-    They do not depend on theta, so the last 32 are kept for the zero table
-    they index, and dropped when it grows: the T_GRID cutoffs of one m and
-    a short range of |theta| take a few values (5 over m = 2, |theta| in
-    [0.5, 2]), though hundreds over m = 2..12, |theta| <= 6."""
-    holder = _bracket_cache()
-    key = (first, count, cutoff)
-    if holder[0] is _zero_table()[0] and key in holder[1]:
-        return holder[1][key]
-    brackets = _brackets(np.arange(first, first + count), cutoff)
-    for a in brackets:
-        a.flags.writeable = False
-    if holder[0] is not _zero_table()[0]:
-        holder[:] = [_zero_table()[0], {}]
-    elif len(holder[1]) == 32:
-        del holder[1][next(iter(holder[1]))]
-    holder[1][key] = brackets
-    return brackets
-
-
-# the node table cuts the phase range of every bracket into SEGMENTS equal
+# the table cuts the phase range of every bracket into SEGMENTS equal
 # parts; an odd count puts no node of a bracket between zeros at psi = 0,
 # a zero of J_{p+1}, where the continued fraction divides by zero
 SEGMENTS = 15
 
 
 @functools.cache
-def _node_table() -> list:
-    """The zero table the nodes were solved for, and the nodes of each of
-    its brackets, as the two items of a list that _nodes replaces as the
-    zero table grows.  The nodes of a bracket are mu and dmu/dpsi at the
+def _table() -> SimpleNamespace:
+    """The brackets solved so far, which _level_brackets grows: those of
+    level p lie from start[p] to start[p + 1] of the flat arrays level, lo
+    and hi, (0, j_{p,1}), (j_{p,1}, j_{p,2}), ... up to the first zero of
+    J_p past the largest cutoff asked of it, last[p] (-inf while it holds
+    none).  nodes holds the nodes of each bracket: mu and dmu/dpsi at the
     SEGMENTS + 1 phases spaced evenly from its low phase (0 at mu = 0 in a
     first bracket, -pi/2 at a zero of J_p above one) to pi/2 at its upper
-    end; they sit at the bracket's place in the zero table, NaN where it
-    holds no zero."""
-    return [np.full((0, 1), np.inf), np.empty((0, 1, SEGMENTS + 1, 2))]
+    end."""
+    return SimpleNamespace(
+        level=np.zeros(0, dtype=np.intp), lo=np.zeros(0), hi=np.zeros(0),
+        nodes=np.zeros((0, SEGMENTS + 1, 2)), start=np.zeros(1, np.intp),
+        last=np.zeros(0))
+
+
+def _level_brackets(first: int, count: int, cutoff: float) -> tuple:
+    """Level, lower and upper end and nodes of each bracket of the count
+    levels from first, level by level, up to the first zero of J_p past
+    cutoff.  A level whose last zero is not past cutoff grows from
+    floor((cutoff - p)/pi) + 3 zeros, which reach past it (j_{p,1} > p and
+    zeros of J_p lie over pi apart for p >= 1; j_{0,k} > (k - 1/4) pi),
+    kept up to the first past it, and the nodes of every new bracket are
+    solved in one _solve_nodes.  jn_zeros gives the same leading zeros
+    whatever their count, so the brackets held keep their place and bits,
+    and a bracket's nodes are the same whichever others are solved with
+    them, since each element of a solve is computed alone.  Nothing here
+    depends on theta."""
+    table, end = _table(), first + count
+    if table.last.size < end:
+        pad = end - table.last.size
+        table.last = np.append(table.last, np.full(pad, -np.inf))
+        table.start = np.append(table.start, np.full(pad, table.start[-1]))
+    stale = np.flatnonzero(table.last[first:end] <= cutoff) + first
+    if stale.size:
+        rows = []
+        for p, held in zip(stale.tolist(), np.diff(table.start)[stale]):
+            zs = jn_zeros(p, max(1, math.floor((cutoff - p) / math.pi) + 3))
+            if zs[-1] <= cutoff:
+                raise RuntimeError(f"zeros of J_{p} end below {cutoff}")
+            zs = zs[:np.searchsorted(zs, cutoff, side="right") + 1]
+            rows.append((np.append(0.0, zs[:-1])[held:], zs[held:]))
+        sizes = np.array([zs.size for _, zs in rows])
+        p = np.repeat(stale, sizes)
+        lo, hi = (np.concatenate(a) for a in zip(*rows))
+        at = np.repeat(table.start[stale + 1], sizes)
+        table.level, table.lo, table.hi, table.nodes = (
+            np.insert(a, at, b, axis=0) for a, b in (
+                (table.level, p), (table.lo, lo), (table.hi, hi),
+                (table.nodes, _solve_nodes(p, lo, hi))))
+        table.last[stale] = [zs[-1] for _, zs in rows]
+        added = np.zeros(table.last.size, np.intp)
+        added[stale] = sizes
+        table.start = table.start + np.append(0, np.cumsum(added))
+    s = table.start[first]
+    keep = np.flatnonzero(table.lo[s:table.start[end]] <= cutoff) + s
+    return (table.level[keep], table.lo[keep], table.hi[keep],
+            table.nodes.take(keep, axis=0))
 
 
 def _node_phases(first: np.ndarray) -> tuple:
@@ -216,29 +185,6 @@ def _node_phases(first: np.ndarray) -> tuple:
     the first of their level."""
     low = np.where(first, 0.0, -0.5 * np.pi)
     return low, (0.5 * np.pi - low) / SEGMENTS
-
-
-def _nodes(zeros: np.ndarray) -> np.ndarray:
-    """The nodes of every bracket of the zero table zeros, one row per entry
-    of it.  The brackets the node table holds keep their bits and the rest
-    are solved in one _solve_nodes: a bracket's nodes are the same whichever
-    others are solved with them, since each element of a solve is computed
-    alone."""
-    holder = _node_table()
-    if holder[0] is not zeros:
-        old, held_nodes = holder
-        nodes = np.full(zeros.shape + (SEGMENTS + 1, 2), np.nan)
-        # an equal zero is the same bracket: jn_zeros keeps leading zeros
-        a, b = (min(x, y) for x, y in zip(old.shape, zeros.shape))
-        held = np.zeros(zeros.shape, dtype=bool)
-        held[:a, :b] = np.isfinite(zeros[:a, :b]) & (old[:a, :b]
-                                                     == zeros[:a, :b])
-        nodes[held] = held_nodes[:a, :b][held[:a, :b]]
-        p, k = np.nonzero(np.isfinite(zeros) & ~held)
-        nodes[p, k] = _solve_nodes(p, np.where(k > 0, zeros[p, k - 1], 0.0),
-                                   zeros[p, k])
-        holder[:] = [zeros, nodes]
-    return holder[1].reshape(-1, SEGMENTS + 1, 2)
 
 
 def _solve_nodes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -280,23 +226,20 @@ def _tail(M: int) -> int:
 
 
 @functools.cache
-def _reach_table() -> list:
-    """M + _tail(M) at M = 0, 1, ... as far as computed (0 at M = 0), as
-    the one item of a list that _depth replaces as it grows."""
-    return [np.zeros(1, dtype=np.intp)]
+def _reach(size: int) -> np.ndarray:
+    """M + _tail(M) at M < size (0 at M = 0), read-only."""
+    reach = np.array([0] + [M + _tail(M) for M in range(1, size)])
+    reach.flags.writeable = False
+    return reach
 
 
 def _depth(p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Steps of the continued fraction each element of a nonempty _phase
     pass needs: ceil(max(mu - p, 0)) + _tail(M) at M = ceil mu.  For
     integer p that is max(M + _tail(M) - p, _tail(M)), both read from one
-    table of M + _tail(M)."""
+    table of M + _tail(M), its size the power of 2 above the largest M."""
     top = np.ceil(mu).astype(np.intp)
-    most = int(top.max())
-    holder = _reach_table()
-    if holder[0].size <= most:
-        holder[0] = np.array([0] + [M + _tail(M) for M in range(1, most + 1)])
-    reach = holder[0][top]
+    reach = _reach(1 << int(top.max()).bit_length())[top]
     return np.maximum(reach - p, reach - top)
 
 
@@ -437,21 +380,22 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
     return root, left
 
 
-def _hermite(target: np.ndarray, first: np.ndarray, at: np.ndarray,
+def _hermite(target: np.ndarray, first: np.ndarray,
              nodes: np.ndarray) -> np.ndarray:
-    """mu at psi = target in the brackets at the flat indices at of the zero
-    table, first or not the first of their level, a row for each target of
-    a column: the cubic Hermite interpolant of their nodes (_nodes) on the
-    segment around target, found by its index, not by a search; and the
-    node at the segment's low end, at or below target."""
+    """mu at psi = target in the brackets of the nodes (_table), first or
+    not the first of their level, a row for each target of a column: the
+    cubic Hermite interpolant of its nodes on the segment around target,
+    found by its index, not by a search; and the node at the segment's low
+    end, at or below target."""
     low, step = _node_phases(first)
     x = (target - low) / step
     k = np.clip(np.floor(x), 0, SEGMENTS - 1).astype(np.intp)
     u = x - k
     v = 1.0 - u
     # mu and dmu/dpsi at the segment's ends are 4 floats in a row
-    mu0, rate0, mu1, rate1 = np.moveaxis(nodes.reshape(-1)[
-        (2 * ((SEGMENTS + 1) * at + k))[..., None] + np.arange(4)], -1, 0)
+    mu0, rate0, mu1, rate1 = np.moveaxis(nodes.reshape(-1)[(2 * (
+        (SEGMENTS + 1) * np.arange(first.size) + k))[..., None]
+        + np.arange(4)], -1, 0)
     return (v * v * ((1.0 + 2.0 * u) * mu0 + step * u * rate0)
             + u * u * ((3.0 - 2.0 * u) * mu1 - step * v * rate1)), mu0
 
@@ -543,7 +487,7 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     Brackets end at the zeros of J_p up to one past mu_max
     (_level_brackets); a level p >= mu_max has one, (0, mu_max], which
     holds a root iff r > 0 and arctan R_p(mu_max) >= arctan r (_high_hits),
-    started at _high_start; the others start from the node table
+    started at _high_start; the others start from their bracket's nodes
     (_hermite).
 
     Every root that lies past mu_max by either of two bounds is left
@@ -557,8 +501,8 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
     if mu_max <= 0:
         raise ValueError("mu_max must be positive")
     count = int(np.searchsorted(levels, mu_max))  # the levels below mu_max
-    low, lo, hi, at = _level_brackets(int(levels[0]) if count else 0, count,
-                                      mu_max)
+    low, lo, hi, nodes = _level_brackets(int(levels[0]) if count else 0,
+                                         count, mu_max)
     high = levels[count:]
     r = np.array(ratios, dtype=float)[:, None]
     target = np.arctan(r)
@@ -569,7 +513,7 @@ def _roots(levels: np.ndarray, ratios: Sequence[float], theta: float,
                        np.result_type(below, above))
         out[:, :low.size], out[:, low.size:] = below, above
         return out
-    start, node = _hermite(target, lo == 0.0, at, _nodes(_zero_table()[0]))
+    start, node = _hermite(target, lo == 0.0, nodes)
     hit = rows((lo > 0.0) | (target > 0.0), _high_hits(high, r, mu_max))
     start = rows(start, np.nan)
     p, lo, hi = rows(low, high), rows(lo, 0.0), rows(hi, mu_max)

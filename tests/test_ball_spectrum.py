@@ -197,7 +197,7 @@ class TestFindRoots:
                                          (3.0, 2), (3.0, 12), (6.0, 2)))
     def test_phase_work_per_root(self, theta, m, phase_sizes):
         # every element the continued fraction evaluates in one spectrum
-        # once the node table holds its brackets; the count repeats exactly
+        # once the table holds its brackets; the count repeats exactly
         warm(theta, m, phase_sizes)
         mu = bs.spectrum(theta, m, 100.0)[0]
         per_root = 1.01 if theta == 6.0 else 1.4
@@ -281,8 +281,7 @@ class TestFindRoots:
         # the elements the continued fraction evaluates to solve the nodes
         # of every bracket of spectrum(theta, m, 100) from empty tables:
         # what a cold spectrum evaluates past a warm one
-        bs._zero_table.cache_clear()
-        bs._node_table.cache_clear()
+        bs._table.cache_clear()
         bs.spectrum(theta, m, 100.0)
         cold = sum(phase_sizes)
         phase_sizes.clear()
@@ -356,29 +355,29 @@ class TestFindRoots:
         assert bs.spectrum(theta, m, mu_max)[0].size == count
 
     def test_zero_table_grows_and_slices(self):
-        # one table, a row per p: a request inside it is a slice, one past
-        # a row's end grows it, and the zeros it already held keep their
-        # bits
-        bs._zero_table.cache_clear()
-        level = np.array([7])
-        short = bs._brackets(level, 20.0)[2]
-        long = bs._brackets(level, 80.0)[2]
+        # one table, level by level: a request inside it is a slice, one
+        # past a level's last zero grows it, and the zeros it already held
+        # keep their bits
+        bs._table.cache_clear()
+        short = bs._level_brackets(7, 1, 20.0)[2]
+        long = bs._level_brackets(7, 1, 80.0)[2]
         assert short[-2] <= 20.0 < short[-1] and long[-2] <= 80.0 < long[-1]
         assert np.array_equal(long[:short.size], short)
-        [table] = bs._zero_table()
-        assert np.array_equal(table[7, :long.size], long)
-        assert np.all(np.isinf(table[:7])) and np.all(np.isinf(table[:, -1]))
-        assert np.array_equal(bs._brackets(level, 20.0)[2], short)
-        assert bs._zero_table()[0] is table
+        table = bs._table()
+        hi = table.hi
+        assert np.array_equal(hi, long) and table.last[7] == long[-1]
+        assert np.all(table.start[:8] == 0) and np.all(table.last[:7] < 0)
+        assert np.array_equal(bs._level_brackets(7, 1, 20.0)[2], short)
+        assert bs._table().hi is hi
 
     @pytest.mark.parametrize("cutoff", (0.5, 7.0, 30.0, 95.5))
     def test_brackets_between_zeros(self, cutoff):
         # every level at once, level by level in order: from 0 to the first
         # zero of J_p and on to the first zero past the cutoff
-        levels = np.array([0, 3, 7, 40, 41, 99])
-        p, lo, hi, at = bs._brackets(levels, cutoff)
-        assert np.array_equal(bs._zero_table()[0].flat[at], hi)
-        for q in levels:
+        p, lo, hi, nodes = bs._level_brackets(0, 100, cutoff)
+        assert np.array_equal(nodes[:, 0, 0], lo)
+        assert np.array_equal(nodes[:, -1, 0], hi)
+        for q in (0, 3, 7, 40, 41, 99):
             zs = sp.jn_zeros(int(q), 40)
             ends = zs[:np.searchsorted(zs, cutoff, side="right") + 1]
             assert np.array_equal(hi[p == q], ends)
@@ -388,7 +387,7 @@ class TestFindRoots:
     def test_cold_table_computes_no_more_zeros(self, monkeypatch):
         # the zeros computed for the theta = 6 disc spectrum from an empty
         # table: 1858, in one call per level of floor((100 - p)/pi) + 3
-        bs._zero_table.cache_clear()
+        bs._table.cache_clear()
         jn_zeros, calls = sp.jn_zeros, []
 
         def spy(p, nt):
@@ -402,13 +401,14 @@ class TestFindRoots:
 
     def test_short_zero_row_refused(self, monkeypatch):
         # a row that does not reach past the cutoff is an error, not a
-        # bracket lost
-        bs._zero_table.cache_clear()
+        # bracket lost, and the table is left without it
+        bs._table.cache_clear()
         monkeypatch.setattr(bs, "jn_zeros",
                             lambda p, nt: sp.jn_zeros(p, max(1, nt - 3)))
         with pytest.raises(RuntimeError, match="zeros of J_0"):
-            bs._brackets(np.array([0]), 30.0)
-        bs._zero_table.cache_clear()
+            bs._level_brackets(0, 1, 30.0)
+        assert bs._table().hi.size == 0 and bs._table().last[0] < 0
+        bs._table.cache_clear()
 
     @pytest.mark.parametrize("p", range(0, 100, 9))
     def test_zeros_alike_at_any_count(self, p):
@@ -436,7 +436,7 @@ class TestRootCheck:
             root, left = solve(p, target, lo, hi, start)
             solved.append((p, target, root, left))
             return root, left
-        bs.spectrum(theta, m, 100.0)  # the node table holds its brackets
+        bs.spectrum(theta, m, 100.0)  # the table holds its brackets
         monkeypatch.setattr(bs, "_solve", spy)
         bs.spectrum(theta, m, 100.0)
         [(p, target, root, left)] = solved
@@ -458,7 +458,7 @@ class TestRootCheck:
             calls.append((args, solve(*args)))
             return calls[-1][1]
         cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0])
-        bs.spectrum(theta, m, cutoff)  # the node table holds its brackets
+        bs.spectrum(theta, m, cutoff)  # the table holds its brackets
         monkeypatch.setattr(bs, "_solve", spy)
         bs.spectrum(theta, m, cutoff)
         [((p, target, lo, hi, _), (root, _))] = calls
@@ -472,9 +472,9 @@ class TestRootCheck:
 
 
 def warm(theta, m, phase_sizes):
-    """Empty the node table, fill it with the brackets of spectrum(theta,
-    m, 100) and forget the passes that took."""
-    bs._node_table.cache_clear()
+    """Empty the table, fill it with the brackets of spectrum(theta, m,
+    100) and forget the passes that took."""
+    bs._table.cache_clear()
     bs.spectrum(theta, m, 100.0)
     phase_sizes.clear()
 
@@ -482,37 +482,42 @@ def warm(theta, m, phase_sizes):
 class TestNodeTable:
     def test_cache_clear_empties_the_table(self):
         bs.spectrum(0.5, 2, 100.0)
-        zeros, nodes = bs._node_table()
-        assert zeros is bs._zero_table()[0] and np.isfinite(nodes).any()
-        bs._node_table.cache_clear()
-        zeros, nodes = bs._node_table()
-        assert zeros.size == 0 and nodes.size == 0
+        table = bs._table()
+        assert np.array_equal(table.nodes[:, -1, 0], table.hi)
+        assert table.hi.size and np.isfinite(table.nodes).all()
+        bs._table.cache_clear()
+        table = bs._table()
+        assert table.hi.size == 0 and table.nodes.size == 0
 
-    def test_node_bit_identical_alone_or_in_batch(self):
-        # the nodes of level 7 solved alone, and with every level below
-        # 100 as the table grows from cutoff 20 to 60: the same bits
-        def nodes_of_level_7(cutoff):
-            at = bs._brackets(np.array([7]), cutoff)[3]
-            return bs._nodes(bs._zero_table()[0])[at]
-        bs._zero_table.cache_clear()
-        bs._node_table.cache_clear()
-        alone = nodes_of_level_7(60.0)
-        bs._zero_table.cache_clear()
-        bs._node_table.cache_clear()
-        bs._brackets(np.arange(100), 20.0)
-        bs._nodes(bs._zero_table()[0])
-        bs._brackets(np.arange(100), 60.0)
-        batch = nodes_of_level_7(60.0)
-        assert np.all(np.isfinite(alone)) and alone.shape[0] > 10
-        assert np.array_equal(alone, batch)
+    @pytest.mark.parametrize("grown,asked", (
+        pytest.param(((0, 100, 20.0), (0, 100, 60.0)), (7, 1, 60.0),
+                     id="alone"),
+        pytest.param(((5, 95, 100.0), (0, 100, 100.0)), (0, 100, 100.0),
+                     id="gaps"),
+        pytest.param(((0, 100, 20.0), (0, 100, 60.0), (0, 100, 100.0)),
+                     (0, 100, 100.0), id="rising")))
+    def test_node_bit_identical_alone_or_in_batch(self, grown, asked):
+        # the brackets and nodes of a request from a table built for it
+        # alone, and from one grown by the requests grown: with every
+        # level below 100 as the cutoff rises (the nodes of level 7 alone
+        # against the batch), with levels 0..4 filled in after those of m =
+        # 12, or level by level as the cutoff rises: the same bits
+        bs._table.cache_clear()
+        alone = bs._level_brackets(*asked)
+        bs._table.cache_clear()
+        for args in grown:
+            bs._level_brackets(*args)
+        batch = bs._level_brackets(*asked)
+        assert np.all(np.isfinite(alone[3])) and alone[3].shape[0] > 10
+        for a, b in zip(alone, batch):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("p", (0, 7, 60, 99))
     def test_nodes_are_the_roots_at_their_phases(self, p):
         # each inner node mu_i solves arctan R_p = psi_i, and its slope is
         # 1 / psi'; the ends are the bracket's ends, a zero of J_p with
         # slope 1 or mu = 0 with slope 2(p + 1)
-        _, lo, hi, at = bs._brackets(np.array([p]), 60.0)
-        nodes = bs._nodes(bs._zero_table()[0])[at]
+        _, lo, hi, nodes = bs._level_brackets(p, 1, 60.0)
         low = np.where(lo == 0.0, 0.0, -np.pi / 2)
         psi = low[:, None] + (np.pi / 2 - low[:, None]) * np.linspace(
             0.0, 1.0, bs.SEGMENTS + 1)
@@ -933,47 +938,27 @@ class TestHeatTrace:
                   for m in (2, 8, 12) for theta in (0.5, -1.3, 2.0, 6.0)]
         assert traces == fresh[1]
 
-    def test_bracket_cache_bounded_and_reused(self, monkeypatch):
-        # the T_GRID cutoffs of m = 2, |theta| in [0.5, 2] take 5 values, so
-        # a second pass over them cuts no bracket table; over every m and
-        # |theta| <= 6 they take hundreds, and the cache keeps 32.  A zero
-        # table that grows empties it
-        thetas = np.linspace(0.5, 2.0, 13).tolist()
-        assert {bs._solve_cutoff(sign * theta, 2, bs.T_GRID[0])
-                for theta in thetas for sign in (1, -1)} == {
-            50.875, 51.0, 51.125, 51.25, 51.375}
-        brackets, cut = bs._brackets, []
-
-        def spy(low, cutoff):
-            cut.append(cutoff)
-            return brackets(low, cutoff)
-        for theta in thetas + thetas:  # the zero table grows in the first
-            bs.heat_trace(theta, 2, bs.T_GRID)
-        monkeypatch.setattr(bs, "_brackets", spy)
-        for theta in thetas:
-            bs.heat_trace(-theta, 2, bs.T_GRID)
-        assert cut == []
-        monkeypatch.undo()
-        grid = list(itertools.product((2, 4, 6, 8, 10, 12),
-                                      np.linspace(0.0, 6.0, 9).tolist()))
-        for m, theta in grid + grid:  # the zero table grows in the first
+    def test_warm_requests_rebuild_no_table(self, monkeypatch):
+        # after one pass over the theta of disc_fit (m = 2, |theta| in
+        # [0.5, 2]) and over m = 2..12, theta in [0, 6], a second pass
+        # computes no zero and solves no node: no request rebuilds the
+        # table
+        requests = [(sign * theta, 2)
+                    for theta in np.linspace(0.5, 2.0, 13).tolist()
+                    for sign in (1, -1)] + [
+            (theta, m) for m in (2, 4, 6, 8, 10, 12)
+            for theta in np.linspace(0.0, 6.0, 9).tolist()]
+        for theta, m in requests:
             bs.heat_trace(theta, m, bs.T_GRID)
-            zeros, kept = bs._bracket_cache()
-            assert zeros is bs._zero_table()[0] and len(kept) <= 32
-        assert len(kept) == 32
-        bs.spectrum(0.5, 2, 1.5 * bs._zero_table()[0].shape[0])
-        zeros, kept = bs._bracket_cache()
-        assert zeros is bs._zero_table()[0] and len(kept) == 1
-        # a table grown in columns by _brackets alone leaves no entry that
-        # indexes the old one
-        before = bs.heat_trace(0.5, 2, bs.T_GRID)
-        bs._brackets(np.array([0]), 4.0 * np.pi * zeros.shape[1])
-        assert bs._zero_table()[0].shape[1] > zeros.shape[1]
-        cut.clear()
-        monkeypatch.setattr(bs, "_brackets", spy)
-        after = bs.heat_trace(0.5, 2, bs.T_GRID)
-        assert cut == [bs._solve_cutoff(0.5, 2, bs.T_GRID[0])]
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        calls = []
+        for name in ("jn_zeros", "_solve_nodes"):
+            def spy(*args, name=name, f=getattr(bs, name)):
+                calls.append(name)
+                return f(*args)
+            monkeypatch.setattr(bs, name, spy)
+        for theta, m in requests:
+            bs.heat_trace(theta, m, bs.T_GRID)
+        assert calls == []
 
     def test_large_t_dominated_by_lowest_modes(self):
         t = 5.0
