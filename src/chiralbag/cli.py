@@ -7,20 +7,29 @@ Subcommands:
   verify-cylinder    integrated kernel identities and the t-integral
   verify-identities  hypergeometric consistency web
 
-main parses a command's flags with that command's parser alone (the whole
-parser parses a line that does not start with one, and reports leftovers as
-its parse_args does), runs it for its report rows, writes them (CSV, JSON,
-or the coeffs text block) and sets the exit code.  The module imports only
-the closed forms: a command imports the numeric module it runs (identities,
-ball_spectrum, cylinder) when it runs, and calls it through the module, so
-importing cli, building the parser and running coeffs or table load no
-numpy.  The JSON report is the bytes of json.dumps(rows, indent=2) with
-every float rounded to 12 significant digits, written row by row: each
-value's text fills a template of its row's keys, cached per key tuple.  A
-float's text is its 12-digit text itself wherever that is repr's text of
-the float it parses to; only a few kinds (integral, nan, inf, and the
-exponents repr writes otherwise) are rewritten, and no float is parsed back
-but those of the last kind.
+main parses a command line in one pass over the command's own flags where
+it can (_one_pass): every token after the command is --flag=value or
+--flag value with flag exactly one of the command's options, and a
+separate value that starts with a minus is a negative number or range (the
+rule of _merge_negative_values); each value goes through its flag's own
+type and choices.  Any other line (no command, an abbreviated or unknown
+flag, -h, a positional, a missing or refused value) goes to argparse: the
+command's own parser after that merge, or the whole parser for a line that
+does not start with a command, with leftovers reported as parse_args does.
+argparse alone defines the grammar (the pass reads the Actions that
+add_argument returns and the defaults argparse parses from no flags) and
+prints every help, usage and error message.  main then runs the command
+for its report rows, writes them (CSV, JSON, or the coeffs text block) and
+sets the exit code.  The module imports only the closed forms: a command
+imports the numeric module it runs (identities, ball_spectrum, cylinder)
+when it runs, and calls it through the module, so importing cli, building
+the parser and running coeffs or table load no numpy.  The JSON report is
+the bytes of json.dumps(rows, indent=2) with every float rounded to 12
+significant digits, written row by row: each value's text fills a template
+of its row's keys, cached per key tuple.  A float's text is its 12-digit
+text itself wherever that is repr's text of the float it parses to; only a
+few kinds (integral, nan, inf, and the exponents repr writes otherwise) are
+rewritten, and no float is parsed back but those of the last kind.
 
 verify-ball samples the heat trace at 20 geometric t from 0.02 to 0.3
 (ball_spectrum.T_GRID) and fits a_1..a_5 (ball_spectrum.FIT_DEPTH) with a_0
@@ -317,27 +326,35 @@ def _report_text(rows: list[dict], fmt: str) -> str:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process; its defaults
-    are tuples, so no call can change what the next one parses."""
+    are tuples, so no call can change what the next one parses.  Each
+    command's parser keeps the Action of each of its flags by option
+    string (flags) and the values it parses from no flags (defaults), which
+    _one_pass reads."""
     ap = argparse.ArgumentParser(
         prog="chiralbag",
         description="Boundary heat-kernel constants for chiral bag "
                     "conditions: tables and numerical verification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def flag(p, *names, **kwargs):
+        # the Action add_argument returns, under each of its option strings
+        action = p.add_argument(*names, **kwargs)
+        p.flags.update(dict.fromkeys(action.option_strings, action))
+
     def command(name, func, text, text_block=False):
         p = sub.add_parser(name, help=text)
+        p.flags = {}
         p.set_defaults(func=func)
-        p.add_argument("--m", type=_parse_m, default=(2,),
-                       help="comma list of even dimensions in [2, 12]")
-        p.add_argument("--theta", type=_parse_theta, default=(0.0,),
-                       help="comma list or start:stop:step")
+        flag(p, "--m", type=_parse_m, default=(2,),
+             help="comma list of even dimensions in [2, 12]")
+        flag(p, "--theta", type=_parse_theta, default=(0.0,),
+             help="comma list or start:stop:step")
         if text_block:
             p.set_defaults(format="text")
         else:
-            p.add_argument("--format", choices=("csv", "json"),
-                           default="csv")
-        p.add_argument("--out", default=None, help="output path (stdout "
-                       "if omitted)")
+            flag(p, "--format", choices=("csv", "json"), default="csv")
+        flag(p, "--out", default=None, help="output path (stdout if "
+             "omitted)")
         return p
 
     command("coeffs", cmd_table, "print all constants", text_block=True)
@@ -347,13 +364,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     vc = command("verify-cylinder", cmd_verify_cylinder,
                  "kernel identity checks")
-    vc.add_argument("--omega", type=_finite_list, default=(0.5, 1.3, 2.0))
-    vc.add_argument("--t", type=_finite_list, default=(0.1, 0.25))
-    vc.add_argument("--s", type=_finite_list, default=(1.5, 2.5))
+    flag(vc, "--omega", type=_finite_list, default=(0.5, 1.3, 2.0))
+    flag(vc, "--t", type=_finite_list, default=(0.1, 0.25))
+    flag(vc, "--s", type=_finite_list, default=(1.5, 2.5))
 
     command("verify-identities", cmd_verify_identities, "consistency web")
     ap.commands = sub.choices
+    for p in ap.commands.values():
+        p.defaults = vars(p.parse_known_args([])[0])
     return ap
+
+
+# a value that starts with a minus sign and a digit, or a point and a
+# digit: a negative number or range, not an option
+_NEGATIVE = re.compile(r"-\.?\d")
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -365,7 +389,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     while i < len(argv):
         tok = argv[i]
         if tok.startswith("--") and "=" not in tok and i + 1 < len(argv) \
-                and re.match(r"-\.?\d", argv[i + 1]):
+                and _NEGATIVE.match(argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -374,20 +398,64 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
+def _one_pass(parser, argv: list[str]):
+    """The namespace parser.parse_known_args gives argv after
+    _merge_negative_values, parsed in one pass over the parser's flags;
+    None for a line the pass does not take whole (see the module
+    docstring), which argparse parses."""
+    flags = parser.flags
+    values = dict(parser.defaults)
+    i, n = 0, len(argv)
+    while i < n:
+        name, eq, value = argv[i].partition("=")
+        action = flags.get(name)
+        if action is None:
+            return None
+        if not eq:
+            i += 1
+            if i == n:
+                return None
+            value = argv[i]
+            if value[:1] == "-" and not _NEGATIVE.match(value):
+                return None
+        elif value == "--":  # which argparse drops
+            return None
+        i += 1
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None  # as argparse refuses it, which says why
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line, by the one pass where it takes argv and by
+    argparse otherwise; SystemExit where argparse prints help or an
+    error."""
     ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_negative_values(list(argv))
+    if argv and argv[0] in ap.commands:
+        args = _one_pass(ap.commands[argv[0]], argv[1:])
+        if args is not None:
+            return args
+    argv = _merge_negative_values(argv)
+    # a command's arguments go straight to its own parser, and the whole
+    # parser reports what that one leaves, as its parse_args does
+    if argv and argv[0] in ap.commands:
+        args, extra = ap.commands[argv[0]].parse_known_args(argv[1:])
+    else:  # no command, an unknown one or a leading option
+        args, extra = ap.parse_known_args(argv)
+    if extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        # a command's arguments go straight to its own parser, and the whole
-        # parser reports what that one leaves, as its parse_args does
-        if argv and argv[0] in ap.commands:
-            args, extra = ap.commands[argv[0]].parse_known_args(argv[1:])
-        else:  # no command, an unknown one or a leading option
-            args, extra = ap.parse_known_args(argv)
-        if extra:
-            ap.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -909,9 +909,9 @@ class TestHeatTrace:
 
     def test_results_do_not_depend_on_earlier_requests(self, tmp_path):
         # verify-ball rows and T_GRID traces, in a fresh interpreter, then
-        # again after spectra that grow the zero table in rows and columns
-        # (and so the node table and the bracket cache go stale), and here,
-        # after every test before this one: the same bits
+        # again after spectra that grow the one bracket table in place, to
+        # more levels and more brackets per level, and here, after every
+        # test before this one: the same bits
         code = (
             "import contextlib, io, json, sys\n"
             "from chiralbag import ball_spectrum as bs, cli\n"

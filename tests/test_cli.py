@@ -4,17 +4,22 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
 import runpy
 import shlex
 import struct
 import sys
+import tempfile
+import unittest.mock
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 
 from chiralbag import ball_spectrum, cli, coefficients, cylinder
 
@@ -797,10 +802,8 @@ class TestFlags:
         args = cli.build_parser().parse_args(argv)
         flags = set(vars(args)) - {"command", "func"}
         log = _ReadLog(**vars(args))
-        # parse_args parses by parse_known_args, and main calls the latter
-        # on the command's own parser
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
-                            lambda self, argv, namespace=None: (log, []))
+        # main parses every line by _parse, whichever way that one takes
+        monkeypatch.setattr(cli, "_parse", lambda argv: log)
         assert cli.main(argv) == 0
         assert flags <= log._read, flags - log._read
 
@@ -855,9 +858,9 @@ def _parsed_by_reference(argv) -> tuple:
 
 
 class TestDispatch:
-    """main parses a command's arguments with that command's parser alone;
-    every message and exit code is the one parse_args of the whole parser
-    gives."""
+    """main parses a command's arguments by the one pass or with that
+    command's parser alone; every message and exit code is the one
+    parse_args of the whole parser gives."""
 
     @pytest.mark.parametrize("argv", (
         pytest.param((), id="no-command"),
@@ -936,6 +939,162 @@ def _readme_commands() -> list[list[str]]:
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
 def test_readme_command_line(capsys, argv):
     assert cli.main(argv) == 0
+
+
+class TestOnePass:
+    """main parses a line of exact --flag=value and --flag value tokens in
+    one pass over the command's flags, and leaves every other line, with
+    all help and error messages, to argparse."""
+
+    # one line of each shape a benchmark request has
+    SHAPES = (
+        ("table", "--m", "2,4,6,8,10,12", "--theta=0.5,-1.25,2.75,-3.5",
+         "--format", "json"),
+        ("verify-identities", "--m", "2,4,6,8,10,12",
+         "--theta=-0.25,1.5,-2.75,3.5", "--format", "json"),
+        ("verify-ball", "--m", "2", "--theta=-1.25", "--format", "json"),
+        ("verify-cylinder", "--m", "6", "--theta=-1.5",
+         "--omega=0.5,-1.3,2.0", "--t=0.25", "--s=2.5", "--format", "json"))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The argv of every parse_known_args call of a parser."""
+        cli.build_parser()  # whose build parses each command once
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, args=None, namespace=None):
+            calls.append(args)
+            return parse(self, args, namespace)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        return calls
+
+    @pytest.mark.parametrize("argv", SHAPES, ids=lambda a: a[0])
+    def test_benchmark_lines_skip_argparse(self, tmp_path, calls, argv):
+        path = tmp_path / "report.json"
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        assert calls == []
+        assert path.read_text().startswith("[")
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
+    def test_readme_lines_skip_argparse(self, capsys, calls, argv):
+        assert cli.main(argv) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", (
+        ("--help",), ("table", "--help"), ("table", "--th", "0.5"),
+        *((command, *COMMANDS[command], *bad) for command in COMMANDS
+          for bad in BAD_FLAGS)), ids=" ".join)
+    def test_argparse_parses_the_rest(self, capsys, calls, argv):
+        cli.main(list(argv))
+        assert calls
+
+
+def _flags(command: str) -> set[str]:
+    """The long option strings of a command, --help included."""
+    return {opt for a in cli.build_parser().commands[command]._actions
+            for opt in a.option_strings if opt.startswith("--")}
+
+
+# values each flag parses, and values some flag refuses or argparse reads
+# in its own way ("--", a value that looks like an option, a missing one)
+GOOD_VALUES = {"--m": ("2", "4", "2,4", "4,2,2"),
+               "--theta": ("0.5", "-1", "-.5:1:.5", "-1:1:0.5", "0,-2",
+                           "1e-3", "-.5,-1"),
+               "--format": ("csv", "json"), "--out": ("report", ""),
+               "--omega": ("1.3", "-0.5", "0.5,2"), "--t": ("0.25", "0.1"),
+               "--s": ("2.5", "1.5")}
+BAD_VALUES = ("3", "14", "x", "", " ", "nan", "-inf", "1,abc", "0:1",
+              "0:1:-0.5", "0:1:1e-12", "1e400", "xml", "text", "-", "--",
+              "--m", "--theta=1", "-x", "-h", "1 2")
+NAMES = sorted(set().union(*map(_flags, COMMANDS)))
+# proper prefixes of the flags, some an exact flag of another command, and
+# flags no command takes
+OTHER_NAMES = sorted({f[:k] for f in NAMES for k in range(3, len(f))}
+                     - set(NAMES)) + ["--mu-max", "--bogus", "-h"]
+STRAYS = ("-h", "--help", "unexpected", "--", "-x", "5", "-5")
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and up to five items, each in the --flag=value or the
+    --flag value form: mostly a flag of its own with a value it parses,
+    else a flag of its own or any flag, abbreviated or unknown, with any
+    value, or a stray token; then, at times, a flag with no value."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    own = sorted(set(GOOD_VALUES) & _flags(command))
+    any_value = sorted({v for vs in GOOD_VALUES.values() for v in vs}
+                       | set(BAD_VALUES))
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 9))
+        if kind == 9:
+            argv.append(draw(st.sampled_from(STRAYS)))
+            continue
+        name = draw(st.sampled_from(own if kind < 8 else NAMES + OTHER_NAMES))
+        value = draw(st.sampled_from(GOOD_VALUES[name] if kind < 6
+                                     else any_value))
+        if draw(st.booleans()):
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(draw(st.sampled_from(NAMES + OTHER_NAMES)))
+    return argv
+
+
+def _main_in(where: Path, argv) -> tuple:
+    """Exit code, stdout, stderr and the bytes of every file main writes,
+    run in the empty directory where, which it leaves empty."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
+    files = {p.name: p.read_bytes() for p in where.iterdir()}
+    for p in where.iterdir():
+        p.unlink()
+    return code, out.getvalue(), err.getvalue(), files
+
+
+class TestOnePassProperty:
+    @seed(2005)
+    @settings(max_examples=500, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_command_lines())
+    # values argparse reads in its own way: "--" it drops, a negative one
+    # _merge_negative_values joins to its flag, an empty one, one that looks
+    # like an option
+    @example(argv=["table", "--out=--"])
+    @example(argv=["coeffs", "--out", "-x"])
+    @example(argv=["table", "--out", "--m", "2"])
+    @example(argv=["verify-cylinder", "--theta=--", "--format", "json"])
+    @example(argv=["table", "--theta", "-.5:1:.5", "--m", "4,2"])
+    @example(argv=["verify-cylinder", "--t", "-1", "--s", "-.5"])
+    @example(argv=["table", "--theta", "-", "--out="])
+    def test_as_argparse(self, argv):
+        parser = cli.build_parser().commands[argv[0]]
+        args = cli._one_pass(parser, argv[1:])
+        if args is not None:
+            # what the pass takes, argparse parses whole to the same
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    want, extra = parser.parse_known_args(
+                        cli._merge_negative_values(argv[1:]))
+                except SystemExit:
+                    pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+            assert extra == []
+            assert vars(args) == vars(want)
+        with tempfile.TemporaryDirectory() as where:
+            got = _main_in(Path(where), argv)
+            with unittest.mock.patch.object(cli, "_one_pass",
+                                            lambda parser, argv: None):
+                want = _main_in(Path(where), argv)
+        assert got == want
 
 
 class TestErrors:
