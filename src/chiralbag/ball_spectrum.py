@@ -48,8 +48,9 @@ the roots that bounds put past mu_max are not solved.  A warm heat trace
 on T_GRID is one pass of the continued fraction, 1.000-1.010 elements per
 kept root.
 
-The heat trace sums, exactly rounded, only the terms that can reach it,
-from one spectrum solved only as far as its smallest t needs (heat_trace).
+The heat trace sums every solved term at each t, from one spectrum solved
+only as far as its smallest t needs, and bounds the roots past it
+(heat_trace).
 """
 
 from __future__ import annotations
@@ -734,22 +735,18 @@ def heat_trace(theta: float, m: int,
     families and all angular levels of one spectrum.
 
     The spectrum is solved to the cutoff mu_c of the smallest t
-    (_solve_cutoff).  After the solve the tail bound past mu_c, one
-    _truncation_bound over every t, must lie below 2^-70 of the value at
-    every t; while it does not, the spectrum is solved again to twice the
-    cutoff, until the level limit refuses it.
-
-    The first term w_0 exp(-t mu_0^2) is a lower bound on the trace, so the
-    solved terms at mu >= cut, t cut^2 = ln(sum w / w_0) + 70 ln 2 + t
-    mu_0^2, add up to less than 2^-70 of it.  The cuts of every t and their
-    places in the spectrum are found at once; only the terms below each cut
-    are summed, exactly rounded (one math.fsum per t), and the bound of the
-    rest, sum w exp(-t cut^2), joins the tail bound in the truncation bound,
-    which is then below 2^-69 of the value; one not below 1e-10 of it (one
-    that is not a number) is refused (InsufficientCutoffError).  So the
-    value is the exactly rounded sum of every term unless that sum lies
-    within 2^-69 of a rounding boundary, and one ulp from it even then.  A
-    t at which every term and the bound underflow to 0 is out of range
+    (_solve_cutoff), and each value is one sum over every solved term.
+    After the solve the tail bound past mu_c, one _truncation_bound over
+    every t, must lie below 2^-70 of the value at every t; while it does
+    not, the spectrum is solved again to twice the cutoff, until the level
+    limit refuses it.  That tail bound is the returned bound; one not below
+    1e-10 of the value (one that is not a number) is refused
+    (InsufficientCutoffError).  Every term is non-negative, so a sum of N
+    of them in any order errs by at most (N - 1) 2^-53 of the sum, to
+    first order (Higham, SIAM J. Sci. Comput. 14 (1993) 783); numpy's
+    pairwise sum is within 2 ulp of the exactly rounded sum (math.fsum) on
+    every T_GRID trace for m = 2..12 and 181 theta in [-9, 9].  A t at
+    which every term and the bound underflow to 0 is out of range
     (ValueError)."""
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts) & (ts > 0)):
@@ -759,22 +756,15 @@ def heat_trace(theta: float, m: int,
     cutoff = _solve_cutoff(theta, m, float(ts.min()))
     while True:
         mu, w, n_excl = spectrum(theta, m, cutoff)
-        # fsum walks a memoryview's floats faster than a list or an array
-        weight = math.fsum(memoryview(w))
-        # ln(sum w / w_0) + 70 ln 2 and mu_0; an empty spectrum sums nothing
-        spread, mu0 = ((math.log(weight / w[0]) + 70.0 * math.log(2.0),
-                        float(mu[0])) if mu.size else (0.0, 0.0))
-        cuts = np.sqrt(spread / ts + mu0 * mu0)
-        values = np.array([
-            math.fsum(memoryview(w[:k] * np.exp(-t * mu[:k] * mu[:k])))
-            for t, k in zip(ts.tolist(), np.searchsorted(mu, cuts).tolist())])
-        tails = _truncation_bound(theta, m, ts, cutoff, n_excl)
-        # the roots past the cutoff cannot move a value; a tail bound that
-        # is not a number ends the loop too, and is refused below
-        if not np.any(tails > 2.0 ** -70 * values):
+        # one t at a time, so that no (len(ts), N) array is formed
+        values = np.array([(w * np.exp(-t * mu * mu)).sum()
+                           for t in ts.tolist()])
+        bounds = _truncation_bound(theta, m, ts, cutoff, n_excl)
+        # the roots past the cutoff cannot move a value; a bound that is
+        # not a number ends the loop too, and is refused below
+        if not np.any(bounds > 2.0 ** -70 * values):
             break
         cutoff *= 2.0
-    bounds = tails + weight * _exp(-ts * cuts * cuts)
     for t, value, bound in zip(ts.tolist(), values, bounds):
         if value == bound == 0.0:
             raise ValueError(f"every term of the trace underflows at t={t}: "

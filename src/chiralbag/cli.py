@@ -13,8 +13,9 @@ it can (_one_pass): every token after the command is --flag=value or
 separate value that starts with a minus is a negative number or range (the
 rule of _merge_negative_values); each value goes through its flag's own
 type and choices.  Any other line (no command, an abbreviated or unknown
-flag, -h, a positional, a missing or refused value) goes to argparse: the
-command's own parser after that merge, or the whole parser for a line that
+flag, -h, a positional, a missing, refused or -- value) goes to argparse:
+the command's own parser after that merge, which splits --flag=-- into
+--flag -- for argparse to refuse, or the whole parser for a line that
 does not start with a command, with leftovers reported as parse_args does.
 argparse alone defines the grammar (the pass reads the Actions that
 add_argument returns and the defaults argparse parses from no flags) and
@@ -383,7 +384,9 @@ _NEGATIVE = re.compile(r"-\.?\d")
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join flags with values that start with a minus sign and a digit or
     a point and a digit (negative thetas, ranges like -2:2:0.25 or
-    -.5:1:.5) so argparse does not mistake them for options."""
+    -.5:1:.5) so argparse does not mistake them for options; split
+    --flag=--, whose value argparse drops, into --flag --, which it
+    refuses."""
     out = []
     i = 0
     while i < len(argv):
@@ -392,6 +395,9 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
                 and _NEGATIVE.match(argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
+        elif tok.startswith("--") and tok.partition("=")[2] == "--":
+            out += [tok[:-3], "--"]
+            i += 1
         else:
             out.append(tok)
             i += 1
@@ -418,7 +424,7 @@ def _one_pass(parser, argv: list[str]):
             value = argv[i]
             if value[:1] == "-" and not _NEGATIVE.match(value):
                 return None
-        elif value == "--":  # which argparse drops
+        elif value == "--":  # no value, which argparse refuses
             return None
         i += 1
         if action.type is not None:

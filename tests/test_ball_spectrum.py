@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 import time
+import unittest.mock
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
 
@@ -736,18 +739,6 @@ def phase_sizes(monkeypatch):
 
 
 @pytest.fixture
-def fsum_sizes(monkeypatch):
-    """The length of each sequence math.fsum sums, in call order."""
-    fsum, sizes = math.fsum, []
-
-    def spy(terms):
-        sizes.append(len(terms))
-        return fsum(terms)
-    monkeypatch.setattr(math, "fsum", spy)
-    return sizes
-
-
-@pytest.fixture
 def solves(monkeypatch):
     """The bound and result of each spectrum heat_trace solves."""
     spectrum, calls = bs.spectrum, []
@@ -758,6 +749,15 @@ def solves(monkeypatch):
         return result
     monkeypatch.setattr(bs, "spectrum", spy)
     return calls
+
+
+def assert_summed(value, terms):
+    """value sums the non-negative terms: within heat_trace's stated bound,
+    (N - 1) 2^-53 of their sum, of their exactly rounded sum, and within 8
+    ulp of it, which a sum term by term would exceed"""
+    exact = math.fsum(terms)
+    assert abs(value - exact) <= max(len(terms) - 1, 0) * 2.0 ** -53 * exact
+    assert abs(value - exact) <= 8 * np.spacing(exact)
 
 
 def scalar_least(holds, below, above):
@@ -999,27 +999,21 @@ class TestHeatTrace:
         bound = bs._truncation_bound(theta, m, t, 30.0, n_excl)
         assert 0.0 < full - part <= bound
 
-    @pytest.mark.parametrize("m", (2, 8, 12))
-    @pytest.mark.parametrize("theta", (0.5, -1.3, 2.0, 6.0))
-    def test_equals_fsum_over_every_term(self, theta, m, monkeypatch,
-                                         fsum_sizes):
-        # the sum over the terms below the cut is the exactly rounded sum of
-        # them all, and each bound, of the roots past the solve cutoff and
-        # of the terms the cut leaves out, is below 2^-69 of the trace
+    @pytest.mark.parametrize("theta,m", (
+        *itertools.product((0.5, -1.3, 2.0, 6.0), (2, 8, 12)), (9.0, 12)))
+    def test_equals_fsum_over_every_term(self, theta, m, solves):
+        # each value sums every solved term, within the stated bound of
+        # their exactly rounded sum, and each bound, of the roots past the
+        # solve cutoff, is below 2^-70 of the trace; theta = 9, m = 12 is a
+        # spectrum of 371662 roots in 368225 levels
         values, bounds = bs.heat_trace(theta, m, bs.T_GRID)
-        monkeypatch.undo()
-        # the weights, then each t
-        assert len(fsum_sizes) == 1 + bs.T_GRID.size
-        cutoff = bs._solve_cutoff(theta, m, bs.T_GRID[0])
-        mu, w, _ = bs.spectrum(theta, m, cutoff)
+        [(cutoff, (mu, w, _))] = solves
         full, weights, _ = bs.spectrum(theta, m, 100.0)
         past = full > cutoff
-        for t, value, bound, k in zip(bs.T_GRID, values, bounds,
-                                      fsum_sizes[1:]):
-            terms = w * np.exp(-t * mu * mu)
-            assert value == math.fsum(terms)
-            assert math.fsum(np.append(terms[k:], weights[past] * np.exp(
-                -t * full[past] ** 2))) <= bound <= 2.0 ** -69 * value
+        for t, value, bound in zip(bs.T_GRID, values, bounds):
+            assert_summed(value, w * np.exp(-t * mu * mu))
+            assert math.fsum(weights[past] * np.exp(-t * full[past] ** 2)) \
+                <= bound <= 2.0 ** -70 * value
 
     @pytest.mark.parametrize("m", (2, 8, 12))
     @pytest.mark.parametrize("theta", (0.5, -1.3, 2.0, 6.0))
@@ -1090,7 +1084,7 @@ class TestHeatTrace:
         # at large t the interior term a_0 t^(-m/2) overshoots the trace:
         # the tail past the first cutoff is not proved small, so the
         # spectrum is solved again to twice the cutoff until it is, and the
-        # value is that of every term of the spectrum to 100
+        # value sums every term of the spectrum to 100 (assert_summed)
         for m, theta, t in ((12, 0.0, 0.3), (12, 0.0, 2.0), (2, 0.0, 5.0)):
             solves.clear()
             value = bs.heat_trace(theta, m, [t])[0][0]
@@ -1099,7 +1093,7 @@ class TestHeatTrace:
             assert [cutoff for cutoff, _ in solves] == [
                 first * 2.0 ** k for k in range(len(solves))]
             mu, w, _ = bs.spectrum(theta, m, 100.0)
-            assert value == math.fsum(w * np.exp(-t * mu * mu))
+            assert_summed(value, w * np.exp(-t * mu * mu))
 
     @pytest.mark.parametrize("theta,m,t", ((0.5, 2, 0.02), (-3.0, 12, 0.02),
                                            (6.0, 8, 0.005), (0.0, 12, 2.0)))
@@ -1116,12 +1110,12 @@ class TestHeatTrace:
         assert cutoff % 0.125 == 0.0
         assert tail(cutoff) <= target < tail(cutoff - 0.125)
 
-    def test_sums_only_the_terms_that_count(self, fsum_sizes):
-        # the solve stops where the cut would: few of the roots to mu_max
-        # are solved, and fewer summed
+    def test_sums_only_the_terms_that_count(self, solves):
+        # the solve stops where the terms stop counting: few of the roots
+        # to 100 are solved
         bs.heat_trace(1.1, 2, [0.3])
-        solved, summed = fsum_sizes
-        assert summed <= solved < 0.1 * bs.spectrum(1.1, 2, 100.0)[0].size
+        [(_, (mu, _, _))] = solves
+        assert mu.size < 0.1 * bs.spectrum(1.1, 2, 100.0)[0].size
 
     def test_insufficient_cutoff(self, monkeypatch):
         # a truncation bound not below 1e-10 of the trace is refused.  Only
@@ -1148,14 +1142,14 @@ class TestHeatTrace:
     def test_empty_spectrum_asks_for_a_cutoff(self, monkeypatch, solves):
         # no root below a first cutoff of 0.5: a zero trace whose tail bound
         # is not zero, so the spectrum is solved again to twice the cutoff
-        # until the tail is small, and the value is that of every term
+        # until the tail is small, and the value sums every term
         monkeypatch.setattr(bs, "_solve_cutoff", lambda theta, m, t: 0.5)
         value = bs.heat_trace(0.0, 2, [1.0])[0][0]
         assert solves[0][1][0].size == 0
         assert [cutoff for cutoff, _ in solves] == [
             0.5 * 2.0 ** k for k in range(len(solves))]
         mu, w, _ = bs.spectrum(0.0, 2, 100.0)
-        assert value == math.fsum(w * np.exp(-mu * mu))
+        assert_summed(value, w * np.exp(-mu * mu))
 
     def test_invalid_t(self):
         with pytest.raises(ValueError):
@@ -1182,6 +1176,47 @@ class TestHeatTrace:
     def test_no_t(self):
         values, bounds = bs.heat_trace(0.5, 2, [])
         assert values.shape == bounds.shape == (0,)
+
+
+@st.composite
+def _trace_requests(draw):
+    """theta of either sign, log-uniform in |theta| in [1e-6, 6], an even m
+    in 2..12 and T_GRID or a geometric window of 1 to 20 t in [0.005,
+    0.3]."""
+    theta = math.copysign(math.exp(draw(st.floats(math.log(1e-6),
+                                                  math.log(6.0)))),
+                          draw(st.sampled_from((1.0, -1.0))))
+    m = draw(st.sampled_from((2, 4, 6, 8, 10, 12)))
+    if draw(st.booleans()):
+        return theta, m, bs.T_GRID
+    low, high = sorted(math.exp(draw(st.floats(math.log(0.005),
+                                               math.log(0.3))))
+                       for _ in range(2))
+    return theta, m, np.geomspace(low, high, draw(st.integers(1, 20)))
+
+
+class TestHeatTraceProperty:
+    @seed(2005)
+    @settings(max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(request=_trace_requests())
+    def test_sums_within_the_stated_bound(self, request):
+        # every value is finite and within the stated bound of the exactly
+        # rounded sum of the solved terms, and every tail bound is below
+        # 2^-70 of its value
+        theta, m, ts = request
+        spectrum, solves = bs.spectrum, []
+
+        def spy(*args):
+            solves.append(spectrum(*args))
+            return solves[-1]
+        with unittest.mock.patch.object(bs, "spectrum", spy):
+            values, bounds = bs.heat_trace(theta, m, ts)
+        mu, w, _ = solves[-1]
+        assert np.all(np.isfinite(values))
+        for t, value, bound in zip(ts.tolist(), values, bounds):
+            assert_summed(value, w * np.exp(-t * mu * mu))
+            assert bound <= 2.0 ** -70 * value
 
 
 def solved(theta, m, mu_max):

@@ -88,6 +88,9 @@ class TestParsing:
                 == ["table", f"--theta={value}"]
         assert cli._parse_theta("-.5:1:.5") == [-0.5, 0.0, 0.5, 1.0]
         assert cli._parse_theta("-.5,-1") == [-0.5, -1.0]
+        # a value of exactly "--" is split off, as no value
+        assert cli._merge_negative_values(["table", "--m=--", "--out=--x"]) \
+            == ["table", "--m", "--", "--out=--x"]
 
 
 class TestCoeffs:
@@ -1131,6 +1134,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert reason in err and "_parse" not in err and "_finite" not in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in sorted(COMMANDS)
+        for flag in sorted(_flags(command) - {"--help"})])
+    def test_double_dash_value_exit_2(self, tmp_path, command, flag):
+        # --flag=-- is --flag --: a flag with no value, refused with the
+        # command's usage and one error naming it; nothing is written,
+        # neither to stdout nor to a file
+        out = [] if flag == "--out" else ["--out", "report"]
+        argv = [command, *COMMANDS[command]]
+        got = _main_in(tmp_path, [*argv, f"{flag}=--", *out])
+        assert got == _main_in(tmp_path, [*argv, flag, "--", *out])
+        code, stdout, stderr, files = got
+        assert (code, stdout, files) == (2, "", {})
+        assert stderr.startswith(f"usage: chiralbag {command} ")
+        assert stderr.endswith(f"\nchiralbag {command}: error: argument "
+                               f"{flag}: expected one argument\n")
 
     def test_unknown_command_exit_2(self, capsys):
         code = cli.main(["frobnicate"])
