@@ -45,8 +45,8 @@ its range, and a root starts at the cubic Hermite interpolant of mu(psi)
 between the two nodes around its target.  A level p >= mu_max has one
 bracket, (0, mu_max], below its turning point (_high_hits, _high_start);
 the roots that bounds put past mu_max are not solved.  A warm heat trace
-on T_GRID is one pass of the continued fraction, 1.000-1.010 elements per
-kept root.
+on T_GRID takes 1.000-1.018 elements of the continued fraction per kept
+root, in one pass but at some |theta| in [0.3, 0.8] (_solve).
 
 The heat trace sums every solved term at each t, from one spectrum solved
 only as far as its smallest t needs, and bounds the roots past it
@@ -349,7 +349,9 @@ def _solve(p: np.ndarray, target: np.ndarray, lo: np.ndarray,
     correction below 0.79 of the bound (TestRootCheck).
 
     From the starts of _roots one step retires every root of a T_GRID heat
-    trace, m = 2..12, |theta| <= 9, but one at |theta| = 0.28-0.33."""
+    trace, m = 2..12, |theta| <= 9, but up to 17 at some |theta| in [0.3,
+    0.8]: roots of the levels past mu_max whose start (_high_start) lies
+    near the turning point, which take a second round."""
     mu = np.where((mu > lo) & (mu < hi), mu, 0.5 * (lo + hi))
     root, left = np.empty(lo.shape), np.empty(lo.shape)
     live = np.arange(lo.size)
@@ -419,15 +421,15 @@ def _fraction(p, mu, ratio, steps: int):
     return ratio
 
 
-def _high_bounds(high: np.ndarray, mu_max: float, steps: int = 4) -> tuple:
+def _high_bounds(high: np.ndarray, mu_max: float) -> tuple:
     """Lower and upper bounds on R_p(mu_max) for the levels p >= mu_max:
-    the continued fraction's first s = steps steps, F_p(... F_{p+s-1}(R)),
-    from R = 0 and from R = rho_{p+s}.  Below j_{p+s,1} > mu_max, 0 <=
-    R_{p+s} <= rho_{p+s} (Pincherle), and each F_k is increasing, so the two
-    enclose R_p; they lie within rho_{p+s} prod_k rho_k^2 of each other."""
+    the continued fraction's first 4 steps, F_p(... F_{p+3}(R)), from R = 0
+    and from R = rho_{p+4}.  Below j_{p+4,1} > mu_max, 0 <= R_{p+4} <=
+    rho_{p+4} (Pincherle), and each F_k is increasing, so the two enclose
+    R_p; they lie within rho_{p+4} prod_k rho_k^2 of each other."""
     mu = float(mu_max)
-    return (_fraction(high, mu, 0.0, steps),
-            _fraction(high, mu, _rho(high + steps, mu), steps))
+    return (_fraction(high, mu, 0.0, 4),
+            _fraction(high, mu, _rho(high + 4, mu), 4))
 
 
 def _high_hits(high: np.ndarray, r: np.ndarray, mu_max: float) -> np.ndarray:
@@ -435,21 +437,16 @@ def _high_hits(high: np.ndarray, r: np.ndarray, mu_max: float) -> np.ndarray:
     (columns) holds a root for each ratio r (rows): iff r > 0 and
     arctan R_p(mu_max) >= arctan r.  A positive r up to the lower bound of
     _high_bounds has a root and one past its upper bound none, each with a
-    margin of 1e-12 for rounding.  The levels where some r lies between
-    four-step bounds take eight-step ones, which decide nearly all that
-    four leave open at the T_GRID cutoffs, near the turning point; only
-    the levels still open take a pass of the continued fraction there."""
-    hit = np.zeros((r.size, high.size), dtype=bool)
-    cols = np.arange(high.size)
-    for steps in (4, 8):
-        lower, upper = _high_bounds(high[cols], mu_max, steps)
-        hit[:, cols] = (r > 0.0) & (r <= (1.0 - 1e-12) * lower)
-        cols = cols[((r > 0.0) & ~hit[:, cols]
-                     & (r <= (1.0 + 1e-12) * upper)).any(axis=0)]
-        if not cols.size:
-            return hit
-    top = _phase(high[cols], np.full(cols.size, float(mu_max)))
-    hit[:, cols] = (r > 0.0) & (top >= np.arctan(r))
+    margin of 1e-12 for rounding; only the levels where some r lies between
+    the bounds, near the turning point, take a pass of the continued
+    fraction at mu_max."""
+    lower, upper = _high_bounds(high, mu_max)
+    hit = (r > 0.0) & (r <= (1.0 - 1e-12) * lower)
+    cols = np.flatnonzero(((r > 0.0) & ~hit
+                           & (r <= (1.0 + 1e-12) * upper)).any(axis=0))
+    if cols.size:
+        top = _phase(high[cols], np.full(cols.size, float(mu_max)))
+        hit[:, cols] = (r > 0.0) & (top >= np.arctan(r))
     return hit
 
 
@@ -459,25 +456,15 @@ def _high_start(p: np.ndarray, r: np.ndarray, mu_max: float) -> np.ndarray:
     sqrt(p^2 + 4(p+1)(1+r^2))) / (1+r^2), the root of R_p = F_p(rho_{p+1}),
     then two fixed-point steps of mu = 2(p+1) r / (1 + r R_{p+1}(mu)),
     R_{p+1} from three steps of the continued fraction down from rho_{p+4}.
-    Near the turning point they converge slowly: the start is off by at
-    most 0.55 of the second step's move (0.3 <= |theta| <= 1.5, m = 2 and
-    12), so where that is over STEP_RTOL of mu one Newton step on R_p = r
-    follows, R_p from six steps down from rho_{p+6} and R_p' = 1 - (2p+1)
-    R_p / mu + R_p^2: within 2.4e-6 of the root at |theta| = 0.5 against
-    8.5e-4 without.  The steps can overshoot, so each starts from mu cut
-    to the bracket, where rho is real."""
+    Near the turning point they converge slowly, and _solve takes a second
+    round at the roots they leave far off.  The steps can overshoot, so
+    each starts from mu cut to the bracket, where rho is real."""
     mu = r * (p + np.sqrt(p * p + 4.0 * (p + 1) * (1.0 + r * r))) / (
         1.0 + r * r)
     for _ in range(2):
         last = np.minimum(mu, mu_max)
         mu = 2.0 * (p + 1) * r / (1.0 + r * _fraction(
             p + 1, last, _rho(p + 4, last), 3))
-    slow = np.abs(mu - last) > STEP_RTOL * mu
-    if slow.any():
-        q, x, y = p[slow], np.minimum(mu[slow], mu_max), r[slow]
-        ratio = _fraction(q, x, _rho(q + 6, x), 6)
-        mu[slow] = x - (ratio - y) / (1.0 - (2 * q + 1) * ratio / x
-                                      + ratio * ratio)
     return mu
 
 
@@ -576,16 +563,6 @@ def spectrum(theta: float, m: int, mu_max: float) -> tuple:
     return mu[order], deg[p - p0][order], n_levels  # n = first excluded level
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    """math.exp at each element of the float array x.  Bounds take it, not
-    np.exp, which is an ulp off it at ~5% of arguments: where consecutive
-    level terms of _truncation_bound nearly tie, its factor 1 / (1 - q), q
-    their ratio, turns an ulp of q into 2.5e-7 of the bound (m = 4, theta
-    = 9, cutoff 8, t = 0.005)."""
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
-
-
 def _least(holds, below, above):
     """Bisection: the least n in (below, above] with holds(n), for holds
     false at below, true at above and monotone between; elementwise for
@@ -609,7 +586,10 @@ def _truncation_bound(theta: float, m: int, t, mu_max,
     least geometrically.  The peak is n_excluded where the terms fall from
     there, as on T_GRID; where they rise it is found by one bisection over
     those elements, and where they still rise MAX_LEVELS levels on there is
-    no bound (inf)."""
+    no bound (inf).  The exponentials are np.exp's, an ulp off the exactly
+    rounded ones at some arguments: where consecutive level terms nearly
+    tie, the factor 1 / (1 - q), q their ratio, turns that ulp into up to
+    2.5e-7 of the bound (m = 4, theta = 9, cutoff 8, t = 0.005)."""
     shape = np.broadcast(t, mu_max).shape
     t, mu_max = (np.asarray(a, dtype=float).ravel() for a in (t, mu_max))
     n_excluded = np.ravel(n_excluded)
@@ -623,18 +603,18 @@ def _truncation_bound(theta: float, m: int, t, mu_max,
              4.0 * degeneracy(k + j, m))
             for j in (0, 1) for k, x in zip(n.tolist(), mu.tolist())
         ]).T.reshape(2, 2, -1)
-        return scale * _exp(-t * low * low) / spacing
+        return scale * np.exp(-t * low * low) / spacing
 
     def falls(pair):  # at or past the peak
         return (pair[0] == 0.0) | (pair[1] < pair[0])
     # a term past the float range is inf, and a term 0 makes the ratio of
     # the next to it not a number: np.where keeps neither
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        spacing = np.maximum(1.0 - _exp(-4.0 * t * mu_max), 1e-300)
+        spacing = np.maximum(1.0 - np.exp(-4.0 * t * mu_max), 1e-300)
         # sum_{n < N} binom(n + m - 2, n) = binom(N + m - 2, m - 1)
         bound = 4.0 * (spinor_dimension(m) // 2) * np.array(
             [math.comb(n + m - 2, m - 1) for n in n_excluded.tolist()],
-            dtype=float) * _exp(-t * mu_max * mu_max) / spacing
+            dtype=float) * np.exp(-t * mu_max * mu_max) / spacing
         pair = terms(n_excluded, mu_max, t, spacing)
         # where the terms still rise at n_excluded, on to the peak
         rise = np.flatnonzero(~falls(pair))
@@ -659,9 +639,11 @@ def _cutoff_estimate(theta: float, m: int, t: float,
     """Three fixed-point steps of mu = sqrt((ln L - ln target) / t) on the
     leading term L e^(-t mu^2) of _truncation_bound, L = 4 (d_s/2) binom(n
     + m - 2, m - 1) / (1 - e^(-4 t mu)) at the level count n of mu, from
-    sqrt(-ln target / t): within 0.18 below the cutoff of _solve_cutoff at
-    m = 2..12, 25 theta in [-6, 6] and t = 0.005, 0.02 and 0.3.  Each step
-    starts no further than the floor of level MAX_LEVELS."""
+    sqrt(-ln target / t).  At m = 2..12 and 161 theta in [-10, 10], inside
+    the level limit, it lies below the cutoff of _solve_cutoff, by at most
+    0.18 at t = 0.3, 0.02 and 0.01, 0.19 at t = 0.005 and 0.34 at t =
+    0.001.  Each step starts no further than the floor of level
+    MAX_LEVELS."""
     top = _level_floor(MAX_LEVELS + m // 2 - 2, theta)
     mu = math.sqrt(max(-log_target, 1.0) / t)
     for _ in range(3):
@@ -674,58 +656,40 @@ def _cutoff_estimate(theta: float, m: int, t: float,
 
 
 def _solve_cutoff(theta: float, m: int, t: float) -> float:
-    """The least multiple of 1/8 past which the roots' _truncation_bound at
-    t lies below 2^-70 of an estimate of the trace, half its interior term
-    a_0 t^(-m/2).
+    """The least multiple of 1/8, from the one at or above _cutoff_estimate,
+    past which the roots' _truncation_bound at t lies below 2^-70 of an
+    estimate of the trace, half its interior term a_0 t^(-m/2).
 
-    The multiple k/8 at or above _cutoff_estimate and its two neighbours,
-    in one bound, hold the least cutoff that is enough next to one that is
-    not at m = 2..12, 25 theta in [-6, 6] and t = 0.005, 0.02, 0.3, 0.5, 1
-    and 2.  Where they do not (at t = 1e-4 they mostly do not), the search
-    steps on from them by 1/8, 2/8, 4/8, ... to a cutoff on the other
-    side, and bisects between the two.  Below the floor of the first level
-    no level is counted, the bound has no leading term and falls with mu;
-    where its first level term alone could be small enough (at large t),
-    that range is searched first, so the least cutoff there is not passed
-    over.  A cutoff tried that has no bound (inf: the tail's level terms
-    still rise MAX_LEVELS levels on, or not a number) ends the search
-    (InsufficientCutoffError); one past the level limit is spectrum's to
-    refuse."""
+    The search scans up from k/8, k >= 1, three cutoffs to a bound.  The
+    estimate lies below the least cutoff that is enough at m = 2..12, 161
+    theta in [-10, 10] and t = 0.001, 0.005, 0.01, 0.02 and 0.3
+    (_cutoff_estimate), so there the scan returns that cutoff from one
+    bound.  At large t (m >= 8, t >= 2) the least cutoff can lie below the
+    floor of the first level and under the estimate; the cutoff returned
+    does too, so the spectrum to either is empty.  A scan that reaches past
+    the level limit stops there, and its cutoff is spectrum's to refuse.
+    A cutoff tried that has no bound (inf: the tail's level terms still
+    rise MAX_LEVELS levels on, or not a number) ends the search
+    (InsufficientCutoffError); of the multiples of 1/8 only 0 has none on
+    T_GRID."""
     # in logs: t^(-m/2) overflows at t = 1e-300
     log_target = (math.log(2.0 ** -71 * pinned_a0(m))
                   - 0.5 * m * math.log(t))
-
-    def enough(ks) -> list:  # at the cutoffs k/8 of the ints ks
-        mu = [int(k) / 8.0 for k in ks]
-        bounds = _truncation_bound(theta, m, t, mu, [
-            _level_count(theta, m, x) for x in mu]).tolist()
-        for bound in bounds:
+    k = max(math.ceil(8.0 * _cutoff_estimate(theta, m, t, log_target)), 1)
+    while True:
+        mu = [j / 8.0 for j in range(k, k + 3)]
+        counts = [_level_count(theta, m, x) for x in mu]
+        for x, bound in zip(mu, _truncation_bound(theta, m, t, mu,
+                                                   counts).tolist()):
             if not bound < math.inf:
                 raise InsufficientCutoffError(
                     f"truncation bound {bound:.3e} at t={t}: no cutoff "
                     f"within {MAX_LEVELS} angular levels bounds the tail")
-        return [bound == 0.0 or math.log(bound) <= log_target
-                for bound in bounds]
-
-    def holds(k) -> bool:
-        return enough((k,))[0]
-    p0 = m // 2 - 1
-    floor = _level_floor(p0, theta)
-    k = math.ceil(8.0 * _level_floor(p0 - 1, theta)) - 1  # levels from p0
-    if (k > 0 and _level_count(theta, m, k / 8.0) == 0
-            and math.log(4.0 * degeneracy(0, m)) - t * floor * floor
-            <= log_target and holds(k)):
-        return float(_least(holds, 0, k)) / 8.0
-    k = max(math.ceil(8.0 * _cutoff_estimate(theta, m, t, log_target)), 2)
-    window = enough(range(k - 1, k + 2))
-    if not window[0] and any(window):
-        return (k - 1 + window.index(True)) / 8.0
-    # on from the window's edge, down if it is all enough and up if none
-    # is, to a cutoff on the other side (or to 0, never enough)
-    edge, step = (k - 1, -1) if window[0] else (k + 1, 1)
-    while (far := max(edge + step, 0)) and holds(far) == window[0]:
-        edge, step = far, 2 * step
-    return float(_least(holds, *sorted((edge, far)))) / 8.0
+            if bound == 0.0 or math.log(bound) <= log_target:
+                return x
+        if counts[-1] > MAX_LEVELS:
+            return mu[-1]
+        k += 3
 
 
 def heat_trace(theta: float, m: int,

@@ -654,13 +654,14 @@ class TestVerifyCommands:
 
     def test_ball_mu_max_too_many_levels_exit_2(self, tmp_path, capsys):
         # the level limit counts the levels below the solve cutoff, the
-        # spectrum's mu_max
+        # spectrum's mu_max: the first cutoff the search tries past the
+        # limit, where it stops
         path = tmp_path / "report"
         code = cli.main(["verify-ball", "--m", "2", "--theta", "11",
                          "--out", str(path)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: 1.67e+06 angular levels below mu_max=55.625, over "
+            "error: 1.01e+06 angular levels below mu_max=33.75, over "
             "1000000 (at theta=11.0, m=2)\n")
         assert not path.exists()
 
