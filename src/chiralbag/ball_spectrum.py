@@ -49,8 +49,8 @@ on T_GRID takes 1.000-1.018 elements of the continued fraction per kept
 root, in one pass but at some |theta| in [0.3, 0.8] (_solve).
 
 The heat trace sums every solved term at each t, from one spectrum solved
-only as far as its smallest t needs, and bounds the roots past it
-(heat_trace).
+only as far as its smallest t needs, and bounds the roots past it at that
+t alone (heat_trace).
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ ROOT_RTOL = 1e-13
 # STEP_STIFFNESS (_solve)
 STEP_RTOL = 2e-5
 STEP_STIFFNESS = 1e-2
-# a spectrum with more angular levels below mu_max is refused
+# a spectrum with more angular levels, or more brackets, below mu_max is
+# refused
 MAX_LEVELS = 1_000_000
 # the heat-trace samples of verify-ball, smallest t first, and the number
 # of coefficients a_1..a_K fitted to them
@@ -534,28 +535,36 @@ class AsymptoticFit:
     coeff_errors: np.ndarray
 
 
-def _level_count(theta: float, m: int, mu: float) -> int:
+def _level_count(theta: float, m: int, mu: float):
     """Number of angular levels whose root floor lies below mu, one spare
-    for rounding."""
+    for rounding; inf past the float range (|theta| > ~710)."""
+    floor = _level_floor(0, theta)
     # last level p with _level_floor(p) <= mu
-    return max(int(mu / _level_floor(0, theta) - (m // 2 - 1) + 1), 0)
+    count = mu / floor - (m // 2 - 1) + 1 if floor else math.inf
+    return max(int(count), 0) if count < math.inf else count
 
 
 def spectrum(theta: float, m: int, mu_max: float) -> tuple:
     """Sorted eigenvalue array in (0, mu_max] and matching degeneracy
     weights for all four families, every angular level whose root floor
     lies below mu_max, and the number of levels; more than MAX_LEVELS
-    levels are refused."""
+    levels, or brackets below mu_max, are refused."""
     spinor_dimension(m)  # refuses a bad m before the solve
+    p0 = m // 2 - 1
+    n_levels = _level_count(theta, m, mu_max)
+    # each level p < mu_max has at most (mu_max - p)/pi + 2 brackets below
+    # mu_max, as its zeros lie over pi apart from j_{p,1} > p on: about
+    # mu_max^2 / 2pi in all, whose zeros jn_zeros would be asked for
+    low = min(n_levels, max(math.ceil(mu_max) - p0, 0))
+    brackets = low * ((mu_max - p0 - 0.5 * (low - 1)) / math.pi + 2.0)
+    for count, what in ((n_levels, "angular levels"), (brackets, "brackets")):
+        if count > MAX_LEVELS:
+            raise ValueError(f"{count:.3g} {what} below mu_max={mu_max}, "
+                             f"over {MAX_LEVELS}")
     # r of J_{p+1} = r J_p for (chirality, branch) = (+, pos), (+, neg),
     # (-, pos), (-, neg)
     ratios = (math.exp(theta), -math.exp(theta), -math.exp(-theta),
               math.exp(-theta))
-    p0 = m // 2 - 1
-    n_levels = _level_count(theta, m, mu_max)
-    if n_levels > MAX_LEVELS:
-        raise ValueError(f"{n_levels:.3g} angular levels below "
-                         f"mu_max={mu_max}, over {MAX_LEVELS}")
     p, mu = _roots(np.arange(p0, p0 + n_levels), ratios, theta, mu_max)
     # sizes are powers of 2: a few arrays per m serve every level count
     deg = _weights(m, 1 << n_levels.bit_length())
@@ -563,75 +572,33 @@ def spectrum(theta: float, m: int, mu_max: float) -> tuple:
     return mu[order], deg[p - p0][order], n_levels  # n = first excluded level
 
 
-def _least(holds, below, above):
-    """Bisection: the least n in (below, above] with holds(n), for holds
-    false at below, true at above and monotone between; elementwise for
-    arrays below and above that hold one width."""
-    while np.any(above - below > 1):
-        mid = (below + above) // 2
-        hold = holds(mid)
-        below, above = np.where(hold, below, mid), np.where(hold, mid, above)
-    return above
-
-
-def _truncation_bound(theta: float, m: int, t, mu_max,
+def _truncation_bound(theta: float, m: int, t: float, mu_max,
                       n_excluded) -> np.ndarray:
-    """Gaussian tail bound, elementwise over t and over mu_max and
-    n_excluded, which are alike in shape (numbers or arrays that broadcast
-    with t), for the roots above mu_max of the levels n < n_excluded and
-    all roots of the later levels: roots of one family are at least 2 apart
-    (zeros of J_p are at least pi apart for the relevant p), every root
-    exceeds _level_floor at any theta, and the level terms are log-concave
-    in n, so they rise to a peak, each below it, and fall from there at
-    least geometrically.  The peak is n_excluded where the terms fall from
-    there, as on T_GRID; where they rise it is found by one bisection over
-    those elements, and where they still rise MAX_LEVELS levels on there is
-    no bound (inf).  The exponentials are np.exp's, an ulp off the exactly
-    rounded ones at some arguments: where consecutive level terms nearly
-    tie, the factor 1 / (1 - q), q their ratio, turns that ulp into up to
-    2.5e-7 of the bound (m = 4, theta = 9, cutoff 8, t = 0.005)."""
-    shape = np.broadcast(t, mu_max).shape
-    t, mu_max = (np.asarray(a, dtype=float).ravel() for a in (t, mu_max))
-    n_excluded = np.ravel(n_excluded)
-    p0 = m // 2 - 1
-
-    def terms(n, mu, t, spacing):
-        """The level terms at n and n + 1, for the elements of n and mu, which
-        are alike in shape: four families, roots above mu."""
-        low, scale = np.array([
-            (max(x, _level_floor(k + j + p0, theta)),
-             4.0 * degeneracy(k + j, m))
-            for j in (0, 1) for k, x in zip(n.tolist(), mu.tolist())
-        ]).T.reshape(2, 2, -1)
-        return scale * np.exp(-t * low * low) / spacing
-
-    def falls(pair):  # at or past the peak
-        return (pair[0] == 0.0) | (pair[1] < pair[0])
-    # a term past the float range is inf, and a term 0 makes the ratio of
-    # the next to it not a number: np.where keeps neither
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        spacing = np.maximum(1.0 - np.exp(-4.0 * t * mu_max), 1e-300)
-        # sum_{n < N} binom(n + m - 2, n) = binom(N + m - 2, m - 1)
-        bound = 4.0 * (spinor_dimension(m) // 2) * np.array(
-            [math.comb(n + m - 2, m - 1) for n in n_excluded.tolist()],
-            dtype=float) * np.exp(-t * mu_max * mu_max) / spacing
-        pair = terms(n_excluded, mu_max, t, spacing)
-        # where the terms still rise at n_excluded, on to the peak
-        rise = np.flatnonzero(~falls(pair))
-        if rise.size:
-            first, top, at, gap = (np.broadcast_to(a, bound.shape)[rise] for a
-                                   in (n_excluded, mu_max, t, spacing))
-            unbounded = rise[~falls(terms(first + MAX_LEVELS, top, at, gap))]
-            peak = _least(lambda n: falls(terms(n, top, at, gap)), first,
-                          first + MAX_LEVELS)
-            pair[:, rise] = terms(peak, top, at, gap)
-            bound[rise] += (peak - first) * pair[0, rise]
-        term, after = pair
-        bound = np.where(term == 0.0, bound,
-                         bound + term / (1.0 - after / term))
-    if rise.size:
-        bound[unbounded] = math.inf
-    return bound.reshape(shape)
+    """Gaussian tail bound at one t, elementwise over mu_max and n_excluded
+    (alike in shape), for the roots above mu_max of the levels n <
+    n_excluded and all roots of the later levels.  Roots of one family are
+    at least 2 apart (zeros of J_p are at least pi apart for the relevant
+    p) and exceed _level_floor at any theta, so the four families of level
+    n add at most 4 deg(n) e^(-t low_n^2) / (1 - e^(-4 t mu_max)), low_n =
+    max(mu_max, floor_n).  These level terms are log-concave in n, so past
+    n_excluded they sum to at most the first over 1 - q, q = deg(n + 1) /
+    deg(n) e^(-t (low_1^2 - low_0^2)) their ratio there, taken from its
+    exponent; where q >= 1, or is not a number (n_excluded inf), there is
+    no bound (inf)."""
+    def bound(mu, n):
+        spacing = max(1.0 - math.exp(-4.0 * t * mu), 1e-300)
+        low, high = (max(mu, _level_floor(n + j + m // 2 - 1, theta))
+                     for j in (0, 1))
+        q = (n + m - 1) / (n + 1) * math.exp(-t * (high - low) * (high + low))
+        if not q < 1.0:
+            return math.inf
+        # sum_{n' < n} binom(n' + m - 2, n') = binom(n + m - 2, m - 1)
+        return 4.0 * (degeneracy(0, m) * math.comb(n + m - 2, m - 1)
+                      * math.exp(-t * mu * mu) + degeneracy(n, m)
+                      * math.exp(-t * low * low) / (1.0 - q)) / spacing
+    return np.reshape([bound(mu, n) for mu, n in zip(
+        np.ravel(mu_max).tolist(), np.ravel(n_excluded).tolist())],
+        np.shape(mu_max))
 
 
 def _cutoff_estimate(theta: float, m: int, t: float,
@@ -660,31 +627,38 @@ def _solve_cutoff(theta: float, m: int, t: float) -> float:
     past which the roots' _truncation_bound at t lies below 2^-70 of an
     estimate of the trace, half its interior term a_0 t^(-m/2).
 
-    The search scans up from k/8, k >= 1, three cutoffs to a bound.  The
-    estimate lies below the least cutoff that is enough at m = 2..12, 161
-    theta in [-10, 10] and t = 0.001, 0.005, 0.01, 0.02 and 0.3
-    (_cutoff_estimate), so there the scan returns that cutoff from one
-    bound.  At large t (m >= 8, t >= 2) the least cutoff can lie below the
-    floor of the first level and under the estimate; the cutoff returned
-    does too, so the spectrum to either is empty.  A scan that reaches past
-    the level limit stops there, and its cutoff is spectrum's to refuse.
-    A cutoff tried that has no bound (inf: the tail's level terms still
-    rise MAX_LEVELS levels on, or not a number) ends the search
-    (InsufficientCutoffError); of the multiples of 1/8 only 0 has none on
-    T_GRID."""
+    After one bound at the level limit, the search scans up from k/8, k >=
+    1, three cutoffs to a bound.  The estimate lies below the least cutoff
+    that is enough at m = 2..12, 161 theta in [-10, 10] and t = 0.001,
+    0.005, 0.01, 0.02 and 0.3 (_cutoff_estimate): one bound there.  At t >=
+    2, m >= 8 the least cutoff and the estimate can lie below the first
+    level's floor, as does the cutoff returned: its spectrum is empty.  A
+    cutoff with no bound (inf) is not enough.  q of _truncation_bound falls
+    as the cutoff rises, so where the level limit has no bound (or a NaN),
+    no cutoff below it has: the search returns the least cutoff whose
+    first bound term, at least 2 d_s e^(-t mu^2), is enough if that lies
+    past the limit, and else ends (InsufficientCutoffError).  A cutoff past
+    the limit is spectrum's to refuse, and the scan stops at the first."""
     # in logs: t^(-m/2) overflows at t = 1e-300
     log_target = (math.log(2.0 ** -71 * pinned_a0(m))
                   - 0.5 * m * math.log(t))
+    top = _level_floor(MAX_LEVELS + m // 2 - 2, theta)
+    bound = float(_truncation_bound(theta, m, t, top,
+                                    _level_count(theta, m, top)))
+    if not bound < math.inf:
+        least = math.ceil(8.0 * math.sqrt(max(math.log(
+            2 * spinor_dimension(m)) - log_target, 0.0) / t)) / 8.0
+        if _level_count(theta, m, least) > MAX_LEVELS:
+            return least
+        raise InsufficientCutoffError(
+            f"truncation bound {bound:.3e} at t={t}: no cutoff within "
+            f"{MAX_LEVELS} angular levels bounds the tail")
     k = max(math.ceil(8.0 * _cutoff_estimate(theta, m, t, log_target)), 1)
     while True:
         mu = [j / 8.0 for j in range(k, k + 3)]
         counts = [_level_count(theta, m, x) for x in mu]
         for x, bound in zip(mu, _truncation_bound(theta, m, t, mu,
                                                    counts).tolist()):
-            if not bound < math.inf:
-                raise InsufficientCutoffError(
-                    f"truncation bound {bound:.3e} at t={t}: no cutoff "
-                    f"within {MAX_LEVELS} angular levels bounds the tail")
             if bound == 0.0 or math.log(bound) <= log_target:
                 return x
         if counts[-1] > MAX_LEVELS:
@@ -698,46 +672,48 @@ def heat_trace(theta: float, m: int,
     and the truncation bound of each: deg * exp(-t mu^2) over the four
     families and all angular levels of one spectrum.
 
-    The spectrum is solved to the cutoff mu_c of the smallest t
+    The spectrum is solved to the cutoff mu_c of the smallest t, t_0
     (_solve_cutoff), and each value is one sum over every solved term.
-    After the solve the tail bound past mu_c, one _truncation_bound over
-    every t, must lie below 2^-70 of the value at every t; while it does
-    not, the spectrum is solved again to twice the cutoff, until the level
-    limit refuses it.  That tail bound is the returned bound; one not below
-    1e-10 of the value (one that is not a number) is refused
-    (InsufficientCutoffError).  Every term is non-negative, so a sum of N
-    of them in any order errs by at most (N - 1) 2^-53 of the sum, to
-    first order (Higham, SIAM J. Sci. Comput. 14 (1993) 783); numpy's
-    pairwise sum is within 2 ulp of the exactly rounded sum (math.fsum) on
+    One _truncation_bound at t_0 bounds the roots past mu_c; while it
+    exceeds 2^-70 of the value at t_0, the spectrum is solved again to
+    twice the cutoff, until the level limit refuses it.  One t is enough:
+    each term of the bound over each solved term is e^(-t (low^2 - mu^2))
+    / (1 - e^(-4 t mu_c)), low >= mu_c >= mu, and q of the bound falls
+    with t, so the bound over the value cannot rise with t.  The bound
+    returned at each t is its value times r, the bound over the value at
+    t_0; an r not below 1e-10 (not a number) is refused
+    (InsufficientCutoffError).  A sum of N non-negative terms errs by at
+    most (N - 1) 2^-53 of it, to first order (Higham, SIAM J. Sci. Comput.
+    14 (1993) 783); numpy's pairwise sum is within 2 ulp of math.fsum on
     every T_GRID trace for m = 2..12 and 181 theta in [-9, 9].  A t at
-    which every term and the bound underflow to 0 is out of range
-    (ValueError)."""
+    which every term underflows to 0 is out of range (ValueError)."""
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts) & (ts > 0)):
         raise ValueError("t must be positive and finite")
     if not ts.size:
         return np.empty(ts.shape), np.empty(ts.shape)
-    cutoff = _solve_cutoff(theta, m, float(ts.min()))
+    t0 = float(ts.min())
+    cutoff = _solve_cutoff(theta, m, t0)
     while True:
         mu, w, n_excl = spectrum(theta, m, cutoff)
         # one t at a time, so that no (len(ts), N) array is formed
         values = np.array([(w * np.exp(-t * mu * mu)).sum()
                            for t in ts.tolist()])
-        bounds = _truncation_bound(theta, m, ts, cutoff, n_excl)
+        value = float(values[ts.argmin()])
+        bound = float(_truncation_bound(theta, m, t0, cutoff, n_excl))
         # the roots past the cutoff cannot move a value; a bound that is
         # not a number ends the loop too, and is refused below
-        if not np.any(bounds > 2.0 ** -70 * values):
+        if not bound > 2.0 ** -70 * value:
             break
         cutoff *= 2.0
-    for t, value, bound in zip(ts.tolist(), values, bounds):
-        if value == bound == 0.0:
-            raise ValueError(f"every term of the trace underflows at t={t}: "
-                             f"t is out of range")
-        if not bound < 1e-10 * value:
-            raise InsufficientCutoffError(
-                f"truncation bound {bound:.3e} too large for trace "
-                f"{value:.6e} at t={t}")
-    return values, bounds
+    if not values.all():
+        raise ValueError(f"every term of the trace underflows at "
+                         f"t={ts[values == 0.0][0]}: t is out of range")
+    if not bound < 1e-10 * value:
+        raise InsufficientCutoffError(
+            f"truncation bound {bound:.3e} too large for trace "
+            f"{value:.6e} at t={t0}")
+    return values, bound / value * values
 
 
 def pinned_a0(m: int) -> float:

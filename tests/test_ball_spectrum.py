@@ -772,42 +772,28 @@ def scalar_least(holds, below, above):
 
 
 def scalar_truncation_bound(theta, m, t, mu_max, n_excluded, path=None):
-    """_truncation_bound at one t as a scalar formula with math.exp, level
-    by level, and the gain 1 / spacing + 1 / (1 - q) that carries a
-    relative error of the exponentials into it: spacing = 1 - e^(-4 t
-    mu_max) is formed by cancellation, and the geometric sum's factor 1 /
-    (1 - q), q the ratio of consecutive level terms past the peak, turns an
-    ulp of q into q / (1 - q) ulp of the tail.  The cases it takes go into
-    the set path: the level terms "fall" at n_excluded or "rise" to a peak,
-    the peak term is "zero" or "nonzero", or there is no bound ("inf")."""
+    """_truncation_bound at one t and one cutoff as a scalar formula, and
+    the gain 1 / spacing + 1 / (1 - q) that carries a relative error of
+    its exponentials into it: spacing = 1 - e^(-4 t mu_max) is formed by
+    cancellation, and the geometric sum's factor 1 / (1 - q), q the ratio
+    of the level terms at n_excluded and n_excluded + 1, turns an ulp of q
+    into q / (1 - q) ulp of the tail.  The cases it takes go into the set
+    path: the level term at n_excluded is "zero" or "nonzero", or there is
+    no bound ("inf", q >= 1)."""
     path = set() if path is None else path
     spacing = max(1.0 - math.exp(-4.0 * t * mu_max), 1e-300)
-
-    def level(n):  # four families, roots above mu_max
-        low = max(mu_max, bs._level_floor(n + m // 2 - 1, theta))
-        return 4.0 * bs.degeneracy(n, m) * math.exp(-t * low * low) / spacing
-
-    def falls(n):  # at or past the peak
-        term = level(n)
-        return term == 0.0 or level(n + 1) < term
+    low, high = (max(mu_max, bs._level_floor(n + m // 2 - 1, theta))
+                 for n in (n_excluded, n_excluded + 1))
+    q = bs.degeneracy(n_excluded + 1, m) / bs.degeneracy(n_excluded, m) * (
+        math.exp(-t * (high - low) * (high + low)))
+    if q >= 1.0:
+        path.add("inf")
+        return math.inf, 0.0
     bound = 4.0 * (bs.spinor_dimension(m) // 2) * math.comb(
         n_excluded + m - 2, m - 1) * math.exp(-t * mu_max * mu_max) / spacing
-    n = n_excluded
-    if falls(n):
-        path.add("fall")
-    else:
-        if not falls(n + bs.MAX_LEVELS):
-            path.add("inf")
-            return math.inf, 0.0
-        path.add("rise")
-        n = scalar_least(falls, n, n + bs.MAX_LEVELS)
-        bound += (n - n_excluded) * level(n)
-    term = level(n)
-    if term == 0.0:
-        path.add("zero")
-        return bound, 1.0 / spacing
-    path.add("nonzero")
-    q = level(n + 1) / term
+    term = 4.0 * bs.degeneracy(n_excluded, m) * math.exp(-t * low * low) / (
+        spacing)
+    path.add("zero" if term == 0.0 else "nonzero")
     return bound + term / (1.0 - q), 1.0 / spacing + 1.0 / (1.0 - q)
 
 
@@ -834,15 +820,13 @@ def doubling_cutoff(theta, m, t):
 
 class TestHeatTrace:
     def test_truncation_bound_equals_scalar_formula(self):
-        # one call over every t is the calls at each t, bit for bit, and the
-        # scalar formula with math.exp at each within 4 2^-52 of its gain:
-        # np.exp and math.exp differ by an ulp at some arguments, and the
-        # measured gap is at most 1.47 2^-52 of the gain (2.5e-7 of the
-        # bound at m = 4, theta = 9, cutoff 8, t = 0.005; 0.8% at t =
-        # 1e-12, where consecutive level terms tie to 1e-14).  The grid
-        # reaches level terms that fall at n_excluded, terms that rise to a
-        # peak (the bisection, m >= 4), a peak term that underflows at some
-        # t and not at others, and no bound (inf, at t = 1e-12)
+        # at one t, one call over four cutoffs is the calls at each, bit
+        # for bit, and each is the scalar formula, which sums its terms in
+        # another order, within 4 2^-52 and 2^-1074 (a subnormal bound) of
+        # its gain (measured up to 0.49 2^-52 of it), with inf at the same
+        # places.  The grid reaches a level
+        # term at n_excluded that underflows at some t and not at others,
+        # and no bound (inf, q >= 1, at t = 1e-12)
         ts = np.concatenate((bs.T_GRID, [0.005, 0.3, 2.0, 5.0, 1e-12]))
         cases, mixed = set(), False
         with warnings.catch_warnings():
@@ -850,34 +834,62 @@ class TestHeatTrace:
             for m, theta in itertools.product(
                     (2, 4, 6, 8, 10, 12),
                     (0.0, 0.5, -0.5, 2.0, -3.0, 6.0, 9.0)):
-                for cutoff in (8.0, 30.0, 100.0,
-                               bs._solve_cutoff(theta, m, bs.T_GRID[0])):
-                    n = bs._level_count(theta, m, cutoff)
-                    paths = [set() for _ in ts]
-                    want, gain = np.array([
-                        scalar_truncation_bound(theta, m, t, cutoff, n, path)
-                        for t, path in zip(ts.tolist(), paths)]).T
-                    got = bs._truncation_bound(theta, m, ts, cutoff, n)
+                cutoffs = [8.0, 30.0, 100.0,
+                           bs._solve_cutoff(theta, m, bs.T_GRID[0])]
+                ns = [bs._level_count(theta, m, x) for x in cutoffs]
+                zero = [set() for _ in cutoffs]
+                for t in ts.tolist():
+                    got = bs._truncation_bound(theta, m, t, cutoffs, ns)
                     assert got.tolist() == [float(bs._truncation_bound(
-                        theta, m, t, cutoff, n)) for t in ts.tolist()]
-                    finite = np.isfinite(want)
-                    assert np.array_equal(np.isfinite(got), finite)
-                    got, want, gain = got[finite], want[finite], gain[finite]
-                    assert np.all(np.abs(got - want)
-                                  <= 4.0 * 2.0 ** -52 * gain * want), (
-                        theta, cutoff)
-                    cases.update(*paths)
-                    zero = ["zero" in path for path in paths]
-                    mixed |= any(zero) and not all(zero)
-        assert cases == {"fall", "rise", "zero", "nonzero", "inf"}
+                        theta, m, t, x, n)) for x, n in zip(cutoffs, ns)]
+                    for bound, x, n, seen in zip(got.tolist(), cutoffs, ns,
+                                                 zero):
+                        path = set()
+                        want, gain = scalar_truncation_bound(theta, m, t, x,
+                                                             n, path)
+                        assert (bound == math.inf) == (want == math.inf)
+                        assert bound == want or abs(bound - want) <= (
+                            4.0 * 2.0 ** -52 * want + 2.0 ** -1074) * gain, (
+                                theta, m, t, x)
+                        cases |= path
+                        seen.add("zero" in path)
+                mixed |= any(len(seen) == 2 for seen in zero)
+        assert cases == {"zero", "nonzero", "inf"}
         assert mixed
+
+    @pytest.mark.parametrize("t", (bs.T_GRID[-2], 0.3))
+    def test_underflowing_level_terms_are_bounded(self, t, monkeypatch):
+        # theta = 6.5, m = 2 at its T_GRID cutoff 53.5: at t = T_GRID[-2]
+        # the level terms at n = 17820 and 17821 underflow to the same
+        # subnormal, and at t = 0.3 to 0, so their quotient reads 1 or is
+        # not a number; q from its exponent is below 1, and the bound is
+        # finite (0 at t = 0.3, where its first term underflows too).  It
+        # takes the floors of those two levels alone, with no search
+        floor, levels = bs._level_floor, []
+
+        def spy(p, theta):
+            levels.append(p)
+            return floor(p, theta)
+        spacing = 1.0 - math.exp(-4.0 * t * 53.5)
+        terms = [4.0 * bs.degeneracy(n, 2) * math.exp(
+            -t * floor(n, 6.5) ** 2) / spacing for n in (17820, 17821)]
+        assert terms[0] == terms[1] == (
+            4 * 2.0 ** -1074 if t < 0.3 else 0.0)
+        monkeypatch.setattr(bs, "_level_floor", spy)
+        bound = float(bs._truncation_bound(6.5, 2, t, 53.5, 17820))
+        assert levels == [17820, 17821]
+        assert bound < math.inf
+        assert bound > 0.0 if t < 0.3 else bound == 0.0
+        assert bound == pytest.approx(
+            scalar_truncation_bound(6.5, 2, t, 53.5, 17820)[0], rel=1e-15)
 
     @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
     def test_seeded_cutoff_equals_doubling_bisection(self, m, monkeypatch):
         # the scan up from the estimate finds the cutoff of the bisection
         # below 8, 16, 32, ..., which took 7 to 16 bounds (more at 1e-4):
-        # in one bound of three cutoffs at t in [0.005, 2]; at t = 1e-4 the
-        # estimate falls further short, and the scan takes up to three.  At
+        # after one bound at the level limit, in one bound of three cutoffs
+        # at t in [0.005, 2]; at t = 1e-4 the estimate falls further short,
+        # and the scan takes up to three.  At
         # t = 2 the least cutoff can lie below the first level's floor,
         # under an estimate that does too (m = 12, theta = 0: 0.125 and
         # 5.875 against a floor of 6); the spectrum to either is empty
@@ -898,9 +910,9 @@ class TestHeatTrace:
                     t == 2.0
                     and want < got < bs._level_floor(m // 2 - 1, theta)), (
                         theta, t)
-                assert len(calls) <= 3
-                assert calls == [3] or t == 1e-4, (theta, t, calls)
-                assert set(calls) == {3}
+                assert calls[0] == 1 and len(calls) <= 4
+                assert calls == [1, 3] or t == 1e-4, (theta, t, calls)
+                assert set(calls[1:]) == {3}
 
     @pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
     def test_cutoff_estimate_just_below(self, m):
@@ -1158,16 +1170,21 @@ class TestHeatTrace:
     def test_insufficient_cutoff(self, monkeypatch):
         # a truncation bound not below 1e-10 of the trace is refused.  Only
         # one that is not a number gets there: the solve doubles its
-        # cutoff while a tail bound lies above 2^-70 of the trace.  The
-        # bound is one call over every t, NaN at t = 0.3 alone
-        bound = bs._truncation_bound
+        # cutoff while the bound lies above 2^-70 of the trace.  The one
+        # bound of a solve is at the smallest t, wherever it lies in ts.
+        # The cutoff search refuses such a bound at the level limit
+        cutoff = bs._solve_cutoff(0.0, 2, 0.01)
         monkeypatch.setattr(bs, "_truncation_bound",
-                            lambda theta, m, t, mu, n: np.where(
-                                np.asarray(t) == 0.3, math.nan,
-                                bound(theta, m, t, mu, n)))
+                            lambda *args: np.array(math.nan))
         with pytest.raises(bs.InsufficientCutoffError,
-                           match=r"bound nan too large for trace .* t=0\.3$"):
-            bs.heat_trace(0.0, 2, [0.01, 0.3])
+                           match=r"^truncation bound nan at t=0\.01: no "
+                                 r"cutoff within 1000000 angular levels"):
+            bs._solve_cutoff(0.0, 2, 0.01)
+        monkeypatch.setattr(bs, "_solve_cutoff", lambda theta, m, t: cutoff)
+        with pytest.raises(bs.InsufficientCutoffError,
+                           match=r"bound nan too large for trace .* "
+                                 r"t=0\.01$"):
+            bs.heat_trace(0.0, 2, [0.3, 0.01])
 
     @pytest.mark.parametrize("cutoff", (100.0, 0.5))
     def test_underflowing_t_is_out_of_range(self, cutoff, monkeypatch):
@@ -1203,8 +1220,9 @@ class TestHeatTrace:
                                             (8, 1e-12, 100.0),
                                             (12, 1e-300, 100.0)))
     def test_tiny_t_fails_at_once(self, m, t, mu_max):
-        # the tail levels rise past MAX_LEVELS, so there is no bound: the
-        # trace is refused, not summed for ever
+        # the level terms still rise at the level limit (q >= 1), so no
+        # cutoff within it has a bound: the trace is refused, not summed
+        # for ever
         assert bs._truncation_bound(0.5, m, t, mu_max, 10) == math.inf
         start = time.perf_counter()
         with pytest.raises(bs.InsufficientCutoffError, match="bound inf"):
@@ -1234,6 +1252,60 @@ class TestHeatTrace:
         values, bounds = bs.heat_trace(0.5, 2, [])
         assert values.shape == bounds.shape == (0,)
 
+    @pytest.mark.parametrize("theta,m,ts", (
+        (0.5, 2, bs.T_GRID), (-1.3, 8, np.geomspace(0.005, 0.05, 20)),
+        (2.0, 12, np.geomspace(0.01, 0.1, 20)), (0.0, 12, [2.0, 0.3, 5.0]),
+        (0.0, 2, [5.0])))
+    def test_one_bound_per_solve(self, theta, m, ts, solves, monkeypatch):
+        # after the cutoff search, each spectrum solve takes one bound, at
+        # its cutoff and the smallest t, wherever it lies in ts; the last
+        # two traces take the doubling path
+        bound, search, calls = bs._truncation_bound, bs._solve_cutoff, []
+
+        def spy(theta, m, t, mu, n):
+            calls.append((t, mu))
+            return bound(theta, m, t, mu, n)
+
+        def searched(*args):
+            start = len(calls)
+            cutoff = search(*args)
+            del calls[start:]
+            return cutoff
+        monkeypatch.setattr(bs, "_truncation_bound", spy)
+        monkeypatch.setattr(bs, "_solve_cutoff", searched)
+        bs.heat_trace(theta, m, ts)
+        assert calls == [(min(ts), cutoff) for cutoff, _ in solves]
+        assert (len(solves) > 1) == (theta == 0.0)
+
+    def test_too_many_brackets_refused_before_the_solve(self, monkeypatch):
+        # theta = 0, t = 1e-10: the cutoff, ~7e5, lies inside the level
+        # limit, but the levels below it hold ~8e10 brackets, a count
+        # refused before a zero of J_p is asked for
+        calls = []
+        for name in ("_level_brackets", "jn_zeros"):
+            monkeypatch.setattr(bs, name, lambda *args, name=name: (
+                calls.append(name)))
+        cutoff = bs._solve_cutoff(0.0, 2, 1e-10)
+        assert bs._level_count(0.0, 2, cutoff) <= bs.MAX_LEVELS
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=(
+                r"^[0-9.]+e\+10 brackets below mu_max=[0-9.]+, over "
+                r"1000000$")):
+            bs.heat_trace(0.0, 2, [1e-10])
+        assert time.perf_counter() - start < 1.0
+        assert calls == []
+
+    @pytest.mark.parametrize("m,mu_max", ((2, 60.0), (12, 150.0)))
+    def test_brackets_within_their_count(self, m, mu_max):
+        # each level p < mu_max holds at most (mu_max - p)/pi + 2 brackets
+        # below mu_max, which spectrum sums into the count it refuses by
+        p0 = m // 2 - 1
+        levels = math.ceil(mu_max) - p0
+        held = np.bincount(bs._level_brackets(p0, levels, mu_max)[0] - p0,
+                           minlength=levels)
+        assert np.all(held <= (mu_max - np.arange(p0, p0 + levels)) / math.pi
+                      + 2.0)
+        assert held.sum() > 0.5 * mu_max ** 2 / (2.0 * math.pi)
 
 @st.composite
 def _trace_requests(draw):
@@ -1273,6 +1345,49 @@ class TestHeatTraceProperty:
         assert np.all(np.isfinite(values))
         for t, value, bound in zip(ts.tolist(), values, bounds):
             assert_summed(value, w * np.exp(-t * mu * mu))
+            assert bound <= 2.0 ** -70 * value
+
+
+@st.composite
+def _tail_requests(draw):
+    """theta of either sign, log-uniform in |theta| in [1e-3, 6], an even m
+    in 2..12 and T_GRID, one of the two small-t windows, or a geometric
+    grid of 1 to 10 t in [0.005, 5], whose smallest t past ~0.3 takes the
+    doubling path."""
+    theta = math.copysign(math.exp(draw(st.floats(math.log(1e-3),
+                                                  math.log(6.0)))),
+                          draw(st.sampled_from((1.0, -1.0))))
+    m = draw(st.sampled_from((2, 4, 6, 8, 10, 12)))
+    grid = draw(st.sampled_from(("T_GRID", "0.01-0.1", "0.005-0.05", "")))
+    if grid:
+        return theta, m, {"T_GRID": bs.T_GRID,
+                          "0.01-0.1": np.geomspace(0.01, 0.1, 20),
+                          "0.005-0.05": np.geomspace(0.005, 0.05, 20)}[grid]
+    low, high = sorted(math.exp(draw(st.floats(math.log(0.005),
+                                               math.log(5.0))))
+                       for _ in range(2))
+    return theta, m, np.geomspace(low, high, draw(st.integers(1, 10)))
+
+
+class TestTailBoundProperty:
+    @seed(2005)
+    @settings(max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(request=_tail_requests())
+    def test_bound_holds_at_every_t(self, request):
+        # the one bound at the smallest t, carried to each t as r times its
+        # value, bounds the terms of the roots past the last solve's cutoff
+        # at every t: those of a spectrum solved to 1.5 times the cutoff,
+        # past which the rest is below e^-(1.25 t mu_c^2) of them
+        theta, m, ts = request
+        with unittest.mock.patch.object(bs, "spectrum",
+                                        wraps=bs.spectrum) as spy:
+            values, bounds = bs.heat_trace(theta, m, ts)
+        cutoff = spy.call_args.args[2]
+        mu, w, _ = bs.spectrum(theta, m, 1.5 * cutoff + 1.0)
+        past = mu > cutoff
+        for t, value, bound in zip(np.ravel(ts).tolist(), values, bounds):
+            assert math.fsum(w[past] * np.exp(-t * mu[past] ** 2)) <= bound
             assert bound <= 2.0 ** -70 * value
 
 

@@ -128,6 +128,18 @@ class TestTable:
         assert rows[0]["a1_ball"] == pytest.approx(
             math.sqrt(math.pi) / 2 * (math.cosh(1) - 1), rel=1e-9)
 
+    def test_small_theta_keeps_its_digits(self, capsys):
+        # c1 = theta^2/8, c7 = theta^2/6 and a1_ball = sqrt(pi)/2 theta^2/2
+        # at m = 2, to the leading order that is all of their 12 digits at
+        # theta = 1e-8 (they printed as 0, from differences that cancel)
+        code, out = run(capsys, "table", "--m", "2", "--theta", "1e-8",
+                        "--format", "json")
+        assert code == 0
+        [row] = json.loads(out)
+        assert row["c1"] == 1.25e-17
+        assert row["c7"] == 1.66666666667e-17
+        assert row["a1_ball"] == float(f"{math.sqrt(math.pi) / 4 * 1e-16:.12g}")
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "grid.csv"
         code, out = run(capsys, "table", "--m", "2", "--theta", "0",
@@ -187,8 +199,9 @@ class TestClosedFormRow:
 
     def test_every_2f1_terminates(self, monkeypatch):
         # each hyp2f1 behind a row is a finite sum: a or b is a
-        # non-positive integer (m=2 takes theta coth theta instead), and
-        # each distinct polynomial is summed once per row
+        # non-positive integer (m=2 takes theta coth theta instead, and at
+        # m=4 f_tanh - 1 = sinh^2 theta takes none), and each distinct
+        # polynomial is summed once per row
         params = []
         hyp2f1 = coefficients.hyp2f1
 
@@ -200,7 +213,7 @@ class TestClosedFormRow:
             for theta in (0.0, 0.7, -0.7, 4.0, -4.0):
                 params.clear()
                 cli._constants(theta, m)
-                assert len(params) == (3 if m == 2 else 4), (theta, m)
+                assert len(params) == (3 if m <= 4 else 4), (theta, m)
                 for a, b in params:
                     assert any(v <= 0 and v == int(v) for v in (a, b)), \
                         (a, b)
@@ -603,19 +616,19 @@ class TestVerifyCommands:
     def test_ball_insufficient_cutoff_exit_2(self, tmp_path, capsys,
                                              monkeypatch):
         # a truncation bound that is not a number ends the solve and fails
-        # the final check at its t, in one bound over every t
-        bound = ball_spectrum._truncation_bound
+        # the final check, at the smallest t, where the one bound is taken
+        cutoff = ball_spectrum._solve_cutoff(0.5, 2, 0.02)
+        monkeypatch.setattr(ball_spectrum, "_solve_cutoff",
+                            lambda theta, m, t: cutoff)
         monkeypatch.setattr(ball_spectrum, "_truncation_bound",
-                            lambda theta, m, t, mu, n: np.where(
-                                np.asarray(t) == 0.3, math.nan,
-                                bound(theta, m, t, mu, n)))
+                            lambda *args: np.array(math.nan))
         path = tmp_path / "report"
         code = cli.main(["verify-ball", "--m", "2", "--theta", "0.5",
                          "--out", str(path)])
         assert code == 2
         assert capsys.readouterr().err == (
             "error: truncation bound nan too large for trace "
-            "1.689980e+00 at t=0.3 (at theta=0.5, m=2)\n")
+            "2.562988e+01 at t=0.02 (at theta=0.5, m=2)\n")
         assert not path.exists()
 
     def test_ball_root_solve_failed_exit_2(self, tmp_path, capsys,
@@ -651,6 +664,28 @@ class TestVerifyCommands:
             assert code == 2
             assert f"theta={float(theta)}, m=2" in capsys.readouterr().err
             assert not path.exists()
+
+    @pytest.mark.parametrize("m", (2, 12))
+    @pytest.mark.parametrize("theta", ("11", "13", "30", "100", "700", "800",
+                                       "-800"))
+    def test_ball_past_the_level_limit_one_refusal(self, tmp_path, capsys,
+                                                   theta, m):
+        # every theta past the level-limit edge ends in the one level-limit
+        # line, with exit 2, no report, no warning and no traceback: where
+        # level counts pass the int64 range (theta = 100, 700), where
+        # e^-|theta| underflows (800), and where the level terms still rise
+        # at the limit (theta = 13 and 30 at m = 12)
+        path = tmp_path / "report"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["verify-ball", "--m", str(m), "--theta=" + theta,
+                             "--out", str(path)])
+        assert code == 2
+        assert re.fullmatch(
+            r"error: \S+ angular levels below mu_max=\S+, over 1000000 "
+            rf"\(at theta={float(theta)}, m={m}\)\n",
+            capsys.readouterr().err)
+        assert not path.exists()
 
     def test_ball_mu_max_too_many_levels_exit_2(self, tmp_path, capsys):
         # the level limit counts the levels below the solve cutoff, the

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from scipy import special
@@ -163,29 +164,38 @@ class TestBallCoefficients:
 
 def _reference_constants(theta, m):
     """universal_constants as it formed every factor inline, before the
-    theta-independent ones were cached per m."""
+    theta-independent ones were cached per m, with cosh^(m-1) theta - 1
+    and f_tanh - 1 in their forms that do not cancel near theta = 0."""
     sh, ch, th = math.sinh(theta), math.cosh(theta), math.tanh(theta)
     z = -sh * sh
-    if m == 2:
-        f_tanh = theta / th if theta else 1.0
+    if abs(theta) < 1.0:
+        half = math.sinh(0.5 * theta)
+        power = math.expm1((m - 1) * math.log1p(2.0 * half * half))
     else:
-        f_tanh = ch * ch * hyp2f1(1.0, 2 - m / 2, 1.5, z)
+        power = ch ** (m - 1) - 1.0
+    if m == 2:
+        excess = co._coth_excess(theta)
+    elif m == 4:
+        excess = sh * sh
+    else:
+        excess = sh * sh * (1.0 + ch * ch * (m / 2 - 2) / 1.5 * hyp2f1(
+            1.0, 3 - m / 2, 2.5, z))
     p_half = hyp2f1(1.0, 1 - m / 2, 0.5, z)
     p_3half = hyp2f1(1.0, 1 - m / 2, 1.5, z)
     poly = hyp2f1(0.5, 1 - m / 2, 1.5, th * th)
-    c1 = 0.25 * (ch ** (m - 1) - 1.0)
-    c2 = ((2 * m - 5) / 3.0 + (2 - m) * f_tanh) / (2.0 * (m - 1))
+    c1 = 0.25 * power
+    c2 = ((2 * m - 5) / 3.0 + (2 - m) * (1.0 + excess)) / (2.0 * (m - 1))
     d4 = -0.5 * th + 0.5 * (m - 1) * th * ch ** (m - 2) * poly
     c6 = (m - 1) * sh * p_3half
     d_s = co.spinor_dimension(m)
     norm = 2 ** m * gamma_fn(m / 2)
     pref = d_s / norm
-    a1 = math.sqrt(math.pi) * pref * (ch ** (m - 1) - 1.0)
+    a1 = math.sqrt(math.pi) * pref * power
     a2 = pref * 2 * (m - 1) * c2
     a1_eta = -sh * d_s * (m - 1) / norm * p_3half
     return co.UniversalConstants(
         theta=theta, m=m, c1=c1, c2=c2, c3=-2.0 * d4, c4=0.0,
-        c5=ch * p_half, c6=c6, c7=-0.5 * (1.0 - f_tanh),
+        c5=ch * p_half, c6=c6, c7=0.5 * excess,
         d1=-0.5 * (m - 1) * th * ch ** (m - 1) * poly,
         d2=-0.5 / ch - 0.5 * (m - 1) * th * th * ch ** (m - 1) * poly,
         d3=0.0, d4=d4, a1_ball=a1, a2_ball=a2, a1_eta=a1_eta)
@@ -225,3 +235,44 @@ def test_a1_eta_bit_identical_to_the_float_range(m):
                     repr(getattr(want, field)), (theta, m, field)
         if m == 2:
             assert got.a1_eta == -0.5 * math.sinh(theta), theta
+
+
+def _cancelling_oracle(theta, m):
+    """c1, c7 and a1_ball at (theta, m) in mpmath, from the paper's forms:
+    cosh^(m-1) theta - 1 and f_tanh - 1, f_tanh = 2F1(1, (m-1)/2; 3/2;
+    tanh^2 theta) (theta coth theta at m = 2), at 50 digits past the
+    2 log10(1/|theta|) that their differences cancel and the 0.87 |theta|
+    that 1 - tanh^2 theta costs."""
+    mp = pytest.importorskip("mpmath")
+    lost = 2.0 * max(-math.log10(abs(theta)), 0.0) + 0.87 * abs(theta)
+    with mp.workdps(50 + int(lost)):
+        x = mp.mpf(theta)
+        th = mp.tanh(x)
+        power = mp.cosh(x) ** (m - 1) - 1
+        f_tanh = x / th if m == 2 else mp.hyp2f1(1, mp.mpf(m - 1) / 2, 1.5,
+                                                 th * th)
+        k_a1 = mp.sqrt(mp.pi) * 2 ** (m // 2) / (
+            2 ** m * mp.factorial(m // 2 - 1))
+        return {"c1": power / 4, "c7": (f_tanh - 1) / 2,
+                "a1_ball": k_a1 * power}
+
+
+@pytest.mark.parametrize("m", MS)
+def test_cancelling_constants_to_full_precision(m):
+    # c1, c7 and a1_ball go like theta^2 near 0, where their differences
+    # cancelled: over signed theta log-uniform from 1e-300 to the edge
+    # where cosh^(m-1) theta overflows, each is within 16 2^-52 of mpmath
+    # relative, and within 4 2^-1074 where it is subnormal (measured over
+    # 3000 theta per m: up to 10.5 2^-52, a1_ball at m = 12 and theta =
+    # 2.8, and 2 2^-1074)
+    edge = math.acosh(sys.float_info.max ** (1.0 / (m - 1))) * (1 - 1e-9)
+    rng = random.Random(f"cancelling:{m}")
+    thetas = [math.exp(rng.uniform(math.log(1e-300), math.log(edge)))
+              for _ in range(150)] + [1e-300, 1e-160, 1e-8, 1e-5, 0.3,
+                                      0.999, 1.0, 1.001, edge]
+    for theta in thetas + [-x for x in thetas]:
+        got = co.universal_constants(theta, m)
+        for key, want in _cancelling_oracle(theta, m).items():
+            assert abs(getattr(got, key) - want) <= (
+                16 * 2.0 ** -52 * abs(want) + 4 * 2.0 ** -1074), (
+                    theta, m, key)

@@ -159,8 +159,9 @@ def _package_parameters():
 
 def test_hyp2f1_bit_identical_to_the_term_recurrence():
     params = _package_parameters()
-    # 3 per m: (1, 2 - m/2, 3/2) is (1, 1 - m/2, 3/2) at m - 2
-    assert len(params) == 18
+    # 3 per m, and (1, 3 - m/2, 5/2), whose sum gives f_tanh - 1 at m =
+    # 6..12
+    assert len(params) == 22
     rng = random.Random("hyp2f1-steps")
     zs = [s * 10.0 ** k for k in range(-300, 301) for s in (1.0, -1.0)]
     zs += [-math.sinh(rng.uniform(-8.0, 8.0)) ** 2 for _ in range(1000)]
